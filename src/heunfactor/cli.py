@@ -2,7 +2,9 @@
 
 Subcommands parse JSON instance files, dispatch to the library modules and
 emit deterministic JSON or text reports with a CI-friendly exit-code
-contract: 0 = pass, 2 = verification failed, 1 = usage or schema error.
+contract: 0 = pass, 1 = usage, schema or setting error, 2 = verification
+failed (a degenerate instance or any other error of the machinery counts as
+failed).  A file gets the same code run directly and inside a sweep.
 
 Instance file schema (version 1):
 
@@ -68,7 +70,8 @@ def _check_keys(obj: dict, allowed: set, where: str, required: set = frozenset()
         raise SchemaError(f"{where}: missing keys {sorted(missing)}")
 
 
-def load_instance(path: Path) -> dict:
+def load_instance(path) -> dict:
+    path = Path(path)
     try:
         text = path.read_text()
     except OSError as e:
@@ -92,6 +95,9 @@ def load_instance(path: Path) -> dict:
         raise SchemaError(f"{path}: mode must be 'exact' or 'numeric'")
     if not isinstance(obj["parameters"], dict):
         raise SchemaError(f"{path}: parameters must be an object")
+    for key in ("precision_bits", "seed"):
+        if type(obj.get(key, 0)) is not int:
+            raise SchemaError(f"{path}: {key} must be an integer")
     return obj
 
 
@@ -104,28 +110,27 @@ def _emit(report: dict, as_json: bool) -> None:
 
 
 def _textify(obj, prefix="") -> list:
-    lines = []
     if isinstance(obj, dict):
-        for k in sorted(obj):
-            v = obj[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{prefix}{k}:")
-                lines.extend(_textify(v, prefix + "  "))
-            else:
-                lines.append(f"{prefix}{k}: {v}")
+        items = [(k, obj[k]) for k in sorted(obj)]
     elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            if isinstance(v, (dict, list)):
-                lines.append(f"{prefix}[{i}]:")
-                lines.extend(_textify(v, prefix + "  "))
-            else:
-                lines.append(f"{prefix}[{i}]: {v}")
+        items = [(f"[{i}]", v) for i, v in enumerate(obj)]
     else:
-        lines.append(f"{prefix}{obj}")
+        return [f"{prefix}{obj}"]
+    lines = []
+    for k, v in items:
+        if isinstance(v, (dict, list)):
+            lines.append(f"{prefix}{k}:")
+            lines.extend(_textify(v, prefix + "  "))
+        else:
+            lines.append(f"{prefix}{k}: {v}")
     return lines
 
 
 # -- heun / apparency ------------------------------------------------------------
+#
+# Each cmd_* takes the values it reads and returns (report, exit code); only
+# main prints.  Exceptions map to exit codes in _guarded, for direct runs and
+# sweeps alike.
 
 
 def _heun_from_parameters(params: dict) -> HeunParams:
@@ -135,8 +140,7 @@ def _heun_from_parameters(params: dict) -> HeunParams:
     return HeunParams.from_json(params)
 
 
-def cmd_apparency(args) -> int:
-    inst = load_instance(Path(args.instance))
+def cmd_apparency(inst: dict) -> tuple:
     if inst["kind"] != "heun":
         raise SchemaError("apparency expects a 'heun' instance")
     p = _heun_from_parameters(inst["parameters"])
@@ -163,17 +167,15 @@ def cmd_apparency(args) -> int:
                                    f"{abs(r.imag)!r}j" for r in roots]
     if q_concrete:
         val = RatFunc.of(P, p.ring).subs({"q": p.q})
-        apparent = val.is_zero
-        report["apparent"] = apparent
-        status = 0 if apparent else 2
-    _emit(report, args.json)
-    return status
+        report["apparent"] = val.is_zero
+        status = 0 if val.is_zero else 2
+    return report, status
 
 
 # -- factorize -------------------------------------------------------------------
 
 
-def _fuchsian_from_parameters(params: dict, mode: str, seed: int, bits: int):
+def _fuchsian_from_parameters(params: dict, mode: str):
     _check_keys(params, {"gamma", "delta", "alpha", "beta", "prod_ab",
                          "sing", "q", "p"}, "parameters",
                 required={"gamma", "sing"})
@@ -200,10 +202,10 @@ def _fuchsian_from_parameters(params: dict, mode: str, seed: int, bits: int):
     M = len(sing)
     ring = fz.factor_ring(M, N)
     p_vals = None
-    if "q" in params:
+    if "q" in params or ("p" not in params and mode == "exact" and M == 1):
         if M != 1:
             raise SchemaError("'q' shortcut needs exactly one extra singularity")
-        qv = params["q"]
+        qv = params.get("q", {"sym": "q"})
         if isinstance(qv, dict):
             if set(qv) != {"sym"}:
                 raise SchemaError("bad symbolic q")
@@ -222,9 +224,6 @@ def _fuchsian_from_parameters(params: dict, mode: str, seed: int, bits: int):
                 p_vals.append(RatFunc.of(_rat(pv, f"p[{i}]"), ring))
     elif mode == "exact":
         p_vals = [RatFunc.of(ring.var(f"p{k+1}"), ring) for k in range(M)]
-        if M == 1:
-            q = RatFunc.of(ring.var("q"), ring)
-            p_vals = [RatFunc.of(prod_ab, ring) * RatFunc.of(sing[0][0], ring) - q]
     Lt = None
     if p_vals is not None:
         Lt = fz.ApparentFuchsian.from_p_form(gamma, delta, sing, prod_ab,
@@ -232,19 +231,19 @@ def _fuchsian_from_parameters(params: dict, mode: str, seed: int, bits: int):
     return gamma, delta, sing, prod_ab, Lt
 
 
-def cmd_factorize(args) -> int:
-    inst = load_instance(Path(args.instance))
+def cmd_factorize(inst: dict, mode, precision_bits, tol_exp, deep, seed) -> tuple:
+    """``mode``, ``precision_bits`` and ``seed`` override the instance's own
+    values unless None."""
     if inst["kind"] != "apparent_fuchsian":
         raise SchemaError("factorize expects an 'apparent_fuchsian' instance")
-    mode = args.mode or inst.get("mode", "exact")
-    bits = args.precision_bits or inst.get("precision_bits", 300)
-    seed = args.seed if args.seed is not None else inst.get("seed", 0)
-    gamma, delta, sing, prod_ab, Lt = _fuchsian_from_parameters(
-        inst["parameters"], mode, seed, bits)
+    mode = mode or inst.get("mode", "exact")
+    bits = precision_bits if precision_bits is not None else inst.get("precision_bits", 300)
+    seed = seed if seed is not None else inst.get("seed", 0)
+    gamma, delta, sing, prod_ab, Lt = _fuchsian_from_parameters(inst["parameters"], mode)
     if mode == "exact":
         if Lt is None:
             raise SchemaError("exact mode needs q/p values (or symbolic atoms)")
-        rep = fz.verify_factorization(Lt, deep=args.deep)
+        rep = fz.verify_factorization(Lt, deep=deep)
     else:
         p_concrete = None
         if Lt is not None:
@@ -253,20 +252,18 @@ def cmd_factorize(args) -> int:
                 p_concrete = [p.as_poly().const_value() for p in ps]
         rep = fz.verify_factorization_numeric(
             gamma, delta, sing, prod_ab, p_vals=p_concrete, bits=bits,
-            seed=seed, tol_exp=args.tol_exp)
+            seed=seed, tol_exp=tol_exp)
     report = {"command": "factorize", "instance": inst["parameters"],
               **rep.to_json()}
-    _emit(report, args.json)
-    return 0 if rep.passed else 2
+    return report, 0 if rep.passed else 2
 
 
 # -- x1 --------------------------------------------------------------------------
 
 
-def cmd_x1(args) -> int:
-    g = _rat(args.g, "g")
-    h = _rat(args.h, "h")
-    k = args.k
+def cmd_x1(k: int, g, h, ortho_max=None) -> tuple:
+    g = _rat(g, "g")
+    h = _rat(h, "h")
     if g == h:
         raise SchemaError("degenerate parameters: g = h")
     poly = xj.x1_jacobi(k, g, h)
@@ -276,8 +273,8 @@ def cmd_x1(args) -> int:
     D_k = xj.x1_4f3_check(k, g, h)
     ortho = {}
     ortho_ok = True
-    if args.ortho_max is not None:
-        for j in range(min(args.ortho_max, k)):
+    if ortho_max is not None:
+        for j in range(min(ortho_max, k)):
             v = xj.orthogonality_check(j, k, g, h)
             ortho[f"<{j},{k}>"] = repr(v)
             ortho_ok = ortho_ok and abs(v) < 1e-8
@@ -293,94 +290,76 @@ def cmd_x1(args) -> int:
         "orthogonality": ortho,
         "pass": passed,
     }
-    _emit(report, args.json)
-    return 0 if passed else 2
+    return report, 0 if passed else 2
 
 
 # -- monodromy -------------------------------------------------------------------
 
 
-def cmd_monodromy(args) -> int:
-    inst = load_instance(Path(args.instance))
+def cmd_monodromy(inst: dict, tol: float) -> tuple:
     if inst["kind"] != "heun":
         raise SchemaError("monodromy expects a 'heun' instance")
     p = _heun_from_parameters(inst["parameters"])
-    tol = args.tol if args.tol is not None else 1e-12
     M = numcheck.monodromy(p, "t", tol=tol)
     d = M.distance_from_identity()
-    if d < 1e-6:
-        verdict = "apparent"
-    elif d > 1e-3:
-        verdict = "not_apparent"
-    else:
-        verdict = "inconclusive"
+    verdict = "apparent" if d < 1e-6 else "not_apparent" if d > 1e-3 else "inconclusive"
     report = {
         "command": "monodromy",
         "loop": "t",
         "distance_from_identity": repr(d),
         "verdict": verdict,
     }
-    _emit(report, args.json)
-    return 0 if verdict == "apparent" else 2
+    return report, 0 if verdict == "apparent" else 2
 
 
 # -- sweep -----------------------------------------------------------------------
 
 
+def _run_file(path, mode, precision_bits, tol, tol_exp, deep, seed) -> tuple:
+    """Run one instance file through the command its kind (and, for heun
+    files, its mode) selects."""
+    inst = load_instance(path)
+    if inst["kind"] == "heun":
+        if (mode or inst.get("mode", "exact")) == "numeric":
+            return cmd_monodromy(inst, tol)
+        return cmd_apparency(inst)
+    if inst["kind"] == "apparent_fuchsian":
+        return cmd_factorize(inst, mode, precision_bits, tol_exp, deep, seed)
+    params = inst["parameters"]
+    _check_keys(params, {"k", "g", "h"}, "parameters", required={"k", "g", "h"})
+    if not isinstance(params["k"], int):
+        raise SchemaError("parameters: k must be an integer")
+    return cmd_x1(params["k"], params["g"], params["h"])
+
+
 def _sweep_one(path_str: str, opts: dict) -> dict:
-    """Worker: run one instance file, return its report dict (never raises)."""
-    ns = argparse.Namespace(**opts)
-    path = Path(path_str)
-    out = {"file": path.name}
-    import contextlib
-    import io
-
-    buf = io.StringIO()
-    try:
-        inst = load_instance(path)
-        ns.instance = path_str
-        with contextlib.redirect_stdout(buf):
-            if inst["kind"] == "heun":
-                mode = ns.mode or inst.get("mode", "exact")
-                code = (cmd_monodromy(ns) if mode == "numeric"
-                        else cmd_apparency(ns))
-            elif inst["kind"] == "apparent_fuchsian":
-                code = cmd_factorize(ns)
-            else:
-                params = inst["parameters"]
-                _check_keys(params, {"k", "g", "h"}, "parameters",
-                            required={"k", "g", "h"})
-                ns.k, ns.g, ns.h = params["k"], params["g"], params["h"]
-                code = cmd_x1(ns)
-        out["report"] = json.loads(buf.getvalue()) if ns.json else buf.getvalue()
-        out["exit_code"] = code
-    except SchemaError as e:
-        out["exit_code"] = 1
-        out["error"] = str(e)
-    except Exception as e:  # verification machinery errors count as failures
-        out["exit_code"] = 2
-        out["error"] = f"{type(e).__name__}: {e}"
-    return out
+    """Worker: run one instance file, return its result entry (never raises)."""
+    report, code, error = _guarded(lambda: _run_file(path_str, **opts))
+    key, value = ("report", report) if error is None else ("error", error)
+    return {"file": Path(path_str).name, "exit_code": code, key: value}
 
 
-def cmd_sweep(args) -> int:
-    root = Path(args.directory)
+def _sweep_workers() -> int:
+    raw = os.environ.get("HEUNFACTOR_THREADS") or str(os.cpu_count() or 1)
+    if not (raw.strip().isdigit() and int(raw) >= 1):
+        raise UsageError(f"HEUNFACTOR_THREADS must be a positive integer, got {raw!r}")
+    return int(raw)
+
+
+def cmd_sweep(directory: str, opts: dict) -> tuple:
+    """``opts`` holds the settings forwarded to every file: mode,
+    precision_bits, tol, tol_exp, deep and seed."""
+    root = Path(directory)
     if not root.is_dir():
         raise SchemaError(f"{root} is not a directory")
     paths = sorted(str(p) for p in root.glob("*.json"))
-    opts = {"mode": args.mode, "precision_bits": args.precision_bits,
-            "seed": args.seed, "deep": args.deep, "tol": args.tol,
-            "tol_exp": args.tol_exp, "json": True}
-    workers = os.environ.get("HEUNFACTOR_THREADS")
-    workers = int(workers) if workers else (os.cpu_count() or 1)
-    results = []
+    workers = _sweep_workers()
     if len(paths) <= 1 or workers == 1:
         results = [_sweep_one(p, opts) for p in paths]
     else:
         try:
             with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(_sweep_one, paths,
-                                      [opts] * len(paths)))
+                results = list(ex.map(_sweep_one, paths, [opts] * len(paths)))
         except (OSError, PermissionError):
             results = [_sweep_one(p, opts) for p in paths]
     worst = max((r["exit_code"] for r in results), default=0)
@@ -391,13 +370,28 @@ def cmd_sweep(args) -> int:
         "results": results,
         "pass": worst == 0,
     }
-    _emit(report, args.json)
-    return 0 if worst == 0 else (1 if worst == 1 and
-                                 all(r["exit_code"] in (0, 1) for r in results)
-                                 else 2)
+    return report, worst
 
 
-# -- entry point -----------------------------------------------------------------
+# -- exit codes and entry point --------------------------------------------------
+
+
+#: a bad input or setting (exit 1); any other exception from the
+#: verification machinery fails the run (exit 2)
+USAGE_ERRORS = (SchemaError, UsageError, HeunConditionError, UnsupportedCaseError,
+                fz.UnsupportedProfileError, xj.XJacobiError)
+
+
+def _guarded(run) -> tuple:
+    """(report, exit code, error message or None) of ``run()``; never raises
+    an Exception."""
+    try:
+        report, code = run()
+        return report, code, None
+    except SchemaError as e:
+        return None, 1, str(e)
+    except Exception as e:
+        return None, 1 if isinstance(e, USAGE_ERRORS) else 2, f"{type(e).__name__}: {e}"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -407,68 +401,63 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+FLAGS = {
+    "mode": dict(choices=["exact", "numeric"], default=None),
+    "precision_bits": dict(type=int, default=None),
+    "tol": dict(type=float, default=1e-12),
+    "tol_exp": dict(type=int, default=-60),
+    "deep": dict(action="store_true"),
+    "seed": dict(type=int, default=None),
+    "ortho_max": dict(type=int, default=None),
+}
+SWEEP_FLAGS = ("mode", "precision_bits", "tol", "tol_exp", "deep", "seed")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="heunfactor",
                  description="exact and numeric verification of apparent-"
                              "singularity factorizations")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--mode", choices=["exact", "numeric"], default=None)
-        sp.add_argument("--precision-bits", type=int, default=None,
-                        dest="precision_bits")
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--tol-exp", type=int, default=-60, dest="tol_exp")
-        sp.add_argument("--deep", action="store_true")
-        sp.add_argument("--seed", type=int, default=None)
+    def command(name, help, positionals: dict, flags, run):
+        # no abbreviations, so that --tol never stands for --tol-exp
+        sp = sub.add_parser(name, help=help, allow_abbrev=False)
+        for pos, typ in positionals.items():
+            sp.add_argument(pos, type=typ)
+        for flag in flags:
+            sp.add_argument("--" + flag.replace("_", "-"), **FLAGS[flag])
         fmt = sp.add_mutually_exclusive_group()
         fmt.add_argument("--json", action="store_true", default=True)
         fmt.add_argument("--text", dest="json", action="store_false")
+        sp.set_defaults(run=run)
 
-    sp = sub.add_parser("apparency", help="condition polynomial for z = t")
-    sp.add_argument("instance")
-    common(sp)
-    sp.set_defaults(func=cmd_apparency)
-
-    sp = sub.add_parser("factorize", help="verify the operator factorization")
-    sp.add_argument("instance")
-    common(sp)
-    sp.set_defaults(func=cmd_factorize)
-
-    sp = sub.add_parser("x1", help="exceptional-Jacobi checks")
-    sp.add_argument("k", type=int)
-    sp.add_argument("g")
-    sp.add_argument("h")
-    sp.add_argument("--ortho-max", type=int, default=None, dest="ortho_max")
-    common(sp)
-    sp.set_defaults(func=cmd_x1)
-
-    sp = sub.add_parser("monodromy", help="numeric apparency oracle")
-    sp.add_argument("instance")
-    common(sp)
-    sp.set_defaults(func=cmd_monodromy)
-
-    sp = sub.add_parser("sweep", help="run a directory of instances")
-    sp.add_argument("directory")
-    common(sp)
-    sp.set_defaults(func=cmd_sweep)
+    # the lambdas look the cmd_* functions up when they run, not here
+    command("apparency", "condition polynomial for z = t", {"instance": str}, (),
+            lambda a: cmd_apparency(load_instance(a.instance)))
+    command("factorize", "verify the operator factorization", {"instance": str},
+            ("mode", "precision_bits", "tol_exp", "deep", "seed"),
+            lambda a: cmd_factorize(load_instance(a.instance), a.mode, a.precision_bits,
+                                    a.tol_exp, a.deep, a.seed))
+    command("x1", "exceptional-Jacobi checks", {"k": int, "g": str, "h": str},
+            ("ortho_max",), lambda a: cmd_x1(a.k, a.g, a.h, a.ortho_max))
+    command("monodromy", "numeric apparency oracle", {"instance": str}, ("tol",),
+            lambda a: cmd_monodromy(load_instance(a.instance), a.tol))
+    command("sweep", "run a directory of instances", {"directory": str}, SWEEP_FLAGS,
+            lambda a: cmd_sweep(a.directory, {f: getattr(a, f) for f in SWEEP_FLAGS}))
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except SchemaError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    except (UsageError, HeunConditionError, UnsupportedCaseError,
-            fz.UnsupportedProfileError, xj.XJacobiError) as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
-    except fz.DegenerateInstanceError as e:
-        sys.stderr.write(f"degenerate instance: {e}\n")
-        return 2
+    report, code, error = _guarded(lambda: args.run(args))
+    if error is not None:
+        sys.stderr.write(f"error: {error}\n")
+        return code
+    _emit(report, args.json)
+    for r in report.get("results", ()):  # a sweep's failed files
+        if "error" in r:
+            sys.stderr.write(f"error: {r['file']}: {r['error']}\n")
+    return code
 
 
 if __name__ == "__main__":

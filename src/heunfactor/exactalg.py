@@ -640,7 +640,7 @@ class RatFunc:
     factors so that cancellation is a cheap exact-division attempt per factor.
     """
 
-    __slots__ = ("ring", "_num", "_fac", "_hash")
+    __slots__ = ("ring", "_num", "_fac")
 
     def __init__(self, num: MultiPoly, factors: Mapping[MultiPoly, int] | None = None,
                  _simplify=True):
@@ -660,7 +660,6 @@ class RatFunc:
                 fac[prim] = fac.get(prim, 0) + k
         self._num = num
         self._fac = fac
-        self._hash = None
         if _simplify and fac and not num.is_zero:
             self._cancel()
         if self._num.is_zero:
@@ -741,11 +740,9 @@ class RatFunc:
         return self._num * other.den == other._num * self.den
 
     def __hash__(self):
-        # hash via the canonical cross-normalized pair is unstable; use a
-        # weak hash (ring only) — RatFuncs are rarely dict keys.
-        if self._hash is None:
-            self._hash = hash((self.ring, self._num))
-        return self._hash
+        # equal values may differ in numerator and denominator (cancellation
+        # is not forced), so hash the ring only; RatFuncs are rarely dict keys
+        return hash(self.ring)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -1221,22 +1218,14 @@ def groebner_basis(polys: Sequence[MultiPoly], main_vars: Sequence[str],
             k = len(gs)
             gs.append(s)
             pairs.extend((x, k) for x in range(k))
-    # autoreduce
-    reduced = []
-    for i, g in enumerate(gs):
-        others = [h for j, h in enumerate(gs) if j != i and not h.is_zero]
-        g2 = _gp_normal_form(g, others, steps) if others else g
-        if not g2.is_zero:
-            _, lc = g2.lead()
-            reduced.append(g2.scale(RatFunc(g2.ring.one) / lc))
-    # drop duplicates by leading monomial
+    # minimal basis: in ascending lead order keep an element (made monic)
+    # only when no kept lead divides its lead, so one per equal lead survives;
+    # lead-reducing a kept element against the others then changes nothing
     out = []
-    seen = set()
-    for g in sorted(reduced, key=lambda h: _grlex_key(h.lead()[0])):
-        le = g.lead()[0]
-        if le not in seen:
-            seen.add(le)
-            out.append(g)
+    for g in sorted(gs, key=lambda h: _grlex_key(h.lead()[0])):
+        le, lc = g.lead()
+        if not any(_gp_divides(h.lead()[0], le) for h in out):
+            out.append(g.scale(RatFunc(g.ring.one) / lc))
     return out
 
 

@@ -19,8 +19,9 @@ Numeric mode runs the same division at several hundred bits.
 
 from __future__ import annotations
 
+import math
 import random as _random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -357,6 +358,9 @@ class EsymVector:
     mode: str                     # "exact" | "numeric"
     values: tuple                 # RatFunc (exact) or mpc (numeric)
     denominators: tuple = ()      # observed denominator factors, exact mode
+    # (Lt, FactorizationWork) of the solve_esym call; the work keeps the
+    # e-atoms symbolic, so it stays valid for any values on the same Lt
+    division: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -428,7 +432,7 @@ def solve_esym(Lt: ApparentFuchsian, deep: bool = False) -> tuple:
         nv, profile = _normalize_t_denominator(v, ring)
         values.append(nv)
         dens.append(profile)
-    return EsymVector("exact", tuple(values), tuple(dens)), work
+    return EsymVector("exact", tuple(values), tuple(dens), (Lt, work)), work
 
 
 def _affine_rows(num: MultiPoly, e_names: Sequence[str], ring: Ring) -> list:
@@ -559,13 +563,12 @@ def verify_factorization(Lt: ApparentFuchsian,
     ring = Lt.ring
     if esym is None:
         esym, work = solve_esym(Lt, deep=deep)
+    elif esym.division is not None and esym.division[0] is Lt:
+        work = esym.division[1]
     else:
-        work = None
-    e_assign = {f"e{j+1}": v for j, v in enumerate(esym.values)}
-    if work is None:
-        e_names = [f"e{j}" for j in range(1, Lt.N + 1)]
-        atoms = [RatFunc.of(ring.var(n), ring) for n in e_names]
+        atoms = [RatFunc.of(ring.var(f"e{j}"), ring) for j in range(1, Lt.N + 1)]
         work = _division_work(Lt, atoms)
+    e_assign = {f"e{j+1}": v for j, v in enumerate(esym.values)}
     w0 = work.w_coeffs[0].subs(e_assign)
     w1 = work.w_coeffs[1].subs(e_assign)
     quotient = DiffOp(ring, "z", [c.subs(e_assign) for c in work.quotient.coeffs])
@@ -648,8 +651,13 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
     """Numeric verification at `bits` precision.
 
     When p_vals is omitted the apparency system is solved first.  Passes when
-    the maximal defect coefficient is below 10^tol_exp.
+    the maximal defect coefficient is below 10^tol_exp, which must lie in
+    (-bits log10 2, 0): a bound no finer than the working precision.
     """
+    if bits < 1:
+        raise UsageError(f"precision must be a positive number of bits, got {bits}")
+    if not -bits * math.log10(2) < tol_exp < 0:
+        raise UsageError(f"tol_exp = {tol_exp} is outside (-{bits} log10 2, 0)")
     profile = tuple(m for _, m in sing)
     N = sum(profile)
     with mp.workprec(bits):

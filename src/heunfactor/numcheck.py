@@ -173,8 +173,10 @@ def monodromy(p: HeunParams, loop_target: str, tol: float = 1e-12,
 
     Loop radius is half the distance to the nearest other singularity with
     the basepoint on the circle; passing a common basepoint makes matrices
-    for different loops composable.
+    for different loops composable.  ``tol`` must be positive and finite.
     """
+    if not 0 < tol < math.inf:
+        raise UsageError(f"tol must be a positive finite number, got {tol}")
     P, R = heun_ode_coeffs(p)
     sings = _singularities(p)
     if loop_target == "infinity":

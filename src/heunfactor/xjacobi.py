@@ -16,8 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from scipy.special import roots_jacobi
-
 from .exactalg import RatFunc, Ring, UsageError
 from .ghg import pfq_sym_eval, pochhammer
 from .heun import HeunParams, base_ring, heun_operator
@@ -279,6 +277,10 @@ def orthogonality_check(j: int, k: int, g, h, quad_order: int | None = None
     needs g, h > -1/2 so the weight is integrable and xi has no zero inside
     [-1, 1].  Off-diagonal values are zero up to quadrature accuracy.
     """
+    # imported here, by its only user, so that importing the CLI does not
+    # load scipy.special
+    from scipy.special import roots_jacobi
+
     g, h = Fraction(g), Fraction(h)
     if g <= Fraction(-1, 2) or h <= Fraction(-1, 2):
         raise UsageError("orthogonality needs g, h > -1/2")

@@ -282,3 +282,138 @@ def test_console_entry_point_runs():
                           "1", "1/4"], capture_output=True, text=True)
     assert out.returncode == 0
     assert json.loads(out.stdout)["pass"] is True
+
+
+NUMERIC_M3 = {"version": 1, "kind": "apparent_fuchsian", "mode": "numeric",
+              "parameters": {"gamma": "5/7", "alpha": "1/3", "beta": "3/5",
+                             "sing": [{"t": "5/2", "m": 3}]}}
+MONODROMY = {"version": 1, "kind": "heun", "mode": "numeric",
+             "parameters": {"alpha": "1", "beta": "2", "gamma": "34/3",
+                            "epsilon": "-1", "q": "1", "t": "2"}}
+
+
+def _bad_settings():
+    cases = [("factorize", NUMERIC_M3, ["--precision-bits", v], f"bits={v}")
+             for v in ("0", "-5")]
+    cases += [("factorize", dict(NUMERIC_M3, precision_bits=v), [], f"file-bits={v}")
+              for v in (0, -5)]
+    cases += [("factorize", NUMERIC_M3, ["--tol-exp", v], f"tol-exp={v}")
+              for v in ("5", "0", "-91")]     # -91 < -300 log10 2
+    cases += [("monodromy", MONODROMY, ["--tol", v], f"tol={v}")
+              for v in ("0", "-1", "nan", "inf")]
+    for command, inst, flags, name in cases:
+        for via in ("direct", "sweep"):
+            yield pytest.param(via, command, inst, flags, {}, id=f"{via}-{name}")
+    for v in ("abc", "0", "-1"):
+        yield pytest.param("sweep", "factorize", NUMERIC_M3, [],
+                           {"HEUNFACTOR_THREADS": v}, id=f"sweep-threads={v}")
+
+
+class TestExitCodeContract:
+    @pytest.mark.parametrize("via,command,inst,flags,env", _bad_settings())
+    def test_bad_setting_exits_1(self, tmp_path, capsys, monkeypatch,
+                                 via, command, inst, flags, env):
+        for k, v in env.items():
+            monkeypatch.setenv(k, v)
+        path = write(tmp_path, "i.json", inst)
+        argv = ([command, path] if via == "direct" else ["sweep", str(tmp_path)])
+        code, _, err = run_cli(argv + flags, capsys)
+        assert code == 1
+        assert "error:" in err and "Traceback" not in err
+
+    def test_finest_tol_exp_at_300_bits_is_accepted(self, tmp_path, capsys):
+        inst = {"version": 1, "kind": "apparent_fuchsian", "mode": "numeric",
+                "seed": 3,
+                "parameters": {"gamma": "5/7", "alpha": "1/3", "beta": "3/5",
+                               "sing": [{"t": "5/2", "m": 1},
+                                        {"t": "-3/4", "m": 1}]}}
+        path = write(tmp_path, "i.json", inst)
+        code, out, _ = run_cli(["factorize", path, "--tol-exp", "-90"], capsys)
+        assert code in (0, 2)
+        assert json.loads(out)["detail"] == "precision 300 bits, tolerance 1e-90"
+
+    def test_xjacobi_file_in_sweep_matches_x1(self, tmp_path, capsys):
+        write(tmp_path, "x.json", {"version": 1, "kind": "xjacobi",
+                                   "parameters": {"k": 3, "g": "1", "h": "1/4"}})
+        code, out, _ = run_cli(["sweep", str(tmp_path)], capsys)
+        entry = json.loads(out)["results"][0]
+        direct, x1_out, _ = run_cli(["x1", "3", "1", "1/4"], capsys)
+        assert code == entry["exit_code"] == direct == 0
+        assert entry["report"] == json.loads(x1_out)
+
+    @pytest.mark.parametrize("case,want", [("xjacobi-half", 1),
+                                           ("not-apparent", 2),
+                                           ("integration-error", 2)])
+    def test_same_exit_code_direct_and_in_sweep(self, tmp_path, capsys,
+                                                monkeypatch, case, want):
+        if case == "xjacobi-half":
+            inst = {"version": 1, "kind": "xjacobi",
+                    "parameters": {"k": 3, "g": "-1/2", "h": "1/4"}}
+            direct = ["x1", "--", "3", "-1/2", "1/4"]
+        else:
+            inst = json.loads(json.dumps(MONODROMY))
+            if case == "not-apparent":
+                inst["parameters"]["q"] = "2"
+            direct = ["monodromy", str(tmp_path / "i.json")]
+        if case == "integration-error":
+            from heunfactor import numcheck
+
+            def fail(*args, **kwargs):
+                raise numcheck.IntegrationError("step size underflow")
+            monkeypatch.setattr(numcheck, "monodromy", fail)
+        write(tmp_path, "i.json", inst)
+        code, _, err = run_cli(direct, capsys)
+        assert code == want and "Traceback" not in err
+        code, out, err = run_cli(["sweep", str(tmp_path)], capsys)
+        assert code == json.loads(out)["results"][0]["exit_code"] == want
+        assert "Traceback" not in err
+
+
+FLAG_ARGS = {"--mode": ["--mode", "exact"], "--precision-bits": ["--precision-bits", "300"],
+             "--tol": ["--tol", "1e-12"], "--tol-exp": ["--tol-exp", "-60"],
+             "--deep": ["--deep"], "--seed": ["--seed", "0"],
+             "--ortho-max": ["--ortho-max", "1"]}
+COMMAND_FLAGS = {
+    "apparency": (["i.json"], set()),
+    "monodromy": (["i.json"], {"--tol"}),
+    "x1": (["3", "1", "1/4"], {"--ortho-max"}),
+    "factorize": (["i.json"], {"--mode", "--precision-bits", "--tol-exp", "--deep",
+                               "--seed"}),
+    "sweep": (["d"], {"--mode", "--precision-bits", "--tol", "--tol-exp", "--deep",
+                      "--seed"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_takes_only_its_flags(command, capsys):
+    from heunfactor.cli import build_parser
+
+    positionals, allowed = COMMAND_FLAGS[command]
+    for flag, argv in FLAG_ARGS.items():
+        for fmt in ("--json", "--text"):
+            full = [command] + positionals + argv + [fmt]
+            if flag in allowed:
+                build_parser().parse_args(full)
+            else:
+                with pytest.raises(SystemExit) as exc:
+                    build_parser().parse_args(full)
+                assert exc.value.code == 1
+                assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_option_count():
+    from heunfactor.cli import build_parser
+
+    subparsers = build_parser()._subparsers._group_actions[0].choices
+    # --json/--text set one option, so count destinations, not spellings
+    dests = {name: {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
+             for name, sp in subparsers.items()}
+    assert sum(map(len, dests.values())) == 18
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, heunfactor.cli; "
+                          "print('scipy.special' in sys.modules)"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "False"

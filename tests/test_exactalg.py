@@ -14,6 +14,7 @@ from heunfactor.exactalg import (
     UsageError,
     exact_div,
     gcd_univar,
+    groebner_basis,
     groebner_reduce,
     rank_of,
     reduce_mod,
@@ -208,6 +209,17 @@ class TestGroebner:
         assert groebner_reduce(member, basis, ["p1", "p2"]).is_zero
         assert not groebner_reduce(p1 + p2, basis, ["p1", "p2"]).is_zero
 
+    def test_equal_leads_keep_one_generator(self):
+        # autoreduction once reduced 2f against f and f against 2f, and both
+        # vanished: the basis came out empty and members looked like non-members
+        ring = Ring(("p1", "p2", "t"))
+        p1, p2, t = (ring.var(n) for n in ("p1", "p2", "t"))
+        f = p1 ** 2 + p2 - t
+        main = ["p1", "p2"]
+        assert ([g.terms for g in groebner_basis([f, 2 * f], main)]
+                == [g.terms for g in groebner_basis([f], main)] != [])
+        assert groebner_reduce(p1 * f, [f, 2 * f], main).is_zero
+
 
 class TestRatFunc:
     def test_cancellation(self, R):
@@ -226,6 +238,15 @@ class TestRatFunc:
             lhs = dr * den * den
             rhs = RatFunc(num.derivative("z")) * den - RatFunc(num) * den.derivative("z")
             assert lhs == rhs
+
+    def test_equal_values_hash_equal(self):
+        ring = Ring(("t",))
+        t = ring.var("t")
+        uncancelled = RatFunc(t - 1, {t * t - 1: 1})
+        cancelled = RatFunc(ring.one, {t + 1: 1})
+        assert uncancelled == cancelled
+        assert hash(uncancelled) == hash(cancelled)
+        assert len({uncancelled, cancelled}) == 1
 
     def test_rank_of(self, R):
         a = R.var("alpha")

@@ -1,6 +1,7 @@
 """Factorization engine: closed forms, esym solving, exact and numeric
 verification, apparency systems, instance families."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -74,6 +75,30 @@ class TestMaier:
         Q = DiffOp(ring, "z",
                    [c.subs({"e1": es.values[0]}) for c in work.quotient.coeffs])
         assert Q == disp
+
+    def test_verify_reuses_the_division_of_solve_esym(self, monkeypatch):
+        calls = []
+        divide = DiffOp.right_divide
+
+        def counted(self, other):
+            calls.append(1)
+            return divide(self, other)
+
+        monkeypatch.setattr(DiffOp, "right_divide", counted)
+        Lt, ring = symbolic_m1(1)
+        es, _ = solve_esym(Lt)
+        assert verify_factorization(Lt, esym=es).passed
+        assert len(calls) == 1
+        other, _ = symbolic_m1(1)   # an equal operator, but not the same one
+        assert verify_factorization(other, esym=es).passed
+        assert len(calls) == 2
+
+    def test_shifted_esym_fails_with_reused_division(self):
+        Lt, ring = symbolic_m1(1)
+        es, _ = solve_esym(Lt)
+        shifted = replace(es, values=(es.values[0] + 1,))
+        assert shifted.division is es.division
+        assert not verify_factorization(Lt, esym=shifted).passed
 
     def test_perturbed_defect_nonzero(self):
         ring = factor_ring(1, 1)
