@@ -18,65 +18,14 @@ from math import comb
 import mpmath
 from mpmath import mp
 
+from .exactalg import poly_add, poly_deriv, poly_mul, poly_scale, poly_shift, poly_trim
+
 
 def to_mpc(x) -> "mpmath.mpc":
     """Lift ints, Fractions, floats, strings and mp numbers to mpc."""
     if isinstance(x, Fraction):
         return mp.mpc(x.numerator) / x.denominator
     return mp.mpc(x)
-
-
-def poly_trim(p: list) -> list:
-    while len(p) > 1 and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def poly_add(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [mp.mpc(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return poly_trim(out)
-
-
-def poly_scale(a: list, s) -> list:
-    return poly_trim([c * s for c in a])
-
-
-def poly_mul(a: list, b: list) -> list:
-    if (len(a) == 1 and a[0] == 0) or (len(b) == 1 and b[0] == 0):
-        return [mp.mpc(0)]
-    out = [mp.mpc(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return poly_trim(out)
-
-
-def poly_deriv(a: list) -> list:
-    if len(a) == 1:
-        return [mp.mpc(0)]
-    return poly_trim([a[i] * i for i in range(1, len(a))])
-
-
-def poly_shift(a: list, c) -> list:
-    """Coefficients of p(z + c) (Taylor shift, Horner)."""
-    out = [mp.mpc(0)]
-    for coeff in reversed(a):
-        out = poly_add(poly_mul(out, [c, mp.mpc(1)]), [coeff])
-    return out
-
-
-def poly_eval(a: list, x):
-    out = mp.mpc(0)
-    for c in reversed(a):
-        out = out * x + c
-    return out
 
 
 class FactorBasis:
@@ -269,9 +218,9 @@ def ghg_esym_numeric(basis: FactorBasis, sum_ab, prod_ab, gamma, esym):
     lo = esym_shifted_num(esym, -1, N)    # esym of e_i - 1
     # theta-polynomials, low power first
     b_poly = [lo[N - i] for i in range(N + 1)]
-    b_poly = _num_poly_mul_scalar(b_poly, [to_mpc(gamma) - 1, mp.mpc(1)])
+    b_poly = poly_mul(b_poly, [to_mpc(gamma) - 1, mp.mpc(1)])
     a_poly = [up[N - i] for i in range(N + 1)]
-    a_poly = _num_poly_mul_scalar(a_poly, [to_mpc(prod_ab), to_mpc(sum_ab), mp.mpc(1)])
+    a_poly = poly_mul(a_poly, [to_mpc(prod_ab), to_mpc(sum_ab), mp.mpc(1)])
     table = _theta_powers_as_ops(basis, N + 2)
 
     def assemble(theta_poly):
@@ -303,14 +252,6 @@ def ghg_esym_numeric(basis: FactorBasis, sum_ab, prod_ab, gamma, esym):
     # raw leading coeff is z^(N+1) - z^(N+2) = -z^(N+1)(z-1); the -1 scale above
     # makes the operator exactly monic: top coefficient z^(N+1)(z-1)/(z^(N+1)(z-1))
     return DiffOpM(basis, coeffs)
-
-
-def _num_poly_mul_scalar(a, b):
-    out = [mp.mpc(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def ltilde_numeric(basis: FactorBasis, gamma, delta, sing, prod_ab, p_vals):

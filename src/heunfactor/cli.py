@@ -62,6 +62,8 @@ def _rat(v, where: str) -> Fraction:
 
 
 def _check_keys(obj: dict, allowed: set, where: str, required: set = frozenset()):
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where}: must be an object, got {obj!r}")
     unknown = set(obj) - allowed
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
@@ -180,6 +182,8 @@ def _fuchsian_from_parameters(params: dict, mode: str):
                          "sing", "q", "p"}, "parameters",
                 required={"gamma", "sing"})
     gamma = _rat(params["gamma"], "gamma")
+    if not isinstance(params["sing"], list):
+        raise SchemaError("sing: must be a list of {t, m} objects")
     sing = []
     for i, s in enumerate(params["sing"]):
         _check_keys(s, {"t", "m"}, f"sing[{i}]", required={"t", "m"})
@@ -214,6 +218,8 @@ def _fuchsian_from_parameters(params: dict, mode: str):
             q = RatFunc.of(_rat(qv, "q"), ring)
         p_vals = [RatFunc.of(prod_ab, ring) * RatFunc.of(sing[0][0], ring) - q]
     elif "p" in params:
+        if not isinstance(params["p"], list) or len(params["p"]) != M:
+            raise SchemaError(f"p: must be a list with one entry per sing entry ({M})")
         p_vals = []
         for i, pv in enumerate(params["p"]):
             if isinstance(pv, dict):

@@ -548,10 +548,59 @@ def exact_div(f: MultiPoly, g: MultiPoly):
     return MultiPoly.from_fraction_terms(ring, quo)
 
 
-def _dense_trim(p: list) -> list:
+# -- dense univariate polynomials ---------------------------------------------
+#
+# Coefficient lists, low degree first.  Zeros are the plain integer 0, so the
+# same helpers serve Fraction, complex, mpmath and RatFunc coefficients.
+
+
+def poly_trim(p: list) -> list:
+    """Drop trailing zero coefficients in place, keeping at least one."""
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return p
+
+
+def poly_add(a: Sequence, b: Sequence) -> list:
+    out = [0] * max(len(a), len(b))
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return poly_trim(out)
+
+
+def poly_scale(a: Sequence, s) -> list:
+    return poly_trim([c * s for c in a])
+
+
+def poly_mul(a: Sequence, b: Sequence) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return poly_trim(out)
+
+
+def poly_deriv(a: Sequence) -> list:
+    return poly_trim([a[i] * i for i in range(1, len(a))] or [0])
+
+
+def poly_shift(a: Sequence, c) -> list:
+    """Coefficients of p(z + c) (Taylor shift, Horner)."""
+    out = [0]
+    for coeff in reversed(a):
+        out = poly_add(poly_mul(out, [c, 1]), [coeff])
+    return out
+
+
+def poly_eval(a: Sequence, x):
+    out = 0
+    for c in reversed(a):
+        out = out * x + c
+    return out
 
 
 def _dense_rem(a: list, b: list) -> list:
@@ -564,16 +613,16 @@ def _dense_rem(a: list, b: list) -> list:
         for i in range(db + 1):
             r[k + i] -= q * b[i]
         del r[-1]  # leading term cancelled exactly
-        _dense_trim(r)
+        poly_trim(r)
     if not any(r):
         return [Fraction(0)]
-    return _dense_trim(r)
+    return poly_trim(r)
 
 
 def gcd_univar(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Gcd of two univariate polynomials (primitive, positive leading coeff)."""
-    a = _dense_trim(list(f.as_univariate(var)))
-    b = _dense_trim(list(g.as_univariate(var)))
+    a = poly_trim(list(f.as_univariate(var)))
+    b = poly_trim(list(g.as_univariate(var)))
     if a == [0]:
         a, b = b, a
     while b != [0]:
@@ -907,6 +956,20 @@ class RatFunc:
         return f"<RatFunc {self.pretty()}>"
 
 
+Value = Union[int, Fraction, MultiPoly, RatFunc]
+
+
+def _val(v: Value, ring: Ring) -> RatFunc:
+    """Lift a scalar, polynomial or rational function into `ring`."""
+    if isinstance(v, RatFunc):
+        if v.ring != ring:
+            raise UsageError("value from a different ring")
+        return v
+    if isinstance(v, MultiPoly):
+        return RatFunc.of(v if v.ring == ring else v.rename(ring), ring)
+    return RatFunc.of(v, ring)
+
+
 def _subs_poly_to_rat(p: MultiPoly, assign: Mapping[str, RatFunc]) -> RatFunc:
     used = {n: v for n, v in assign.items() if p.involves(n)}
     if not used:
@@ -935,6 +998,25 @@ def _subs_poly_to_rat(p: MultiPoly, assign: Mapping[str, RatFunc]) -> RatFunc:
 
 
 # -- linear algebra -----------------------------------------------------------
+
+
+def _cleared_row(row: Sequence, ring: Ring) -> list:
+    """Polynomial entries of a MultiPoly/RatFunc row times the row's common
+    denominator."""
+    lifted = [RatFunc.of(x, ring) for x in row]
+    fac: dict = {}
+    for x in lifted:
+        for f, k in x.den_factors().items():
+            fac[f] = max(fac.get(f, 0), k)
+    cleared = []
+    for x in lifted:
+        m = ring.one
+        for f, k in fac.items():
+            d = k - x.den_factors().get(f, 0)
+            if d:
+                m = m * f ** d
+        cleared.append(x.num * m)
+    return cleared
 
 
 def _bareiss_det(M: list, ring: Ring):
@@ -996,27 +1078,7 @@ def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:
     if ring is None:
         raise UsageError("system has no ring-valued entries")
 
-    def lift(x):
-        return RatFunc.of(x, ring)
-
-    M = []
-    for i in range(n):
-        row = [lift(A[i][j]) for j in range(n)] + [lift(b[i])]
-        # clear denominators of the whole row
-        fac: dict = {}
-        for x in row:
-            for f, k in x.den_factors().items():
-                fac[f] = max(fac.get(f, 0), k)
-        cleared = []
-        for x in row:
-            m = ring.one
-            for f, k in fac.items():
-                d = k - x.den_factors().get(f, 0)
-                if d:
-                    m = m * f ** d
-            cleared.append(x.num * m)
-        M.append(cleared)
-
+    M = [_cleared_row(list(A[i]) + [b[i]], ring) for i in range(n)]
     det, rank = _bareiss_det([row[:n] for row in M], ring)
     if det is None:
         raise SingularMatrixError(rank, n)
@@ -1044,23 +1106,7 @@ def rank_of(A: Sequence[Sequence]) -> int:
                 ring = x.ring
     if ring is None:
         raise UsageError("matrix has no ring-valued entries")
-    # clear each row separately
-    M = []
-    for r in rows:
-        lifted = [RatFunc.of(x, ring) for x in r]
-        fac: dict = {}
-        for x in lifted:
-            for f, k in x.den_factors().items():
-                fac[f] = max(fac.get(f, 0), k)
-        row = []
-        for x in lifted:
-            m = ring.one
-            for f, k in fac.items():
-                d = k - x.den_factors().get(f, 0)
-                if d:
-                    m = m * f ** d
-            row.append(x.num * m)
-        M.append(row)
+    M = [_cleared_row(r, ring) for r in rows]
     nr, nc = len(M), len(M[0])
     rank = 0
     row = 0

@@ -23,7 +23,7 @@ import math
 import random as _random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import mpmath
 from mpmath import mp
@@ -36,16 +36,16 @@ from .exactalg import (
     Ring,
     SingularMatrixError,
     UsageError,
+    Value,
+    _val,
     groebner_reduce,
     rank_of,
     reduce_mod,
     solve_linear,
 )
-from .ghg import ghg_operator_esym
+from .ghg import _theta_shift_product, ghg_operator_esym
 from .heun import HeunParams, frobenius_series, _monic_in_q
 from .oredop import DiffOp
-
-Value = Union[int, Fraction, MultiPoly, RatFunc]
 
 #: exact-or-numeric profiles with a verified proof in the source material
 SUPPORTED_PROFILES = (
@@ -74,16 +74,6 @@ def factor_ring(M: int, N: int) -> Ring:
     names += [f"p{k}" for k in range(1, M + 1)]
     names += [f"e{j}" for j in range(1, N + 1)]
     return Ring(names)
-
-
-def _val(v: Value, ring: Ring) -> RatFunc:
-    if isinstance(v, RatFunc):
-        if v.ring != ring:
-            raise UsageError("value from a different ring")
-        return v
-    if isinstance(v, MultiPoly):
-        return RatFunc.of(v if v.ring == ring else v.rename(ring), ring)
-    return RatFunc.of(v, ring)
 
 
 @dataclass(frozen=True)
@@ -141,13 +131,13 @@ class ApparentFuchsian:
         ps = [_val(p, ring) for p in p_vals]
         zero = RatFunc.of(0, ring)
         s = [zero] * (len(ss) + 1)
-        # alpha beta prod(z - t_k): elementary symmetric expansion
-        roots = [tk for tk, _ in ss]
-        prod_poly = _poly_from_roots(roots, ring)
-        for k, c in enumerate(prod_poly):
+        # alpha beta prod(z - t_k), expanded as prod(th + s) with s = -t_k
+        shifts = [-tk for tk, _ in ss]
+        for k, c in enumerate(_theta_shift_product(shifts, ring)):
             s[k] = s[k] + ab * c
         for k, p in enumerate(ps):
-            partial = _poly_from_roots([r for j, r in enumerate(roots) if j != k], ring)
+            partial = _theta_shift_product(
+                [r for j, r in enumerate(shifts) if j != k], ring)
             for i, c in enumerate(partial):
                 s[i] = s[i] + p * c
         return cls(ring, g, d, tuple(ss), tuple(s))
@@ -207,19 +197,6 @@ class ApparentFuchsian:
         for i, s in enumerate(self.s_coeffs):
             num = num + s * z ** i
         return DiffOp(ring, "z", [num / den, c1, RatFunc.of(1, ring)])
-
-
-def _poly_from_roots(roots: Sequence[RatFunc], ring: Ring) -> list:
-    """Coefficient list (low first) of prod (z - r), in the z-free sense:
-    returns coefficients c_i with prod(z - r) = sum c_i z^i."""
-    coeffs = [RatFunc.of(1, ring)]
-    for r in roots:
-        new = [RatFunc.of(0, ring)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            new[i + 1] = new[i + 1] + c
-            new[i] = new[i] - c * r
-        coeffs = new
-    return coeffs
 
 
 # -- apparency conditions ------------------------------------------------------

@@ -17,26 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .exactalg import MultiPoly, RatFunc, Ring, UsageError
+from .exactalg import MultiPoly, RatFunc, Ring, UsageError, Value, _val, poly_mul
 from .oredop import DiffOp
-
-Value = Union[int, Fraction, MultiPoly, RatFunc]
 
 
 class GHGError(Exception):
     pass
-
-
-def _val(v: Value, ring: Ring) -> RatFunc:
-    if isinstance(v, RatFunc):
-        if v.ring != ring:
-            raise UsageError("value from a different ring")
-        return v
-    if isinstance(v, MultiPoly):
-        return RatFunc.of(v if v.ring == ring else v.rename(ring), ring)
-    return RatFunc.of(v, ring)
 
 
 @dataclass(frozen=True)
@@ -62,7 +50,7 @@ def _euler_poly_op(coeffs: Sequence[RatFunc], ring: Ring, var: str) -> DiffOp:
     for k, c in enumerate(coeffs):
         if k:
             power = theta * power
-        if not c.is_zero:
+        if c != 0:
             out = out + power.scale(c)
     return out
 
@@ -127,32 +115,21 @@ def ghg_operator_esym(sum_ab: Value, prod_ab: Value, gamma: Value,
             sy = esym_shifted(es, c, ring)
             # sum_k sy[k] th^(N-k), low power first
             cs = [sy[N - i] for i in range(N + 1)]
-            coeffs = cs if coeffs is None else _poly_mul(coeffs, cs, ring)
+            coeffs = cs if coeffs is None else poly_mul(coeffs, cs)
         if coeffs is None:
             coeffs = [RatFunc.of(1, ring)]
         for r in extra:
-            coeffs = _poly_mul(coeffs, [r, RatFunc.of(1, ring)], ring)
+            coeffs = poly_mul(coeffs, [r, RatFunc.of(1, ring)])
         return coeffs
 
     # lowers: (gamma, e_1..e_N) -> factors (th + gamma - 1), (th + e_i - 1)
     b_poly = poly_from_esym([-1], [g - 1])
     # uppers: (alpha, beta, e_i + 1) -> (th^2 + (a+b) th + ab), (th + e_i + 1)
-    a_poly = _poly_mul(poly_from_esym([1], []), [pab, sab, RatFunc.of(1, ring)], ring)
+    a_poly = poly_mul(poly_from_esym([1], []), [pab, sab, RatFunc.of(1, ring)])
     D = DiffOp.d(ring, var)
     L = D * _euler_poly_op(b_poly, ring, var) - _euler_poly_op(a_poly, ring, var)
     assert L.order == N + 2
     return L.scale(RatFunc.of(1, ring) / L.leading)
-
-
-def _poly_mul(a: list, b: list, ring: Ring) -> list:
-    out = [RatFunc.of(0, ring)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero:
-            continue
-        for j, y in enumerate(b):
-            if not y.is_zero:
-                out[i + j] = out[i + j] + x * y
-    return out
 
 
 # -- series evaluation ---------------------------------------------------------

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from .exactalg import (
     MultiPoly,
     RatFunc,
     Ring,
     UsageError,
+    Value,
+    _val,
     reduce_mod,
 )
 from .oredop import DiffOp
@@ -47,19 +49,6 @@ class SolutionError(Exception):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-Value = Union[int, Fraction, MultiPoly, RatFunc]
-
-
-def _val(v: Value, ring: Ring) -> RatFunc:
-    if isinstance(v, RatFunc):
-        if v.ring != ring:
-            raise UsageError("parameter value from a different ring")
-        return v
-    if isinstance(v, MultiPoly):
-        return RatFunc.of(v.rename(ring) if v.ring != ring else v, ring)
-    return RatFunc.of(v, ring)
 
 
 def _is_int(r: RatFunc) -> Optional[int]:
@@ -165,7 +154,10 @@ class HeunParams:
                 return None
             v = obj[key]
             if isinstance(v, str):
-                return Fraction(v)
+                try:
+                    return Fraction(v)
+                except (ValueError, ZeroDivisionError):
+                    raise UsageError(f"bad rational for {key}: {v!r}") from None
             if isinstance(v, Mapping) and set(v) == {"sym"}:
                 return RatFunc.of(ring.var(v["sym"]), ring)
             raise UsageError(f"bad value for {key}: {v!r}")
@@ -183,7 +175,7 @@ def heun_operator(p: HeunParams) -> DiffOp:
     z = RatFunc.of(ring.var("z"), ring)
     one = RatFunc.of(1, ring)
     c1 = p.gamma / z + p.delta / (z - 1) + p.epsilon / (z - p.t)
-    c0 = (p.alpha * p.beta * z - p.q) / (z * (z - 1) * (z - p.t))
+    c0 = (p.alpha * p.beta * z - p.q) / z / (z - 1) / (z - p.t)
     return DiffOp(ring, "z", [c0, c1, one])
 
 
@@ -218,47 +210,16 @@ def _reduce_num(r: RatFunc, modulus: Optional[MultiPoly], var: str = "q") -> Rat
 def series_coeffs(p: HeunParams, order: int,
                   modulus: Optional[MultiPoly] = None,
                   free_value: Value = 0) -> LocalSeries:
-    """Local series about z = t with exponent 0, c_0 = 1.
+    """Local series about z = t with exponent 0, c_0 = 1, from the generic
+    Frobenius engine.
 
-    Coefficients follow the three-term recurrence
-        i (i + eps - 1) t (t-1) c_i + (i+alpha-2)(i+beta-2) c_{i-2}
-          + [ (i-1)(i-2)(2t-1) + (i-1){(gamma+delta+2 eps) t - gamma - eps}
-              + alpha beta t - q ] c_{i-1} = 0.
-
-    With symbolic q, c_i is a polynomial of degree i in q.  When the
-    multiplier vanishes (eps a nonpositive integer, i = 1 - eps) and the
-    right side is nonzero, the obstruction is returned in log_coefficient
-    and the series stops; when the right side vanishes, c_i := 0 and the
-    recurrence continues.
+    With symbolic q, c_i is a polynomial of degree i in q.  When eps is a
+    nonpositive integer the multiplier at i = 1 - eps vanishes: a nonzero
+    right side stops the series with the obstruction in log_coefficient;
+    otherwise c_i := free_value and the recurrence continues.
     """
-    ring = p.ring
-    one = RatFunc.of(1, ring)
-    zero = RatFunc.of(0, ring)
-    a, b, g, d, e, q, t = (p.alpha, p.beta, p.gamma, p.delta, p.epsilon, p.q, p.t)
-    tt1 = t * (t - 1)
-    cs = [one]
-    prev2 = zero  # c_{-1}
-    free_index = None
-    for i in range(1, order + 1):
-        ii = RatFunc.of(i, ring)
-        mult = ii * (ii + e - 1) * tt1
-        rhs = (ii + a - 2) * (ii + b - 2) * prev2 + (
-            (ii - 1) * (ii - 2) * (2 * t - 1)
-            + (ii - 1) * ((g + d + 2 * e) * t - g - e)
-            + a * b * t - q
-        ) * cs[-1]
-        rhs = _reduce_num(rhs, modulus)
-        if mult.is_zero:
-            if rhs.is_zero:
-                ci = _val(free_value, ring)
-                free_index = i
-            else:
-                return LocalSeries(t, zero, tuple(cs), log_coefficient=rhs)
-        else:
-            ci = _reduce_num(-rhs / mult, modulus)
-        prev2 = cs[-1]
-        cs.append(ci)
-    return LocalSeries(t, zero, tuple(cs), free_index=free_index)
+    return frobenius_series(heun_operator(p), p.t, 0, order,
+                            free_value=free_value, modulus=modulus)
 
 
 def _monic_condition(obstruction: RatFunc, var: str = "q") -> RatFunc:
@@ -562,15 +523,15 @@ def _falling(rho: RatFunc, k: int, ring: Ring) -> RatFunc:
 
 
 def frobenius_series(L: DiffOp, point: Value, exponent: Value, order: int,
-                     c1_initial: Value | None = None,
+                     free_value: Value = 0,
                      modulus: Optional[MultiPoly] = None) -> LocalSeries:
     """Frobenius/Taylor coefficients of a solution sum c_j u^(rho+j), u = z - point.
 
     Works at ordinary and regular singular points.  At a vanishing multiplier
-    with zero right side the next coefficient is free: c1_initial is used at
-    an ordinary point (default 0), deeper free coefficients default to 0.
-    A vanishing multiplier with nonzero right side stops the series and
-    stores the obstruction in log_coefficient.
+    with zero right side the coefficient is free: it is set to free_value and
+    its index reported in free_index.  A vanishing multiplier with nonzero
+    right side stops the series and stores the obstruction in
+    log_coefficient.
     """
     ring = L.ring
     var = L.var
@@ -578,14 +539,19 @@ def frobenius_series(L: DiffOp, point: Value, exponent: Value, order: int,
     rho = _val(exponent, ring)
     z = RatFunc.of(ring.var(var), ring)
     shifted = [c.subs({var: z + pt}) for c in L.coeffs]
+    # clear the denominator factors that involve var, each made monic in var
     fac: dict = {}
     for c in shifted:
         for f, k in c.den_factors().items():
-            fac[f] = max(fac.get(f, 0), k)
+            if f.involves(var):
+                fac[f] = max(fac.get(f, 0), k)
     den = RatFunc.of(1, ring)
+    leads: dict = {}
     for f, k in fac.items():
         den = den * RatFunc.of(f, ring) ** k
-    cleared = [c * den for c in shifted]
+        lead = f.coeff_of(var, f.degree(var))
+        leads[lead] = leads.get(lead, 0) + k
+    cleared = [c * den * RatFunc(ring.one, leads) for c in shifted]
     acoef = []  # acoef[k][m] = coeff of u^m in a_k
     for c in cleared:
         acoef.append(c.coeffs_in(var))
@@ -601,6 +567,7 @@ def frobenius_series(L: DiffOp, point: Value, exponent: Value, order: int,
 
     zero = RatFunc.of(0, ring)
     cs_out = [RatFunc.of(1, ring)]
+    free_index = None
     for i in range(1, order + 1):
         rhs = zero
         for j in range(i):
@@ -610,16 +577,13 @@ def frobenius_series(L: DiffOp, point: Value, exponent: Value, order: int,
         rhs = _reduce_num(rhs, modulus)
         mult = T(i, dmin)
         if mult.is_zero:
-            if rhs.is_zero:
-                if i == 1 and c1_initial is not None:
-                    cs_out.append(_val(c1_initial, ring))
-                else:
-                    cs_out.append(zero)
-            else:
+            if not rhs.is_zero:
                 return LocalSeries(pt, rho, tuple(cs_out), log_coefficient=rhs)
+            cs_out.append(_val(free_value, ring))
+            free_index = i
         else:
             cs_out.append(_reduce_num(-rhs / mult, modulus))
-    return LocalSeries(pt, rho, tuple(cs_out))
+    return LocalSeries(pt, rho, tuple(cs_out), free_index=free_index)
 
 
 def transform_to_infinity(L: DiffOp) -> DiffOp:

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .heun import HeunParams
-from .exactalg import UsageError
+from .exactalg import UsageError, poly_eval, poly_shift
 
 
 class IntegrationError(Exception):
@@ -298,22 +298,9 @@ def heun_taylor(p: HeunParams, z0: complex, y0: complex, dy0: complex,
                            ("alpha", "beta", "gamma", "delta", "epsilon", "q", "t"))
     # polynomial coefficients of D y'' + P1 y' + R1 y = 0 shifted to u = z - z0
     # D = z(z-1)(z-t), P1 = g (z-1)(z-t) + d z (z-t) + e z (z-1), R1 = a b z - q
-    def shift(coeffs):
-        # evaluate polynomial and derivatives at z0 (degree <= 3)
-        out = []
-        n = len(coeffs)
-        for k in range(n):
-            v = 0j
-            fact = 1.0
-            for m in range(k, n):
-                binom = math.comb(m, k)
-                v += coeffs[m] * binom * z0 ** (m - k)
-            out.append(v)
-        return out
-
-    D = shift([0, t, -(1 + t), 1.0])            # z(z-1)(z-t) = z^3 - (1+t) z^2 + t z
-    P1 = shift([g * t, -(g * (1 + t) + d * t + e), g + d + e, 0])
-    R1 = shift([-q, a * b, 0, 0])
+    D = poly_shift([0, t, -(1 + t), 1.0], z0)   # z^3 - (1+t) z^2 + t z
+    P1 = poly_shift([g * t, -(g * (1 + t) + d * t + e), g + d + e], z0)
+    R1 = poly_shift([-q, a * b], z0)
     ys = [y0, dy0]
     for s in range(order - 1):
         acc = 0j
@@ -334,14 +321,6 @@ def heun_taylor(p: HeunParams, z0: complex, y0: complex, dy0: complex,
             raise IntegrationError("expansion point is singular")
         ys.append(-acc / mult)
     return ys
-
-
-def _eval_taylor(coeffs, z0, z):
-    u = z - z0
-    total = 0j
-    for c in reversed(coeffs):
-        total = total * u + c
-    return total
 
 
 @dataclass(frozen=True)
@@ -396,15 +375,13 @@ def decompose_2f1(p: HeunParams, sample_points: Optional[Sequence[float]] = None
         return out
 
     A = np.array([basis(z) for z in sample_points], dtype=complex)
-    y = np.array([_eval_taylor(coeffs, z0, z) for z in sample_points],
-                 dtype=complex)
+    y = np.array([poly_eval(coeffs, z - z0) for z in sample_points], dtype=complex)
     cond = float(np.linalg.cond(A))
     if cond > max_condition:
         raise IntegrationError(f"basis is ill-conditioned: cond = {cond:.3e}")
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
     H = np.array([basis(z) for z in holdout_points], dtype=complex)
-    yh = np.array([_eval_taylor(coeffs, z0, z) for z in holdout_points],
-                  dtype=complex)
+    yh = np.array([poly_eval(coeffs, z - z0) for z in holdout_points], dtype=complex)
     scale = max(1.0, float(np.max(np.abs(yh))))
     residual = float(np.max(np.abs(H @ sol - yh))) / scale
     return DecompositionResult(sol, residual, cond)

@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .exactalg import RatFunc, Ring, UsageError
+from .exactalg import (RatFunc, Ring, UsageError, poly_add, poly_deriv, poly_eval,
+                       poly_mul, poly_scale, poly_trim)
 from .ghg import pfq_sym_eval, pochhammer
 from .heun import HeunParams, base_ring, heun_operator
 
@@ -33,56 +33,6 @@ def _check_params(g: Fraction, h: Fraction):
     for name, v in (("g", g), ("h", h)):
         if v.denominator == 2 and v.numerator < 0:
             raise XJacobiError(f"{name} = {v} is an excluded half-integer")
-
-
-# -- dense exact polynomial helpers (coefficients low degree first) -------------
-
-
-def _padd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pmul(a: Sequence[Fraction], b: Sequence[Fraction]) -> list:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _pscale(a: Sequence[Fraction], s: Fraction) -> list:
-    return [c * s for c in a]
-
-
-def _pderiv(a: Sequence[Fraction]) -> list:
-    if len(a) == 1:
-        return [Fraction(0)]
-    return [a[i] * i for i in range(1, len(a))]
-
-
-def _peval(a: Sequence[Fraction], x: Fraction) -> Fraction:
-    out = Fraction(0)
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
-def _pdeg(a: Sequence[Fraction]) -> int:
-    d = len(a) - 1
-    while d > 0 and a[d] == 0:
-        d -= 1
-    return d
 
 
 @dataclass(frozen=True)
@@ -107,16 +57,13 @@ class X1Poly:
     coeffs: tuple   # low degree first, length k+2
 
     def degree(self) -> int:
-        return _pdeg(self.coeffs)
+        return len(poly_trim(list(self.coeffs))) - 1
 
     def eval(self, x: Fraction) -> Fraction:
-        return _peval(self.coeffs, Fraction(x))
+        return poly_eval(self.coeffs, Fraction(x))
 
     def eval_float(self, x: float) -> float:
-        out = 0.0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        return poly_eval(self.coeffs, x)
 
 
 def jacobi_poly(k: int, g, h) -> list:
@@ -139,9 +86,9 @@ def jacobi_poly(k: int, g, h) -> list:
         if den == 0:
             raise XJacobiError("Pochhammer zero in the coefficient denominator")
         cj = pochhammer(Fraction(-k), j) * pochhammer(k + g + h + 2, j) / den
-        out = _padd(out, _pscale(power, cj))
-        power = _pmul(power, one_minus_eta_half)
-    return _pscale(out, pre)
+        out = poly_add(out, poly_scale(power, cj))
+        power = poly_mul(power, one_minus_eta_half)
+    return poly_scale(out, pre)
 
 
 def xi_poly(g, h) -> list:
@@ -166,9 +113,9 @@ def x1_jacobi(k: int, g, h) -> X1Poly:
     den = k + h + half
     if den == 0:
         raise XJacobiError("k + h + 1/2 = 0")
-    term1 = _pscale(_pmul(xi_tilde_poly(g, h), Pk), h + half)
-    term2 = _pmul(_pmul([Fraction(1), Fraction(1)], xi_poly(g, h)), _pderiv(Pk))
-    coeffs = _pscale(_padd(term1, term2), 1 / den)
+    term1 = poly_scale(poly_mul(xi_tilde_poly(g, h), Pk), h + half)
+    term2 = poly_mul(poly_mul([Fraction(1), Fraction(1)], xi_poly(g, h)), poly_deriv(Pk))
+    coeffs = poly_scale(poly_add(term1, term2), 1 / den)
     coeffs = coeffs + [Fraction(0)] * (k + 2 - len(coeffs))
     poly = X1Poly(k, g, h, tuple(coeffs))
     if poly.degree() != k + 1:
@@ -182,20 +129,20 @@ def x1_ode_residual(poly: X1Poly) -> list:
     member (xi' = xi~' = (g-h)/2)."""
     g, h, k = poly.g, poly.h, poly.k
     y = list(poly.coeffs)
-    dy = _pderiv(y)
-    d2y = _pderiv(dy)
+    dy = poly_deriv(y)
+    d2y = poly_deriv(dy)
     xi = xi_poly(g, h)
     dxi = Fraction(g - h, 2)
     one_m_eta2 = [Fraction(1), Fraction(0), Fraction(-1)]
     half = Fraction(1, 2)
-    t2 = _padd(_pmul(xi, [h - g, -(g + h + 3)]),
-               _pscale(one_m_eta2, -2 * dxi))
+    t2 = poly_add(poly_mul(xi, [h - g, -(g + h + 3)]),
+                  poly_scale(one_m_eta2, -2 * dxi))
     lam = Fraction(k) * (k + g + h + 2) + (g - h)
-    t0 = _padd(_pscale([Fraction(1), Fraction(-1)], -2 * (h + half) * dxi),
-               _pscale(xi, lam))
-    res = _pmul(_pmul(xi, one_m_eta2), d2y)
-    res = _padd(res, _pmul(t2, dy))
-    res = _padd(res, _pmul(t0, y))
+    t0 = poly_add(poly_scale([Fraction(1), Fraction(-1)], -2 * (h + half) * dxi),
+                  poly_scale(xi, lam))
+    res = poly_mul(poly_mul(xi, one_m_eta2), d2y)
+    res = poly_add(res, poly_mul(t2, dy))
+    res = poly_add(res, poly_mul(t0, y))
     return res
 
 

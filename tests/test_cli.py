@@ -369,6 +369,37 @@ class TestExitCodeContract:
         assert "Traceback" not in err
 
 
+def _with(inst, **params):
+    return dict(inst, parameters=dict(inst["parameters"], **params))
+
+
+NUMERIC_M1 = {"version": 1, "kind": "apparent_fuchsian", "mode": "numeric",
+              "parameters": {"gamma": "5/7", "alpha": "1/3", "beta": "3/5",
+                             "sing": [{"t": "2", "m": 1}]}}
+SCHEMA_CASES = {
+    "sing-int": ("factorize", _with(MAIER, sing=5)),
+    "sing-entry-int": ("factorize", _with(MAIER, sing=[3])),
+    "p-int": ("factorize", _with(NUMERIC_M3, p=3)),
+    "epsilon-abc": ("apparency", _with(HEUN_SYM_EP1, epsilon="abc")),
+    "p-too-long": ("factorize", _with(NUMERIC_M1, p=["1", "2"])),
+    "p-too-short": ("factorize", _with(NUMERIC_M1, p=["1"], sing=[{"t": "2", "m": 1},
+                                                                  {"t": "-3", "m": 1}])),
+}
+
+
+@pytest.mark.parametrize("via", ["direct", "sweep"])
+@pytest.mark.parametrize("case", sorted(SCHEMA_CASES))
+def test_bad_instance_types_exit_1(tmp_path, capsys, via, case):
+    # wrong JSON types and a p list that does not match sing are schema
+    # errors: exit 1 with one error line, the same directly and in a sweep
+    command, inst = SCHEMA_CASES[case]
+    path = write(tmp_path, "i.json", inst)
+    argv = [command, path] if via == "direct" else ["sweep", str(tmp_path)]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 FLAG_ARGS = {"--mode": ["--mode", "exact"], "--precision-bits": ["--precision-bits", "300"],
              "--tol": ["--tol", "1e-12"], "--tol-exp": ["--tol-exp", "-60"],
              "--deep": ["--deep"], "--seed": ["--seed", "0"],

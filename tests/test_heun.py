@@ -121,6 +121,37 @@ class TestSeries:
             assert shifted.coeff_of("z", k).is_zero
 
 
+    def test_three_term_recurrence(self):
+        # the paper's recurrence about z = t, transcribed as the reference:
+        #   i (i + eps - 1) t (t-1) c_i + (i+alpha-2)(i+beta-2) c_{i-2}
+        #     + [(i-1)(i-2)(2t-1) + (i-1){(gamma+delta+2 eps) t - gamma - eps}
+        #        + alpha beta t - q] c_{i-1} = 0
+        p = HeunParams.symbolic()
+        a, b, g, d, e, q, t = (p.alpha, p.beta, p.gamma, p.delta, p.epsilon,
+                               p.q, p.t)
+        cs = [RatFunc.of(0, p.ring)] + list(series_coeffs(p, 4).coeffs)  # c_{-1}
+        for i in range(1, 5):
+            c_i, c_1, c_2 = cs[i + 1], cs[i], cs[i - 1]
+            res = (i * (i + e - 1) * t * (t - 1) * c_i
+                   + (i + a - 2) * (i + b - 2) * c_2
+                   + ((i - 1) * (i - 2) * (2 * t - 1)
+                      + (i - 1) * ((g + d + 2 * e) * t - g - e)
+                      + a * b * t - q) * c_1)
+            assert res.is_zero, i
+
+    def test_free_value_at_deep_free_index(self):
+        # eps = -2 bundle with z = t exactly apparent: c_3 is free
+        from heunfactor.factorize import ep2_instance
+
+        p = ep2_instance(F(1, 3), F(2, 7), F(5, 4))
+        L = heun_operator(p)
+        for v in (0, F(5, 7)):
+            ser = frobenius_series(L, p.t, 0, 4, free_value=v)
+            assert ser.log_coefficient is None and ser.free_index == 3
+            assert ser.coeffs[3] == v
+            assert series_coeffs(p, 4, free_value=v) == ser
+
+
 class TestApparency:
     def test_eps0(self, R, atoms):
         P = apparency_poly(HeunParams.symbolic(epsilon=0))

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from heunfactor.exactalg import poly_eval
 from heunfactor.factorize import ep2_instance, lvw_instance
 from heunfactor.heun import HeunParams, heun_operator, polynomial_solution
 from heunfactor.numcheck import (
@@ -17,7 +18,6 @@ from heunfactor.numcheck import (
     monodromy,
     product_relation_defect,
     reducibility_witness,
-    _eval_taylor,
     _rk45,
 )
 
@@ -145,12 +145,12 @@ class TestHelpers:
         cs = heun_taylor(p, 0.5, 1.0, 0.3, order=60)
         # numeric second-derivative residual at a nearby point
         z = 0.55
-        y = _eval_taylor(cs, 0.5, z)
+        y = poly_eval(cs, z - 0.5)
         hstep = 1e-5
-        yp = (_eval_taylor(cs, 0.5, z + hstep)
-              - _eval_taylor(cs, 0.5, z - hstep)) / (2 * hstep)
-        ypp = (_eval_taylor(cs, 0.5, z + hstep) - 2 * y
-               + _eval_taylor(cs, 0.5, z - hstep)) / hstep ** 2
+        yp = (poly_eval(cs, z + hstep - 0.5)
+              - poly_eval(cs, z - hstep - 0.5)) / (2 * hstep)
+        ypp = (poly_eval(cs, z + hstep - 0.5) - 2 * y
+               + poly_eval(cs, z - hstep - 0.5)) / hstep ** 2
         a, b, g, d, e, q, t = 1, 2, 34 / 3, -19 / 3, -1, 1, 2
         P = g / z + d / (z - 1) + e / (z - t)
         R = (a * b * z - q) / (z * (z - 1) * (z - t))
@@ -214,18 +214,18 @@ class TestDecomposition:
         try:
             nc.heun_taylor = lambda *a_, **k_: None
 
-            def fake_eval(coeffs, z0, z):
-                return basis3(z)
+            def fake_eval(coeffs, u):   # the Taylor sum in u = z - 1/2
+                return basis3(u + 0.5)
 
-            orig_eval = nc._eval_taylor
-            nc._eval_taylor = fake_eval
+            orig_eval = nc.poly_eval
+            nc.poly_eval = fake_eval
             out = decompose_2f1(p, sample_points=pts, holdout_points=hold)
             coeffs = np.abs(out.coefficients)
             assert out.residual < 1e-10
             assert coeffs[0] > 100 * max(np.delete(coeffs, 0))
         finally:
             nc.heun_taylor = orig
-            nc._eval_taylor = orig_eval
+            nc.poly_eval = orig_eval
 
     def test_integer_hypothesis_rejected(self):
         from heunfactor.exactalg import UsageError
