@@ -56,7 +56,7 @@ def _rat(v, where: str) -> Fraction:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
             raise SchemaError(f"{where}: bad rational {v!r}: {e}") from None
-    if isinstance(v, int):
+    if type(v) is int:  # not bool: a JSON true/false is not a number
         return Fraction(v)
     raise SchemaError(f"{where}: rationals must be 'p/q' strings, got {v!r}")
 
@@ -187,7 +187,7 @@ def _fuchsian_from_parameters(params: dict, mode: str):
     sing = []
     for i, s in enumerate(params["sing"]):
         _check_keys(s, {"t", "m"}, f"sing[{i}]", required={"t", "m"})
-        if not isinstance(s["m"], int) or s["m"] < 1:
+        if type(s["m"]) is not int or s["m"] < 1:
             raise SchemaError(f"sing[{i}].m must be a positive integer")
         sing.append((_rat(s["t"], f"sing[{i}].t"), s["m"]))
     N = sum(m for _, m in sing)
@@ -333,7 +333,7 @@ def _run_file(path, mode, precision_bits, tol, tol_exp, deep, seed) -> tuple:
         return cmd_factorize(inst, mode, precision_bits, tol_exp, deep, seed)
     params = inst["parameters"]
     _check_keys(params, {"k", "g", "h"}, "parameters", required={"k", "g", "h"})
-    if not isinstance(params["k"], int):
+    if type(params["k"]) is not int:
         raise SchemaError("parameters: k must be an integer")
     return cmd_x1(params["k"], params["g"], params["h"])
 

@@ -25,6 +25,7 @@ multivariate gcd.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd as _igcd
 from typing import Iterator, Mapping, Sequence, Union
@@ -139,7 +140,7 @@ class Ring:
 class MultiPoly:
     """Sparse multivariate polynomial over Q (int term dict + Fraction content)."""
 
-    __slots__ = ("ring", "_t", "_c", "_hash")
+    __slots__ = ("ring", "_t", "_c", "_hash", "_mod")
 
     def __init__(self, ring: Ring, terms: dict, content: Fraction, _normalized=False):
         self.ring = ring
@@ -149,6 +150,7 @@ class MultiPoly:
         else:
             self._t, self._c = self._normalize(terms, content)
         self._hash = None
+        self._mod = None  # {main variable index: image}, see _mod_image
 
     @staticmethod
     def _normalize(terms: dict, content: Fraction):
@@ -489,12 +491,83 @@ class MultiPoly:
         return f"<MultiPoly {self.pretty()}>"
 
 
+# -- modular non-divisor test ------------------------------------------------
+#
+# A necessary condition for g | f, checked before the heap division.  If g
+# divides f over Q, Gauss's lemma gives prim(f) = +-prim(g) * h with h in
+# Z[X].  Reducing modulo the prime _MOD_P and fixing every variable but one,
+# x, at a point is a ring homomorphism Z[X] -> Z_p[x], so then the image of
+# prim(g) divides the image of prim(f).  A nonzero remainder of the images
+# therefore proves that g does not divide f; a zero remainder proves
+# nothing, and a constant image of g gives no verdict.  The points are fixed
+# so that every run takes the same path, and drawn once from a seeded
+# generator so that they satisfy no small relation such as y^2 = x*z.
+
+_MOD_P = (1 << 61) - 1
+_MOD_POINTS = tuple(random.Random(1979).sample(range(2, _MOD_P), 256))
+
+
+def _degrees(f: MultiPoly) -> list:
+    return [max(col) for col in zip(*f._t)]
+
+
+def _mod_image(f: MultiPoly, main: int) -> list:
+    """Image of f's primitive part in Z_p[x_main], low degree first, trimmed;
+    cached on f."""
+    if f._mod is None:
+        f._mod = {}
+    img = f._mod.get(main)
+    if img is None:
+        degs = _degrees(f)
+        pows = []
+        for j, d in enumerate(degs):
+            # points repeat past 256 variables, which only weakens the test
+            x, pw = _MOD_POINTS[j % len(_MOD_POINTS)], [1]
+            for _ in range(d if j != main else 0):
+                pw.append(pw[-1] * x % _MOD_P)
+            pows.append(pw)
+        img = [0] * (degs[main] + 1)
+        for e, c in f._t.items():
+            v = c
+            for j, k in enumerate(e):
+                if k and j != main:
+                    v = v * pows[j][k] % _MOD_P
+            img[e[main]] += v
+        img = [v % _MOD_P for v in img]
+        while img and not img[-1]:
+            img.pop()
+        f._mod[main] = img
+    return img
+
+
+def _surely_not_divisor(f: MultiPoly, g: MultiPoly) -> bool:
+    """True only when g provably does not divide f (both nonzero, g not
+    constant); False means no verdict."""
+    gdeg = _degrees(g)
+    if any(a > b for a, b in zip(gdeg, _degrees(f))):
+        return True
+    main = max(range(len(gdeg)), key=gdeg.__getitem__)
+    G = _mod_image(g, main)
+    if len(G) < 2:
+        return False
+    r = list(_mod_image(f, main))
+    dg = len(G) - 1
+    inv = pow(G[-1], -1, _MOD_P)
+    for k in range(len(r) - 1 - dg, -1, -1):
+        q = r[k + dg] * inv % _MOD_P
+        if q:
+            for i in range(dg):
+                r[k + i] = (r[k + i] - q * G[i]) % _MOD_P
+    return any(r[:dg])
+
+
 def exact_div(f: MultiPoly, g: MultiPoly):
     """Return f/g when g divides f exactly, else None.
 
-    Leading terms are drawn from a heap instead of re-scanning the remainder,
-    so large exact divisions (Bareiss interior steps) stay near-linear in the
-    number of term updates.
+    The modular test above rejects most non-divisors first.  Leading terms
+    are drawn from a heap instead of re-scanning the remainder, so large
+    exact divisions (Bareiss interior steps) stay near-linear in the number
+    of term updates.
     """
     import heapq
 
@@ -506,6 +579,8 @@ def exact_div(f: MultiPoly, g: MultiPoly):
         raise UsageError("ring mismatch in exact_div")
     if g.is_const():
         return f * (1 / g.const_value())
+    if _surely_not_divisor(f, g):
+        return None
     ring = f.ring
     g_lead = g.leading_exp()
     g_lc = g.coeff(g_lead)

@@ -189,14 +189,14 @@ class ApparentFuchsian:
         ring = self.ring
         z = RatFunc.of(ring.var("z"), ring)
         c1 = self.gamma / z + self.delta / (z - 1)
-        den = z * (z - 1)
+        c0 = RatFunc.of(0, ring)
+        for i, s in enumerate(self.s_coeffs):
+            c0 = c0 + s * z ** i
+        c0 = c0 / z / (z - 1)
         for tk, mk in self.sing:
             c1 = c1 - RatFunc.of(mk, ring) / (z - tk)
-            den = den * (z - tk)
-        num = RatFunc.of(0, ring)
-        for i, s in enumerate(self.s_coeffs):
-            num = num + s * z ** i
-        return DiffOp(ring, "z", [num / den, c1, RatFunc.of(1, ring)])
+            c0 = c0 / (z - tk)
+        return DiffOp(ring, "z", [c0, c1, RatFunc.of(1, ring)])
 
 
 # -- apparency conditions ------------------------------------------------------

@@ -5,9 +5,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
 
 from heunfactor.exactalg import RatFunc, Ring
 from heunfactor.heun import HeunParams, base_ring
+
+
+# property tests draw the same examples on every run and never time out
+settings.register_profile("heunfactor", derandomize=True, deadline=None,
+                          max_examples=150, database=None)
+settings.load_profile("heunfactor")
 
 
 @pytest.fixture(scope="session")

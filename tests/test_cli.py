@@ -400,6 +400,30 @@ def test_bad_instance_types_exit_1(tmp_path, capsys, via, case):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+XJACOBI = {"version": 1, "kind": "xjacobi", "parameters": {"k": 3, "g": "1", "h": "1/4"}}
+BOOLEAN_CASES = {
+    "m-true": ("factorize", _with(MAIER, sing=[{"t": "2", "m": True}])),
+    "gamma-true": ("factorize", _with(MAIER, gamma=True)),
+    "k-true": (None, _with(XJACOBI, k=True)),  # xjacobi files run only in a sweep
+}
+
+
+@pytest.mark.parametrize("case,via", [(c, v) for c in sorted(BOOLEAN_CASES)
+                                      for v in ("direct", "sweep")
+                                      if v == "sweep" or BOOLEAN_CASES[c][0]])
+def test_json_booleans_exit_1(tmp_path, capsys, case, via):
+    # isinstance(True, int) holds, but a JSON boolean is neither a
+    # multiplicity, an index nor a rational: a schema error
+    command, inst = BOOLEAN_CASES[case]
+    path = write(tmp_path, "i.json", inst)
+    argv = [command, path] if via == "direct" else ["sweep", str(tmp_path)]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    if via == "sweep":
+        assert json.loads(out)["results"][0]["exit_code"] == 1
+
+
 FLAG_ARGS = {"--mode": ["--mode", "exact"], "--precision-bits": ["--precision-bits", "300"],
              "--tol": ["--tol", "1e-12"], "--tol-exp": ["--tol-exp", "-60"],
              "--deep": ["--deep"], "--seed": ["--seed", "0"],

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heunfactor.exactalg import (
     MultiPoly,
@@ -12,6 +13,8 @@ from heunfactor.exactalg import (
     Ring,
     SingularMatrixError,
     UsageError,
+    _mod_image,
+    _surely_not_divisor,
     exact_div,
     gcd_univar,
     groebner_basis,
@@ -28,6 +31,15 @@ def rand_poly(ring, rng, nterms=4, deg=3, coeff=6):
         e = tuple(rng.randint(0, deg) for _ in range(ring.nvars))
         terms[e] = F(rng.randint(-coeff, coeff), rng.randint(1, 3))
     return MultiPoly.from_fraction_terms(ring, terms)
+
+
+_XYZ = Ring(("x", "y", "z"))
+_polys = st.builds(
+    lambda terms, k: MultiPoly.from_fraction_terms(_XYZ, terms) * k,
+    st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                    st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                    max_size=5),
+    st.sampled_from([1, -1, 6, F(-4, 9)]))
 
 
 class TestRingAxioms:
@@ -188,6 +200,38 @@ class TestExactDiv:
     def test_fails_clean(self, R):
         z = R.var("z")
         assert exact_div(z * z + 1, z - 1) is None
+
+    @given(g=_polys, h=_polys)
+    def test_true_divisor_never_rejected(self, g, h):
+        # the modular pre-check only rejects: g always divides g*h, whatever
+        # the contents and the signs of the leading coefficients
+        if g.is_zero:
+            return
+        assert exact_div(g * h, g) == h
+
+    def test_modular_image_rejects(self):
+        # the image of g = x - y in Z_p[x] keeps its degree, and x^2 + y
+        # leaves the nonzero remainder y0^2 + y0: the pre-check rejects
+        x, y = _XYZ.var("x"), _XYZ.var("y")
+        f, g = x * x + y, x - y
+        assert len(_mod_image(g, 0)) == 2
+        assert _surely_not_divisor(f, g)
+        assert exact_div(f, g) is None
+
+    @pytest.mark.parametrize("shape", ["constant", "zero"])
+    def test_constant_image_falls_through(self, shape):
+        # the x-coefficient of g vanishes at the fixed point y0 of y, so the
+        # image of g carries no verdict and the heap division decides
+        x, y = _XYZ.var("x"), _XYZ.var("y")
+        y0 = _mod_image(y, 0)[0]
+        g = (y - y0) * x + (1 if shape == "constant" else 0)
+        assert len(_mod_image(g, 0)) == (1 if shape == "constant" else 0)
+        h = 3 * x * y - F(2, 5) * x + y ** 2
+        assert not _surely_not_divisor(g * h, g)
+        assert exact_div(g * h, g) == h
+        f = g * h + x
+        assert not _surely_not_divisor(f, g)
+        assert exact_div(f, g) is None
 
 
 class TestGroebner:

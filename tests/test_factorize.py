@@ -218,6 +218,15 @@ class TestApparencySystem:
         P = apparency_modulus(Lt)
         assert P == ep1q.rename(ring)
 
+    def test_m2_system_has_no_spurious_factor(self, ep2q):
+        # P_1 itself, not only its monic-in-q form, is the reference cubic:
+        # no factor t(t - 1) from an expanded operator denominator
+        Lt, ring = symbolic_m1(2)
+        P = apparency_system(Lt)[0]
+        a, b, t, q = (ring.var(n) for n in ("alpha", "beta", "t", "q"))
+        assert P.subs({"p1": a * b * t - q}) == -ep2q.rename(ring)
+        assert P.num_terms() == 27
+
     def test_degree_profile_m2(self):
         gamma, delta, sing, prod_ab = random_profile_instance((2, 1), seed=4)
         ring = factor_ring(2, 3)
