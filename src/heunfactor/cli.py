@@ -84,6 +84,8 @@ def load_instance(path) -> dict:
         raise SchemaError(
             f"{path}: malformed JSON at line {e.lineno} column {e.colno} "
             f"(char {e.pos}): {e.msg}") from None
+    except ValueError as e:  # an integer literal past Python's digit limit
+        raise SchemaError(f"{path}: malformed JSON: {e}") from None
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: instance must be a JSON object")
     _check_keys(obj, {"version", "kind", "parameters", "mode",

@@ -383,38 +383,15 @@ class MultiPoly:
         ring; the result is a RatFunc whenever any value is one, otherwise a
         MultiPoly.
         """
-        any_rat = any(isinstance(v, RatFunc) for v in assign.values())
-        if any_rat:
-            return RatFunc.of(self, self.ring).subs(assign)
         vals = {}
         for name, v in assign.items():
-            if isinstance(v, MultiPoly):
-                if v.ring != self.ring:
-                    raise UsageError("substitution value from a different ring")
-                vals[name] = v
-            else:
-                vals[name] = self.ring.const(_frac(v))
-        out = self.ring.zero
-        idxs = [self.ring.index[n] for n in vals]
-        powers: dict = {}
-
-        def _pow(name, k):
-            key = (name, k)
-            if key not in powers:
-                powers[key] = vals[name] ** k
-            return powers[key]
-
-        for e, c in self._t.items():
-            term_exp = list(e)
-            factor = self.ring.one
-            for name, i in zip(vals, idxs):
-                k = e[i]
-                if k:
-                    term_exp[i] = 0
-                    factor = factor * _pow(name, k)
-            mono = MultiPoly(self.ring, {tuple(term_exp): 1}, self._c * c)
-            out = out + mono * factor
-        return out
+            if isinstance(v, MultiPoly) and v.ring != self.ring:
+                raise UsageError("substitution value from a different ring")
+            vals[name] = RatFunc.of(v, self.ring)
+        num, fac = _subs_parts(self, vals)
+        if any(isinstance(v, RatFunc) for v in assign.values()):
+            return RatFunc(num, fac)
+        return num
 
     def eval_num(self, assign: Mapping[str, object], num=complex):
         """Evaluate numerically; every variable must receive a value."""
@@ -422,8 +399,9 @@ class MultiPoly:
             if self.involves(n) and n not in assign:
                 raise UsageError(f"no value for variable {n!r}")
         total = num(0)
-        for e, c in self._t.items():
-            v = num(c)
+        # a fixed order, so that equal polynomials give equal values
+        for e in sorted(self._t):
+            v = num(self._t[e])
             for name, i in self.ring.index.items():
                 k = e[i]
                 if k:
@@ -979,20 +957,20 @@ class RatFunc:
         return total
 
     def subs(self, assign: Mapping[str, object]) -> "RatFunc":
-        poly_assign = {}
-        for name, v in assign.items():
-            if isinstance(v, RatFunc):
-                poly_assign[name] = v
-            else:
-                poly_assign[name] = RatFunc.of(v, self.ring)
-        num = _subs_poly_to_rat(self._num, poly_assign)
-        out = num
+        vals = {name: RatFunc.of(v, self.ring) for name, v in assign.items()}
+        num, fac = _subs_parts(self._num, vals)
         for f, k in self._fac.items():
-            fv = _subs_poly_to_rat(f, poly_assign)
+            fv = RatFunc(*_subs_parts(f, vals))
             if fv.is_zero:
                 raise ZeroDivisionError("substitution makes a denominator factor vanish")
-            out = out / fv ** k
-        return out
+            for g, m in fv._fac.items():
+                num = num * g ** (m * k)
+            # the k-th power of f's value enters as one factor, not as f's
+            # value with multiplicity k: the factor set that dividing by
+            # fv**k gives, so printed denominators keep their form
+            fk = fv._num ** k
+            fac[fk] = fac.get(fk, 0) + 1
+        return RatFunc(num, fac)
 
     def eval_num(self, assign: Mapping[str, object], num=complex):
         den = num(1)
@@ -1045,31 +1023,51 @@ def _val(v: Value, ring: Ring) -> RatFunc:
     return RatFunc.of(v, ring)
 
 
-def _subs_poly_to_rat(p: MultiPoly, assign: Mapping[str, RatFunc]) -> RatFunc:
-    used = {n: v for n, v in assign.items() if p.involves(n)}
+def _subs_parts(p: MultiPoly, assign: Mapping[str, RatFunc]) -> tuple:
+    """(numerator, denominator factors) of p with the values substituted.
+
+    The terms are grouped by their exponents in the substituted variables,
+    so each distinct monomial costs one product, and the groups are summed
+    over the least common multiple of the values' factored denominators.
+    Nothing is cancelled here; the caller builds one RatFunc at the end.
+    """
+    used = [(p.ring.index[n], v) for n, v in assign.items() if p.involves(n)]
     if not used:
-        return RatFunc(p)
-    out = RatFunc(p.ring.zero)
-    powers: dict = {}
-
-    def _pow(name, k):
-        key = (name, k)
-        if key not in powers:
-            powers[key] = used[name] ** k
-        return powers[key]
-
-    idx = {n: p.ring.index[n] for n in used}
+        return p, {}
+    groups: dict = {}
     for e, c in p._t.items():
         rest = list(e)
-        factor = RatFunc(p.ring.one)
-        for name, i in idx.items():
-            k = e[i]
+        for i, _ in used:
+            rest[i] = 0
+        groups.setdefault(tuple(e[i] for i, _ in used), {})[tuple(rest)] = c
+    dens = {}
+    lcm: dict = {}
+    for key in groups:
+        d: dict = {}
+        for (_, v), k in zip(used, key):
+            for f, m in v._fac.items() if k else ():
+                d[f] = d.get(f, 0) + m * k
+        dens[key] = d
+        for f, m in d.items():
+            lcm[f] = max(lcm.get(f, 0), m)
+    powers: dict = {}
+
+    def _pow(f, k):
+        if (f, k) not in powers:
+            powers[f, k] = f ** k
+        return powers[f, k]
+
+    num = p.ring.zero
+    for key, terms in groups.items():
+        mult = p.ring.one
+        for (_, v), k in zip(used, key):
             if k:
-                rest[i] = 0
-                factor = factor * _pow(name, k)
-        mono = MultiPoly(p.ring, {tuple(rest): 1}, p._c * c)
-        out = out + factor * mono
-    return out
+                mult = mult * _pow(v._num, k)
+        for f, m in lcm.items():
+            if m != dens[key].get(f, 0):
+                mult = mult * _pow(f, m - dens[key].get(f, 0))
+        num = num + MultiPoly(p.ring, terms, p._c) * mult
+    return num, lcm
 
 
 # -- linear algebra -----------------------------------------------------------

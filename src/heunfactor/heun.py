@@ -158,7 +158,7 @@ class HeunParams:
                     return Fraction(v)
                 except (ValueError, ZeroDivisionError):
                     raise UsageError(f"bad rational for {key}: {v!r}") from None
-            if isinstance(v, Mapping) and set(v) == {"sym"}:
+            if isinstance(v, Mapping) and set(v) == {"sym"} and isinstance(v["sym"], str):
                 return RatFunc.of(ring.var(v["sym"]), ring)
             raise UsageError(f"bad value for {key}: {v!r}")
 

@@ -1,11 +1,15 @@
 """CLI contract: schemas, exit codes, deterministic reports, sweep."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from heunfactor.cli import main
 
@@ -381,6 +385,7 @@ SCHEMA_CASES = {
     "sing-entry-int": ("factorize", _with(MAIER, sing=[3])),
     "p-int": ("factorize", _with(NUMERIC_M3, p=3)),
     "epsilon-abc": ("apparency", _with(HEUN_SYM_EP1, epsilon="abc")),
+    "sym-list": ("apparency", _with(HEUN_SYM_EP1, alpha={"sym": ["alpha"]})),
     "p-too-long": ("factorize", _with(NUMERIC_M1, p=["1", "2"])),
     "p-too-short": ("factorize", _with(NUMERIC_M1, p=["1"], sing=[{"t": "2", "m": 1},
                                                                   {"t": "-3", "m": 1}])),
@@ -398,6 +403,58 @@ def test_bad_instance_types_exit_1(tmp_path, capsys, via, case):
     code, _, err = run_cli(argv, capsys)
     assert code == 1
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_oversized_json_integer_exits_1(tmp_path, capsys):
+    # json.loads refuses an integer literal of more than 4300 digits with a
+    # ValueError that is not a JSONDecodeError; it is still malformed input
+    (tmp_path / "i.json").write_text(
+        json.dumps(_with(MAIER, gamma="GAMMA")).replace('"GAMMA"', "9" * 5000))
+    for argv in (["factorize", str(tmp_path / "i.json")], ["sweep", str(tmp_path)]):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+CONCRETE_EP1 = {"version": 1, "kind": "heun",
+                "parameters": {"alpha": "1", "beta": "2", "gamma": "34/3",
+                               "epsilon": "-1", "q": "1", "t": "2"}}
+_json_leaf = (st.none() | st.booleans() | st.integers()
+              # built, not sampled: hypothesis prints its strategies, and
+              # repr() refuses an int of more than 4300 digits
+              | st.builds(lambda k: (-1) ** k * 10 ** k, st.sampled_from([400, 5001]))
+              | st.floats(allow_nan=False, allow_infinity=False)
+              | st.text(max_size=8)
+              | st.sampled_from(["", "1/0", "0/0", "1e400", "-1e-400", "nan", "inf",
+                                 " 3", "1/2/3", "0x10", "1_000", "\u00bd", "-0"]))
+_json_values = st.recursive(
+    _json_leaf | st.builds(lambda v: {"sym": v}, _json_leaf | st.sampled_from(
+        ["z", "q", "t", "alpha", "delta", "epsilon", "e1", ""])),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["sym", "p", ""]), inner, max_size=2),
+    max_leaves=6)
+
+
+@settings(max_examples=100)
+@given(key=st.sampled_from(sorted(CONCRETE_EP1["parameters"]) + ["delta"]),
+       value=_json_values)
+def test_apparency_fuzzed_parameter_keeps_exit_contract(key, value):
+    # one parameter of a heun instance replaced by arbitrary JSON: the
+    # apparency command exits 0, 1 or 2 and never prints a traceback
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(_with(CONCRETE_EP1, **{key: value}))
+    finally:
+        sys.set_int_max_str_digits(old)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "i.json"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["apparency", str(path)])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 XJACOBI = {"version": 1, "kind": "xjacobi", "parameters": {"k": 3, "g": "1", "h": "1/4"}}

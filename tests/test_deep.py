@@ -1,8 +1,9 @@
 """Deep exact-symbolic runs (strengths 4 and 5), opt-in via HEUNFACTOR_DEEP.
 
 These verify the same zero-defect statement as the default suite's numeric
-path, but fully symbolically in the quotient ring; runtimes are minutes to
-hours, which is why they sit behind the flag."""
+path, but fully symbolically in the quotient ring.  Strength 4 takes about
+75 s to solve and 1 s to verify on a 2-CPU machine; strength 5 has not been
+timed.  That is why they sit behind the flag."""
 
 import os
 

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import mpmath as mp
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +41,32 @@ _polys = st.builds(
                     st.fractions(min_value=-9, max_value=9, max_denominator=6),
                     max_size=5),
     st.sampled_from([1, -1, 6, F(-4, 9)]))
+
+_XYE = Ring(("x", "y", "e1", "e2"))
+_x, _y = _XYE.var("x"), _XYE.var("y")
+_terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4),
+                         st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                         max_size=5)
+# denominator factors of the values: shared, repeated and composite ones
+_dens = st.dictionaries(st.sampled_from([_x, _y, _x - 1, _x + _y, _x * _y + 1,
+                                         _x * (_y - 2)]),
+                        st.integers(1, 2), max_size=2)
+_xy_values = st.builds(
+    lambda terms, fac: RatFunc(MultiPoly.from_fraction_terms(
+        _XYE, {(a, b, 0, 0): c for (a, b, _, _), c in terms.items()}), fac),
+    _terms, _dens)
+
+
+def _subs_termwise(p, assign):
+    """Oracle: the term-by-term substitution, one RatFunc sum per term."""
+    out = RatFunc(p.ring.zero)
+    for e, c in p.terms():
+        rest = {n: k for n, k in zip(p.ring.names, e) if n not in assign}
+        term = RatFunc(p.ring.monomial(rest, c))
+        for name, v in assign.items():
+            term = term * v ** e[p.ring.index[name]]
+        out = out + term
+    return out
 
 
 class TestRingAxioms:
@@ -263,6 +290,44 @@ class TestGroebner:
         assert ([g.terms for g in groebner_basis([f, 2 * f], main)]
                 == [g.terms for g in groebner_basis([f], main)] != [])
         assert groebner_reduce(p1 * f, [f, 2 * f], main).is_zero
+
+
+class TestSubs:
+    @given(terms=_terms, den=_dens, e1=_xy_values, e2=_xy_values)
+    def test_grouped_substitution_matches_termwise(self, terms, den, e1, e2):
+        f = RatFunc(MultiPoly.from_fraction_terms(_XYE, terms),
+                    {g.subs({"x": _XYE.var("e1")}): k for g, k in den.items()})
+        assign = {"e1": e1, "e2": e2}
+        want = _subs_termwise(f.num, assign)
+        try:
+            for g, k in f.den_factors().items():
+                want = want / _subs_termwise(g, assign) ** k
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                f.subs(assign)
+            return
+        got = f.subs(assign)
+        assert got == want
+        assert got == f.num.subs(assign) / f.den.subs(assign)
+        for g in got.den_factors():
+            assert exact_div(got.num, g) is None
+
+    def test_polynomial_values_give_polynomials(self):
+        p = _x * _XYE.var("e1") ** 2 + _XYE.var("e2")
+        got = p.subs({"e1": _y - 1, "e2": F(1, 2)})
+        assert got == _x * (_y - 1) ** 2 + F(1, 2)
+
+
+class TestEvalNum:
+    def test_term_order_does_not_change_the_value(self):
+        # at 53 bits (1e30 + 1) - 1e30 is 0 but (1e30 - 1e30) + 1 is 1
+        ring = Ring(("x", "y"))
+        a = MultiPoly(ring, {(1, 0): 10 ** 30, (0, 0): 1, (0, 1): -10 ** 30}, F(1))
+        b = MultiPoly(ring, {(1, 0): 10 ** 30, (0, 1): -10 ** 30, (0, 0): 1}, F(1))
+        assert a == b
+        at = {"x": mp.mpc(1), "y": mp.mpc(1)}
+        with mp.workprec(53):
+            assert a.eval_num(at, num=mp.mpc) == b.eval_num(at, num=mp.mpc)
 
 
 class TestRatFunc:
