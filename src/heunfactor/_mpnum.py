@@ -1,10 +1,10 @@
 """High-precision numeric operator arithmetic (mpmath lane).
 
-Mirrors just enough of the exact operator stack to run the factorization
-defect check at several hundred bits: dense univariate polynomials over
-``mpmath.mpc``, rational functions whose denominators are exponent vectors
-over a fixed basis of linear factors (z - r_i), and normal-ordered operator
-composition / right division by a monic operator.
+Runs the factorization defect check at several hundred bits on the exact
+operators, evaluated at numeric residues and esym values: dense univariate
+polynomials over ``mpmath.mpc``, rational functions whose denominators are
+exponent vectors over a fixed basis of linear factors (z - r_i), and
+normal-ordered operator composition / right division by a monic operator.
 
 Denominators never need cancellation here: every division in the pipeline is
 by a leading coefficient equal to one, so degrees stay at desk scale.
@@ -18,7 +18,8 @@ from math import comb
 import mpmath
 from mpmath import mp
 
-from .exactalg import poly_add, poly_deriv, poly_mul, poly_scale, poly_shift, poly_trim
+from .exactalg import (exact_div, poly_add, poly_deriv, poly_mul, poly_scale, poly_shift,
+                       poly_trim)
 
 
 def to_mpc(x) -> "mpmath.mpc":
@@ -29,10 +30,12 @@ def to_mpc(x) -> "mpmath.mpc":
 
 
 class FactorBasis:
-    """Fixed list of linear-factor roots (z - r_i) shared by a computation."""
+    """Fixed list of linear-factor roots (z - r_i) shared by a computation;
+    ``exact`` keeps the rational roots that exact denominators split over."""
 
     def __init__(self, roots):
-        self.roots = tuple(to_mpc(r) for r in roots)
+        self.exact = tuple(Fraction(r) for r in roots)
+        self.roots = tuple(to_mpc(r) for r in self.exact)
 
     def expand(self, vec) -> list:
         out = [mp.mpc(1)]
@@ -55,6 +58,29 @@ class RatM:
     @classmethod
     def const(cls, basis, c):
         return cls(basis, [to_mpc(c)])
+
+    @classmethod
+    def from_exact(cls, basis: FactorBasis, f, assign) -> "RatM":
+        """An exact coefficient f (a RatFunc whose denominator factors are
+        polynomials in z alone) at the numeric values ``assign`` of the other
+        variables of its numerator."""
+        cs = f.num.coeffs_in("z")
+        num = [mp.mpc(0)] * (max(cs, default=0) + 1)
+        for k, c in cs.items():
+            num[k] = c.eval_num(assign, num=mp.mpc)
+        vec = [0] * len(basis.roots)
+        scale = Fraction(1)
+        for fac, k in f.den_factors().items():
+            rest = fac
+            for i, r in enumerate(basis.exact):
+                while (q := exact_div(rest, fac.ring.var("z") - r)) is not None:
+                    rest = q
+                    vec[i] += k
+            if not rest.is_const():
+                raise ValueError(f"denominator factor {fac.pretty()} does not "
+                                 "split over the factor basis")
+            scale *= rest.const_value() ** k
+        return cls(basis, [c * scale.denominator / scale.numerator for c in num], vec)
 
     @property
     def is_zero(self):
@@ -136,17 +162,6 @@ class DiffOpM:
             return self.coeffs[j]
         return RatM.const(self.basis, 0)
 
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOpM(self.basis, [self.coeff(j) + other.coeff(j) for j in range(n)])
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return DiffOpM(self.basis, [self.coeff(j) - other.coeff(j) for j in range(n)])
-
-    def scale_rat(self, r: RatM):
-        return DiffOpM(self.basis, [c * r for c in self.coeffs])
-
     def __mul__(self, other: "DiffOpM"):
         n, m = self.order, other.order
         if n < 0 or m < 0:
@@ -181,132 +196,34 @@ class DiffOpM:
         return Q, rem
 
 
-def esym_shifted_num(esym, c, N):
-    """Elementary symmetric functions of (e_i + c) from those of e_i (index 0 = 1)."""
-    base = [mp.mpc(1)] + [to_mpc(e) for e in esym]
-    out = []
-    for k in range(N + 1):
-        acc = mp.mpc(0)
-        for j in range(k + 1):
-            acc += base[j] * comb(N - j, k - j) * to_mpc(c) ** (k - j)
-        out.append(acc)
-    return out
-
-
-def _theta_powers_as_ops(basis: FactorBasis, max_k: int):
-    """Normal-ordered z-polynomial coefficient lists for th^k, th = z d/dz.
-
-    Returns table[k][j] = polynomial coefficient of D^j in th^k.
-    """
-    table = [[[mp.mpc(1)]]]  # th^0 = 1
-    z = [mp.mpc(0), mp.mpc(1)]
-    for _ in range(max_k):
-        prev = table[-1]
-        out = [[mp.mpc(0)] for _ in range(len(prev) + 1)]
-        # th * (sum c_j D^j) = z * sum (c_j' D^j + c_j D^(j+1))
-        for j, c in enumerate(prev):
-            out[j + 1] = poly_add(out[j + 1], poly_mul(z, c))
-            out[j] = poly_add(out[j], poly_mul(z, poly_deriv(c)))
-        table.append(out)
-    return table
-
-
-def ghg_esym_numeric(basis: FactorBasis, sum_ab, prod_ab, gamma, esym):
-    """Monic L_{alpha,beta,e+1;gamma,e} with numeric elementary symmetric e."""
-    N = len(esym)
-    up = esym_shifted_num(esym, 1, N)     # esym of e_i + 1
-    lo = esym_shifted_num(esym, -1, N)    # esym of e_i - 1
-    # theta-polynomials, low power first
-    b_poly = [lo[N - i] for i in range(N + 1)]
-    b_poly = poly_mul(b_poly, [to_mpc(gamma) - 1, mp.mpc(1)])
-    a_poly = [up[N - i] for i in range(N + 1)]
-    a_poly = poly_mul(a_poly, [to_mpc(prod_ab), to_mpc(sum_ab), mp.mpc(1)])
-    table = _theta_powers_as_ops(basis, N + 2)
-
-    def assemble(theta_poly):
-        ops = [[mp.mpc(0)] for _ in range(len(theta_poly))]
-        for k, c in enumerate(theta_poly):
-            for j, pc in enumerate(table[k]):
-                while len(ops) <= j:
-                    ops.append([mp.mpc(0)])
-                ops[j] = poly_add(ops[j], poly_scale(pc, c))
-        return ops
-
-    b_ops = assemble(b_poly)   # polynomial coefficients of Pi(th + b - 1)
-    a_ops = assemble(a_poly)
-    # B = D o b_ops:  D o (c_j D^j) = c_j D^(j+1) + c_j' D^j
-    raw = [[mp.mpc(0)] for _ in range(max(len(b_ops) + 1, len(a_ops)))]
-    for j, c in enumerate(b_ops):
-        raw[j + 1] = poly_add(raw[j + 1], c)
-        raw[j] = poly_add(raw[j], poly_deriv(c))
-    for j, c in enumerate(a_ops):
-        raw[j] = poly_add(raw[j], poly_scale(c, -1))
-    # leading coefficient is z^(N+1) (1 - z); divide through
-    lead_vec = [0] * len(basis.roots)
-    # factor basis convention: root 0 at index 0, root 1 at index 1
-    lead_vec[0] = N + 1
-    lead_vec[1] = 1
-    coeffs = []
-    for c in raw:
-        coeffs.append(RatM(basis, poly_scale(c, -1), tuple(lead_vec)))
-    # raw leading coeff is z^(N+1) - z^(N+2) = -z^(N+1)(z-1); the -1 scale above
-    # makes the operator exactly monic: top coefficient z^(N+1)(z-1)/(z^(N+1)(z-1))
-    return DiffOpM(basis, coeffs)
-
-
-def ltilde_numeric(basis: FactorBasis, gamma, delta, sing, prod_ab, p_vals):
-    """The multi-apparent-singularity operator with numeric residues p_k.
-
-    sing: list of (t_k as mpc-able, m_k).  Factor basis roots must be
-    [0, 1, t_1, ..., t_M].
-    """
-    M = len(sing)
-    nroots = len(basis.roots)
-    one = RatM.const(basis, 1)
-    # first-order coefficient gamma/z + delta/(z-1) - sum m_k/(z - t_k)
-    c1 = RatM(basis, [to_mpc(gamma)], (1,) + (0,) * (nroots - 1))
-    c1 = c1 + RatM(basis, [to_mpc(delta)], (0, 1) + (0,) * (nroots - 2))
-    for k, (_, mk) in enumerate(sing):
-        vec = [0] * nroots
-        vec[2 + k] = 1
-        c1 = c1 + RatM(basis, [to_mpc(-mk)], tuple(vec))
-    # numerator S(z) = prod_ab prod(z - t_k) + sum p_k prod_{j != k}(z - t_j)
-    S = [to_mpc(prod_ab)]
-    for tk, _ in sing:
-        S = poly_mul(S, [-to_mpc(tk), mp.mpc(1)])
-    for k, (tk, _) in enumerate(sing):
-        part = [to_mpc(p_vals[k])]
-        for j, (tj, _) in enumerate(sing):
-            if j != k:
-                part = poly_mul(part, [-to_mpc(tj), mp.mpc(1)])
-        S = poly_add(S, part)
-    vec = [1, 1] + [1] * M
-    c0 = RatM(basis, S, tuple(vec))
-    return DiffOpM(basis, [c0, c1, one])
-
-
 def defect_of_remainder(rem: DiffOpM) -> mpmath.mpf:
     if rem.order < 0:
         return mp.mpf(0)
     return max(c.max_num_abs() for c in rem.coeffs)
 
 
-def solve_esym_numeric(gamma, delta, sing, prod_ab, p_vals, N):
+def solve_esym_numeric(L, Lt, roots, p_vals):
     """Solve for the elementary symmetric e-values by affine sampling.
 
-    The remainder of L_GHG by L-tilde is affine in the esym vector; sample it
-    at 0 and at unit vectors, assemble the linear system from the first N
-    coefficients of w1's numerator (z-expansion for M=1, (z-1)-expansion for
-    M >= 2), and lu_solve.  Returns (esym values, function run(esym)->rem).
+    L is the exact L_GHG with the esym atoms e1..eN, Lt the exact L-tilde
+    with the residue atoms p1..pM and roots its singular points
+    [0, 1, t_1, ..., t_M]; p_vals are the numeric residues.  The remainder of
+    L_GHG by L-tilde is affine in the esym vector; sample it at 0 and at unit
+    vectors, assemble the linear system from the first N coefficients of w1's
+    numerator (z-expansion for M=1, (z-1)-expansion for M >= 2), and
+    lu_solve.  Returns (esym values, function run(esym)->rem).
     """
-    M = len(sing)
-    basis = FactorBasis([0, 1] + [tk for tk, _ in sing])
-    Lt = ltilde_numeric(basis, gamma, delta, sing, prod_ab, p_vals)
-    sum_ab = to_mpc(gamma) + to_mpc(delta) - N - 1
+    M = len(roots) - 2
+    N = L.order - 2
+    basis = FactorBasis(roots)
+
+    def at(op, assign):
+        return DiffOpM(basis, [RatM.from_exact(basis, c, assign) for c in op.coeffs])
+
+    Ltm = at(Lt, {f"p{k}": to_mpc(p) for k, p in enumerate(p_vals, 1)})
 
     def run(esym):
-        L = ghg_esym_numeric(basis, sum_ab, prod_ab, gamma, esym)
-        _, rem = L.right_divide_monic(Lt)
+        _, rem = at(L, {f"e{j}": e for j, e in enumerate(esym, 1)}).right_divide_monic(Ltm)
         return rem
 
     def w1_coeffs(rem):

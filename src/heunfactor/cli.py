@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -160,20 +161,33 @@ def cmd_apparency(inst: dict) -> tuple:
     q_concrete = p.q.is_poly() and p.q.as_poly().is_const()
     status = 0
     if concrete:
-        import numpy as np
-
-        cd = {k: float(v.as_poly().const_value())
+        cd = {k: v.as_poly().const_value()
               for k, v in RatFunc.of(P, p.ring).coeffs_in("q").items()}
-        coeffs = [cd.get(i, 0.0) for i in range(max(cd) + 1)]
-        roots = sorted((complex(r) for r in np.roots(list(reversed(coeffs)))),
-                       key=lambda r: (round(r.real, 10), round(r.imag, 10)))
         report["numeric_roots"] = [f"{r.real!r}{'+' if r.imag >= 0 else '-'}"
-                                   f"{abs(r.imag)!r}j" for r in roots]
+                                   f"{abs(r.imag)!r}j" for r in _float_roots(cd)]
     if q_concrete:
         val = RatFunc.of(P, p.ring).subs({"q": p.q})
         report["apparent"] = val.is_zero
         status = 0 if val.is_zero else 2
     return report, status
+
+
+def _float_roots(cd: dict) -> list:
+    """Sorted complex roots of the monic polynomial sum cd[k] q^k (exact
+    coefficients).  The roots are found for q = 2^s x, with s the least
+    shift that brings every coefficient under about 2^1000, so that no
+    coefficient overflows a float; s = 0 whenever the coefficients fit."""
+    import numpy as np
+
+    n = max(cd)
+    # c.numerator.bit_length() - c.denominator.bit_length() is log2 |c| to 1
+    s = max([0] + [math.ceil((c.numerator.bit_length() - c.denominator.bit_length()
+                              - 1000) / (n - k)) for k, c in cd.items() if k < n and c])
+    coeffs = [float(cd.get(k, 0) / 2 ** (s * (n - k))) for k in range(n + 1)]
+    scale = 2.0 ** s
+    return sorted((complex(r.real * scale, r.imag * scale)
+                   for r in np.roots(coeffs[::-1])),
+                  key=lambda r: (round(r.real, 10), round(r.imag, 10)))
 
 
 # -- factorize -------------------------------------------------------------------
@@ -310,7 +324,8 @@ def cmd_monodromy(inst: dict, tol: float) -> tuple:
     p = _heun_from_parameters(inst["parameters"])
     M = numcheck.monodromy(p, "t", tol=tol)
     d = M.distance_from_identity()
-    verdict = "apparent" if d < 1e-6 else "not_apparent" if d > 1e-3 else "inconclusive"
+    verdict = ("apparent" if d < numcheck.APPARENT_BELOW else
+               "not_apparent" if d > numcheck.NOT_APPARENT_ABOVE else "inconclusive")
     report = {
         "command": "monodromy",
         "loop": "t",

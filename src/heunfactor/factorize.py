@@ -348,11 +348,6 @@ class FactorizationWork:
     quotient: DiffOp
     w_coeffs: tuple
 
-    @property
-    def v_coeffs(self) -> tuple:
-        """v_0(z)..v_{N-1}(z) of the order-N left factor (leading 1 dropped)."""
-        return self.quotient.coeffs[:-1]
-
 
 def _division_work(Lt: ApparentFuchsian, esym_values: Sequence[RatFunc]
                    ) -> FactorizationWork:
@@ -596,6 +591,15 @@ def _pretty_op(op: DiffOp) -> str:
 # -- numeric pipeline -----------------------------------------------------------
 
 
+def _residue_atom_factor(gamma, delta, sing: Sequence, prod_ab) -> ApparentFuchsian:
+    """L~ of a rational instance with the residues left as the atoms p1..pM."""
+    M = len(sing)
+    ring = factor_ring(M, sum(m for _, m in sing))
+    return ApparentFuchsian.from_p_form(
+        gamma, delta, [(Fraction(t), m) for t, m in sing], prod_ab,
+        [ring.var(f"p{k}") for k in range(1, M + 1)], ring)
+
+
 def solve_apparent_p(gamma: Fraction, delta: Fraction, sing: Sequence,
                      prod_ab: Fraction, seed: int = 0, bits: int = 300):
     """Numerically solve the apparency system for the residues p_1..p_M.
@@ -604,11 +608,7 @@ def solve_apparent_p(gamma: Fraction, delta: Fraction, sing: Sequence,
     residual < 1e-70 (the returned values are mpc).
     """
     M = len(sing)
-    ring = factor_ring(M, sum(m for _, m in sing))
-    Lt_sym = ApparentFuchsian.from_p_form(
-        gamma, delta, [(Fraction(t), m) for t, m in sing], prod_ab,
-        [ring.var(f"p{k}") for k in range(1, M + 1)], ring)
-    system = apparency_system(Lt_sym)
+    system = apparency_system(_residue_atom_factor(gamma, delta, sing, prod_ab))
     p_names = [f"p{k}" for k in range(1, M + 1)]
 
     def fn_of(poly):
@@ -627,7 +627,9 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
                                  tol_exp: int = -60) -> VerificationReport:
     """Numeric verification at `bits` precision.
 
-    When p_vals is omitted the apparency system is solved first.  Passes when
+    The exact L~ (residues as atoms) and L_GHG (esym values as atoms) are
+    evaluated at the numeric values and divided at `bits` precision.  When
+    p_vals is omitted the apparency system is solved first.  Passes when
     the maximal defect coefficient is below 10^tol_exp, which must lie in
     (-bits log10 2, 0): a bound no finer than the working precision.
     """
@@ -635,20 +637,22 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
         raise UsageError(f"precision must be a positive number of bits, got {bits}")
     if not -bits * math.log10(2) < tol_exp < 0:
         raise UsageError(f"tol_exp = {tol_exp} is outside (-{bits} log10 2, 0)")
-    profile = tuple(m for _, m in sing)
-    N = sum(profile)
+    Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
+    ring = Lt.ring
+    L = ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma,
+                          [ring.var(f"e{j}") for j in range(1, Lt.N + 1)], ring)
+    roots = [0, 1] + [t for t, _ in sing]
     with mp.workprec(bits):
         if p_vals is None:
             p_vals = solve_apparent_p(gamma, delta, sing, prod_ab,
                                       seed=seed, bits=bits)
-        es, run = _mpnum.solve_esym_numeric(gamma, delta, sing, prod_ab,
-                                            p_vals, N)
+        es, run = _mpnum.solve_esym_numeric(L, Lt.operator(), roots, p_vals)
         rem = run(es)
         defect = _mpnum.defect_of_remainder(rem)
         passed = defect < mp.mpf(10) ** tol_exp
         esym = EsymVector("numeric", tuple(es))
         return VerificationReport(
-            "numeric", profile, _esym_strings(esym),
+            "numeric", Lt.profile, _esym_strings(esym),
             mpmath.nstr(defect, 8), bool(passed), "(numeric quotient suppressed)",
             detail=f"precision {bits} bits, tolerance 1e{tol_exp}")
 

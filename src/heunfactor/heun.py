@@ -197,9 +197,6 @@ class LocalSeries:
     log_coefficient: Optional[RatFunc] = None
     free_index: Optional[int] = None
 
-    def degree_available(self) -> int:
-        return len(self.coeffs) - 1
-
 
 def _reduce_num(r: RatFunc, modulus: Optional[MultiPoly], var: str = "q") -> RatFunc:
     if modulus is None or r.is_zero:
@@ -245,39 +242,34 @@ def _monic_in_q(obstruction: RatFunc, ring: Ring, var: str = "q") -> MultiPoly:
 
 def apparency_poly(p: HeunParams) -> MultiPoly:
     """Monic condition polynomial P(q) of degree 1 - eps whose vanishing makes
-    z = t an apparent singularity.  Requires eps a nonpositive integer; built
-    from the i = 1 - eps obstruction of the z = t recurrence (q symbolic,
-    regardless of the q stored in p)."""
-    e = _is_int(p.epsilon)
-    if e is None or e > 0:
-        if e == 1:
-            raise UnsupportedCaseError(
-                "epsilon = 1 boundary case (degree-0 condition) is not covered")
-        raise UsageError("apparency_poly requires epsilon a nonpositive integer")
-    n = 1 - e
-    ring = p.ring
-    psym = replace(p, q=RatFunc.of(ring.var("q"), ring))
-    ser = series_coeffs(psym, n)
-    if ser.log_coefficient is None:
-        raise SolutionError("expected an obstruction at i = 1 - eps; got none")
-    P = _monic_in_q(ser.log_coefficient, ring)
-    assert P.degree("q") == n
+    z = t an apparent singularity: ``apparency_condition`` with polynomial
+    coefficients.  Requires eps a nonpositive integer (q symbolic, regardless
+    of the q stored in p)."""
+    if _is_int(p.epsilon) == 1:
+        raise UnsupportedCaseError(
+            "epsilon = 1 boundary case (degree-0 condition) is not covered")
+    P = _monic_in_q(_apparency_obstruction(p, "apparency_poly"), p.ring)
+    assert P.degree("q") == 1 - _is_int(p.epsilon)
     return P
 
 
 def apparency_condition(p: HeunParams) -> RatFunc:
     """Monic-in-q apparency condition with possibly rational coefficients
     (covers bundles whose t is a rational expression of other parameters)."""
+    return _monic_condition(_apparency_obstruction(p, "apparency condition"))
+
+
+def _apparency_obstruction(p: HeunParams, name: str) -> RatFunc:
+    """The i = 1 - eps obstruction of the z = t recurrence with q symbolic;
+    ``name`` is the routine the epsilon error message names."""
     e = _is_int(p.epsilon)
     if e is None or e > 0:
-        raise UsageError("apparency condition requires epsilon a nonpositive integer")
-    n = 1 - e
+        raise UsageError(f"{name} requires epsilon a nonpositive integer")
     ring = p.ring
-    psym = replace(p, q=RatFunc.of(ring.var("q"), ring))
-    ser = series_coeffs(psym, n)
+    ser = series_coeffs(replace(p, q=RatFunc.of(ring.var("q"), ring)), 1 - e)
     if ser.log_coefficient is None:
         raise SolutionError("expected an obstruction at i = 1 - eps; got none")
-    return _monic_condition(ser.log_coefficient)
+    return ser.log_coefficient
 
 
 def is_apparent(p: HeunParams, modulus: Optional[MultiPoly] = None) -> bool:
@@ -474,11 +466,8 @@ def polytype_solution(p: HeunParams, sigma0: Value, sigma1: Value, sigmat: Value
         except SolutionError as err:
             return NoSolution(f"no polynomial solution: {err}")
     gauged = gauge_transform(p, s0, s1, st)
-    if _is_int(gauged.alpha) is not None and _is_int(gauged.alpha) <= 0:
-        target = gauged
-    elif _is_int(gauged.beta) is not None and _is_int(gauged.beta) <= 0:
-        target = gauged.swap_alpha_beta()
-    else:
+    target = _polynomial_target(gauged)
+    if target is None:
         return NoSolution(
             "integrality precondition unmet: neither transformed infinity "
             f"exponent ({gauged.alpha.pretty()}, {gauged.beta.pretty()}) "
@@ -490,6 +479,17 @@ def polytype_solution(p: HeunParams, sigma0: Value, sigma1: Value, sigmat: Value
     return PolySolution(target, sol.coeffs, s0, s1, st)
 
 
+def _polynomial_target(gauged: HeunParams) -> Optional[HeunParams]:
+    """The gauged bundle with a nonpositive-integer infinity exponent in the
+    alpha role (alpha first, then beta), or None when neither is one."""
+    a, b = _is_int(gauged.alpha), _is_int(gauged.beta)
+    if a is not None and a <= 0:
+        return gauged
+    if b is not None and b <= 0:
+        return gauged.swap_alpha_beta()
+    return None
+
+
 def polytype_condition_poly(p: HeunParams, sigma0: Value, sigma1: Value,
                             sigmat: Value) -> MultiPoly:
     """Monic condition polynomial in the *original* q for a polynomial-type
@@ -497,12 +497,8 @@ def polytype_condition_poly(p: HeunParams, sigma0: Value, sigma1: Value,
     ring = p.ring
     q_atom = RatFunc.of(ring.var("q"), ring)
     psym = replace(p, q=q_atom)
-    gauged = gauge_transform(psym, sigma0, sigma1, sigmat)
-    if _is_int(gauged.alpha) is not None and _is_int(gauged.alpha) <= 0:
-        target = gauged
-    elif _is_int(gauged.beta) is not None and _is_int(gauged.beta) <= 0:
-        target = gauged.swap_alpha_beta()
-    else:
+    target = _polynomial_target(gauge_transform(psym, sigma0, sigma1, sigmat))
+    if target is None:
         raise UsageError("integrality precondition unmet for this prefactor")
     shift = target.q - q_atom  # affine, free of q
     if shift.num.involves("q"):

@@ -206,9 +206,15 @@ def monodromy(p: HeunParams, loop_target: str, tol: float = 1e-12,
     return MonodromyMatrix(M, loop_target, base)
 
 
+#: monodromy distances from the identity: below APPARENT_BELOW z = t is
+#: apparent, above NOT_APPARENT_ABOVE it is not, in between inconclusive
+APPARENT_BELOW = 1e-6
+NOT_APPARENT_ABOVE = 1e-3
+
+
 def classify_apparent(p: HeunParams, tol: float = 1e-12,
-                      pass_threshold: float = 1e-6,
-                      fail_threshold: float = 1e-3) -> bool:
+                      pass_threshold: float = APPARENT_BELOW,
+                      fail_threshold: float = NOT_APPARENT_ABOVE) -> bool:
     """True/False apparency of z = t by monodromy distance from identity;
     raises InconclusiveError inside the threshold gap."""
     M = monodromy(p, "t", tol=tol)

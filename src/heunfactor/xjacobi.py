@@ -36,18 +36,6 @@ def _check_params(g: Fraction, h: Fraction):
 
 
 @dataclass(frozen=True)
-class JacobiParams:
-    g: Fraction
-    h: Fraction
-    k: int
-
-    def __post_init__(self):
-        _check_params(self.g, self.h)
-        if self.k < 0:
-            raise XJacobiError("degree index k must be nonnegative")
-
-
-@dataclass(frozen=True)
 class X1Poly:
     """Exact coefficients of the degree-(k+1) exceptional polynomial."""
 

@@ -77,6 +77,18 @@ class TestApparencyCommand:
         assert code == 2
         assert json.loads(out)["apparent"] is False
 
+    def test_condition_past_float_range_still_reports(self, tmp_path, capsys):
+        # the degree-101 condition has coefficients beyond 1e308
+        inst = {"version": 1, "kind": "heun",
+                "parameters": {"alpha": "1", "beta": "2", "gamma": "34/3",
+                               "epsilon": "-100", "q": "1", "t": "2"}}
+        path = write(tmp_path, "i.json", inst)
+        code, out, err = run_cli(["apparency", path], capsys)
+        assert code == 2 and "error:" not in err
+        rep = json.loads(out)
+        assert rep["apparent"] is False and rep["degree"] == 101
+        assert len(rep["numeric_roots"]) == 101
+
     def test_malformed_json_exit1_with_position(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"version": 1,,}')

@@ -279,6 +279,22 @@ class TestNumericPipeline:
         assert rep.passed
         assert float(rep.defect_max) < 1e-60
 
+    # alpha = 0 or -1 terminates the exponent-0 GHG series; integer gamma
+    # gives resonant exponents at z = 0.  The last one has the smallest
+    # margin of the four (defect about 1e-72).
+    @pytest.mark.parametrize("gamma, alpha, beta, m", [
+        (F(5, 7), 0, F(-2, 7), 3),
+        (-2, 0, -3, 2),
+        (3, -1, 1, 2),
+        (F(5, 7), -1, F(-9, 7), 2),
+    ])
+    def test_terminating_and_integer_gamma_edges_pass(self, gamma, alpha, beta, m):
+        delta = alpha + beta - gamma + m + 1
+        rep = verify_factorization_numeric(F(gamma), F(delta), [(F(5, 2), m)],
+                                           F(alpha * beta), bits=300)
+        assert rep.passed
+        assert float(rep.defect_max) < 1e-60
+
     def test_sensitivity(self):
         from mpmath import mp
 
