@@ -6,6 +6,11 @@ polynomials over ``mpmath.mpc``, rational functions whose denominators are
 exponent vectors over a fixed basis of linear factors (z - r_i), and
 normal-ordered operator composition / right division by a monic operator.
 
+The esym values come from the z = 0 series identity of L~ (an N x N solve,
+no division); only the verifying division runs at full operator size.
+Instances whose z = 0 series cannot carry the identity fall back to affine
+sampling of the remainder (N + 1 more divisions).
+
 Denominators never need cancellation here: every division in the pipeline is
 by a leading coefficient equal to one, so degrees stay at desk scale.
 """
@@ -36,12 +41,18 @@ class FactorBasis:
     def __init__(self, roots):
         self.exact = tuple(Fraction(r) for r in roots)
         self.roots = tuple(to_mpc(r) for r in self.exact)
+        self._products = {}
 
     def expand(self, vec) -> list:
-        out = [mp.mpc(1)]
-        for r, k in zip(self.roots, vec):
-            for _ in range(k):
-                out = poly_mul(out, [-r, mp.mpc(1)])
+        """prod (z - r_i)^vec_i, built once per exponent vector."""
+        vec = tuple(vec)
+        out = self._products.get(vec)
+        if out is None:
+            out = [mp.mpc(1)]
+            for r, k in zip(self.roots, vec):
+                for _ in range(k):
+                    out = poly_mul(out, [-r, mp.mpc(1)])
+            self._products[vec] = out
         return out
 
 
@@ -124,15 +135,10 @@ class RatM:
         if not active:
             return RatM(self.basis, poly_deriv(self.num), self.vec)
         new_vec = tuple(k + 1 if k else 0 for k in self.vec)
-        prod_all = [mp.mpc(1)]
+        ones = [1 if k else 0 for k in self.vec]
+        total = poly_mul(poly_deriv(self.num), self.basis.expand(ones))
         for i in active:
-            prod_all = poly_mul(prod_all, [-self.basis.roots[i], mp.mpc(1)])
-        total = poly_mul(poly_deriv(self.num), prod_all)
-        for i in active:
-            partial = [mp.mpc(1)]
-            for j in active:
-                if j != i:
-                    partial = poly_mul(partial, [-self.basis.roots[j], mp.mpc(1)])
+            partial = self.basis.expand(ones[:i] + [0] + ones[i + 1:])
             total = poly_add(total, poly_scale(poly_mul(self.num, partial),
                                                -self.vec[i]))
         return RatM(self.basis, total, new_vec)
@@ -144,7 +150,7 @@ class RatM:
 class DiffOpM:
     """sum c_j(z) D^j with RatM coefficients."""
 
-    __slots__ = ("basis", "coeffs")
+    __slots__ = ("basis", "coeffs", "_derivs")
 
     def __init__(self, basis: FactorBasis, coeffs):
         cs = list(coeffs)
@@ -152,6 +158,14 @@ class DiffOpM:
             cs.pop()
         self.basis = basis
         self.coeffs = cs
+        self._derivs = [cs]
+
+    def derivative_table(self, n: int) -> list:
+        """[coeffs, D coeffs, ..., D^n coeffs]; kept on the operator, so a
+        divisor differentiates its coefficients once for all its products."""
+        while len(self._derivs) <= n:
+            self._derivs.append([c.derivative() for c in self._derivs[-1]])
+        return self._derivs
 
     @property
     def order(self):
@@ -166,9 +180,7 @@ class DiffOpM:
         n, m = self.order, other.order
         if n < 0 or m < 0:
             return DiffOpM(self.basis, [])
-        derivs = [list(other.coeffs)]
-        for _ in range(n):
-            derivs.append([c.derivative() for c in derivs[-1]])
+        derivs = other.derivative_table(n)
         out = [RatM.const(self.basis, 0) for _ in range(n + m + 1)]
         for i, a in enumerate(self.coeffs):
             if a.is_zero:
@@ -202,16 +214,18 @@ def defect_of_remainder(rem: DiffOpM) -> mpmath.mpf:
     return max(c.max_num_abs() for c in rem.coeffs)
 
 
-def solve_esym_numeric(L, Lt, roots, p_vals):
-    """Solve for the elementary symmetric e-values by affine sampling.
+def solve_esym_numeric(L, Lt, roots, p_vals, series):
+    """Solve for the elementary symmetric e-values.
 
     L is the exact L_GHG with the esym atoms e1..eN, Lt the exact L-tilde
     with the residue atoms p1..pM and roots its singular points
-    [0, 1, t_1, ..., t_M]; p_vals are the numeric residues.  The remainder of
-    L_GHG by L-tilde is affine in the esym vector; sample it at 0 and at unit
-    vectors, assemble the linear system from the first N coefficients of w1's
-    numerator (z-expansion for M=1, (z-1)-expansion for M >= 2), and
-    lu_solve.  Returns (esym values, function run(esym)->rem).
+    [0, 1, t_1, ..., t_M]; p_vals are the numeric residues.  ``series`` is
+    (ratios, shift) from L-tilde's z = 0 series at exponent ``shift``:
+    ratios[n-1] = prod(1 + n / (e_i + shift)) for n = 1..N, a polynomial in
+    n of degree N whose coefficients s_k = sigma'_{N-k} / sigma'_N are one
+    N x N lu_solve away.  With series None the values come from
+    ``esym_by_sampling``.  Returns (esym values, function run(esym)->rem):
+    run is the one division whose remainder decides the verdict.
     """
     M = len(roots) - 2
     N = L.order - 2
@@ -226,6 +240,23 @@ def solve_esym_numeric(L, Lt, roots, p_vals):
         _, rem = at(L, {f"e{j}": e for j, e in enumerate(esym, 1)}).right_divide_monic(Ltm)
         return rem
 
+    if series is None:
+        return esym_by_sampling(run, N, M), run
+    ratios, shift = series
+    A = mp.matrix([[mp.mpf(n) ** k for k in range(1, N + 1)] for n in range(1, N + 1)])
+    s = mp.lu_solve(A, mp.matrix([r - 1 for r in ratios]))
+    # prod(x + e_i + shift) = sigma'_N (1 + sum_k s_k x^k); shift x back
+    lead = 1 / s[N - 1]
+    monic = poly_shift([lead] + [s[k] * lead for k in range(N)], -to_mpc(shift))
+    return [monic[N - j] for j in range(1, N + 1)], run
+
+
+def esym_by_sampling(run, N: int, M: int) -> list:
+    """Esym values from the remainder alone, for instances without a usable
+    z = 0 series.  The remainder of L_GHG by L-tilde is affine in the esym
+    vector; sample ``run`` at 0 and at unit vectors, assemble the linear
+    system from the first N coefficients of w1's numerator (z-expansion for
+    M=1, (z-1)-expansion for M >= 2), and lu_solve."""
     def w1_coeffs(rem):
         w1 = rem.coeff(1)
         num = w1.num
@@ -285,7 +316,7 @@ def solve_esym_numeric(L, Lt, roots, p_vals):
         for j in range(N):
             A[i, j] = vec[j]
     sol = mp.lu_solve(A, b)
-    return [sol[j] for j in range(N)], run
+    return [sol[j] for j in range(N)]
 
 
 def newton_apparency(system_fns, jac_fns, M, seed=0, max_starts=60,

@@ -622,16 +622,49 @@ def solve_apparent_p(gamma: Fraction, delta: Fraction, sing: Sequence,
         return _mpnum.newton_apparency(fns, jac, M, seed=seed)
 
 
+def _z0_series(Lt: ApparentFuchsian, op: DiffOp, p_vals) -> Optional[tuple]:
+    """(ratios, shift) of L~'s z = 0 series for `_mpnum.solve_esym_numeric`,
+    or None when neither z = 0 exponent carries the esym values.
+
+    At exponent 0 the series of an apparent L~ is the pFq series of
+    L_{alpha,beta,e_i+1; gamma,e_i}; at 1 - gamma it is z^(1-gamma) times
+    the one with alpha, beta, e_i shifted by 1 - gamma and gamma -> 2 - gamma.
+    Either way c_n w_n = prod(1 + n / (e_i + rho)) with the exact weight
+    w_n = (gamma')_n n! / ((alpha')_n (beta')_n).  The exponent is chosen from
+    exact data alone: the first with no vanishing (gamma')_n or
+    (alpha')_n (beta')_n, n <= N, whose series is then unique and divisible
+    by the Pochhammer factors.  The c_n come from the series engine with the
+    residues as atoms, evaluated at p_vals."""
+    N, g, S, P = Lt.N, Lt.gamma, Lt.sum_ab, Lt.prod_ab
+    c = 1 - g
+    for rho, g2, S2, P2 in ((0, g, S, P), (c, 2 - g, S + 2 * c, P + c * S + c * c)):
+        # (alpha')_n (beta')_n = prod_{k<n} (k^2 + k S' + P')
+        factors = [(g2 + k, k * k + k * S2 + P2) for k in range(N)]
+        if any(a.is_zero or b.is_zero for a, b in factors):
+            continue
+        cs = frobenius_series(op, 0, rho, N).coeffs
+        assign = {f"p{k}": _mpnum.to_mpc(p) for k, p in enumerate(p_vals, 1)}
+        ratios, w = [], RatFunc.of(1, Lt.ring)
+        for n, (a, b) in enumerate(factors, 1):
+            w = w * a * n / b
+            ratios.append((cs[n] * w).eval_num(assign, num=mp.mpc))
+        return ratios, _val(rho, Lt.ring).eval_num({}, num=mp.mpc)
+    return None
+
+
 def verify_factorization_numeric(gamma, delta, sing, prod_ab,
                                  p_vals=None, bits: int = 300, seed: int = 0,
                                  tol_exp: int = -60) -> VerificationReport:
     """Numeric verification at `bits` precision.
 
-    The exact L~ (residues as atoms) and L_GHG (esym values as atoms) are
-    evaluated at the numeric values and divided at `bits` precision.  When
-    p_vals is omitted the apparency system is solved first.  Passes when
-    the maximal defect coefficient is below 10^tol_exp, which must lie in
-    (-bits log10 2, 0): a bound no finer than the working precision.
+    The esym values come from c_1..c_N of L~'s z = 0 series (`_z0_series`),
+    or, when neither z = 0 exponent qualifies, from affine sampling of the
+    remainder.  The exact L_GHG (esym values as atoms) is then evaluated and
+    divided by L~ once at `bits` precision; a wrong esym value can only
+    raise the defect, never pass a verdict.  When p_vals is omitted the
+    apparency system is solved first.  Passes when the maximal defect
+    coefficient is below 10^tol_exp, which must lie in (-bits log10 2, 0):
+    a bound no finer than the working precision.
     """
     if bits < 1:
         raise UsageError(f"precision must be a positive number of bits, got {bits}")
@@ -646,7 +679,9 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
         if p_vals is None:
             p_vals = solve_apparent_p(gamma, delta, sing, prod_ab,
                                       seed=seed, bits=bits)
-        es, run = _mpnum.solve_esym_numeric(L, Lt.operator(), roots, p_vals)
+        op = Lt.operator()
+        es, run = _mpnum.solve_esym_numeric(L, op, roots, p_vals,
+                                            _z0_series(Lt, op, p_vals))
         rem = run(es)
         defect = _mpnum.defect_of_remainder(rem)
         passed = defect < mp.mpf(10) ** tol_exp

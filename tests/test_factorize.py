@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from heunfactor import _mpnum
 from heunfactor.exactalg import RatFunc, reduce_mod
 from heunfactor.factorize import (
     ApparentFuchsian,
@@ -270,6 +271,16 @@ class TestApparencySystem:
         assert float(np.max(np.abs(M_bad - np.eye(2)))) > 1e-3
 
 
+#: numeric instances (gamma, alpha, beta, m) at t = 5/2 with no usable z = 0
+#: series: a Pochhammer factor vanishes at both exponents
+EDGES = [
+    (F(5, 7), 0, F(-2, 7), 3),
+    (-2, 0, -3, 2),
+    (3, -1, 1, 2),
+    (F(5, 7), -1, F(-9, 7), 2),
+]
+
+
 class TestNumericPipeline:
     @pytest.mark.parametrize("profile", [(1, 1), (2, 1)])
     def test_profiles_pass(self, profile):
@@ -282,18 +293,28 @@ class TestNumericPipeline:
     # alpha = 0 or -1 terminates the exponent-0 GHG series; integer gamma
     # gives resonant exponents at z = 0.  The last one has the smallest
     # margin of the four (defect about 1e-72).
-    @pytest.mark.parametrize("gamma, alpha, beta, m", [
-        (F(5, 7), 0, F(-2, 7), 3),
-        (-2, 0, -3, 2),
-        (3, -1, 1, 2),
-        (F(5, 7), -1, F(-9, 7), 2),
-    ])
+    @pytest.mark.parametrize("gamma, alpha, beta, m", EDGES)
     def test_terminating_and_integer_gamma_edges_pass(self, gamma, alpha, beta, m):
         delta = alpha + beta - gamma + m + 1
         rep = verify_factorization_numeric(F(gamma), F(delta), [(F(5, 2), m)],
                                            F(alpha * beta), bits=300)
         assert rep.passed
         assert float(rep.defect_max) < 1e-60
+
+    def test_only_edges_without_a_series_exponent_sample_the_remainder(self, monkeypatch):
+        # at both z = 0 exponents of each edge a Pochhammer factor vanishes
+        calls = []
+        sampling = _mpnum.esym_by_sampling
+        monkeypatch.setattr(_mpnum, "esym_by_sampling",
+                            lambda *a: calls.append(a) or sampling(*a))
+        for k, (gamma, alpha, beta, m) in enumerate(EDGES, 1):
+            delta = alpha + beta - gamma + m + 1
+            verify_factorization_numeric(F(gamma), F(delta), [(F(5, 2), m)],
+                                         F(alpha * beta), bits=300)
+            assert len(calls) == k
+        gamma, delta, sing, prod_ab = random_profile_instance((2,), seed=5)
+        assert verify_factorization_numeric(gamma, delta, sing, prod_ab, bits=300).passed
+        assert len(calls) == len(EDGES)
 
     def test_sensitivity(self):
         from mpmath import mp

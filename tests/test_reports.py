@@ -1,4 +1,5 @@
-"""Report bytes are pinned: the SHA-256 of each exact report's sorted JSON.
+"""Report bytes are pinned: the SHA-256 of each report's sorted JSON, exact
+reports and 300-bit numeric ones.
 
 A change to the arithmetic underneath (substitution, cancellation, division)
 must leave these reports byte-identical; a deliberate change of report
@@ -9,7 +10,7 @@ import json
 
 import pytest
 
-from heunfactor.cli import cmd_apparency
+from heunfactor.cli import cmd_apparency, cmd_factorize
 from heunfactor.exactalg import RatFunc
 from heunfactor.factorize import (
     ApparentFuchsian,
@@ -45,6 +46,21 @@ APPARENCY = {
     -3: "7a4a62d84f12ee96697c937b295bb24405da138415d34777350e54ac488f3704",
 }
 
+#: `factorize --mode numeric` at 300 bits, M = 1, m = 3, t = 5/2, gamma = 5/7,
+#: one instance per esym route: (alpha, beta) and the digests of the apparent
+#: report (residue solved by Newton) and of a control at p = 1
+NUMERIC = {
+    "exponent-0": (("1/3", "3/5"),
+                   "85869e5cb62fbf3a543a7ac9956a414d803c639e46a6aa91bda6698123759785",
+                   "25c3cac0040644bf1467e97d1cd9f31c157682a49cca3607002d6fa0a0c0b01a"),
+    "exponent-1-gamma": (("1/3", "-1"),
+                         "ef728a71f1e4cd58c25c2eec733b8c8df8ab16cb110544702489fcbe172dd6d4",
+                         "fa8bda785a58da2d7a8e498a28f39885b48b2f520680e7851782592c4d965dc0"),
+    "sampling": (("0", "-2/7"),
+                 "8c8bd0a052452614bdec2535800c1a9ac4445aeef10783dccae0851d09d49ebf",
+                 "9b02a6265c6f947c2fd92fa05463a3863799cdb9a56f5b00d9405f75bf8c0ece"),
+}
+
 
 @pytest.mark.parametrize("m", sorted(SYMBOLIC))
 def test_symbolic_factorization_report(m):
@@ -75,3 +91,15 @@ def test_apparency_report(eps):
     report, code = cmd_apparency(inst)
     assert code == 0
     assert digest(report) == APPARENCY[eps]
+
+
+@pytest.mark.parametrize("route", sorted(NUMERIC))
+def test_numeric_factorization_reports(route):
+    (alpha, beta), apparent, control = NUMERIC[route]
+    params = {"gamma": "5/7", "alpha": alpha, "beta": beta, "sing": [{"t": "5/2", "m": 3}]}
+    for extra, want, want_code in (({}, apparent, 0), ({"p": ["1"]}, control, 2)):
+        inst = {"version": 1, "kind": "apparent_fuchsian", "mode": "numeric",
+                "parameters": {**params, **extra}}
+        report, code = cmd_factorize(inst, None, None, -60, False, None)
+        assert code == want_code
+        assert digest(report) == want
