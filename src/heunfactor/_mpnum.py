@@ -63,7 +63,9 @@ class RatM:
 
     def __init__(self, basis: FactorBasis, num: list, vec=None):
         self.basis = basis
-        self.num = poly_trim([to_mpc(c) for c in num])
+        # products, sums and derivatives already hold mpc values
+        mpc = mp.mpc
+        self.num = poly_trim([c if type(c) is mpc else to_mpc(c) for c in num])
         self.vec = tuple(vec) if vec is not None else (0,) * len(basis.roots)
 
     @classmethod

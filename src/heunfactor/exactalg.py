@@ -16,6 +16,15 @@ single ``Fraction`` content multiplier.  The dict is kept primitive
 positive), which makes equality and hashing structural and keeps the
 per-term arithmetic in machine/long integers instead of ``Fraction``.
 
+Each monomial of the dict is one packed ``int`` key: the total degree in
+the top field, then one ``_FIELD_BITS``-wide field per ring variable in
+ring order, the top bit of each field a guard that is always clear.  Graded
+lex order is then plain integer order, a monomial product is one ``+`` and
+a monomial quotient one ``-`` whose borrows show in the guard bits.  Total
+degree is bounded by ``_MAX_DEG``, so no field can overflow; exceeding it
+raises ``UsageError``.  The public methods (``terms``, ``leading_exp``,
+``coeff``, the constructor) take and yield exponent tuples.
+
 A ``RatFunc`` keeps its denominator as a multiset of primitive polynomial
 factors.  Denominators in this package are overwhelmingly products of a few
 small linear factors (z, z-1, z-t, ...); keeping them factored makes
@@ -25,7 +34,11 @@ multivariate gcd.
 
 from __future__ import annotations
 
+import heapq
 import random
+import struct
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd as _igcd
 from typing import Iterator, Mapping, Sequence, Union
@@ -78,14 +91,23 @@ def _grlex_key(e: tuple) -> tuple:
     return (sum(e), e)
 
 
+# Width of one packed exponent field; its top bit is the guard.  The Ring's
+# struct format below ("H") reads one such field per item.
+_FIELD_BITS = 16
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_MAX_DEG = (1 << (_FIELD_BITS - 1)) - 1
+
+
 class Ring:
     """An ordered tuple of named indeterminates.
 
     Polynomials belong to exactly one ring; mixing rings raises.  Rings with
     equal name tuples compare equal, so modules can construct them freely.
+    The ring also owns the packed-key layout of its monomials.
     """
 
-    __slots__ = ("names", "index", "nvars", "_zero_exp", "_hash")
+    __slots__ = ("names", "index", "nvars", "_hash", "_shift", "_unit", "_deg_shift",
+                 "_guards", "_struct")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -93,9 +115,16 @@ class Ring:
             raise UsageError(f"duplicate variable names: {names}")
         self.names = names
         self.index = {n: i for i, n in enumerate(names)}
-        self.nvars = len(names)
-        self._zero_exp = (0,) * len(names)
+        self.nvars = n = len(names)
         self._hash = hash(names)
+        # bit offset of each variable's field, the first variable highest;
+        # the total degree sits above them all
+        self._shift = tuple(_FIELD_BITS * (n - 1 - i) for i in range(n))
+        self._deg_shift = _FIELD_BITS * n
+        # the packed key of each variable (its field and the degree at 1)
+        self._unit = tuple((1 << self._deg_shift) | (1 << s) for s in self._shift)
+        self._guards = sum(1 << (s + _FIELD_BITS - 1) for s in self._shift)
+        self._struct = struct.Struct(f">{n + 1}H")
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.names == other.names
@@ -106,18 +135,48 @@ class Ring:
     def __repr__(self):
         return f"Ring{self.names}"
 
+    def __reduce__(self):  # the layout is rebuilt; a Struct does not pickle
+        return Ring, (self.names,)
+
+    def _pack(self, e: Sequence[int]) -> int:
+        """Packed key of an exponent vector."""
+        e = tuple(e)
+        if len(e) != self.nvars or any(k < 0 for k in e):
+            raise UsageError(f"not an exponent vector of {self.names}: {e}")
+        d = sum(e)
+        if d > _MAX_DEG:
+            raise UsageError(f"total degree {d} exceeds the limit {_MAX_DEG}")
+        return int.from_bytes(self._struct.pack(d, *e), "big")
+
+    def _unpack(self, key: int) -> tuple:
+        """Exponent vector of a packed key."""
+        return self._struct.unpack(key.to_bytes(self._struct.size, "big"))[1:]
+
+    def _field(self, var: str) -> tuple:
+        """(bit offset, packed key) of one variable."""
+        i = self.index[var]
+        return self._shift[i], self._unit[i]
+
+    def _columns(self, keys) -> list:
+        """Per variable, its exponent in each of the packed keys, in order."""
+        size = self._struct.size
+        a = array("H", b"".join([k.to_bytes(size, "little") for k in keys]))
+        if sys.byteorder == "big":
+            a.byteswap()
+        n = self.nvars
+        # little-endian fields run from the last variable up to the degree
+        return [a[n - 1 - j::n + 1] for j in range(n)]
+
     def var(self, name: str) -> "MultiPoly":
         if name not in self.index:
             raise UsageError(f"variable {name!r} not in {self.names}")
-        e = list(self._zero_exp)
-        e[self.index[name]] = 1
-        return MultiPoly(self, {tuple(e): 1}, Fraction(1))
+        return MultiPoly(self, {self._unit[self.index[name]]: 1}, Fraction(1), _normalized=True)
 
     def const(self, c: Scalar) -> "MultiPoly":
         c = _frac(c)
         if c == 0:
             return MultiPoly(self, {}, Fraction(0))
-        return MultiPoly(self, {self._zero_exp: 1}, c)
+        return MultiPoly(self, {0: 1}, c, _normalized=True)
 
     @property
     def zero(self) -> "MultiPoly":
@@ -128,13 +187,13 @@ class Ring:
         return self.const(1)
 
     def monomial(self, exps: Mapping[str, int], coeff: Scalar = 1) -> "MultiPoly":
-        e = list(self._zero_exp)
+        e = [0] * self.nvars
         for name, k in exps.items():
             e[self.index[name]] = k
         c = _frac(coeff)
         if c == 0:
             return self.zero
-        return MultiPoly(self, {tuple(e): 1}, c)
+        return MultiPoly(self, {self._pack(e): 1}, c, _normalized=True)
 
 
 class MultiPoly:
@@ -143,14 +202,19 @@ class MultiPoly:
     __slots__ = ("ring", "_t", "_c", "_hash", "_mod")
 
     def __init__(self, ring: Ring, terms: dict, content: Fraction, _normalized=False):
+        """``terms`` maps exponent tuples (or the ring's packed keys) to ints."""
         self.ring = ring
         if _normalized:
             self._t = terms
             self._c = content
         else:
+            if terms and type(next(iter(terms))) is tuple:
+                terms = {ring._pack(e): c for e, c in terms.items()}
             self._t, self._c = self._normalize(terms, content)
         self._hash = None
-        self._mod = None  # {main variable index: image}, see _mod_image
+        # the pre-check's cache: {main variable index: image, None: (exponent
+        # columns, degrees)}, see _mod_image
+        self._mod = None
 
     @staticmethod
     def _normalize(terms: dict, content: Fraction):
@@ -162,8 +226,7 @@ class MultiPoly:
             g = _igcd(g, c)
             if g == 1:
                 break
-        lead = max(terms, key=_grlex_key)
-        sign = -1 if terms[lead] < 0 else 1
+        sign = -1 if terms[max(terms)] < 0 else 1
         g *= sign
         if g != 1:
             terms = {e: c // g for e, c in terms.items()}
@@ -191,14 +254,19 @@ class MultiPoly:
 
     def terms(self) -> Iterator[tuple]:
         """Yield (exponent_tuple, Fraction coefficient), grlex-descending."""
-        for e in sorted(self._t, key=_grlex_key, reverse=True):
-            yield e, self._t[e] * self._c
+        unpack = self.ring._unpack
+        for e in sorted(self._t, reverse=True):
+            yield unpack(e), self._t[e] * self._c
 
     def num_terms(self) -> int:
         return len(self._t)
 
     def coeff(self, e: tuple) -> Fraction:
-        return self._t.get(e, 0) * self._c
+        try:
+            key = self.ring._pack(e)
+        except UsageError:  # no such monomial can occur
+            return Fraction(0)
+        return self._t.get(key, 0) * self._c
 
     def content(self) -> Fraction:
         return self._c
@@ -206,7 +274,7 @@ class MultiPoly:
     def leading_exp(self) -> tuple:
         if not self._t:
             raise UsageError("zero polynomial has no leading term")
-        return max(self._t, key=_grlex_key)
+        return self.ring._unpack(max(self._t))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -283,15 +351,21 @@ class MultiPoly:
         a, b = self._t, other._t
         if len(a) > len(b):
             a, b = b, a
-        t: dict = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                v = t.get(e, 0) + c1 * c2
-                if v:
-                    t[e] = v
-                elif e in t:
-                    del t[e]
+        shift = self.ring._deg_shift
+        if (max(a) >> shift) + (max(b) >> shift) > _MAX_DEG:
+            raise UsageError(f"product exceeds the degree limit {_MAX_DEG}")
+        b_items = b.items()
+        rows = iter(a.items())
+        e1, c1 = next(rows)
+        # the monomials of one row are distinct: it needs no lookups
+        t = {e1 + e2: c1 * c2 for e2, c2 in b_items}
+        if len(a) > 1:
+            get = t.get
+            for e1, c1 in rows:
+                for e2, c2 in b_items:
+                    e = e1 + e2
+                    t[e] = get(e, 0) + c1 * c2
+            t = {e: c for e, c in t.items() if c}
         # primitive * primitive stays primitive (Gauss), sign of lead is +
         return MultiPoly(self.ring, t, self._c * other._c, _normalized=True)
 
@@ -326,54 +400,49 @@ class MultiPoly:
         if self.is_zero:
             return -1
         if var is None:
-            return max(sum(e) for e in self._t)
-        i = self.ring.index[var]
-        return max(e[i] for e in self._t)
+            return max(self._t) >> self.ring._deg_shift
+        s, _ = self.ring._field(var)
+        return max(e >> s & _FIELD_MASK for e in self._t)
 
     def coeffs_in(self, var: str) -> dict:
         """Split into {k: coefficient of var**k}, coefficients free of var."""
-        i = self.ring.index[var]
+        s, u = self.ring._field(var)
         out: dict = {}
         for e, c in self._t.items():
-            k = e[i]
-            e0 = e[:i] + (0,) + e[i + 1:]
-            d = out.setdefault(k, {})
-            d[e0] = d.get(e0, 0) + c
+            k = e >> s & _FIELD_MASK
+            out.setdefault(k, {})[e - k * u] = c
         return {
             k: MultiPoly(self.ring, t, self._c)
             for k, t in out.items()
         }
 
     def coeff_of(self, var: str, k: int) -> "MultiPoly":
-        i = self.ring.index[var]
-        t = {}
-        for e, c in self._t.items():
-            if e[i] == k:
-                t[e[:i] + (0,) + e[i + 1:]] = c
+        s, u = self.ring._field(var)
+        t = {e - k * u: c for e, c in self._t.items() if e >> s & _FIELD_MASK == k}
         return MultiPoly(self.ring, t, self._c)
 
     def involves(self, var: str) -> bool:
-        i = self.ring.index[var]
-        return any(e[i] for e in self._t)
+        s, _ = self.ring._field(var)
+        m = _FIELD_MASK << s
+        return any(e & m for e in self._t)
 
     def is_const(self) -> bool:
-        return all(not any(e) for e in self._t)
+        return not any(self._t)
 
     def const_value(self) -> Fraction:
         if self.is_zero:
             return Fraction(0)
         if not self.is_const():
             raise UsageError("polynomial is not constant")
-        return self._t[self.ring._zero_exp] * self._c
+        return self._t[0] * self._c
 
     def derivative(self, var: str) -> "MultiPoly":
-        i = self.ring.index[var]
+        s, u = self.ring._field(var)
         t = {}
         for e, c in self._t.items():
-            k = e[i]
+            k = e >> s & _FIELD_MASK
             if k:
-                e2 = e[:i] + (k - 1,) + e[i + 1:]
-                t[e2] = t.get(e2, 0) + c * k
+                t[e - u] = c * k
         return MultiPoly(self.ring, t, self._c)
 
     def subs(self, assign: Mapping[str, object]):
@@ -399,9 +468,11 @@ class MultiPoly:
             if self.involves(n) and n not in assign:
                 raise UsageError(f"no value for variable {n!r}")
         total = num(0)
-        # a fixed order, so that equal polynomials give equal values
-        for e in sorted(self._t):
-            v = num(self._t[e])
+        # a fixed order (ascending exponent tuples), so that equal
+        # polynomials give equal values
+        unpack = self.ring._unpack
+        for e, c in sorted((unpack(k), c) for k, c in self._t.items()):
+            v = num(c)
             for name, i in self.ring.index.items():
                 k = e[i]
                 if k:
@@ -411,16 +482,16 @@ class MultiPoly:
 
     def as_univariate(self, var: str) -> list:
         """Dense Fraction coefficient list [c0, c1, ...]; requires univariate."""
-        i = self.ring.index[var]
+        s, u = self.ring._field(var)
         for e in self._t:
-            if any(e[j] for j in range(len(e)) if j != i):
+            if e != (e >> s & _FIELD_MASK) * u:
                 raise UsageError(f"polynomial is not univariate in {var!r}")
         if self.is_zero:
             return [Fraction(0)]
         d = self.degree(var)
         out = [Fraction(0)] * (d + 1)
         for e, c in self._t.items():
-            out[e[i]] = c * self._c
+            out[e >> s & _FIELD_MASK] = c * self._c
         return out
 
     def rename(self, ring: Ring) -> "MultiPoly":
@@ -433,13 +504,14 @@ class MultiPoly:
                 raise UsageError(f"target ring lacks variable {name!r}")
             else:
                 mapping.append(None)
+        unpack = self.ring._unpack
         t = {}
         for e, c in self._t.items():
             e2 = [0] * ring.nvars
-            for i, k in enumerate(e):
+            for i, k in enumerate(unpack(e)):
                 if k:
                     e2[mapping[i]] = k
-            t[tuple(e2)] = c
+            t[ring._pack(e2)] = c
         return MultiPoly(ring, t, self._c)
 
     # -- printing -------------------------------------------------------------
@@ -485,32 +557,39 @@ _MOD_P = (1 << 61) - 1
 _MOD_POINTS = tuple(random.Random(1979).sample(range(2, _MOD_P), 256))
 
 
+def _columns(f: MultiPoly) -> tuple:
+    """(exponent column, degree) of each variable of f; cached on f."""
+    if f._mod is None:
+        f._mod = {}
+    cd = f._mod.get(None)
+    if cd is None:
+        cols = f.ring._columns(f._t)
+        cd = f._mod[None] = (cols, [max(col) for col in cols])
+    return cd
+
+
 def _degrees(f: MultiPoly) -> list:
-    return [max(col) for col in zip(*f._t)]
+    return _columns(f)[1]
 
 
 def _mod_image(f: MultiPoly, main: int) -> list:
     """Image of f's primitive part in Z_p[x_main], low degree first, trimmed;
     cached on f."""
-    if f._mod is None:
-        f._mod = {}
+    cols, degs = _columns(f)
     img = f._mod.get(main)
     if img is None:
-        degs = _degrees(f)
-        pows = []
-        for j, d in enumerate(degs):
+        vals = list(f._t.values())
+        for j, (col, d) in enumerate(zip(cols, degs)):
+            if j == main or not d:
+                continue
             # points repeat past 256 variables, which only weakens the test
             x, pw = _MOD_POINTS[j % len(_MOD_POINTS)], [1]
-            for _ in range(d if j != main else 0):
+            for _ in range(d):
                 pw.append(pw[-1] * x % _MOD_P)
-            pows.append(pw)
+            vals = [v * pw[k] % _MOD_P for v, k in zip(vals, col)]
         img = [0] * (degs[main] + 1)
-        for e, c in f._t.items():
-            v = c
-            for j, k in enumerate(e):
-                if k and j != main:
-                    v = v * pows[j][k] % _MOD_P
-            img[e[main]] += v
+        for v, k in zip(vals, cols[main]):
+            img[k] += v
         img = [v % _MOD_P for v in img]
         while img and not img[-1]:
             img.pop()
@@ -542,13 +621,14 @@ def _surely_not_divisor(f: MultiPoly, g: MultiPoly) -> bool:
 def exact_div(f: MultiPoly, g: MultiPoly):
     """Return f/g when g divides f exactly, else None.
 
-    The modular test above rejects most non-divisors first.  Leading terms
-    are drawn from a heap instead of re-scanning the remainder, so large
-    exact divisions (Bareiss interior steps) stay near-linear in the number
-    of term updates.
+    The modular test above rejects most non-divisors first.  The division
+    then runs on the primitive integer parts: by Gauss's lemma g divides f
+    over Q exactly when prim(g) divides prim(f) over Z, so a quotient digit
+    with a nonzero remainder proves that g does not divide f, and the
+    quotient's content is f's over g's.  Leading terms are drawn from a heap
+    instead of re-scanning the remainder, so large exact divisions (Bareiss
+    interior steps) stay near-linear in the number of term updates.
     """
-    import heapq
-
     if g.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     if f.is_zero:
@@ -559,46 +639,38 @@ def exact_div(f: MultiPoly, g: MultiPoly):
         return f * (1 / g.const_value())
     if _surely_not_divisor(f, g):
         return None
-    ring = f.ring
-    g_lead = g.leading_exp()
-    g_lc = g.coeff(g_lead)
-    rem = {e: c for e, c in f.terms()}
-    quo: dict = {}
-    g_terms = [(ge, gc) for ge, gc in g.terms() if ge != g_lead]
-
-    def nkey(e):
-        return (-sum(e), tuple(-x for x in e))
-
-    heap = [nkey(e) for e in rem]
+    guards = f.ring._guards
+    g_lead = max(g._t)
+    g_lc = g._t[g_lead]
+    g_rest = [(e, c) for e, c in g._t.items() if e != g_lead]
+    # every key of rem has exactly one entry, negated, on the heap; a
+    # cancelled key stays in rem at 0 until it is popped
+    rem = dict(f._t)
+    heap = [-e for e in rem]
     heapq.heapify(heap)
-    seen = set(rem)
+    quo = {}
     while heap:
-        k = heapq.heappop(heap)
-        e = tuple(-x for x in k[1])
-        c = rem.get(e)
+        e = -heapq.heappop(heap)
+        c = rem.pop(e)
         if not c:
-            seen.discard(e)
             continue
-        del rem[e]
-        seen.discard(e)
-        qe = tuple(a - b for a, b in zip(e, g_lead))
-        if any(x < 0 for x in qe):
+        qe = e - g_lead
+        if qe & guards:  # a borrow: g's leading monomial does not divide e
             return None
-        qc = c / g_lc
+        qc, r = divmod(c, g_lc)
+        if r:
+            return None
         quo[qe] = qc
-        for ge, gc in g_terms:
-            te = tuple(a + b for a, b in zip(qe, ge))
-            v = rem.get(te, 0) - qc * gc
-            if v:
-                rem[te] = v
-                if te not in seen:
-                    seen.add(te)
-                    heapq.heappush(heap, nkey(te))
-            elif te in rem:
-                del rem[te]
-    if rem:
-        return None  # pragma: no cover - rem is drained by construction
-    return MultiPoly.from_fraction_terms(ring, quo)
+        for ge, gc in g_rest:
+            te = qe + ge
+            v = rem.get(te)
+            if v is None:
+                rem[te] = -qc * gc
+                heapq.heappush(heap, -te)
+            else:
+                rem[te] = v - qc * gc
+    # prim(f) = prim(g) * quo, so quo is primitive with a positive lead
+    return MultiPoly(f.ring, quo, f._c / g._c, _normalized=True)
 
 
 # -- dense univariate polynomials ---------------------------------------------
@@ -1031,15 +1103,15 @@ def _subs_parts(p: MultiPoly, assign: Mapping[str, RatFunc]) -> tuple:
     over the least common multiple of the values' factored denominators.
     Nothing is cancelled here; the caller builds one RatFunc at the end.
     """
-    used = [(p.ring.index[n], v) for n, v in assign.items() if p.involves(n)]
+    used = [(n, v) for n, v in assign.items() if p.involves(n)]
     if not used:
         return p, {}
+    fields = [p.ring._field(n) for n, _ in used]
     groups: dict = {}
     for e, c in p._t.items():
-        rest = list(e)
-        for i, _ in used:
-            rest[i] = 0
-        groups.setdefault(tuple(e[i] for i, _ in used), {})[tuple(rest)] = c
+        key = tuple(e >> s & _FIELD_MASK for s, _ in fields)
+        rest = e - sum(k * u for k, (_, u) in zip(key, fields))
+        groups.setdefault(key, {})[rest] = c
     dens = {}
     lcm: dict = {}
     for key in groups:
@@ -1223,16 +1295,11 @@ class _GPoly:
     @classmethod
     def from_poly(cls, p: MultiPoly, main: Sequence[str]) -> "_GPoly":
         main = tuple(main)
-        idxs = [p.ring.index[v] for v in main]
+        fields = [p.ring._field(v) for v in main]
         buckets: dict = {}
         for e, c in p._t.items():
-            me = tuple(e[i] for i in idxs)
-            re = list(e)
-            for i in idxs:
-                re[i] = 0
-            d = buckets.setdefault(me, {})
-            te = tuple(re)
-            d[te] = d.get(te, 0) + c
+            me = tuple(e >> s & _FIELD_MASK for s, _ in fields)
+            buckets.setdefault(me, {})[e - sum(k * u for k, (_, u) in zip(me, fields))] = c
         terms = {
             me: RatFunc(MultiPoly(p.ring, t, p._c))
             for me, t in buckets.items()

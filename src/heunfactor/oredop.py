@@ -24,7 +24,7 @@ class DiffOpError(Exception):
 class DiffOp:
     """Linear differential operator sum c_j(var) d^j/dvar^j."""
 
-    __slots__ = ("ring", "var", "coeffs")
+    __slots__ = ("ring", "var", "coeffs", "_derivs")
 
     def __init__(self, ring: Ring, var: str, coeffs: Sequence):
         if var not in ring.index:
@@ -35,6 +35,15 @@ class DiffOp:
         self.ring = ring
         self.var = var
         self.coeffs = tuple(cs)
+        self._derivs = [self.coeffs]
+
+    def derivative_table(self, n: int) -> list:
+        """[coeffs, d/dvar coeffs, ..., (d/dvar)^n coeffs]; kept on the
+        operator, so a divisor differentiates its coefficients once for all
+        its products."""
+        while len(self._derivs) <= n:
+            self._derivs.append([c.derivative(self.var) for c in self._derivs[-1]])
+        return self._derivs
 
     # -- basics ---------------------------------------------------------------
 
@@ -115,23 +124,7 @@ class DiffOp:
         self._check(other)
         if self.is_zero or other.is_zero:
             return DiffOp.zero_op(self.ring, self.var)
-        n, m = self.order, other.order
-        # derivatives of other's coefficients up to order n
-        derivs = [list(other.coeffs)]
-        for _ in range(n):
-            derivs.append([c.derivative(self.var) for c in derivs[-1]])
-        out = [RatFunc.of(0, self.ring) for _ in range(n + m + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for k in range(i + 1):
-                ck = comb(i, k)
-                row = derivs[k]
-                for j, b in enumerate(row):
-                    if b.is_zero:
-                        continue
-                    out[i - k + j] = out[i - k + j] + a * b * ck
-        return DiffOp(self.ring, self.var, out)
+        return DiffOp(self.ring, self.var, _leibniz(self.coeffs, other))
 
     def apply(self, f) -> RatFunc:
         """Apply the operator to a rational function of the main variable."""
@@ -169,16 +162,17 @@ class DiffOp:
         rem = self
         q_coeffs = {}
         ring, var = self.ring, self.var
+        zero = RatFunc.of(0, ring)
         while rem.order >= other.order:
             k = rem.order - other.order
             qk = rem.leading / lead
             q_coeffs[k] = qk
             # rem -= (qk * D^k) * other, top coefficient cancels exactly
-            step = DiffOp(ring, var, [ring.zero] * k + [qk]) * other
-            new = [rem.coeff(j) - step.coeff(j) for j in range(rem.order)]
+            step = _leibniz([zero] * k + [qk], other)
+            new = [rem.coeff(j) - step[j] for j in range(rem.order)]
             rem = DiffOp(ring, var, new)
         n = max(q_coeffs) + 1 if q_coeffs else 0
-        q = DiffOp(ring, var, [q_coeffs.get(j, RatFunc.of(0, ring)) for j in range(n)])
+        q = DiffOp(ring, var, [q_coeffs.get(j, zero) for j in range(n)])
         return q, rem
 
     def substitute(self, assign) -> "DiffOp":
@@ -204,6 +198,28 @@ class DiffOp:
 
     def __repr__(self):
         return f"<DiffOp {self.pretty()}>"
+
+
+def _leibniz(coeffs: Sequence, other: DiffOp) -> list:
+    """Coefficients of (sum_i coeffs[i] D^i) * other, by the Leibniz rule
+    D^i o b = sum_k C(i, k) b^(k) D^(i-k)."""
+    derivs = other.derivative_table(len(coeffs) - 1)
+    out = [RatFunc.of(0, other.ring) for _ in range(len(coeffs) + other.order)]
+    for i, a in enumerate(coeffs):
+        if a.is_zero:
+            continue
+        for k in range(i + 1):
+            ck = comb(i, k)
+            for j, b in enumerate(derivs[k]):
+                if b.is_zero:
+                    continue
+                ab = a * b
+                if ck != 1:
+                    # a*b is already cancelled, and an integer factor cancels
+                    # nothing more
+                    ab = RatFunc(ab.num * ck, ab.den_factors(), _simplify=False)
+                out[i - k + j] = out[i - k + j] + ab
+    return out
 
 
 class QuasiFunction:

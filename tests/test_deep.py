@@ -1,9 +1,11 @@
 """Deep exact-symbolic runs (strengths 4 and 5), opt-in via HEUNFACTOR_DEEP.
 
 These verify the same zero-defect statement as the default suite's numeric
-path, but fully symbolically in the quotient ring.  Strength 4 takes about
-75 s to solve and 1 s to verify on a 2-CPU machine; strength 5 has not been
-timed.  That is why they sit behind the flag."""
+path, but fully symbolically in the quotient ring.  On a 2-CPU machine
+whose speed drifts by up to 2x, ``HEUNFACTOR_DEEP=1 python -m pytest
+tests/test_deep.py -k 4`` takes 6-14 s (solve 6-12 s, verify under 0.3 s);
+strength 5 did not finish its solve within 20 minutes.  That is why they
+sit behind the flag."""
 
 import os
 

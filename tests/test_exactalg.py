@@ -1,5 +1,6 @@
 """Exact-arithmetic foundation: ring axioms, reduction, Bareiss, gcd, Groebner."""
 
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,8 @@ from heunfactor.exactalg import (
     Ring,
     SingularMatrixError,
     UsageError,
+    _MAX_DEG,
+    _grlex_key,
     _mod_image,
     _surely_not_divisor,
     exact_div,
@@ -259,6 +262,78 @@ class TestExactDiv:
         f = g * h + x
         assert not _surely_not_divisor(f, g)
         assert exact_div(f, g) is None
+
+
+# eleven variables: more fields than fit one 64-bit word at 16 bits each
+_WIDE = Ring([f"x{i}" for i in range(11)])
+_wide_exps = st.tuples(*[st.integers(0, 3)] * 11)
+_wide_polys = st.builds(
+    lambda terms, k: MultiPoly(_WIDE, terms, F(1)) * k,
+    st.dictionaries(_wide_exps, st.integers(-9, 9), max_size=5),
+    st.sampled_from([1, -1, F(3, 7)]))
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    """Oracle: the product of two {exponent tuple: coefficient} dicts."""
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+class TestPackedKernel:
+    @given(a=_wide_exps, b=_wide_exps)
+    def test_key_order_is_grlex(self, a, b):
+        ka, kb = _WIDE._pack(a), _WIDE._pack(b)
+        assert (ka < kb) == (_grlex_key(a) < _grlex_key(b))
+        assert (ka == kb) == (a == b)
+        assert _WIDE._unpack(ka) == a
+
+    @given(f=_wide_polys, g=_wide_polys)
+    def test_mul_is_the_convolution(self, f, g):
+        got = dict((f * g).terms())
+        assert got == _convolve(dict(f.terms()), dict(g.terms()))
+        assert list(got) == sorted(got, key=_grlex_key, reverse=True)
+
+    @given(f=_wide_polys, g=_wide_polys, r=_wide_polys)
+    def test_exact_div_inverts_mul(self, f, g, r):
+        if g.is_zero:
+            return
+        assert exact_div(f * g, g) == f
+        # a nonzero r of lower total degree than g is no multiple of g
+        if not r.is_zero and r.degree() < g.degree():
+            assert exact_div(f * g + r, g) is None
+
+    def test_pickle_round_trip(self):
+        x0, x9 = _WIDE.var("x0"), _WIDE.var("x9")
+        r = RatFunc((x0 - 2 * x9) ** 3, {x0 + 1: 2})
+        assert pickle.loads(pickle.dumps(r)) == r
+
+    def test_fractional_digit_rejects(self):
+        # g's image in Z_p[x] is constant, so the heap division decides: its
+        # first quotient digit, xy / 2xy, is not an integer
+        x, y = _XYZ.var("x"), _XYZ.var("y")
+        g = 2 * (y - _mod_image(y, 0)[0]) * x + 1
+        assert not _surely_not_divisor(x * y, g)
+        assert exact_div(x * y, g) is None
+
+    def test_degree_limit_raises(self):
+        x0, x1 = _WIDE.var("x0"), _WIDE.var("x1")
+        big = x0 ** _MAX_DEG
+        assert big.degree("x0") == _MAX_DEG
+        assert big.derivative("x0").degree() == _MAX_DEG - 1
+        with pytest.raises(UsageError):
+            big * x1
+        with pytest.raises(UsageError):
+            x0 ** (_MAX_DEG + 1)
+        with pytest.raises(UsageError):
+            _WIDE.monomial({"x0": _MAX_DEG, "x5": 1})
+        with pytest.raises(UsageError):
+            MultiPoly(_WIDE, {(_MAX_DEG + 1,) + (0,) * 10: 1}, F(1))
+        with pytest.raises(UsageError):
+            MultiPoly(_WIDE, {(-1,) + (0,) * 10: 1}, F(1))
 
 
 class TestGroebner:
