@@ -2,20 +2,24 @@
 hypergeometric-sum decomposition check.
 
 The monodromy of a fundamental system around z = t is the identity exactly
-when the singularity is apparent; integrating the first-order system around
-a small circle therefore gives an independent numeric test of the exact
-apparency machinery.  Hardware doubles throughout; the certification-grade
-high-precision arithmetic lives in the factorization pipeline, which uses
-this integrator only as a sanity cross-check.
+when the singularity is apparent; continuing a fundamental system around a
+small loop therefore gives an independent numeric test of the exact
+apparency machinery.  The continuation steps the Taylor expansion at an
+ordinary point (the same recurrence as ``heun_taylor``) along a 16-gon,
+each step at most half the distance to the nearest singularity (classical
+analytic continuation of D-finite functions).  Hardware doubles throughout;
+the certification-grade high-precision arithmetic lives in the
+factorization pipeline, which uses this oracle only as a sanity cross-check.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,86 +57,91 @@ def heun_ode_coeffs(p: HeunParams):
     return P, R
 
 
-# Dormand-Prince 5(4) tableau
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
-          187 / 2100, 1 / 40)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+def _heun_polys(p: HeunParams):
+    """(D, P1, R1) of D y'' + P1 y' + R1 y = 0, ascending in z:
+    D = z(z-1)(z-t), P1 = g (z-1)(z-t) + d z (z-t) + e z (z-1), R1 = a b z - q."""
+    a, b, g, d, e, q, t = (_cnum(getattr(p, n)) for n in
+                           ("alpha", "beta", "gamma", "delta", "epsilon", "q", "t"))
+    return ([0, t, -(1 + t), 1.0],
+            [g * t, -(g * (1 + t) + d * t + e), g + d + e],
+            [-q, a * b])
 
 
-def _rk45(f: Callable, y0: tuple, tol: float, min_step: float = 1e-13):
-    """Integrate y' = f(s, y) over s in [0, 1], adaptive Dormand-Prince."""
-    s = 0.0
-    y = tuple(y0)
-    h = 0.05
-    n = len(y0)
-    while s < 1.0:
-        h = min(h, 1.0 - s)
-        if h < min_step:
-            raise IntegrationError(
-                "step size collapsed near a singularity; enlarge or shrink "
-                "the loop radius")
-        k = []
-        for stage in range(7):
-            ys = list(y)
-            for j, a in enumerate(_DP_A[stage]):
-                if a:
-                    for i in range(n):
-                        ys[i] += h * a * k[j][i]
-            k.append(f(s + h * _DP_C[stage], tuple(ys)))
-        y5 = tuple(y[i] + h * sum(b * k[j][i] for j, b in enumerate(_DP_B5))
-                   for i in range(n))
-        y4 = tuple(y[i] + h * sum(b * k[j][i] for j, b in enumerate(_DP_B4))
-                   for i in range(n))
-        err = max(abs(y5[i] - y4[i]) for i in range(n))
-        scale = tol * max(1.0, max(abs(v) for v in y5))
-        if err <= scale:
-            s += h
-            y = y5
-        factor = 0.9 * (scale / err) ** 0.2 if err > 0 else 2.0
-        h *= min(4.0, max(0.1, factor))
-    return y
+def _taylor(polys, z0: complex, y0: complex, dy0: complex, order: int,
+            h: complex = 1.0) -> list:
+    """Taylor coefficients c_0..c_order in s = (z - z0)/h of the solution of
+    D y'' + P1 y' + R1 y = 0 (``polys`` = (D, P1, R1), ascending in z) with
+    y(z0) = y0, y'(z0) = dy0."""
+    # the equation in s: D(z0 + h s) y'' + h P1(..) y' + h^2 R1(..) y = 0
+    D, P1, R1 = ([c * h ** (m + k) for m, c in enumerate(poly_shift(f, z0))]
+                 for k, f in enumerate(polys))
+    if D[0] == 0:
+        raise IntegrationError("expansion point is singular")
+    ys = [y0, h * dy0]
+    for s in range(order - 1):
+        acc = 0j
+        for m in range(1, len(D)):
+            n2 = s + 2 - m
+            if 0 <= n2 < len(ys):
+                acc += D[m] * ys[n2] * n2 * (n2 - 1)
+        for m, Pm in enumerate(P1):
+            n1 = s + 1 - m
+            if 0 <= n1 < len(ys):
+                acc += Pm * ys[n1] * n1
+        for m, Rm in enumerate(R1):
+            n0 = s - m
+            if 0 <= n0 < len(ys):
+                acc += Rm * ys[n0]
+        ys.append(-acc / (D[0] * (s + 2) * (s + 1)))
+    return ys
 
 
-def _transfer_matrix(P, R, path: Sequence, tol: float) -> np.ndarray:
-    """2x2 fundamental-matrix transfer along a piecewise path.
+def heun_taylor(p: HeunParams, z0: complex, y0: complex, dy0: complex,
+                order: int = 80):
+    """Taylor coefficients of the Heun solution at an ordinary point z0."""
+    return _taylor(_heun_polys(p), z0, y0, dy0, order)
 
-    path: list of ("line", z0, z1) | ("arc", center, radius, th0, th1).
-    """
-    Y = np.eye(2, dtype=complex)
-    for piece in path:
-        if piece[0] == "line":
-            _, z0, z1 = piece
-            zfun = lambda s, z0=z0, z1=z1: z0 + (z1 - z0) * s
-            dzfun = lambda s, z0=z0, z1=z1: z1 - z0
-        else:
-            _, c, r, th0, th1 = piece
-            zfun = lambda s, c=c, r=r, th0=th0, th1=th1: (
-                c + r * cmath.exp(1j * (th0 + (th1 - th0) * s)))
-            dzfun = lambda s, c=c, r=r, th0=th0, th1=th1: (
-                r * 1j * (th1 - th0) * cmath.exp(1j * (th0 + (th1 - th0) * s)))
 
-        def f(s, y, zfun=zfun, dzfun=dzfun):
-            z = zfun(s)
-            dz = dzfun(s)
-            y11, u11, y12, u12 = y
-            Pz, Rz = P(z), R(z)
-            return (dz * u11, dz * (-Rz * y11 - Pz * u11),
-                    dz * u12, dz * (-Rz * y12 - Pz * u12))
+def _step(polys, z0: complex, h: complex, y: complex, dy: complex,
+          tol: float) -> tuple:
+    """(y, y') at z0 + h, the expansion doubled in length until its tail is
+    below the tolerance; |h| is at most half the distance to any
+    singularity, so the coefficients in s decay like 2^-n."""
+    # a tail below double precision is never reliably reached: terms stall
+    # among the subnormals and the order would double without end
+    floor = max(tol, sys.float_info.epsilon)
+    order = 32
+    while True:
+        cs = _taylor(polys, z0, y, dy, order, h)
+        val = poly_eval(cs, 1.0)
+        der = poly_eval([n * c for n, c in enumerate(cs)][1:], 1.0)
+        if not (cmath.isfinite(val) and cmath.isfinite(der)):
+            raise IntegrationError("Taylor step overflowed")
+        if order * (abs(cs[-1]) + abs(cs[-2])) <= floor * max(1.0, abs(val), abs(der)):
+            return val, der / h
+        order *= 2
 
-        y0 = (Y[0, 0], Y[1, 0], Y[0, 1], Y[1, 1])
-        yT = _rk45(f, y0, tol)
-        Y = np.array([[yT[0], yT[2]], [yT[1], yT[3]]], dtype=complex)
-    return Y
+
+def _transfer_matrix(polys, sings: Sequence[complex], path: Sequence[complex],
+                     tol: float) -> np.ndarray:
+    """2x2 fundamental-matrix transfer along the polygon through ``path``:
+    Taylor steps of at most half the distance to the nearest of ``sings``,
+    the roots of D."""
+    cols = [(1.0 + 0j, 0j), (0j, 1.0 + 0j)]     # (y, y') of each solution
+    z = path[0]
+    for target in path[1:]:
+        while z != target:
+            dist = min(abs(z - v) for v in sings)
+            # a path through a singularity: the steps shrink until z + h
+            # rounds back to z
+            if dist < 1e-13 * max(1.0, abs(z)):
+                raise IntegrationError("path runs into a singularity")
+            h = target - z
+            if abs(h) > dist / 2:
+                h *= dist / 2 / abs(h)
+            cols = [_step(polys, z, h, y, dy, tol) for y, dy in cols]
+            z = target if h == target - z else z + h
+    return np.array(cols).T
 
 
 @dataclass(frozen=True)
@@ -152,18 +161,13 @@ def _singularities(p: HeunParams) -> dict:
     return {"zero": 0.0 + 0j, "one": 1.0 + 0j, "t": _cnum(p.t)}
 
 
-def _loop_path(center: complex, others: Sequence[complex],
-               basepoint: Optional[complex]) -> list:
-    r = 0.5 * min(abs(center - o) for o in others)
-    if basepoint is None:
-        start = center + r
-        return [("arc", center, r, 0.0, 2 * math.pi)]
-    d = basepoint - center
-    entry = center + r * d / abs(d)
-    th0 = cmath.phase(d)
-    return [("line", basepoint, entry),
-            ("arc", center, r, th0, th0 + 2 * math.pi),
-            ("line", entry, basepoint)]
+def _circle(center: complex, r: float, base: complex, turn: int = 1) -> list:
+    """Closed polygon from ``base`` around ``center``: 16 vertices on the
+    circle |z - center| = r, counterclockwise (``turn`` = -1: clockwise)."""
+    th0 = cmath.phase(base - center)
+    ring = [center + r * cmath.exp(1j * (th0 + turn * math.pi * k / 8))
+            for k in range(16)]
+    return [base, *ring, ring[0], base]
 
 
 def monodromy(p: HeunParams, loop_target: str, tol: float = 1e-12,
@@ -173,36 +177,26 @@ def monodromy(p: HeunParams, loop_target: str, tol: float = 1e-12,
 
     Loop radius is half the distance to the nearest other singularity with
     the basepoint on the circle; passing a common basepoint makes matrices
-    for different loops composable.  ``tol`` must be positive and finite.
+    for different loops composable.  ``tol`` is the truncation tolerance of
+    each Taylor step and must be positive and finite.
     """
     if not 0 < tol < math.inf:
         raise UsageError(f"tol must be a positive finite number, got {tol}")
-    P, R = heun_ode_coeffs(p)
     sings = _singularities(p)
     if loop_target == "infinity":
         # counterclockwise around the point at infinity = clockwise in the
         # finite plane, so the product relation M0 M1 = Minf^-1 comes out in
         # the displayed orientation
-        radius = 3.0 * max(1.0, *(abs(v) for v in sings.values()))
-        if basepoint is None:
-            path = [("arc", 0j, radius, 0.0, -2 * math.pi)]
-            base = radius + 0j
-        else:
-            entry = radius * (basepoint / abs(basepoint))
-            th0 = cmath.phase(basepoint)
-            path = [("line", basepoint, entry),
-                    ("arc", 0j, radius, th0, th0 - 2 * math.pi),
-                    ("line", entry, basepoint)]
-            base = basepoint
+        center, turn = 0j, -1
+        r = 3.0 * max(1.0, *(abs(v) for v in sings.values()))
     else:
         if loop_target not in sings:
             raise UsageError("loop_target must be zero|one|t|infinity")
-        center = sings[loop_target]
-        others = [v for k, v in sings.items() if k != loop_target]
-        path = _loop_path(center, others, basepoint)
-        base = basepoint if basepoint is not None else (
-            center + 0.5 * min(abs(center - o) for o in others))
-    M = _transfer_matrix(P, R, path, tol)
+        center, turn = sings[loop_target], 1
+        r = 0.5 * min(abs(center - v) for k, v in sings.items() if k != loop_target)
+    base = center + r if basepoint is None else basepoint
+    M = _transfer_matrix(_heun_polys(p), list(sings.values()),
+                         _circle(center, r, base, turn), tol)
     return MonodromyMatrix(M, loop_target, base)
 
 
@@ -269,7 +263,7 @@ def product_relation_defect(p: HeunParams, tol: float = 1e-12) -> float:
     Finite loops counterclockwise from a basepoint below the real axis; the
     infinity loop counterclockwise around the point at infinity.  Relative to
     the matrix norms (these monodromies are far from unitary) the defect is
-    at integrator accuracy for an apparent z = t.
+    at continuation accuracy for an apparent z = t.
     """
     sings = _singularities(p)
     span = max(abs(sings["t"]), 1.0)
@@ -280,53 +274,6 @@ def product_relation_defect(p: HeunParams, tol: float = 1e-12) -> float:
     prod = M0 @ M1
     scale = max(1.0, float(np.max(np.abs(prod))))
     return float(np.max(np.abs(prod - np.linalg.inv(Minf)))) / scale
-
-
-# -- series evaluation helpers --------------------------------------------------
-
-
-def hyp2f1(a: complex, b: complex, c: complex, z: complex,
-           tol: float = 1e-15, max_terms: int = 600) -> complex:
-    """2F1 by direct summation; requires |z| comfortably below 1."""
-    total = term = 1.0 + 0j
-    for n in range(max_terms):
-        term = term * (a + n) * (b + n) / ((c + n) * (n + 1)) * z
-        total += term
-        if abs(term) < tol * max(1.0, abs(total)):
-            return total
-    raise IntegrationError("2F1 series did not converge; move the sample point")
-
-
-def heun_taylor(p: HeunParams, z0: complex, y0: complex, dy0: complex,
-                order: int = 80):
-    """Taylor coefficients of the Heun solution at an ordinary point z0."""
-    a, b, g, d, e, q, t = (_cnum(getattr(p, n)) for n in
-                           ("alpha", "beta", "gamma", "delta", "epsilon", "q", "t"))
-    # polynomial coefficients of D y'' + P1 y' + R1 y = 0 shifted to u = z - z0
-    # D = z(z-1)(z-t), P1 = g (z-1)(z-t) + d z (z-t) + e z (z-1), R1 = a b z - q
-    D = poly_shift([0, t, -(1 + t), 1.0], z0)   # z^3 - (1+t) z^2 + t z
-    P1 = poly_shift([g * t, -(g * (1 + t) + d * t + e), g + d + e], z0)
-    R1 = poly_shift([-q, a * b], z0)
-    ys = [y0, dy0]
-    for s in range(order - 1):
-        acc = 0j
-        for m, Dm in enumerate(D):
-            n2 = s + 2 - m
-            if m and 0 <= n2 < len(ys):
-                acc += Dm * ys[n2] * n2 * (n2 - 1)
-        for m, Pm in enumerate(P1):
-            n1 = s + 1 - m
-            if 0 <= n1 < len(ys):
-                acc += Pm * ys[n1] * n1
-        for m, Rm in enumerate(R1):
-            n0 = s - m
-            if 0 <= n0 < len(ys):
-                acc += Rm * ys[n0]
-        mult = D[0] * (s + 2) * (s + 1)
-        if mult == 0:
-            raise IntegrationError("expansion point is singular")
-        ys.append(-acc / mult)
-    return ys
 
 
 @dataclass(frozen=True)
@@ -353,10 +300,13 @@ def decompose_2f1(p: HeunParams, sample_points: Optional[Sequence[float]] = None
     beta-delta not integers.  The held-out residual is the oracle: below
     residual_bound the decomposition claim stands.
     """
-    a, b, g, d = (_cnum(getattr(p, n)) for n in ("alpha", "beta", "gamma", "delta"))
+    from scipy.special import hyp2f1   # real parameters, complex argument
+
+    a, b, g, d = (_cnum(getattr(p, n)).real
+                  for n in ("alpha", "beta", "gamma", "delta"))
     for name, v in (("alpha", a), ("beta", b), ("beta-gamma", b - g),
                     ("beta-delta", b - d)):
-        if abs(v.imag) < 1e-12 and abs(v.real - round(v.real)) < 1e-9:
+        if abs(v - round(v)) < 1e-9:
             raise UsageError(f"hypothesis violated: {name} is an integer")
     z0 = 0.5
     if sample_points is None:
@@ -371,13 +321,14 @@ def decompose_2f1(p: HeunParams, sample_points: Optional[Sequence[float]] = None
     coeffs = heun_taylor(p, z0, 1.0 + 0j, 0.3 + 0j, order=130)
 
     def basis(z):
-        out = []
-        for k in range(3):
-            out.append(z ** (1 - g + k)
-                       * hyp2f1(a - g + 3, b - g + k + 1, 2 - g + k, z))
-        for k in range(3):
-            out.append((1 - z) ** (g - a - b - 2 + k)
-                       * hyp2f1(g - a - 2 + k, g - b, g - a - b - 1 + k, 1 - z))
+        out = [z ** (1 - g + k) * hyp2f1(a - g + 3, b - g + k + 1, 2 - g + k, z)
+               for k in range(3)]
+        out += [(1 - z) ** (g - a - b - 2 + k)
+                * hyp2f1(g - a - 2 + k, g - b, g - a - b - 1 + k, 1 - z)
+                for k in range(3)]
+        if not all(cmath.isfinite(v) for v in out):
+            raise IntegrationError("2F1 basis value is not finite; move the "
+                                   "sample point")
         return out
 
     A = np.array([basis(z) for z in sample_points], dtype=complex)

@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,27 @@ class TestMonodromyCommand:
         code, out, _ = run_cli(["monodromy", path], capsys)
         assert code == 2
         assert json.loads(out)["verdict"] == "not_apparent"
+
+    @pytest.mark.parametrize("via", ["direct", "sweep"])
+    @pytest.mark.parametrize("t,tol,want,verdict", [
+        ("2", "1e-30", 0, "apparent"),
+        # tolerance below double precision, t close to the singularity 1
+        ("101/100", "5e-324", 2, "not_apparent"),
+    ])
+    def test_fine_tol_reaches_a_verdict(self, tmp_path, capsys, via, t, tol,
+                                        want, verdict):
+        path = write(tmp_path, "i.json", _with(MONODROMY, t=t))
+        argv = (["monodromy", path] if via == "direct"
+                else ["sweep", str(tmp_path)])
+        t0 = time.perf_counter()
+        code, out, err = run_cli(argv + ["--tol", tol], capsys)
+        assert time.perf_counter() - t0 < 30.0
+        rep = json.loads(out)
+        if via == "sweep":
+            assert rep["results"][0]["exit_code"] == want
+            rep = rep["results"][0]["report"]
+        assert code == want and rep["verdict"] == verdict
+        assert "Traceback" not in err
 
 
 class TestDeterminism:

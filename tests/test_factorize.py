@@ -245,7 +245,7 @@ class TestApparencySystem:
         import numpy as np
         from mpmath import mp
 
-        from heunfactor.numcheck import _loop_path, _transfer_matrix
+        from heunfactor.numcheck import _circle, _transfer_matrix
 
         gamma, delta, sing, prod_ab = random_profile_instance((1,), seed=11)
         with mp.workprec(120):
@@ -256,14 +256,14 @@ class TestApparencySystem:
         m1 = sing[0][1]
 
         def mats(p_res):
-            def P_fn(z):
-                return g / z + d / (z - 1) - m1 / (z - t1)
-
-            def R_fn(z):
-                return (ab * (z - t1) + p_res) / (z * (z - 1) * (z - t1))
-
-            path = _loop_path(t1 + 0j, [0j, 1 + 0j], None)
-            return _transfer_matrix(P_fn, R_fn, path, 1e-12)
+            # Heun's D y'' + P1 y' + R1 y = 0 with eps = -m1 and
+            # R1 = ab (z - t1) + p_res, ascending coefficients in z
+            polys = ([0, t1, -(1 + t1), 1.0],
+                     [g * t1, -(g * (1 + t1) + d * t1 - m1), g + d - m1],
+                     [p_res - ab * t1, ab])
+            r = 0.5 * min(abs(t1), abs(t1 - 1))
+            return _transfer_matrix(polys, [0j, 1 + 0j, t1 + 0j],
+                                    _circle(t1 + 0j, r, t1 + r), 1e-12)
 
         M = mats(p1)
         assert float(np.max(np.abs(M - np.eye(2)))) < 1e-6

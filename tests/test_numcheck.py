@@ -14,11 +14,9 @@ from heunfactor.numcheck import (
     classify_apparent,
     decompose_2f1,
     heun_taylor,
-    hyp2f1,
     monodromy,
     product_relation_defect,
     reducibility_witness,
-    _rk45,
 )
 
 from conftest import make_rng, rand_frac, rand_noninteger
@@ -52,14 +50,43 @@ class TestMonodromy:
         assert float(np.max(np.abs(M1 - M2))) < 10 * 1e-10
 
     def test_step_collapse_error(self):
-        def f(s, y):
-            return (y[0] / (1.0 - s + 1e-16),)
-
+        # the path's first vertex, the basepoint, is the singularity z = 0
         with pytest.raises(IntegrationError):
-            _rk45(f, (1.0 + 0j,), 1e-12, min_step=1e-3)
+            monodromy(APPARENT, "t", basepoint=0j)
+
+    @pytest.mark.parametrize("t,loop,basepoint", [
+        (2, "t", 0.5),          # the edge to the circle about t crosses z = 1
+        (F(1, 3), "one", 0.2),  # the edge to the circle about 1 crosses t
+    ])
+    def test_path_through_singularity_error(self, t, loop, basepoint):
+        # the steps shrink toward the singularity until the path is declared
+        # blocked, instead of stalling where z + h rounds back to z
+        p = HeunParams.make(alpha=F(1, 3), beta=F(2, 5), gamma=F(1, 2),
+                            epsilon=F(1, 3), q=F(1, 7), t=t)
+        with pytest.raises(IntegrationError):
+            monodromy(p, loop, basepoint=complex(basepoint))
 
     def test_product_relation(self):
         assert product_relation_defect(APPARENT) < 1e-5
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    def test_local_exponents_in_trace(self, seed):
+        # exponents 0 and 1 - gamma at z = 0 (0 and 1 - delta at z = 1): the
+        # loop's eigenvalues are 1 and e^{-2 pi i gamma} (e^{-2 pi i delta})
+        rng = make_rng(seed)
+        while True:
+            g, e = rand_noninteger(rng), rand_frac(rng)
+            a, b = rand_frac(rng), rand_frac(rng)
+            p = HeunParams.make(alpha=a, beta=b, gamma=g, epsilon=e,
+                                q=rand_frac(rng), t=rand_frac(rng, 12, 30, 4))
+            d = p.delta.as_poly().const_value()
+            if d.denominator != 1:
+                break
+        for loop, exponent in (("zero", g), ("one", d)):
+            M = monodromy(p, loop).entries
+            want = 1 + np.exp(-2j * np.pi * float(exponent))
+            got = np.trace(M)
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
 
 class TestAgreementWithExactCondition:
@@ -134,12 +161,6 @@ class TestReducibilityWitness:
 
 
 class TestHelpers:
-    def test_hyp2f1_against_scipy(self):
-        from scipy.special import hyp2f1 as sp_hyp2f1
-
-        val = hyp2f1(0.3, 0.7, 1.1, 0.4)
-        assert abs(val - sp_hyp2f1(0.3, 0.7, 1.1, 0.4)) < 1e-12
-
     def test_heun_taylor_solves_ode(self):
         p = APPARENT
         cs = heun_taylor(p, 0.5, 1.0, 0.3, order=60)
@@ -194,10 +215,12 @@ class TestDecomposition:
         import cmath
         import math
 
+        from scipy.special import hyp2f1
+
         from heunfactor.numcheck import _cnum
 
         p = _apparent_ep2_noninteger(5)
-        a, b, g = (_cnum(getattr(p, n)) for n in ("alpha", "beta", "gamma"))
+        a, b, g = (_cnum(getattr(p, n)).real for n in ("alpha", "beta", "gamma"))
 
         def basis3(z):
             return z ** (1 - g) * hyp2f1(a - g + 3, b - g + 1, 2 - g, z)
