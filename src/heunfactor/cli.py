@@ -32,6 +32,7 @@ are rejected.  kind-specific parameters:
 from __future__ import annotations
 
 import argparse
+import cmath
 import concurrent.futures
 import json
 import math
@@ -40,10 +41,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from mpmath import mp
+
 from . import factorize as fz
 from . import numcheck
 from . import xjacobi as xj
-from .exactalg import RatFunc, UsageError
+from .exactalg import RatFunc, UsageError, poly_deriv, poly_eval
 from .heun import HeunParams, HeunConditionError, UnsupportedCaseError, apparency_poly
 
 
@@ -174,20 +177,118 @@ def cmd_apparency(inst: dict) -> tuple:
 
 def _float_roots(cd: dict) -> list:
     """Sorted complex roots of the monic polynomial sum cd[k] q^k (exact
-    coefficients).  The roots are found for q = 2^s x, with s the least
-    shift that brings every coefficient under about 2^1000, so that no
-    coefficient overflows a float; s = 0 whenever the coefficients fit."""
-    import numpy as np
+    coefficients).
 
-    n = max(cd)
-    # c.numerator.bit_length() - c.denominator.bit_length() is log2 |c| to 1
-    s = max([0] + [math.ceil((c.numerator.bit_length() - c.denominator.bit_length()
-                              - 1000) / (n - k)) for k, c in cd.items() if k < n and c])
-    coeffs = [float(cd.get(k, 0) / 2 ** (s * (n - k))) for k in range(n + 1)]
-    scale = 2.0 ** s
-    return sorted((complex(r.real * scale, r.imag * scale)
-                   for r in np.roots(coeffs[::-1])),
-                  key=lambda r: (round(r.real, 10), round(r.imag, 10)))
+    Zero low-order coefficients give roots at 0.  The others are found by an
+    Aberth-Ehrlich iteration in doubles for q = 2^s x, with s the least shift
+    that brings every coefficient under about 2^1000, so that no coefficient
+    overflows a float (s = 0 whenever the coefficients fit).  A root whose
+    imaginary part is below its error estimate is taken as real; then at most
+    two Newton steps on the exact coefficients, at twice double precision,
+    polish each root, a step kept only when it lowers |p|.
+    """
+    low = min(k for k, c in cd.items() if c)
+    dense = [Fraction(cd.get(k, 0)) for k in range(low, max(cd) + 1)]
+    n = len(dense) - 1
+    roots = [0j] * low
+    if n:
+        # c.numerator.bit_length() - c.denominator.bit_length() is log2 |c| to 1
+        s = max([0] + [math.ceil((c.numerator.bit_length() - c.denominator.bit_length()
+                                  - 1000) / (n - k)) for k, c in enumerate(dense[:-1]) if c])
+        coeffs = [float(c / 2 ** (s * (n - k))) for k, c in enumerate(dense)]
+        log2c = {k: math.log2(abs(c.numerator)) - math.log2(c.denominator) - s * (n - k)
+                 for k, c in enumerate(dense) if c}
+        xs = _aberth(coeffs, _newton_polygon_start(log2c, n))
+        scale = 2.0 ** s
+        with mp.workprec(106):
+            exact = [mp.mpf(c.numerator) / c.denominator for c in dense]
+            deriv = poly_deriv(exact)
+            for x in xs:
+                z = (mp.mpf(x.real * scale) if abs(x.imag) <= _newton(coeffs, x)[1]
+                     else mp.mpc(x.real * scale, x.imag * scale))
+                roots.append(complex(_polish(exact, deriv, z)))
+    return sorted(roots, key=lambda r: (round(r.real, 10), round(r.imag, 10)))
+
+
+def _newton_polygon_start(log2c: dict, n: int) -> list:
+    """Aberth starting points: for each edge of the upper convex hull of the
+    points (k, log2 |c_k|), as many points as the edge spans, on the circle
+    whose radius the edge's slope gives (Bini's choice)."""
+    hull = []
+    for pt in sorted(log2c.items()):
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
+    zs = []
+    for (k0, l0), (k1, l1) in zip(hull, hull[1:]):
+        m, r = k1 - k0, 2.0 ** ((l0 - l1) / (k1 - k0))
+        zs += [r * cmath.exp(2j * math.pi * (j / m + k0 / n) + 0.7j) for j in range(m)]
+    return zs
+
+
+def _newton(c: list, z: complex) -> tuple:
+    """(p(z)/p'(z), n (|p(z)| + rounding bound) / |p'(z)|, whether |p(z)| is
+    at the rounding level) for the float polynomial c (ascending, degree n).
+    The second entry is the radius of a disc about z that holds a root.  For
+    |z| > 1 the reversed polynomial is evaluated at 1/z, so that no power of
+    z overflows."""
+    n = len(c) - 1
+    rev = abs(z) > 1
+    w, seq = (1 / z, c) if rev else (z, reversed(c))
+    p = dp = 0j
+    bound = 0.0
+    for ck in seq:
+        dp = dp * w + p
+        p = p * w + ck
+        bound = bound * abs(w) + abs(ck)
+    bound *= 2 * n * sys.float_info.epsilon
+    if rev:
+        # p(z) = z^n r(w), p'(z) = z^(n-1) (n r(w) - w r'(w))
+        p, dp = p * z, n * p - w * dp
+        bound *= abs(z)
+    if dp == 0:
+        return 0j, math.inf, True
+    return p / dp, n * (abs(p) + bound) / abs(dp), abs(p) <= bound
+
+
+def _aberth(c: list, zs: list) -> list:
+    """Simultaneous roots of the float polynomial c from the starting points
+    zs (Aberth-Ehrlich, updated in place); a root stops moving once its
+    residual or its step is at the rounding level, or after 100 sweeps."""
+    live = range(len(zs))
+    for _ in range(100):
+        moving = []
+        for i in live:
+            z = zs[i]
+            N, _, small = _newton(c, z)
+            if small:
+                continue
+            N /= 1 - N * sum(1 / (z - v) for j, v in enumerate(zs) if j != i)
+            zs[i] = z - N
+            if abs(N) > sys.float_info.epsilon * abs(zs[i]):
+                moving.append(i)
+        live = moving
+        if not live:
+            break
+    return zs
+
+
+def _polish(p: list, dp: list, z):
+    """At most two Newton steps from z on the polynomial p (mp coefficients,
+    ascending; dp its derivative) at the working precision; a step is kept
+    only when it lowers |p|."""
+    pz = poly_eval(p, z)
+    for _ in range(2):
+        dz = poly_eval(dp, z)
+        if dz == 0:
+            break
+        z2 = z - pz / dz
+        p2 = poly_eval(p, z2)
+        if not abs(p2) < abs(pz):
+            break
+        z, pz = z2, p2
+    return z
 
 
 # -- factorize -------------------------------------------------------------------

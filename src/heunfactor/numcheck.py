@@ -10,6 +10,11 @@ each step at most half the distance to the nearest singularity (classical
 analytic continuation of D-finite functions).  Hardware doubles throughout;
 the certification-grade high-precision arithmetic lives in the
 factorization pipeline, which uses this oracle only as a sanity cross-check.
+
+The 2x2 monodromy matrices are tuples of rows in plain Python, so the
+monodromy oracle does not load numpy; only ``reducibility_witness`` (an
+eigenvector search) and ``decompose_2f1`` (a least-squares fit against
+scipy's 2F1) import it, when called.
 """
 
 from __future__ import annotations
@@ -19,12 +24,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from .heun import HeunParams
 from .exactalg import UsageError, poly_eval, poly_shift
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class IntegrationError(Exception):
@@ -123,10 +129,10 @@ def _step(polys, z0: complex, h: complex, y: complex, dy: complex,
 
 
 def _transfer_matrix(polys, sings: Sequence[complex], path: Sequence[complex],
-                     tol: float) -> np.ndarray:
-    """2x2 fundamental-matrix transfer along the polygon through ``path``:
-    Taylor steps of at most half the distance to the nearest of ``sings``,
-    the roots of D."""
+                     tol: float) -> tuple:
+    """2x2 fundamental-matrix transfer along the polygon through ``path``,
+    as a tuple of rows: Taylor steps of at most half the distance to the
+    nearest of ``sings``, the roots of D."""
     cols = [(1.0 + 0j, 0j), (0j, 1.0 + 0j)]     # (y, y') of each solution
     z = path[0]
     for target in path[1:]:
@@ -141,20 +147,38 @@ def _transfer_matrix(polys, sings: Sequence[complex], path: Sequence[complex],
                 h *= dist / 2 / abs(h)
             cols = [_step(polys, z, h, y, dy, tol) for y, dy in cols]
             z = target if h == target - z else z + h
-    return np.array(cols).T
+    (y1, dy1), (y2, dy2) = cols
+    return (y1, y2), (dy1, dy2)
+
+
+def _matmul(A: tuple, B: tuple) -> tuple:
+    """Product of two 2x2 matrices given as tuples of rows."""
+    return tuple(tuple(r[0] * B[0][j] + r[1] * B[1][j] for j in range(2))
+                 for r in A)
+
+
+def _max_abs(A: tuple) -> float:
+    return max(abs(v) for row in A for v in row)
+
+
+def _off_identity(A: tuple) -> float:
+    """max |A - I| over the entries of a 2x2 matrix."""
+    (a, b), (c, d) = A
+    return max(abs(a - 1), abs(b), abs(c), abs(d - 1))
 
 
 @dataclass(frozen=True)
 class MonodromyMatrix:
-    entries: np.ndarray
+    entries: tuple      # ((a, b), (c, d)), complex
     loop: str
     basepoint: complex
 
     def distance_from_identity(self) -> float:
-        return float(np.max(np.abs(self.entries - np.eye(2))))
+        return _off_identity(self.entries)
 
     def det(self) -> complex:
-        return complex(np.linalg.det(self.entries))
+        (a, b), (c, d) = self.entries
+        return a * d - b * c
 
 
 def _singularities(p: HeunParams) -> dict:
@@ -234,11 +258,14 @@ def reducibility_witness(p: HeunParams, tol: float = 1e-5,
     itself by the other within `tol` (sine of the angle), else the minimized
     defect wrapped in a Witness with angle_defect > tol.
     """
+    import numpy as np
+
     sings = _singularities(p)
     span = max(abs(sings["t"]), 1.0)
     basepoint = -0.61j * span
-    M0 = monodromy(p, "zero", tol=integrator_tol, basepoint=basepoint).entries
-    M1 = monodromy(p, "one", tol=integrator_tol, basepoint=basepoint).entries
+    M0, M1 = (np.array(monodromy(p, loop, tol=integrator_tol,
+                                 basepoint=basepoint).entries)
+              for loop in ("zero", "one"))
     best = None
     for M, other in ((M0, M1), (M1, M0)):
         _, vecs = np.linalg.eig(M)
@@ -258,22 +285,23 @@ def reducibility_witness(p: HeunParams, tol: float = 1e-5,
 
 
 def product_relation_defect(p: HeunParams, tol: float = 1e-12) -> float:
-    """|| M0 M1 - (M_inf)^{-1} || over composable loops from one basepoint.
+    """max |M0 M1 M_inf - I| / (max|M0 M1| max|M_inf|) over composable loops
+    from one basepoint.
 
     Finite loops counterclockwise from a basepoint below the real axis; the
-    infinity loop counterclockwise around the point at infinity.  Relative to
-    the matrix norms (these monodromies are far from unitary) the defect is
-    at continuation accuracy for an apparent z = t.
+    infinity loop counterclockwise around the point at infinity, so that
+    M0 M1 M_inf = I for an apparent z = t.  The product is compared with the
+    identity directly: M_inf is badly conditioned (1.4e10 on a test
+    instance), so inverting it would bury the continuation error.  Relative
+    to the scale of the factors the defect is at continuation accuracy.
     """
     sings = _singularities(p)
     span = max(abs(sings["t"]), 1.0)
     basepoint = -0.61j * span
-    M0 = monodromy(p, "zero", tol=tol, basepoint=basepoint).entries
-    M1 = monodromy(p, "one", tol=tol, basepoint=basepoint).entries
-    Minf = monodromy(p, "infinity", tol=tol, basepoint=basepoint).entries
-    prod = M0 @ M1
-    scale = max(1.0, float(np.max(np.abs(prod))))
-    return float(np.max(np.abs(prod - np.linalg.inv(Minf)))) / scale
+    M0, M1, Minf = (monodromy(p, loop, tol=tol, basepoint=basepoint).entries
+                    for loop in ("zero", "one", "infinity"))
+    prod = _matmul(M0, M1)
+    return _off_identity(_matmul(prod, Minf)) / (_max_abs(prod) * _max_abs(Minf))
 
 
 @dataclass(frozen=True)
@@ -285,7 +313,6 @@ class DecompositionResult:
 
 def decompose_2f1(p: HeunParams, sample_points: Optional[Sequence[float]] = None,
                   holdout_points: Optional[Sequence[float]] = None,
-                  residual_bound: float = 1e-8,
                   max_condition: float = 1e11) -> DecompositionResult:
     """Fit a numeric Heun solution (eps = -2, z = t apparent) against the six
     hypergeometric basis functions
@@ -297,9 +324,10 @@ def decompose_2f1(p: HeunParams, sample_points: Optional[Sequence[float]] = None
     for k = 0, 1, 2 (first upper parameter and the z = 1 family exponents
     carry the -eps = 2 shift; cross-checked against exact local series, the
     unshifted variants fit nothing).  Requires alpha, beta, beta-gamma,
-    beta-delta not integers.  The held-out residual is the oracle: below
-    residual_bound the decomposition claim stands.
+    beta-delta not integers.  The held-out residual is the oracle; callers
+    accept the decomposition claim when it is below 1e-8.
     """
+    import numpy as np
     from scipy.special import hyp2f1   # real parameters, complex argument
 
     a, b, g, d = (_cnum(getattr(p, n)).real

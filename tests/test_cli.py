@@ -7,12 +7,16 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from mpmath import mp
 
-from heunfactor.cli import main
+from heunfactor.cli import _float_roots, main
+from heunfactor.exactalg import RatFunc, poly_mul
+from heunfactor.heun import HeunParams, apparency_poly
 
 
 def run_cli(args, capsys):
@@ -89,6 +93,31 @@ class TestApparencyCommand:
         rep = json.loads(out)
         assert rep["apparent"] is False and rep["degree"] == 101
         assert len(rep["numeric_roots"]) == 101
+        # every printed root is within half a Newton step (at 2000 bits, on
+        # the exact condition, relative to the root) of where Newton goes
+        p = HeunParams.make(alpha=1, beta=2, gamma=F(34, 3), epsilon=-100, q=1, t=2)
+        cd = RatFunc.of(apparency_poly(p), p.ring).coeffs_in("q")
+        with mp.workprec(2000):
+            desc = [mp.mpf(c.numerator) / c.denominator
+                    for c in (F(cd[k].as_poly().const_value()) if k in cd else F(0)
+                              for k in range(101, -1, -1))]
+            for s in rep["numeric_roots"]:
+                z = mp.mpc(complex(s))
+                assert mp.isfinite(z)
+                val, der = mp.polyval(desc, z, derivative=True)
+                assert abs(val / der) < 0.5 * abs(z)
+
+    def test_cold_start_roots_correctly_rounded(self, tmp_path, capsys):
+        # condition (q + 15/7)(q - 40/21): each root prints as the double
+        # nearest to it, as a real number
+        inst = {"version": 1, "kind": "heun",
+                "parameters": {"alpha": "1/3", "beta": "-1/2", "gamma": "-4/3",
+                               "epsilon": "-1", "q": "-15/7", "t": "36/7"}}
+        path = write(tmp_path, "i.json", inst)
+        code, out, _ = run_cli(["apparency", path], capsys)
+        assert code == 0
+        assert json.loads(out)["numeric_roots"] == [
+            f"{float(F(-15, 7))!r}+0.0j", f"{float(F(40, 21))!r}+0.0j"]
 
     def test_malformed_json_exit1_with_position(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
@@ -110,6 +139,49 @@ class TestApparencyCommand:
         path = write(tmp_path, "i.json", inst)
         code, _, err = run_cli(["apparency", path], capsys)
         assert code == 1
+
+
+def _monic(roots: list) -> dict:
+    """Exact coefficients {k: c_k} of the monic polynomial with these roots;
+    a complex root stands for itself and its conjugate."""
+    poly = [F(1)]
+    for r in roots:
+        if isinstance(r, tuple):
+            a, b = r
+            poly = poly_mul(poly, [a * a + b * b, -2 * a, F(1)])
+        else:
+            poly = poly_mul(poly, [-r, F(1)])
+    return {k: c for k, c in enumerate(poly) if c}
+
+
+_small = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+class TestFloatRoots:
+    @given(reals=st.lists(_small, max_size=8, unique=True),
+           pairs=st.lists(st.tuples(_small, _small.filter(lambda b: b > 0)),
+                          max_size=4, unique=True))
+    def test_small_rational_and_gaussian_roots(self, reals, pairs):
+        assume(1 <= len(reals) + 2 * len(pairs) <= 8)
+        want = [complex(r) for r in reals]
+        want += [complex(a, s * b) for a, b in pairs for s in (1, -1)]
+        got = _float_roots(_monic(reals + pairs))
+        assert len(got) == len(want)
+        for g in got:
+            assert min(abs(g - w) for w in want) <= 1e-9 * max(1.0, abs(g))
+        for r in reals:
+            assert complex(float(r)) in got
+
+    @pytest.mark.parametrize("cd,want", [
+        ({1: F(-1), 3: F(1)}, [-1, 0, 1]),            # q^3 - q
+        ({2: F(1), 4: F(1)}, [-1j, 0, 0, 1j]),        # q^4 + q^2
+        ({0: F(-16), 4: F(1)}, [-2, -2j, 2j, 2]),     # q^4 - 16
+    ])
+    def test_zero_and_missing_coefficients(self, cd, want):
+        got = _float_roots(cd)
+        assert len(got) == len(want)
+        assert all(abs(g - w) < 1e-15 for g, w in zip(got, want))
+        assert [g for g in got if g.imag == 0] == [w for w in want if complex(w).imag == 0]
 
 
 class TestFactorizeCommand:
@@ -555,6 +627,21 @@ def test_option_count():
     dests = {name: {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
              for name, sp in subparsers.items()}
     assert sum(map(len, dests.values())) == 18
+
+
+def test_commands_leave_numpy_unloaded(tmp_path):
+    # only x1 (through scipy's quadrature) may load numpy
+    argvs = [["apparency", write(tmp_path, "a.json", CONCRETE_EP1)],
+             ["monodromy", write(tmp_path, "m.json", MONODROMY)],
+             ["factorize", write(tmp_path, "f.json", NUMERIC_M3)]]
+    script = ("import contextlib, io, sys\n"
+              "from heunfactor.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [main(a) for a in {argvs!r}]\n"
+              "print(codes, 'numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0, 0] False"
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

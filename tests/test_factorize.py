@@ -262,8 +262,8 @@ class TestApparencySystem:
                      [g * t1, -(g * (1 + t1) + d * t1 - m1), g + d - m1],
                      [p_res - ab * t1, ab])
             r = 0.5 * min(abs(t1), abs(t1 - 1))
-            return _transfer_matrix(polys, [0j, 1 + 0j, t1 + 0j],
-                                    _circle(t1 + 0j, r, t1 + r), 1e-12)
+            return np.array(_transfer_matrix(polys, [0j, 1 + 0j, t1 + 0j],
+                                             _circle(t1 + 0j, r, t1 + r), 1e-12))
 
         M = mats(p1)
         assert float(np.max(np.abs(M - np.eye(2)))) < 1e-6
