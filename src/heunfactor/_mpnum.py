@@ -7,9 +7,9 @@ exponent vectors over a fixed basis of linear factors (z - r_i), and
 normal-ordered operator composition / right division by a monic operator.
 
 The esym values come from the z = 0 series identity of L~ (an N x N solve,
-no division); only the verifying division runs at full operator size.
-Instances whose z = 0 series cannot carry the identity fall back to affine
-sampling of the remainder (N + 1 more divisions).
+no division), or from the exact esym solve when that series cannot carry
+them (``factorize.verify_factorization_numeric``); either way one division,
+``remainder_defect``, decides the verdict.
 
 Denominators never need cancellation here: every division in the pipeline is
 by a leading coefficient equal to one, so degrees stay at desk scale.
@@ -145,9 +145,6 @@ class RatM:
                                                -self.vec[i]))
         return RatM(self.basis, total, new_vec)
 
-    def max_num_abs(self):
-        return max(abs(c) for c in self.num)
-
 
 class DiffOpM:
     """sum c_j(z) D^j with RatM coefficients."""
@@ -210,115 +207,37 @@ class DiffOpM:
         return Q, rem
 
 
-def defect_of_remainder(rem: DiffOpM) -> mpmath.mpf:
-    if rem.order < 0:
-        return mp.mpf(0)
-    return max(c.max_num_abs() for c in rem.coeffs)
+def solve_esym_numeric(ratios, shift) -> list:
+    """Esym values from L-tilde's z = 0 series at exponent ``shift``.
 
-
-def solve_esym_numeric(L, Lt, roots, p_vals, series):
-    """Solve for the elementary symmetric e-values.
-
-    L is the exact L_GHG with the esym atoms e1..eN, Lt the exact L-tilde
-    with the residue atoms p1..pM and roots its singular points
-    [0, 1, t_1, ..., t_M]; p_vals are the numeric residues.  ``series`` is
-    (ratios, shift) from L-tilde's z = 0 series at exponent ``shift``:
-    ratios[n-1] = prod(1 + n / (e_i + shift)) for n = 1..N, a polynomial in
+    ratios[n-1] = prod(1 + n / (e_i + shift)) for n = 1..N is a polynomial in
     n of degree N whose coefficients s_k = sigma'_{N-k} / sigma'_N are one
-    N x N lu_solve away.  With series None the values come from
-    ``esym_by_sampling``.  Returns (esym values, function run(esym)->rem):
-    run is the one division whose remainder decides the verdict.
+    N x N lu_solve away.
     """
-    M = len(roots) - 2
-    N = L.order - 2
-    basis = FactorBasis(roots)
-
-    def at(op, assign):
-        return DiffOpM(basis, [RatM.from_exact(basis, c, assign) for c in op.coeffs])
-
-    Ltm = at(Lt, {f"p{k}": to_mpc(p) for k, p in enumerate(p_vals, 1)})
-
-    def run(esym):
-        _, rem = at(L, {f"e{j}": e for j, e in enumerate(esym, 1)}).right_divide_monic(Ltm)
-        return rem
-
-    if series is None:
-        return esym_by_sampling(run, N, M), run
-    ratios, shift = series
+    N = len(ratios)
     A = mp.matrix([[mp.mpf(n) ** k for k in range(1, N + 1)] for n in range(1, N + 1)])
     s = mp.lu_solve(A, mp.matrix([r - 1 for r in ratios]))
     # prod(x + e_i + shift) = sigma'_N (1 + sum_k s_k x^k); shift x back
     lead = 1 / s[N - 1]
     monic = poly_shift([lead] + [s[k] * lead for k in range(N)], -to_mpc(shift))
-    return [monic[N - j] for j in range(1, N + 1)], run
+    return [monic[N - j] for j in range(1, N + 1)]
 
 
-def esym_by_sampling(run, N: int, M: int) -> list:
-    """Esym values from the remainder alone, for instances without a usable
-    z = 0 series.  The remainder of L_GHG by L-tilde is affine in the esym
-    vector; sample ``run`` at 0 and at unit vectors, assemble the linear
-    system from the first N coefficients of w1's numerator (z-expansion for
-    M=1, (z-1)-expansion for M >= 2), and lu_solve."""
-    def w1_coeffs(rem):
-        w1 = rem.coeff(1)
-        num = w1.num
-        if M >= 2:
-            num = poly_shift(num, mp.mpc(1))
-        return num
+def remainder_defect(L, Lt, roots, p_vals, esym) -> mpmath.mpf:
+    """The verdict's one division: L is the exact L_GHG with the esym atoms
+    e1..eN, Lt the exact L-tilde with the residue atoms p1..pM, both
+    evaluated at p_vals and esym over the factor basis of ``roots`` (the
+    singular points [0, 1, t_1, ..., t_M]); returns the largest absolute
+    numerator coefficient of the remainder of L by Lt."""
+    basis = FactorBasis(roots)
 
-    zero_e = [mp.mpc(0)] * N
-    rem0 = run(zero_e)
-    base_vec = w1_coeffs(rem0)
-    cols = []
-    for j in range(N):
-        e = [mp.mpc(0)] * N
-        e[j] = mp.mpc(1)
-        remj = run(e)
-        cj = w1_coeffs(remj)
-        n = max(len(cj), len(base_vec))
-        col = [(cj[i] if i < len(cj) else 0) - (base_vec[i] if i < len(base_vec) else 0)
-               for i in range(n)]
-        cols.append(col)
-    nrows = max(len(base_vec), max(len(c) for c in cols))
-    rows = []
-    for i in range(nrows):
-        vec = [cols[j][i] if i < len(cols[j]) else mp.mpc(0) for j in range(N)]
-        rhs = -(base_vec[i] if i < len(base_vec) else mp.mpc(0))
-        rows.append((vec, rhs))
-    # first-N coefficients in expansion order, skipping rows that do not
-    # increase the (numerically well-conditioned) rank: the uncancelled
-    # denominator factors make low coefficients structural zeros
-    tol = mp.mpf(10) ** (-(mp.prec // 10))
-    scale = max((max(abs(x) for x in vec + [rhs]) for vec, rhs in rows),
-                default=mp.mpf(0))
-    chosen = []
-    ortho = []
-    for vec, rhs in rows:
-        nrm = mp.sqrt(sum(abs(x) ** 2 for x in vec))
-        if nrm <= tol * max(scale, 1):
-            continue
-        resid = [mp.mpc(x) for x in vec]
-        for u in ortho:
-            proj = sum(a * mp.conj(b) for a, b in zip(resid, u))
-            resid = [a - proj * b for a, b in zip(resid, u)]
-        rnrm = mp.sqrt(sum(abs(x) ** 2 for x in resid))
-        if rnrm <= tol * nrm:
-            continue
-        ortho.append([x / rnrm for x in resid])
-        chosen.append((vec, rhs))
-        if len(chosen) == N:
-            break
-    if len(chosen) < N:
-        raise ZeroDivisionError(
-            f"w1 coefficient system is rank-deficient ({len(chosen)} < {N})")
-    A = mp.matrix(N, N)
-    b = mp.matrix(N, 1)
-    for i, (vec, rhs) in enumerate(chosen):
-        b[i] = rhs
-        for j in range(N):
-            A[i, j] = vec[j]
-    sol = mp.lu_solve(A, b)
-    return [sol[j] for j in range(N)]
+    def at(op, name, vals):
+        assign = {f"{name}{k}": to_mpc(v) for k, v in enumerate(vals, 1)}
+        return DiffOpM(basis, [RatM.from_exact(basis, c, assign) for c in op.coeffs])
+
+    divisor = at(Lt, "p", p_vals)
+    _, rem = at(L, "e", esym).right_divide_monic(divisor)
+    return max((abs(x) for c in rem.coeffs for x in c.num), default=mp.mpf(0))
 
 
 def newton_apparency(system_fns, jac_fns, M, seed=0, max_starts=60,

@@ -180,32 +180,36 @@ def _float_roots(cd: dict) -> list:
     coefficients).
 
     Zero low-order coefficients give roots at 0.  The others are found by an
-    Aberth-Ehrlich iteration in doubles for q = 2^s x, with s the least shift
-    that brings every coefficient under about 2^1000, so that no coefficient
-    overflows a float (s = 0 whenever the coefficients fit).  A root whose
-    imaginary part is below its error estimate is taken as real; then at most
-    two Newton steps on the exact coefficients, at twice double precision,
-    polish each root, a step kept only when it lowers |p|.
+    Aberth-Ehrlich iteration in doubles for q = 2^s x, with s the shift
+    nearest 0 that brings every coefficient within about 2^(+-1000), so that
+    none overflows or underflows a float (s = 0 whenever the coefficients
+    fit); when no shift does both, the least one that avoids overflow.  A
+    root whose imaginary part is below its error estimate is taken as real;
+    then at most two Newton steps on the exact coefficients, at twice double
+    precision, polish each root, a step kept only when it lowers |p|.
     """
     low = min(k for k, c in cd.items() if c)
     dense = [Fraction(cd.get(k, 0)) for k in range(low, max(cd) + 1)]
     n = len(dense) - 1
     roots = [0j] * low
     if n:
-        # c.numerator.bit_length() - c.denominator.bit_length() is log2 |c| to 1
-        s = max([0] + [math.ceil((c.numerator.bit_length() - c.denominator.bit_length()
-                                  - 1000) / (n - k)) for k, c in enumerate(dense[:-1]) if c])
-        coeffs = [float(c / 2 ** (s * (n - k))) for k, c in enumerate(dense)]
+        # c.numerator.bit_length() - c.denominator.bit_length() is log2 |c| to 1;
+        # c 2^(-s d) lies within 2^(+-1000) for lo <= s <= hi
+        logs = [(c.numerator.bit_length() - c.denominator.bit_length(), n - k)
+                for k, c in enumerate(dense[:-1]) if c]
+        lo = max(-((1000 - l) // d) for l, d in logs)
+        hi = min((l + 1000) // d for l, d in logs)
+        s = min(max(0, lo), hi) if lo <= hi else max(0, lo)
+        coeffs = [float(c / Fraction(2) ** (s * (n - k))) for k, c in enumerate(dense)]
         log2c = {k: math.log2(abs(c.numerator)) - math.log2(c.denominator) - s * (n - k)
                  for k, c in enumerate(dense) if c}
         xs = _aberth(coeffs, _newton_polygon_start(log2c, n))
-        scale = 2.0 ** s
         with mp.workprec(106):
             exact = [mp.mpf(c.numerator) / c.denominator for c in dense]
             deriv = poly_deriv(exact)
             for x in xs:
-                z = (mp.mpf(x.real * scale) if abs(x.imag) <= _newton(coeffs, x)[1]
-                     else mp.mpc(x.real * scale, x.imag * scale))
+                z = (mp.ldexp(x.real, s) if abs(x.imag) <= _newton(coeffs, x)[1]
+                     else mp.mpc(mp.ldexp(x.real, s), mp.ldexp(x.imag, s)))
                 roots.append(complex(_polish(exact, deriv, z)))
     return sorted(roots, key=lambda r: (round(r.real, 10), round(r.imag, 10)))
 

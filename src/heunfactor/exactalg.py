@@ -22,8 +22,8 @@ ring order, the top bit of each field a guard that is always clear.  Graded
 lex order is then plain integer order, a monomial product is one ``+`` and
 a monomial quotient one ``-`` whose borrows show in the guard bits.  Total
 degree is bounded by ``_MAX_DEG``, so no field can overflow; exceeding it
-raises ``UsageError``.  The public methods (``terms``, ``leading_exp``,
-``coeff``, the constructor) take and yield exponent tuples.
+raises ``UsageError``.  The public methods (``terms``, ``coeff``, the
+constructor) take and yield exponent tuples.
 
 A ``RatFunc`` keeps its denominator as a multiset of primitive polynomial
 factors.  Denominators in this package are overwhelmingly products of a few
@@ -271,11 +271,6 @@ class MultiPoly:
     def content(self) -> Fraction:
         return self._c
 
-    def leading_exp(self) -> tuple:
-        if not self._t:
-            raise UsageError("zero polynomial has no leading term")
-        return self.ring._unpack(max(self._t))
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
@@ -479,20 +474,6 @@ class MultiPoly:
                     v = v * assign[name] ** k
             total += v
         return total * num(self._c.numerator) / num(self._c.denominator)
-
-    def as_univariate(self, var: str) -> list:
-        """Dense Fraction coefficient list [c0, c1, ...]; requires univariate."""
-        s, u = self.ring._field(var)
-        for e in self._t:
-            if e != (e >> s & _FIELD_MASK) * u:
-                raise UsageError(f"polynomial is not univariate in {var!r}")
-        if self.is_zero:
-            return [Fraction(0)]
-        d = self.degree(var)
-        out = [Fraction(0)] * (d + 1)
-        for e, c in self._t.items():
-            out[e >> s & _FIELD_MASK] = c * self._c
-        return out
 
     def rename(self, ring: Ring) -> "MultiPoly":
         """Re-embed into another ring containing (at least) the used variables."""
@@ -728,45 +709,6 @@ def poly_eval(a: Sequence, x):
     return out
 
 
-def _dense_rem(a: list, b: list) -> list:
-    """Remainder of dense Fraction polynomial a modulo b (b nonzero)."""
-    r = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(r) - 1 >= db and any(r):
-        k = len(r) - 1 - db
-        q = r[-1] / lb
-        for i in range(db + 1):
-            r[k + i] -= q * b[i]
-        del r[-1]  # leading term cancelled exactly
-        poly_trim(r)
-    if not any(r):
-        return [Fraction(0)]
-    return poly_trim(r)
-
-
-def gcd_univar(f: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
-    """Gcd of two univariate polynomials (primitive, positive leading coeff)."""
-    a = poly_trim(list(f.as_univariate(var)))
-    b = poly_trim(list(g.as_univariate(var)))
-    if a == [0]:
-        a, b = b, a
-    while b != [0]:
-        a, b = b, _dense_rem(a, b)
-    ring = f.ring
-    i = ring.index[var]
-    terms = {}
-    for k, c in enumerate(a):
-        if c:
-            e = [0] * ring.nvars
-            e[i] = k
-            terms[tuple(e)] = c
-    if not terms:
-        return ring.zero
-    p = MultiPoly.from_fraction_terms(ring, terms)
-    # unit-normalize: primitive part with positive leading coefficient
-    return MultiPoly(ring, p._t, Fraction(1), _normalized=True)
-
-
 def reduce_mod(p: MultiPoly, g: MultiPoly, var: str) -> MultiPoly:
     """Remainder of p modulo the ideal (g), by long division in `var`.
 
@@ -869,10 +811,6 @@ class RatFunc:
         if ring is None:
             raise UsageError("ring required to lift a scalar to RatFunc")
         return cls(ring.const(_frac(value)))
-
-    @classmethod
-    def fraction(cls, num: MultiPoly, den: MultiPoly) -> "RatFunc":
-        return cls(num, {den: 1})
 
     # -- views ----------------------------------------------------------------
 

@@ -380,6 +380,11 @@ def solve_esym(Lt: ApparentFuchsian, deep: bool = False) -> tuple:
     in z-expansion order for M = 1 and (z-1)-expansion order for M >= 2.
     """
     check_profile(Lt, deep=deep)
+    return _esym_solution(Lt)
+
+
+def _esym_solution(Lt: ApparentFuchsian) -> tuple:
+    """`solve_esym` without the profile gate."""
     ring = Lt.ring
     N = Lt.N
     e_names = [f"e{j}" for j in range(1, N + 1)]
@@ -564,7 +569,7 @@ def verify_factorization(Lt: ApparentFuchsian,
         except BudgetExceededError:
             return VerificationReport(
                 "exact", Lt.profile, _esym_strings(esym), "budget-exceeded",
-                False, _pretty_op(quotient),
+                False, quotient.pretty(),
                 detail="Groebner budget exceeded; use the numeric path")
     else:
         residuals = [w0.num, w1.num]
@@ -575,17 +580,13 @@ def verify_factorization(Lt: ApparentFuchsian,
         offender = f"nonzero defect coefficient: {bad.pretty()[:200]}"
     return VerificationReport(
         "exact", Lt.profile, _esym_strings(esym),
-        "0" if ok else "nonzero", ok, _pretty_op(quotient), detail=offender)
+        "0" if ok else "nonzero", ok, quotient.pretty(), detail=offender)
 
 
 def _esym_strings(esym: EsymVector) -> tuple:
     if esym.mode == "exact":
         return tuple(v.pretty() for v in esym.values)
     return tuple(mpmath.nstr(v, 25) for v in esym.values)
-
-
-def _pretty_op(op: DiffOp) -> str:
-    return op.pretty()
 
 
 # -- numeric pipeline -----------------------------------------------------------
@@ -622,7 +623,7 @@ def solve_apparent_p(gamma: Fraction, delta: Fraction, sing: Sequence,
         return _mpnum.newton_apparency(fns, jac, M, seed=seed)
 
 
-def _z0_series(Lt: ApparentFuchsian, op: DiffOp, p_vals) -> Optional[tuple]:
+def _z0_series(Lt: ApparentFuchsian, op: DiffOp, assign: dict) -> Optional[tuple]:
     """(ratios, shift) of L~'s z = 0 series for `_mpnum.solve_esym_numeric`,
     or None when neither z = 0 exponent carries the esym values.
 
@@ -634,7 +635,7 @@ def _z0_series(Lt: ApparentFuchsian, op: DiffOp, p_vals) -> Optional[tuple]:
     exact data alone: the first with no vanishing (gamma')_n or
     (alpha')_n (beta')_n, n <= N, whose series is then unique and divisible
     by the Pochhammer factors.  The c_n come from the series engine with the
-    residues as atoms, evaluated at p_vals."""
+    residues as atoms, evaluated at the residue values ``assign``."""
     N, g, S, P = Lt.N, Lt.gamma, Lt.sum_ab, Lt.prod_ab
     c = 1 - g
     for rho, g2, S2, P2 in ((0, g, S, P), (c, 2 - g, S + 2 * c, P + c * S + c * c)):
@@ -643,7 +644,6 @@ def _z0_series(Lt: ApparentFuchsian, op: DiffOp, p_vals) -> Optional[tuple]:
         if any(a.is_zero or b.is_zero for a, b in factors):
             continue
         cs = frobenius_series(op, 0, rho, N).coeffs
-        assign = {f"p{k}": _mpnum.to_mpc(p) for k, p in enumerate(p_vals, 1)}
         ratios, w = [], RatFunc.of(1, Lt.ring)
         for n, (a, b) in enumerate(factors, 1):
             w = w * a * n / b
@@ -657,14 +657,16 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
                                  tol_exp: int = -60) -> VerificationReport:
     """Numeric verification at `bits` precision.
 
-    The esym values come from c_1..c_N of L~'s z = 0 series (`_z0_series`),
-    or, when neither z = 0 exponent qualifies, from affine sampling of the
-    remainder.  The exact L_GHG (esym values as atoms) is then evaluated and
-    divided by L~ once at `bits` precision; a wrong esym value can only
-    raise the defect, never pass a verdict.  When p_vals is omitted the
-    apparency system is solved first.  Passes when the maximal defect
-    coefficient is below 10^tol_exp, which must lie in (-bits log10 2, 0):
-    a bound no finer than the working precision.
+    The esym values come from c_1..c_N of L~'s z = 0 series (`_z0_series`).
+    When neither z = 0 exponent qualifies, they come from the exact esym
+    solve on the residue-atom L~ (`_esym_solution`, no profile gate),
+    evaluated at the residues; rows singular there raise ZeroDivisionError.
+    The exact L_GHG (esym values as atoms) is then evaluated and divided by
+    L~ once at `bits` precision; a wrong esym value can only raise the
+    defect, never pass a verdict.  When p_vals is omitted the apparency
+    system is solved first.  Passes when the maximal defect coefficient is
+    below 10^tol_exp, which must lie in (-bits log10 2, 0): a bound no finer
+    than the working precision.
     """
     if bits < 1:
         raise UsageError(f"precision must be a positive number of bits, got {bits}")
@@ -679,11 +681,14 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
         if p_vals is None:
             p_vals = solve_apparent_p(gamma, delta, sing, prod_ab,
                                       seed=seed, bits=bits)
+        assign = {f"p{k}": _mpnum.to_mpc(p) for k, p in enumerate(p_vals, 1)}
         op = Lt.operator()
-        es, run = _mpnum.solve_esym_numeric(L, op, roots, p_vals,
-                                            _z0_series(Lt, op, p_vals))
-        rem = run(es)
-        defect = _mpnum.defect_of_remainder(rem)
+        series = _z0_series(Lt, op, assign)
+        if series is None:
+            es = [v.eval_num(assign, num=mp.mpc) for v in _esym_solution(Lt)[0].values]
+        else:
+            es = _mpnum.solve_esym_numeric(*series)
+        defect = _mpnum.remainder_defect(L, op, roots, p_vals, es)
         passed = defect < mp.mpf(10) ** tol_exp
         esym = EsymVector("numeric", tuple(es))
         return VerificationReport(

@@ -175,12 +175,6 @@ class DiffOp:
         q = DiffOp(ring, var, [q_coeffs.get(j, zero) for j in range(n)])
         return q, rem
 
-    def substitute(self, assign) -> "DiffOp":
-        """Substitute parameter values into every coefficient (not the main var)."""
-        if self.var in assign:
-            raise UsageError("cannot substitute the differentiation variable")
-        return DiffOp(self.ring, self.var, [c.subs(assign) for c in self.coeffs])
-
     def pretty(self) -> str:
         if self.is_zero:
             return "0"

@@ -26,6 +26,7 @@ import pytest
 from heunfactor.exactalg import RatFunc, reduce_mod
 from heunfactor.factorize import (
     ApparentFuchsian,
+    _residue_atom_factor,
     ep2_instance,
     factor_ring,
     lvw_instance,
@@ -159,13 +160,19 @@ class TestCriterion5:
         assert elapsed < 600.0
         report(5, f"exact-symbolic zero defect at strength 3", t0)
 
-    @pytest.mark.parametrize("profile", [(4,), (5,), (1, 1), (2, 1), (2, 2),
-                                         (3, 1), (1, 1, 1)])
+    PROFILES = [(4,), (5,), (1, 1), (2, 1), (2, 2), (3, 1), (1, 1, 1)]
+
+    @staticmethod
+    def panel(profile):
+        """The five random instances of the numeric panel for a profile."""
+        for i in range(5):
+            yield i, random_profile_instance(
+                profile, seed=1000 * sum(profile) + 37 * len(profile) + i)
+
+    @pytest.mark.parametrize("profile", PROFILES)
     def test_numeric_profiles(self, profile):
         t0 = time.time()
-        for i in range(5):
-            gamma, delta, sing, prod_ab = random_profile_instance(
-                profile, seed=1000 * sum(profile) + 37 * len(profile) + i)
+        for i, (gamma, delta, sing, prod_ab) in self.panel(profile):
             rep = verify_factorization_numeric(gamma, delta, sing, prod_ab,
                                                bits=300, seed=i)
             assert rep.passed, (profile, i, rep.defect_max)
@@ -174,6 +181,17 @@ class TestCriterion5:
         assert elapsed < 600.0
         report(5, f"numeric zero defect below 1e-60, profile {profile}, "
                   "5 instances", t0)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_numeric_profiles_certified_exactly(self, profile):
+        # the same instances with the residues as atoms: the exact lane
+        # reduces the defect to zero modulo the apparency ideal
+        t0 = time.time()
+        for i, inst in self.panel(profile):
+            rep = verify_factorization(_residue_atom_factor(*inst), deep=True)
+            assert rep.passed, (profile, i, rep.defect_max)
+            assert rep.defect_max == "0"
+        report(5, f"exact zero defect, profile {profile}, the 5 numeric instances", t0)
 
     def test_sensitivity_controls(self):
         from mpmath import mp

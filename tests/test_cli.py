@@ -183,6 +183,14 @@ class TestFloatRoots:
         assert all(abs(g - w) < 1e-15 for g, w in zip(got, want))
         assert [g for g in got if g.imag == 0] == [w for w in want if complex(w).imag == 0]
 
+    def test_roots_below_the_double_range_of_the_coefficients(self):
+        # (q - 1e-200)(q - 1e-250)(q - 3): the constant term, 3e-450, is no double
+        want = [F(1, 10 ** 250), F(1, 10 ** 200), F(3)]
+        got = _float_roots(_monic(want))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - float(w)) <= 1e-9 * float(w)
+
 
 class TestFactorizeCommand:
     def test_maier_exact(self, tmp_path, capsys):

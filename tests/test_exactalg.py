@@ -20,7 +20,6 @@ from heunfactor.exactalg import (
     _mod_image,
     _surely_not_divisor,
     exact_div,
-    gcd_univar,
     groebner_basis,
     groebner_reduce,
     rank_of,
@@ -197,29 +196,6 @@ class TestSolveLinear:
         E1, E2, _ = thm44_e1e2(hp)
         assert es.values[0] == E1
         assert es.values[1] == E2
-
-
-class TestGcdUnivar:
-    def test_common_factor_property(self, R, rng):
-        z = R.var("z")
-        for _ in range(25):
-            def rand_uni(d):
-                p = R.zero
-                for i in range(d + 1):
-                    p = p + rng.randint(-4, 4) * z ** i
-                return p if not p.is_zero else R.one
-            f, g, h = rand_uni(2), rand_uni(2), rand_uni(1)
-            if h.is_zero or f.is_zero or g.is_zero:
-                continue
-            lhs = gcd_univar(f * h, g * h, "z")
-            rhs = gcd_univar(f, g, "z") * h
-            # equality up to a unit: both primitive positive-lead after scaling
-            rhs_n = MultiPoly(R, rhs._t, F(1), _normalized=True)
-            assert lhs == rhs_n
-
-    def test_simple(self, R):
-        z = R.var("z")
-        assert gcd_univar((z - 1) * (z + 2), (z - 1) * (z - 3), "z") == z - 1
 
 
 class TestExactDiv:

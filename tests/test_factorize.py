@@ -6,7 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from heunfactor import _mpnum
+from heunfactor import factorize
+from heunfactor.cli import cmd_factorize
 from heunfactor.exactalg import RatFunc, reduce_mod
 from heunfactor.factorize import (
     ApparentFuchsian,
@@ -302,11 +303,12 @@ class TestNumericPipeline:
         assert float(rep.defect_max) < 1e-60
 
     def test_only_edges_without_a_series_exponent_sample_the_remainder(self, monkeypatch):
-        # at both z = 0 exponents of each edge a Pochhammer factor vanishes
+        # at both z = 0 exponents of each edge a Pochhammer factor vanishes,
+        # so only the edges take their esym values from the exact solve
         calls = []
-        sampling = _mpnum.esym_by_sampling
-        monkeypatch.setattr(_mpnum, "esym_by_sampling",
-                            lambda *a: calls.append(a) or sampling(*a))
+        exact = factorize._esym_solution
+        monkeypatch.setattr(factorize, "_esym_solution",
+                            lambda *a: calls.append(a) or exact(*a))
         for k, (gamma, alpha, beta, m) in enumerate(EDGES, 1):
             delta = alpha + beta - gamma + m + 1
             verify_factorization_numeric(F(gamma), F(delta), [(F(5, 2), m)],
@@ -315,6 +317,32 @@ class TestNumericPipeline:
         gamma, delta, sing, prod_ab = random_profile_instance((2,), seed=5)
         assert verify_factorization_numeric(gamma, delta, sing, prod_ab, bits=300).passed
         assert len(calls) == len(EDGES)
+
+    @pytest.mark.parametrize("profile", [(1, 1), (2, 1)])
+    def test_two_singularity_edges_pass_and_their_controls_fail(self, profile):
+        from mpmath import mp
+
+        gamma, alpha, beta = F(5, 7), F(0), F(-2, 7)
+        sing = list(zip((F(5, 2), F(-3)), profile))
+        delta = alpha + beta - gamma + sum(profile) + 1
+        rep = verify_factorization_numeric(gamma, delta, sing, alpha * beta, bits=300)
+        assert rep.passed
+        assert float(rep.defect_max) < 1e-60
+        with mp.workprec(300):
+            pv = solve_apparent_p(gamma, delta, sing, alpha * beta)
+            rep = verify_factorization_numeric(gamma, delta, sing, alpha * beta,
+                                               p_vals=[pv[0] + 1, pv[1]], bits=300)
+        assert not rep.passed
+        assert float(rep.defect_max) > 1e-10
+
+    def test_edge_outside_the_supported_profiles_passes_in_numeric_mode(self):
+        # m = 6 is outside SUPPORTED_PROFILES; numeric mode applies no profile gate
+        inst = {"version": 1, "kind": "apparent_fuchsian", "mode": "numeric",
+                "parameters": {"gamma": "5/7", "alpha": "0", "beta": "-2/7",
+                               "sing": [{"t": "5/2", "m": 6}]}}
+        report, code = cmd_factorize(inst, None, None, -60, False, None)
+        assert code == 0
+        assert report["pass"] and float(report["defect_max"]) < 1e-60
 
     def test_sensitivity(self):
         from mpmath import mp

@@ -1,5 +1,6 @@
 """Numeric lane: the exact operators evaluated into the mpmath operator type,
-the two esym routes and the divisor's reused derivative table."""
+the series esym values against the exact solve's, and the divisor's reused
+derivative table."""
 
 from fractions import Fraction as F
 
@@ -10,8 +11,8 @@ from mpmath import mp
 from heunfactor import _mpnum
 from heunfactor._mpnum import DiffOpM, FactorBasis, RatM, to_mpc
 from heunfactor.exactalg import RatFunc, Ring, poly_eval
-from heunfactor.factorize import (_residue_atom_factor, _z0_series, random_profile_instance,
-                                  solve_apparent_p)
+from heunfactor.factorize import (_esym_solution, _residue_atom_factor, _z0_series,
+                                  random_profile_instance, solve_apparent_p)
 from heunfactor.ghg import ghg_operator_esym
 
 _rats = st.fractions(min_value=-7, max_value=7, max_denominator=6)
@@ -81,21 +82,24 @@ def test_repeated_and_composite_denominator_factors_split_over_the_basis():
 
 
 def _check_routes_agree(gamma, delta, sing, prod_ab):
-    """The series esym values equal the affine-sampling ones to 1e-70
-    relative, both divide with defect below 1e-60; returns the series."""
+    """The series esym values equal the exact solve's values at the same
+    residues to 1e-70 relative, both divide with defect below 1e-60;
+    returns the series."""
     Lt, L = _operators(gamma, delta, sing, prod_ab)
     op = Lt.operator()
+    roots = [0, 1] + [t for t, _ in sing]
     with mp.workprec(300):
         pv = solve_apparent_p(gamma, delta, sing, prod_ab, seed=0)
-        series = _z0_series(Lt, op, pv)
+        assign = {f"p{k}": to_mpc(p) for k, p in enumerate(pv, 1)}
+        series = _z0_series(Lt, op, assign)
         assert series is not None
-        es, run = _mpnum.solve_esym_numeric(L, op, [0, 1] + [t for t, _ in sing], pv, series)
-        sampled = _mpnum.esym_by_sampling(run, Lt.N, Lt.M)
-        assert len(es) == len(sampled) == Lt.N
-        for x, y in zip(es, sampled):
+        es = _mpnum.solve_esym_numeric(*series)
+        exact = [v.eval_num(assign, num=mp.mpc) for v in _esym_solution(Lt)[0].values]
+        assert len(es) == len(exact) == Lt.N
+        for x, y in zip(es, exact):
             assert abs(x - y) <= mp.mpf(10) ** -70 * abs(y)
-        for values in (es, sampled):
-            assert _mpnum.defect_of_remainder(run(values)) < mp.mpf(10) ** -60
+        for values in (es, exact):
+            assert _mpnum.remainder_defect(L, op, roots, pv, values) < mp.mpf(10) ** -60
     return series
 
 
@@ -103,6 +107,7 @@ def _check_routes_agree(gamma, delta, sing, prod_ab):
                                      (2, 2), (3, 1), (1, 3), (1, 1, 1)],
                          ids=lambda p: "".join(map(str, p)))
 def test_series_and_sampling_esym_agree(profile):
+    # series values against the exact solve's (see _check_routes_agree)
     _check_routes_agree(*random_profile_instance(profile, seed=11))
 
 

@@ -56,9 +56,9 @@ NUMERIC = {
     "exponent-1-gamma": (("1/3", "-1"),
                          "ef728a71f1e4cd58c25c2eec733b8c8df8ab16cb110544702489fcbe172dd6d4",
                          "fa8bda785a58da2d7a8e498a28f39885b48b2f520680e7851782592c4d965dc0"),
-    "sampling": (("0", "-2/7"),
-                 "8c8bd0a052452614bdec2535800c1a9ac4445aeef10783dccae0851d09d49ebf",
-                 "9b02a6265c6f947c2fd92fa05463a3863799cdb9a56f5b00d9405f75bf8c0ece"),
+    "exact-solve": (("0", "-2/7"),
+                    "2d7e6cb61d2024a45a565206427abf58810b4d572ae77fefd98097543acc9cd7",
+                    "9b02a6265c6f947c2fd92fa05463a3863799cdb9a56f5b00d9405f75bf8c0ece"),
 }
 
 
