@@ -37,8 +37,6 @@ from __future__ import annotations
 import heapq
 import random
 import struct
-import sys
-from array import array
 from fractions import Fraction
 from math import gcd as _igcd
 from typing import Iterator, Mapping, Sequence, Union
@@ -103,11 +101,13 @@ class Ring:
 
     Polynomials belong to exactly one ring; mixing rings raises.  Rings with
     equal name tuples compare equal, so modules can construct them freely.
-    The ring also owns the packed-key layout of its monomials.
+    The ring also owns the packed-key layout of its monomials, and the
+    table of monomial values mod p that the modular non-divisor test reads
+    (see _mod_image); the table starts empty and fills as monomials occur.
     """
 
     __slots__ = ("names", "index", "nvars", "_hash", "_shift", "_unit", "_deg_shift",
-                 "_guards", "_struct")
+                 "_guards", "_struct", "_mod_values")
 
     def __init__(self, names: Sequence[str]):
         names = tuple(names)
@@ -125,6 +125,7 @@ class Ring:
         self._unit = tuple((1 << self._deg_shift) | (1 << s) for s in self._shift)
         self._guards = sum(1 << (s + _FIELD_BITS - 1) for s in self._shift)
         self._struct = struct.Struct(f">{n + 1}H")
+        self._mod_values: dict = {}
 
     def __eq__(self, other):
         return isinstance(other, Ring) and self.names == other.names
@@ -156,16 +157,6 @@ class Ring:
         """(bit offset, packed key) of one variable."""
         i = self.index[var]
         return self._shift[i], self._unit[i]
-
-    def _columns(self, keys) -> list:
-        """Per variable, its exponent in each of the packed keys, in order."""
-        size = self._struct.size
-        a = array("H", b"".join([k.to_bytes(size, "little") for k in keys]))
-        if sys.byteorder == "big":
-            a.byteswap()
-        n = self.nvars
-        # little-endian fields run from the last variable up to the degree
-        return [a[n - 1 - j::n + 1] for j in range(n)]
 
     def var(self, name: str) -> "MultiPoly":
         if name not in self.index:
@@ -212,8 +203,9 @@ class MultiPoly:
                 terms = {ring._pack(e): c for e, c in terms.items()}
             self._t, self._c = self._normalize(terms, content)
         self._hash = None
-        # the pre-check's cache: {main variable index: image, None: (exponent
-        # columns, degrees)}, see _mod_image
+        # the pre-check's cache: {variable index j: [degree in x_j, image in
+        # Z_p[x_j] or None], None: indices of the variables f involves}, see
+        # _mod_image
         self._mod = None
 
     @staticmethod
@@ -533,58 +525,84 @@ class MultiPoly:
 # nothing, and a constant image of g gives no verdict.  The points are fixed
 # so that every run takes the same path, and drawn once from a seeded
 # generator so that they satisfy no small relation such as y^2 = x*z.
+#
+# An image is one pass over f's terms: each term splits into its power of x
+# and the rest of its monomial, whose value at the points comes from the
+# ring's table of monomial values (Ring._mod_values, filled on first use).
+# Only the variables that g involves are compared by degree, and x is the
+# first of them of highest degree in g.
 
 _MOD_P = (1 << 61) - 1
 _MOD_POINTS = tuple(random.Random(1979).sample(range(2, _MOD_P), 256))
 
 
-def _columns(f: MultiPoly) -> tuple:
-    """(exponent column, degree) of each variable of f; cached on f."""
+def _mod_monomial(ring: Ring, key: int) -> int:
+    """Value mod p of the monomial `key` at the fixed points; cached on ring."""
+    v = ring._mod_values.get(key)
+    if v is None:
+        v = 1
+        # points repeat past 256 variables, which only weakens the test
+        for j, k in enumerate(ring._unpack(key)):
+            if k:
+                v = v * pow(_MOD_POINTS[j % len(_MOD_POINTS)], k, _MOD_P) % _MOD_P
+        ring._mod_values[key] = v
+    return v
+
+
+def _mod_entry(f: MultiPoly, j: int) -> list:
+    """[degree of f in x_j, image in Z_p[x_j] or None]; cached on f."""
     if f._mod is None:
         f._mod = {}
-    cd = f._mod.get(None)
-    if cd is None:
-        cols = f.ring._columns(f._t)
-        cd = f._mod[None] = (cols, [max(col) for col in cols])
-    return cd
-
-
-def _degrees(f: MultiPoly) -> list:
-    return _columns(f)[1]
+    ent = f._mod.get(j)
+    if ent is None:
+        s = f.ring._shift[j]
+        ent = f._mod[j] = [max(e >> s & _FIELD_MASK for e in f._t), None]
+    return ent
 
 
 def _mod_image(f: MultiPoly, main: int) -> list:
     """Image of f's primitive part in Z_p[x_main], low degree first, trimmed;
     cached on f."""
-    cols, degs = _columns(f)
-    img = f._mod.get(main)
-    if img is None:
-        vals = list(f._t.values())
-        for j, (col, d) in enumerate(zip(cols, degs)):
-            if j == main or not d:
-                continue
-            # points repeat past 256 variables, which only weakens the test
-            x, pw = _MOD_POINTS[j % len(_MOD_POINTS)], [1]
-            for _ in range(d):
-                pw.append(pw[-1] * x % _MOD_P)
-            vals = [v * pw[k] % _MOD_P for v, k in zip(vals, col)]
-        img = [0] * (degs[main] + 1)
-        for v, k in zip(vals, cols[main]):
-            img[k] += v
+    ent = _mod_entry(f, main)
+    if ent[1] is None:
+        ring = f.ring
+        s, u = ring._shift[main], ring._unit[main]
+        img = [0] * (ent[0] + 1)
+        for e, c in f._t.items():
+            k = e >> s & _FIELD_MASK
+            img[k] += c * _mod_monomial(ring, e - k * u)
         img = [v % _MOD_P for v in img]
         while img and not img[-1]:
             img.pop()
-        f._mod[main] = img
-    return img
+        ent[1] = img
+    return ent[1]
+
+
+def _mod_vars(g: MultiPoly) -> tuple:
+    """Indices of the variables g involves, ascending; cached on g."""
+    if g._mod is None:
+        g._mod = {}
+    js = g._mod.get(None)
+    if js is None:
+        used = 0
+        for e in g._t:
+            used |= e
+        shifts = g.ring._shift
+        js = g._mod[None] = tuple(j for j in range(g.ring.nvars)
+                                  if used >> shifts[j] & _FIELD_MASK)
+    return js
 
 
 def _surely_not_divisor(f: MultiPoly, g: MultiPoly) -> bool:
     """True only when g provably does not divide f (both nonzero, g not
     constant); False means no verdict."""
-    gdeg = _degrees(g)
-    if any(a > b for a, b in zip(gdeg, _degrees(f))):
-        return True
-    main = max(range(len(gdeg)), key=gdeg.__getitem__)
+    main, top = -1, -1
+    for j in _mod_vars(g):
+        d = _mod_entry(g, j)[0]
+        if d > _mod_entry(f, j)[0]:
+            return True
+        if d > top:
+            main, top = j, d
     G = _mod_image(g, main)
     if len(G) < 2:
         return False
@@ -744,6 +762,8 @@ def _normalize_factor(f: MultiPoly):
     """Split poly into (content Fraction, primitive positive-lead poly)."""
     if f.is_zero:
         raise ZeroDivisionError("zero polynomial as denominator factor")
+    if f._c == 1:  # already primitive: keep the object and its caches
+        return f._c, f
     prim = MultiPoly(f.ring, f._t, Fraction(1), _normalized=True)
     return f._c, prim
 
@@ -879,20 +899,8 @@ class RatFunc:
             return self
         if self._fac == other._fac:
             return RatFunc(self._num + other._num, self._fac)
-        fac = dict(self._fac)
-        for f, k in other._fac.items():
-            fac[f] = max(fac.get(f, 0), k)
-        m1 = self.ring.one
-        for f, k in fac.items():
-            d = k - self._fac.get(f, 0)
-            if d:
-                m1 = m1 * f ** d
-        m2 = self.ring.one
-        for f, k in fac.items():
-            d = k - other._fac.get(f, 0)
-            if d:
-                m2 = m2 * f ** d
-        return RatFunc(self._num * m1 + other._num * m2, fac)
+        (n1, n2), fac = _over_lcm((self, other))
+        return RatFunc(n1 + n2, fac)
 
     __radd__ = __add__
 
@@ -951,20 +959,21 @@ class RatFunc:
         return out
 
     def derivative(self, var: str) -> "RatFunc":
-        # d(n/D)/dx with D = prod f_i^k_i:
-        #   (n' - n * sum k_i f_i'/f_i) / D ... assembled with factored tails
+        # d(n/D)/dx with D = prod f_i^k_i and P the product of the f_i that
+        # involve x:  (n' P - n sum k_i f_i' P/f_i) / (D P), cancelled once
         if self.is_zero:
             return self
         n = self._num
-        total = RatFunc(n.derivative(var), self._fac)
+        fac = dict(self._fac)
+        P, S = self.ring.one, self.ring.zero
         for f, k in self._fac.items():
             df = f.derivative(var)
             if df.is_zero:
                 continue
-            fac = dict(self._fac)
-            fac[f] = fac.get(f, 0) + 1
-            total = total + RatFunc(n * df * (-k), fac)
-        return total
+            S = S * f + df * P * k
+            P = P * f
+            fac[f] += 1
+        return RatFunc(n.derivative(var) * P - n * S, fac)
 
     def subs(self, assign: Mapping[str, object]) -> "RatFunc":
         vals = {name: RatFunc.of(v, self.ring) for name, v in assign.items()}
@@ -1033,6 +1042,29 @@ def _val(v: Value, ring: Ring) -> RatFunc:
     return RatFunc.of(v, ring)
 
 
+def _over_lcm(values: Sequence[RatFunc]) -> tuple:
+    """(numerators, factors) of RatFuncs brought over the least common
+    multiple of their factored denominators: each numerator times its
+    cofactor, and the multiple's factors.  Nothing is cancelled."""
+    fac: dict = {}
+    for v in values:
+        for f, k in v._fac.items():
+            if k > fac.get(f, 0):
+                fac[f] = k
+    powers: dict = {}
+    nums = []
+    for v in values:
+        n = v._num
+        for f, k in fac.items():
+            d = k - v._fac.get(f, 0)
+            if d:
+                if (f, d) not in powers:
+                    powers[f, d] = f ** d
+                n = n * powers[f, d]
+        nums.append(n)
+    return nums, fac
+
+
 def _subs_parts(p: MultiPoly, assign: Mapping[str, RatFunc]) -> tuple:
     """(numerator, denominator factors) of p with the values substituted.
 
@@ -1086,20 +1118,7 @@ def _subs_parts(p: MultiPoly, assign: Mapping[str, RatFunc]) -> tuple:
 def _cleared_row(row: Sequence, ring: Ring) -> list:
     """Polynomial entries of a MultiPoly/RatFunc row times the row's common
     denominator."""
-    lifted = [RatFunc.of(x, ring) for x in row]
-    fac: dict = {}
-    for x in lifted:
-        for f, k in x.den_factors().items():
-            fac[f] = max(fac.get(f, 0), k)
-    cleared = []
-    for x in lifted:
-        m = ring.one
-        for f, k in fac.items():
-            d = k - x.den_factors().get(f, 0)
-            if d:
-                m = m * f ** d
-        cleared.append(x.num * m)
-    return cleared
+    return _over_lcm([RatFunc.of(x, ring) for x in row])[0]
 
 
 def _bareiss_det(M: list, ring: Ring):
@@ -1177,6 +1196,44 @@ def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:
     return out
 
 
+def _mod_value(f: MultiPoly):
+    """Value of f mod p at the pre-check's fixed points; None when p divides
+    the denominator of f's content."""
+    c = f._c
+    if c.denominator % _MOD_P == 0:
+        return None
+    v = sum(k * _mod_monomial(f.ring, e) for e, k in f._t.items())
+    return v * c.numerator * pow(c.denominator, -1, _MOD_P) % _MOD_P
+
+
+def point_rank(A: Sequence[Sequence[MultiPoly]]):
+    """Rank of a MultiPoly matrix at the pre-check's fixed points mod p, or
+    None when an entry has no value there (see _mod_value).
+
+    A minor that is nonzero at a point is a nonzero polynomial, so this is a
+    lower bound of `rank_of` and equal to it unless the point is special:
+    full rank here proves full rank exactly."""
+    rows = []
+    for r in A:
+        row = [_mod_value(x) for x in r]
+        if None in row:
+            return None
+        rows.append(row)
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, _MOD_P)
+        for i in range(rank + 1, len(rows)):
+            m = rows[i][col] * inv % _MOD_P
+            if m:
+                rows[i] = [(a - m * b) % _MOD_P for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def rank_of(A: Sequence[Sequence]) -> int:
     """Rank of a rectangular MultiPoly/RatFunc matrix (fraction-free)."""
     rows = [list(r) for r in A]
@@ -1246,23 +1303,13 @@ class _GPoly:
 
     def to_poly_numerator(self) -> MultiPoly:
         """Clear denominators; zero iff self is zero."""
-        if not self.terms:
-            return self.ring.zero
-        den = self.ring.one
-        seen: dict = {}
-        for c in self.terms.values():
-            for f, k in c.den_factors().items():
-                seen[f] = max(seen.get(f, 0), k)
-        for f, k in seen.items():
-            den = den * f ** k
         out = self.ring.zero
         idxs = [self.ring.index[v] for v in self.main]
-        for me, c in self.terms.items():
+        for me, cleared in zip(self.terms, _over_lcm(list(self.terms.values()))[0]):
             mono_exp = [0] * self.ring.nvars
             for i, k in zip(idxs, me):
                 mono_exp[i] = k
             mono = MultiPoly(self.ring, {tuple(mono_exp): 1}, Fraction(1))
-            cleared = (c * den).as_poly()
             out = out + cleared * mono
         return out
 

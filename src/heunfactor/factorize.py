@@ -39,6 +39,7 @@ from .exactalg import (
     Value,
     _val,
     groebner_reduce,
+    point_rank,
     rank_of,
     reduce_mod,
     solve_linear,
@@ -349,13 +350,20 @@ class FactorizationWork:
     w_coeffs: tuple
 
 
-def _division_work(Lt: ApparentFuchsian, esym_values: Sequence[RatFunc]
-                   ) -> FactorizationWork:
+def _atom_operators(Lt: ApparentFuchsian) -> tuple:
+    """(L_GHG with the e-atoms as its esym values, L~) of Lt."""
     ring = Lt.ring
-    L = ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma, list(esym_values), ring)
-    Q, rem = L.right_divide(Lt.operator())
-    N = Lt.N
-    ws = [rem.coeff(0), rem.coeff(1)] + [RatFunc.of(0, ring)] * N
+    es = [ring.var(f"e{j}") for j in range(1, Lt.N + 1)]
+    return ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma, es, ring), Lt.operator()
+
+
+def _division_work(Lt: ApparentFuchsian, ops: Optional[tuple] = None
+                   ) -> FactorizationWork:
+    """Right division of L_GHG by L~, both with e-atoms; `ops` takes the pair
+    `_atom_operators(Lt)` when the caller has built it already."""
+    L, op = ops or _atom_operators(Lt)
+    Q, rem = L.right_divide(op)
+    ws = [rem.coeff(0), rem.coeff(1)] + [RatFunc.of(0, Lt.ring)] * Lt.N
     return FactorizationWork(Q, tuple(ws))
 
 
@@ -383,13 +391,12 @@ def solve_esym(Lt: ApparentFuchsian, deep: bool = False) -> tuple:
     return _esym_solution(Lt)
 
 
-def _esym_solution(Lt: ApparentFuchsian) -> tuple:
-    """`solve_esym` without the profile gate."""
+def _esym_solution(Lt: ApparentFuchsian, ops: Optional[tuple] = None) -> tuple:
+    """`solve_esym` without the profile gate; `ops` as in `_division_work`."""
     ring = Lt.ring
     N = Lt.N
     e_names = [f"e{j}" for j in range(1, N + 1)]
-    e_atoms = [RatFunc.of(ring.var(n), ring) for n in e_names]
-    work = _division_work(Lt, e_atoms)
+    work = _division_work(Lt, ops)
     w1 = work.w_coeffs[1]
     num = w1.num
     if Lt.M >= 2:
@@ -440,14 +447,18 @@ def _affine_rows(num: MultiPoly, e_names: Sequence[str], ring: Ring) -> list:
 
 
 def _select_rows(rows: list, N: int, ring: Ring):
-    """First N rows of full rank, in expansion order (deterministic)."""
+    """First N rows of full rank, in expansion order (deterministic).
+
+    Full rank at one point mod p proves full rank, so only a candidate that
+    tests dependent there (or has no value there) takes the exact rank."""
     chosen = []
     for const, grad in rows:
         if all(g.is_zero for g in grad):
             continue
         candidate = chosen + [(const, grad)]
         mat = [g for _, g in candidate]
-        if rank_of(mat) == len(candidate):
+        n = len(candidate)
+        if point_rank(mat) == n or rank_of(mat) == n:
             chosen = candidate
             if len(chosen) == N:
                 break
@@ -543,8 +554,7 @@ def verify_factorization(Lt: ApparentFuchsian,
     elif esym.division is not None and esym.division[0] is Lt:
         work = esym.division[1]
     else:
-        atoms = [RatFunc.of(ring.var(f"e{j}"), ring) for j in range(1, Lt.N + 1)]
-        work = _division_work(Lt, atoms)
+        work = _division_work(Lt)
     e_assign = {f"e{j+1}": v for j, v in enumerate(esym.values)}
     w0 = work.w_coeffs[0].subs(e_assign)
     w1 = work.w_coeffs[1].subs(e_assign)
@@ -673,19 +683,17 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
     if not -bits * math.log10(2) < tol_exp < 0:
         raise UsageError(f"tol_exp = {tol_exp} is outside (-{bits} log10 2, 0)")
     Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
-    ring = Lt.ring
-    L = ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma,
-                          [ring.var(f"e{j}") for j in range(1, Lt.N + 1)], ring)
+    L, op = ops = _atom_operators(Lt)
     roots = [0, 1] + [t for t, _ in sing]
     with mp.workprec(bits):
         if p_vals is None:
             p_vals = solve_apparent_p(gamma, delta, sing, prod_ab,
                                       seed=seed, bits=bits)
         assign = {f"p{k}": _mpnum.to_mpc(p) for k, p in enumerate(p_vals, 1)}
-        op = Lt.operator()
         series = _z0_series(Lt, op, assign)
         if series is None:
-            es = [v.eval_num(assign, num=mp.mpc) for v in _esym_solution(Lt)[0].values]
+            es = [v.eval_num(assign, num=mp.mpc)
+                  for v in _esym_solution(Lt, ops)[0].values]
         else:
             es = _mpnum.solve_esym_numeric(*series)
         defect = _mpnum.remainder_defect(L, op, roots, p_vals, es)

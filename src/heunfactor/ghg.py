@@ -43,16 +43,22 @@ class GHGParams:
 
 
 def _euler_poly_op(coeffs: Sequence[RatFunc], ring: Ring, var: str) -> DiffOp:
-    """sum coeffs[k] * th^k as a normal-ordered operator, th = z d/dz."""
-    theta = DiffOp(ring, var, [ring.zero, ring.var(var)])
-    out = DiffOp.zero_op(ring, var)
-    power = DiffOp.identity(ring, var)
-    for k, c in enumerate(coeffs):
-        if k:
-            power = theta * power
-        if c != 0:
-            out = out + power.scale(c)
-    return out
+    """sum coeffs[k] * th^k as a normal-ordered operator, th = z d/dz, by
+    th^k = sum_j S(k, j) z^j D^j with S the Stirling numbers of the second
+    kind, S(k, j) = j S(k-1, j) + S(k-1, j-1)."""
+    stirling = [[1]]
+    for k in range(1, len(coeffs)):
+        prev = stirling[-1] + [0]
+        stirling.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, k + 1)])
+    z = RatFunc.of(ring.var(var), ring)
+    out = []
+    for j in range(len(coeffs)):
+        c = RatFunc.of(0, ring)
+        for k in range(j, len(coeffs)):
+            if stirling[k][j] and coeffs[k] != 0:
+                c = c + coeffs[k] * stirling[k][j]
+        out.append(c * z ** j)
+    return DiffOp(ring, var, out)
 
 
 def _theta_shift_product(shifts: Sequence[RatFunc], ring: Ring) -> list:

@@ -3,7 +3,9 @@
 A ``DiffOp`` is sum(c_j(z) * D^j) with RatFunc coefficients, normal-ordered
 with all derivatives to the right of the coefficients.  Multiplication uses
 the Leibniz rule D o f = f o D + f'; right division by an operator with an
-invertible leading coefficient is exact.
+invertible leading coefficient is exact.  Both add up their Leibniz
+products without cancelling partial sums and cancel each coefficient they
+return once, so the returned coefficients are reduced.
 
 ``QuasiFunction`` models w^a (w-1)^b R(w) with symbolic exponents; it is
 closed under d/dw, which is what the quasi-polynomial checks need.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from math import comb
 from typing import Sequence
 
-from .exactalg import RatFunc, Ring, UsageError
+from .exactalg import RatFunc, Ring, UsageError, _over_lcm
 
 
 class DiffOpError(Exception):
@@ -124,7 +126,9 @@ class DiffOp:
         self._check(other)
         if self.is_zero or other.is_zero:
             return DiffOp.zero_op(self.ring, self.var)
-        return DiffOp(self.ring, self.var, _leibniz(self.coeffs, other))
+        zero = RatFunc.of(0, self.ring)
+        return DiffOp(self.ring, self.var, [_cancelled(_sum(ts)) if ts else zero
+                                            for ts in _leibniz(self.coeffs, other)])
 
     def apply(self, f) -> RatFunc:
         """Apply the operator to a rational function of the main variable."""
@@ -159,21 +163,21 @@ class DiffOp:
         lead = other.leading
         if lead.is_zero:  # pragma: no cover - trimmed representation
             raise DiffOpError("divisor leading coefficient vanishes identically")
-        rem = self
-        q_coeffs = {}
-        ring, var = self.ring, self.var
+        ring, var, n = self.ring, self.var, other.order
         zero = RatFunc.of(0, ring)
-        while rem.order >= other.order:
-            k = rem.order - other.order
-            qk = rem.leading / lead
-            q_coeffs[k] = qk
-            # rem -= (qk * D^k) * other, top coefficient cancels exactly
-            step = _leibniz([zero] * k + [qk], other)
-            new = [rem.coeff(j) - step[j] for j in range(rem.order)]
-            rem = DiffOp(ring, var, new)
-        n = max(q_coeffs) + 1 if q_coeffs else 0
-        q = DiffOp(ring, var, [q_coeffs.get(j, zero) for j in range(n)])
-        return q, rem
+        # the remainder's coefficients stay uncancelled until the end
+        rem = list(self.coeffs)
+        q = [zero] * max(len(rem) - n, 0)
+        while len(rem) > n:
+            k = len(rem) - 1 - n
+            q[k] = qk = rem[-1] / lead
+            # rem -= (qk * D^k) * other; the top coefficient cancels exactly
+            step = _leibniz([zero] * k + [-qk], other)
+            rem = [_sum([c] + ts) for c, ts in zip(rem[:-1], step)]
+            while rem and rem[-1].is_zero:
+                rem.pop()
+        return (DiffOp(ring, var, q),
+                DiffOp(ring, var, [_cancelled(c) for c in rem]))
 
     def pretty(self) -> str:
         if self.is_zero:
@@ -195,25 +199,38 @@ class DiffOp:
 
 
 def _leibniz(coeffs: Sequence, other: DiffOp) -> list:
-    """Coefficients of (sum_i coeffs[i] D^i) * other, by the Leibniz rule
-    D^i o b = sum_k C(i, k) b^(k) D^(i-k)."""
+    """Per coefficient of (sum_i coeffs[i] D^i) * other, the list of its
+    uncancelled Leibniz products, by D^i o b = sum_k C(i, k) b^(k) D^(i-k)."""
     derivs = other.derivative_table(len(coeffs) - 1)
-    out = [RatFunc.of(0, other.ring) for _ in range(len(coeffs) + other.order)]
+    out = [[] for _ in range(len(coeffs) + other.order)]
     for i, a in enumerate(coeffs):
         if a.is_zero:
             continue
         for k in range(i + 1):
             ck = comb(i, k)
             for j, b in enumerate(derivs[k]):
-                if b.is_zero:
-                    continue
-                ab = a * b
-                if ck != 1:
-                    # a*b is already cancelled, and an integer factor cancels
-                    # nothing more
-                    ab = RatFunc(ab.num * ck, ab.den_factors(), _simplify=False)
-                out[i - k + j] = out[i - k + j] + ab
+                if not b.is_zero:
+                    fac = a.den_factors()
+                    for f, m in b.den_factors().items():
+                        fac[f] = fac.get(f, 0) + m
+                    out[i - k + j].append(
+                        RatFunc(a.num * b.num * ck, fac, _simplify=False))
     return out
+
+
+def _sum(terms: list) -> RatFunc:
+    """Sum of RatFuncs over the lcm of their denominators, uncancelled."""
+    if len(terms) == 1:
+        return terms[0]
+    nums, fac = _over_lcm(terms)
+    total = nums[0]
+    for n in nums[1:]:
+        total = total + n
+    return RatFunc(total, fac, _simplify=False)
+
+
+def _cancelled(c: RatFunc) -> RatFunc:
+    return RatFunc(c.num, c.den_factors())
 
 
 class QuasiFunction:

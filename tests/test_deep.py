@@ -3,9 +3,13 @@
 These verify the same zero-defect statement as the default suite's numeric
 path, but fully symbolically in the quotient ring.  On a 2-CPU machine
 whose speed drifts by up to 2x, ``HEUNFACTOR_DEEP=1 python -m pytest
-tests/test_deep.py -k 4`` takes 6-14 s (solve 6-12 s, verify under 0.3 s);
-``-k 5`` passed in 9 min 22 s (almost all of it the row selection and the
-Cramer solve of ``solve_esym``).  That is why they sit behind the flag."""
+tests/test_deep.py -k 4`` takes 11-15 s (solve about 12 s, verify under
+0.3 s); almost all of it is the Cramer solve of ``solve_esym``, since the
+row choice at one point mod p takes about 1 ms.  CI runs it.  At m = 5 the
+solve took 23 min in one run (the Cramer solve 1390 s, the row choice
+2 ms, verify 1.3 s), against 9 min 22 s for the whole test in an earlier
+run on a faster stretch of the machine.  That is why they sit behind the
+flag."""
 
 import os
 

@@ -16,12 +16,15 @@ from heunfactor.exactalg import (
     SingularMatrixError,
     UsageError,
     _MAX_DEG,
+    _MOD_P,
+    _MOD_POINTS,
     _grlex_key,
     _mod_image,
     _surely_not_divisor,
     exact_div,
     groebner_basis,
     groebner_reduce,
+    point_rank,
     rank_of,
     reduce_mod,
     solve_linear,
@@ -57,6 +60,22 @@ _xy_values = st.builds(
     lambda terms, fac: RatFunc(MultiPoly.from_fraction_terms(
         _XYE, {(a, b, 0, 0): c for (a, b, _, _), c in terms.items()}), fac),
     _terms, _dens)
+
+
+def _image_oracle(f, main):
+    """Image of f's primitive part in Z_p[x_main], each term evaluated alone."""
+    img = {}
+    prim = f * (1 / f.content())
+    for e, c in prim.terms():
+        v = int(c)
+        for j, k in enumerate(e):
+            if j != main:
+                v = v * pow(_MOD_POINTS[j], k, _MOD_P)
+        img[e[main]] = (img.get(e[main], 0) + v) % _MOD_P
+    out = [img.get(k, 0) for k in range(max(img, default=-1) + 1)]
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _subs_termwise(p, assign):
@@ -213,6 +232,19 @@ class TestExactDiv:
         # the contents and the signs of the leading coefficients
         if g.is_zero:
             return
+        assert exact_div(g * h, g) == h
+
+    @given(c1=_polys, c0=_polys, h=_polys)
+    def test_true_divisor_linear_in_z_never_rejected(self, c1, c0, h):
+        # g = c1(x, y) z + c0(x, y) with x and y present: the images come from the
+        # ring's table of monomial values, and they are the homomorphic images
+        g = c1.subs({"z": 0}) * _XYZ.var("z") + c0.subs({"z": 0})
+        if g.is_const() or h.is_zero:
+            return
+        for f in (g, g * h):
+            for main in range(3):
+                assert _mod_image(f, main) == _image_oracle(f, main)
+        assert _XYZ._mod_values
         assert exact_div(g * h, g) == h
 
     def test_modular_image_rejects(self):
@@ -399,6 +431,22 @@ class TestRatFunc:
             rhs = RatFunc(num.derivative("z")) * den - RatFunc(num) * den.derivative("z")
             assert lhs == rhs
 
+    @given(n=_polys, roots=st.lists(st.sampled_from([0, 1, -2, F(3, 2)]),
+                                    max_size=2, unique=True),
+           ks=st.lists(st.integers(1, 3), min_size=3, max_size=3))
+    def test_derivative_of_linear_factors_is_reduced(self, n, roots, ks):
+        # n / prod (x - r_i)^k_i with distinct r_i, one of them the symbol y
+        x = _XYZ.var("x")
+        lin = [x - _XYZ.var("y")] + [x - r for r in roots]
+        den = _XYZ.one
+        for f, k in zip(lin, ks):
+            den = den * f ** k
+        r = RatFunc(n, dict(zip(lin, ks)))
+        dr = r.derivative("x")
+        assert dr * den * den == RatFunc(n.derivative("x") * den - n * den.derivative("x"))
+        for f in dr.den_factors():
+            assert exact_div(dr.num, f) is None
+
     def test_equal_values_hash_equal(self):
         ring = Ring(("t",))
         t = ring.var("t")
@@ -412,3 +460,11 @@ class TestRatFunc:
         a = R.var("alpha")
         assert rank_of([[R.one, a], [a, a * a]]) == 1
         assert rank_of([[R.one, a], [a, R.one]]) == 2
+
+    def test_point_rank_bounds_rank_of(self, R):
+        a, t = R.var("alpha"), R.var("t")
+        assert point_rank([[R.one, a], [a, a * a]]) == 1
+        assert point_rank([[R.one, a], [a, R.one]]) == 2
+        assert point_rank([[t, a], [R.zero, R.zero]]) == 1
+        # no value at the point: a content denominator divisible by p
+        assert point_rank([[a * F(1, _MOD_P), R.one]]) is None

@@ -8,7 +8,7 @@ import pytest
 
 from heunfactor import factorize
 from heunfactor.cli import cmd_factorize
-from heunfactor.exactalg import RatFunc, reduce_mod
+from heunfactor.exactalg import _MOD_P, RatFunc, Ring, rank_of, reduce_mod
 from heunfactor.factorize import (
     ApparentFuchsian,
     DegenerateInstanceError,
@@ -193,6 +193,49 @@ class TestSolveEsym:
         for profile in es.denominators:
             assert set(profile) <= {"t", "t - 1"}
 
+    @pytest.mark.parametrize("profile", [(1,), (2,), (3,), (1, 1), (2, 1), (2, 2),
+                                         (3, 1), (1, 3), (1, 1, 1)],
+                             ids=lambda p: "".join(map(str, p)))
+    def test_rows_match_the_exact_selection(self, profile, monkeypatch):
+        # symbolic M = 1 instances and the Groebner profiles of the pinned
+        # reports: the rows chosen at one point mod p are the exact choice
+        seen = []
+        select = factorize._select_rows
+
+        def capture(rows, N, ring):
+            A, b = select(rows, N, ring)
+            seen.append((rows, N, A))
+            return A, b
+
+        monkeypatch.setattr(factorize, "_select_rows", capture)
+        if len(profile) == 1:
+            Lt, _ = symbolic_m1(profile[0])
+        else:
+            gamma, delta, sing, prod_ab = random_profile_instance(profile, seed=3)
+            Lt = factorize._residue_atom_factor(gamma, delta, sing, prod_ab)
+        solve_esym(Lt)
+        (rows, N, chosen), = seen
+        exact = []
+        for _, grad in rows:
+            if any(not g.is_zero for g in grad) and rank_of(exact + [grad]) == len(exact) + 1:
+                exact.append(grad)
+                if len(exact) == N:
+                    break
+        assert chosen == exact
+
+    def test_dependent_rows_take_the_exact_rank(self, monkeypatch):
+        ring = Ring(("x", "y"))
+        x, y = ring.var("x"), ring.var("y")
+        ranks = []
+        monkeypatch.setattr(factorize, "rank_of", lambda A: ranks.append(A) or rank_of(A))
+        rows = [(ring.one, [x, y]),
+                (ring.zero, [2 * x, 2 * y]),              # dependent
+                (ring.one, [y * (1 / F(_MOD_P)), x]),     # no value mod p
+                (x, [ring.one, x])]
+        A, b = factorize._select_rows(rows, 2, ring)
+        assert A == [[x, y], [y * (1 / F(_MOD_P)), x]]
+        assert [len(m) for m in ranks] == [2, 2]
+
     def test_unsupported_profile(self):
         ring = factor_ring(1, 6)
         Lt = ApparentFuchsian.from_heun(F(1, 3), F(2, 5), F(3, 7), 6,
@@ -317,6 +360,19 @@ class TestNumericPipeline:
         gamma, delta, sing, prod_ab = random_profile_instance((2,), seed=5)
         assert verify_factorization_numeric(gamma, delta, sing, prod_ab, bits=300).passed
         assert len(calls) == len(EDGES)
+
+    def test_edge_builds_its_operators_once(self, monkeypatch):
+        # the exact esym fallback divides the operators the numeric lane built
+        calls = []
+        build = factorize.ghg_operator_esym
+        monkeypatch.setattr(factorize, "ghg_operator_esym",
+                            lambda *a: calls.append(a) or build(*a))
+        gamma, alpha, beta, m = EDGES[0]
+        delta = alpha + beta - gamma + m + 1
+        rep = verify_factorization_numeric(F(gamma), F(delta), [(F(5, 2), m)],
+                                           F(alpha * beta), bits=300)
+        assert rep.passed
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("profile", [(1, 1), (2, 1)])
     def test_two_singularity_edges_pass_and_their_controls_fail(self, profile):

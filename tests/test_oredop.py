@@ -4,8 +4,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from heunfactor.exactalg import RatFunc, Ring
+from heunfactor.exactalg import MultiPoly, RatFunc, Ring, exact_div
 from heunfactor.oredop import DiffOp, DiffOpError, QuasiFunction
 
 
@@ -119,6 +120,30 @@ def test_leibniz_against_function_multiplication(ring):
         lhs = (L * DiffOp.mul_by(f, ring, "z")).apply(poly)
         rhs = L.apply(f * poly)
         assert lhs == rhs
+
+
+_ZT = Ring(("z", "t"))
+# coefficients with denominators made of distinct linear factors z - r, one
+# of them symbolic, as in the factorization's operators
+_lin = st.sampled_from([_ZT.var("z") - r for r in (0, 1, -3, F(5, 2), _ZT.var("t"))])
+_ratfuncs = st.builds(
+    lambda terms, fac: RatFunc(MultiPoly(_ZT, terms, F(1)), fac),
+    st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 1)),
+                    st.integers(-5, 5), max_size=3),
+    st.dictionaries(_lin, st.integers(1, 2), max_size=2))
+
+
+@settings(max_examples=40)
+@given(c0=_ratfuncs, c1=_ratfuncs, coeffs=st.lists(_ratfuncs, min_size=3, max_size=5))
+def test_right_divide_by_monic_order_two_is_exact_and_reduced(c0, c1, coeffs):
+    Lt = DiffOp(_ZT, "z", [c0, c1, _ZT.one])
+    L = DiffOp(_ZT, "z", coeffs)
+    Q, R = L.right_divide(Lt)
+    assert Q * Lt + R == L
+    assert R.order < 2
+    for c in Q.coeffs + R.coeffs:
+        for f in c.den_factors():
+            assert exact_div(c.num, f) is None
 
 
 class TestQuasiFunction:
