@@ -207,16 +207,20 @@ class DiffOpM:
         return Q, rem
 
 
-def solve_esym_numeric(ratios, shift) -> list:
-    """Esym values from L-tilde's z = 0 series at exponent ``shift``.
+def solve_esym_numeric(ratios, shift) -> list | None:
+    """Esym values from L-tilde's z = 0 series at exponent ``shift``, or None
+    when the series does not determine them.
 
     ratios[n-1] = prod(1 + n / (e_i + shift)) for n = 1..N is a polynomial in
     n of degree N whose coefficients s_k = sigma'_{N-k} / sigma'_N are one
-    N x N lu_solve away.
+    N x N lu_solve away.  s_N = 1 / prod(e_i + shift) cannot vanish for finite
+    e_i, so a zero s_N means that the series fixes no esym values.
     """
     N = len(ratios)
     A = mp.matrix([[mp.mpf(n) ** k for k in range(1, N + 1)] for n in range(1, N + 1)])
     s = mp.lu_solve(A, mp.matrix([r - 1 for r in ratios]))
+    if not s[N - 1]:
+        return None
     # prod(x + e_i + shift) = sigma'_N (1 + sum_k s_k x^k); shift x back
     lead = 1 / s[N - 1]
     monic = poly_shift([lead] + [s[k] * lead for k in range(N)], -to_mpc(shift))
@@ -240,20 +244,18 @@ def remainder_defect(L, Lt, roots, p_vals, esym) -> mpmath.mpf:
     return max((abs(x) for c in rem.coeffs for x in c.num), default=mp.mpf(0))
 
 
-def newton_apparency(system_fns, jac_fns, M, seed=0, max_starts=60,
-                     tol_exp=None):
-    """Solve P_1(p)=...=P_M(p)=0 by damped Newton from random complex starts.
+def newton_apparency(system_fns, jac_fns, M, seed=0):
+    """Solve P_1(p)=...=P_M(p)=0 by damped Newton from at most 60 random
+    complex starts.
 
     system_fns / jac_fns are callables taking a list of mpc and returning mpc.
     Deterministic for fixed seed.  Returns the p-vector at residual below
-    10^tol_exp (default: 12 digits above working precision, capped at -70,
-    the certification target at 300 bits)."""
+    10^max(-70, 12 - dps): 12 digits above working precision, capped at the
+    certification target -70 of 300 bits."""
     import random as _random
     rng = _random.Random(seed)
-    if tol_exp is None:
-        tol_exp = max(-70, -(mp.dps - 12))
-    tol = mp.mpf(10) ** tol_exp
-    for _ in range(max_starts):
+    tol = mp.mpf(10) ** max(-70, 12 - mp.dps)
+    for _ in range(60):
         p = [mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(M)]
         ok = True
         for _ in range(220):

@@ -17,8 +17,9 @@ Instance file schema (version 1):
       "seed": 0                             (optional)
     }
 
-Rationals are "p/q" strings, symbolic entries {"sym": "name"}; unknown keys
-are rejected.  kind-specific parameters:
+Rationals are "p/q" strings, a symbolic entry names its own field's atom
+({"sym": "alpha"} for alpha, {"sym": "p2"} for p[1]); unknown keys are
+rejected.  kind-specific parameters:
 
     heun:              alpha, beta, gamma, epsilon, q, t (delta optional,
                        derived from the Fuchs relation when absent)
@@ -332,8 +333,8 @@ def _fuchsian_from_parameters(params: dict, mode: str):
             raise SchemaError("'q' shortcut needs exactly one extra singularity")
         qv = params.get("q", {"sym": "q"})
         if isinstance(qv, dict):
-            if set(qv) != {"sym"}:
-                raise SchemaError("bad symbolic q")
+            if qv != {"sym": "q"}:
+                raise SchemaError(f"bad symbolic q: {qv!r} (the atom is {{'sym': 'q'}})")
             q = RatFunc.of(ring.var("q"), ring)
         else:
             q = RatFunc.of(_rat(qv, "q"), ring)
@@ -344,8 +345,9 @@ def _fuchsian_from_parameters(params: dict, mode: str):
         p_vals = []
         for i, pv in enumerate(params["p"]):
             if isinstance(pv, dict):
-                if set(pv) != {"sym"}:
-                    raise SchemaError(f"bad symbolic p[{i}]")
+                if pv != {"sym": f"p{i+1}"}:
+                    raise SchemaError(f"bad symbolic p[{i}]: {pv!r} (the atom is "
+                                      f"{{'sym': 'p{i+1}'}})")
                 p_vals.append(RatFunc.of(ring.var(f"p{i+1}"), ring))
             else:
                 p_vals.append(RatFunc.of(_rat(pv, f"p[{i}]"), ring))
@@ -429,8 +431,7 @@ def cmd_monodromy(inst: dict, tol: float) -> tuple:
     p = _heun_from_parameters(inst["parameters"])
     M = numcheck.monodromy(p, "t", tol=tol)
     d = M.distance_from_identity()
-    verdict = ("apparent" if d < numcheck.APPARENT_BELOW else
-               "not_apparent" if d > numcheck.NOT_APPARENT_ABOVE else "inconclusive")
+    verdict = numcheck.apparency_verdict(d)
     report = {
         "command": "monodromy",
         "loop": "t",

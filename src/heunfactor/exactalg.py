@@ -620,13 +620,7 @@ def _surely_not_divisor(f: MultiPoly, g: MultiPoly) -> bool:
 def exact_div(f: MultiPoly, g: MultiPoly):
     """Return f/g when g divides f exactly, else None.
 
-    The modular test above rejects most non-divisors first.  The division
-    then runs on the primitive integer parts: by Gauss's lemma g divides f
-    over Q exactly when prim(g) divides prim(f) over Z, so a quotient digit
-    with a nonzero remainder proves that g does not divide f, and the
-    quotient's content is f's over g's.  Leading terms are drawn from a heap
-    instead of re-scanning the remainder, so large exact divisions (Bareiss
-    interior steps) stay near-linear in the number of term updates.
+    The modular test above rejects most non-divisors before `_quotient`.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -634,10 +628,23 @@ def exact_div(f: MultiPoly, g: MultiPoly):
         return f
     if f.ring != g.ring:
         raise UsageError("ring mismatch in exact_div")
+    if not g.is_const() and _surely_not_divisor(f, g):
+        return None
+    return _quotient(f, g)
+
+
+def _quotient(f: MultiPoly, g: MultiPoly):
+    """f/g for nonzero f and g of one ring, or None when g does not divide f.
+
+    The division runs on the primitive integer parts: by Gauss's lemma g
+    divides f over Q exactly when prim(g) divides prim(f) over Z, so a
+    quotient digit with a nonzero remainder proves that g does not divide f,
+    and the quotient's content is f's over g's.  Leading terms are drawn from
+    a heap instead of re-scanning the remainder, so large exact divisions
+    (Bareiss interior steps) stay near-linear in the number of term updates.
+    """
     if g.is_const():
         return f * (1 / g.const_value())
-    if _surely_not_divisor(f, g):
-        return None
     guards = f.ring._guards
     g_lead = max(g._t)
     g_lc = g._t[g_lead]
@@ -1115,52 +1122,57 @@ def _subs_parts(p: MultiPoly, assign: Mapping[str, RatFunc]) -> tuple:
 # -- linear algebra -----------------------------------------------------------
 
 
-def _cleared_row(row: Sequence, ring: Ring) -> list:
-    """Polynomial entries of a MultiPoly/RatFunc row times the row's common
-    denominator."""
-    return _over_lcm([RatFunc.of(x, ring) for x in row])[0]
+def _cleared(A: Sequence[Sequence]) -> list:
+    """Rows of a MultiPoly/RatFunc matrix as polynomial lists, each row times
+    its common denominator."""
+    ring = next((x.ring for row in A for x in row
+                 if isinstance(x, (MultiPoly, RatFunc))), None)
+    if ring is None:
+        raise UsageError("matrix has no ring-valued entries")
+    return [_over_lcm([RatFunc.of(x, ring) for x in row])[0] for row in A]
 
 
-def _bareiss_det(M: list, ring: Ring):
-    """Determinant of a square MultiPoly matrix by fraction-free elimination.
+def _bareiss(M: list) -> tuple:
+    """Fraction-free row echelon form of a nonempty MultiPoly matrix, in
+    place, skipping zero columns (Bareiss, Math. Comp. 22, 1968).
 
-    Mutates M.  Returns (det, rank); det is None when the matrix is singular
-    (rank reports how far elimination got).
+    Returns (rank, last pivot, sign of the row swaps); a square matrix of
+    full rank has the determinant sign * last pivot.  Every division is
+    exact by Sylvester's identity, so it goes straight to `_quotient`.
     """
-    n = len(M)
-    prev = ring.one
-    sign = 1
-    for k in range(n):
-        piv = None
-        for r in range(k, n):
-            if not M[r][k].is_zero:
-                piv = r
-                break
+    ring = M[0][0].ring
+    nr, nc = len(M), len(M[0])
+    rank, prev, sign = 0, ring.one, 1
+    for col in range(nc):
+        piv = next((r for r in range(rank, nr) if not M[r][col].is_zero), None)
         if piv is None:
-            return None, k
-        if piv != k:
-            M[k], M[piv] = M[piv], M[k]
+            continue
+        if piv != rank:
+            M[rank], M[piv] = M[piv], M[rank]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                t = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                q = exact_div(t, prev)
+        top = M[rank]
+        for row in M[rank + 1:]:
+            for j in range(col + 1, nc):
+                t = top[col] * row[j] - row[col] * top[j]
+                q = _quotient(t, prev) if not t.is_zero else t
                 if q is None:  # pragma: no cover - Bareiss divisions are exact
                     raise ExactAlgError("Bareiss exact division failed")
-                M[i][j] = q
-            M[i][k] = ring.zero
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    return (det if sign == 1 else -det), n
+                row[j] = q
+            row[col] = ring.zero
+        prev = top[col]
+        rank += 1
+        if rank == nr:
+            break
+    return rank, prev, sign
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:
     """Solve A x = b exactly over the fraction field.
 
     Entries may be MultiPoly or RatFunc (one common ring).  Rows are cleared
-    of denominators, then the solution is assembled as ratios of fraction-
-    free (Bareiss) determinants, so no arithmetic ever leaves the polynomial
-    ring until the single final division per component.
+    of denominators, then the solution is assembled by Cramer's rule from
+    fraction-free (Bareiss) determinants, so no arithmetic ever leaves the
+    polynomial ring until the single final division per component.
 
     Raises SingularMatrixError (with the achieved rank) when det = 0.
     """
@@ -1169,30 +1181,15 @@ def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:
         return []
     if any(len(row) != n for row in A) or len(b) != n:
         raise UsageError("solve_linear requires a square system")
-    ring = None
-    for row in list(A) + [list(b)]:
-        for x in row if isinstance(row, (list, tuple)) else [row]:
-            if isinstance(x, (MultiPoly, RatFunc)):
-                ring = x.ring
-                break
-        if ring:
-            break
-    if ring is None:
-        raise UsageError("system has no ring-valued entries")
-
-    M = [_cleared_row(list(A[i]) + [b[i]], ring) for i in range(n)]
-    det, rank = _bareiss_det([row[:n] for row in M], ring)
-    if det is None:
+    M = _cleared([list(A[i]) + [b[i]] for i in range(n)])
+    rank, det, sign = _bareiss([row[:n] for row in M])
+    if rank < n:
         raise SingularMatrixError(rank, n)
+    det = sign * det
     out = []
     for j in range(n):
-        Mj = [[M[i][col] if col != j else M[i][n] for col in range(n)]
-              for i in range(n)]
-        det_j, _ = _bareiss_det(Mj, ring)
-        if det_j is None:
-            out.append(RatFunc.of(0, ring))
-        else:
-            out.append(RatFunc(det_j, {det: 1}))
+        rank, det_j, sign = _bareiss([row[:j] + row[n:] + row[j + 1:n] for row in M])
+        out.append(RatFunc(sign * det_j, {det: 1}) if rank == n else RatFunc.of(0, det.ring))
     return out
 
 
@@ -1236,41 +1233,7 @@ def point_rank(A: Sequence[Sequence[MultiPoly]]):
 
 def rank_of(A: Sequence[Sequence]) -> int:
     """Rank of a rectangular MultiPoly/RatFunc matrix (fraction-free)."""
-    rows = [list(r) for r in A]
-    if not rows:
-        return 0
-    ring = None
-    for r in rows:
-        for x in r:
-            if isinstance(x, (MultiPoly, RatFunc)):
-                ring = x.ring
-    if ring is None:
-        raise UsageError("matrix has no ring-valued entries")
-    M = [_cleared_row(r, ring) for r in rows]
-    nr, nc = len(M), len(M[0])
-    rank = 0
-    row = 0
-    prev = ring.one
-    for col in range(nc):
-        piv = None
-        for r in range(row, nr):
-            if not M[r][col].is_zero:
-                piv = r
-                break
-        if piv is None:
-            continue
-        M[row], M[piv] = M[piv], M[row]
-        for i in range(row + 1, nr):
-            for j in range(col + 1, nc):
-                q = exact_div(M[row][col] * M[i][j] - M[i][col] * M[row][j], prev)
-                M[i][j] = q
-            M[i][col] = ring.zero
-        prev = M[row][col]
-        rank += 1
-        row += 1
-        if row == nr:
-            break
-    return rank
+    return _bareiss(_cleared(A))[0] if A else 0
 
 
 # -- Groebner (optional exact path for several apparency generators) ----------

@@ -37,6 +37,7 @@ from .exactalg import (
     SingularMatrixError,
     UsageError,
     Value,
+    _FIELD_MASK,
     _val,
     groebner_reduce,
     point_rank,
@@ -422,28 +423,28 @@ def _esym_solution(Lt: ApparentFuchsian, ops: Optional[tuple] = None) -> tuple:
 def _affine_rows(num: MultiPoly, e_names: Sequence[str], ring: Ring) -> list:
     """Coefficient equations of a polynomial affine in the e-atoms.
 
-    Returns [(const_part, [gradient wrt each e])] per z-power, ascending.
+    Returns [(const_part, [gradient wrt each e])] per z-power, ascending,
+    read in one pass over the terms.
     """
-    e_idx = [ring.index[n] for n in e_names]
-    for e, _ in num.terms():
-        if sum(e[i] for i in e_idx) > 1:
-            raise DegenerateInstanceError(
-                "w1 coefficients are not affine in the esym variables")
-    rows = []
-    for k in sorted(num.coeffs_in("z")):
-        eq = num.coeff_of("z", k)
-        if eq.is_zero:
-            continue
-        zero_subs = {n: 0 for n in e_names}
-        const = eq.subs(zero_subs)
-        grad = []
-        for n in e_names:
-            g = eq.coeff_of(n, 1)
-            g = g.subs({m: 0 for m in e_names if m != n}) if any(
-                g.involves(m) for m in e_names if m != n) else g
-            grad.append(g)
-        rows.append((const, grad))
-    return rows
+    sz, uz = ring._field("z")
+    fields = [ring._field(n) for n in e_names]
+    parts: dict = {}
+    for e, c in num._t.items():
+        # slot 0 takes the constant part, slot j the coefficient of e_j
+        slot, key = 0, e
+        for j, (s, u) in enumerate(fields, 1):
+            d = e >> s & _FIELD_MASK
+            if d:
+                if slot or d > 1:
+                    raise DegenerateInstanceError(
+                        "w1 coefficients are not affine in the esym variables")
+                slot, key = j, e - u
+        k = e >> sz & _FIELD_MASK
+        if k not in parts:
+            parts[k] = [{} for _ in range(len(fields) + 1)]
+        parts[k][slot][key - k * uz] = c
+    return [(MultiPoly(ring, t[0], num._c), [MultiPoly(ring, g, num._c) for g in t[1:]])
+            for _, t in sorted(parts.items())]
 
 
 def _select_rows(rows: list, N: int, ring: Ring):
@@ -668,8 +669,9 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
     """Numeric verification at `bits` precision.
 
     The esym values come from c_1..c_N of L~'s z = 0 series (`_z0_series`).
-    When neither z = 0 exponent qualifies, they come from the exact esym
-    solve on the residue-atom L~ (`_esym_solution`, no profile gate),
+    When neither z = 0 exponent qualifies, or the series fixes fewer than N
+    values (`_mpnum.solve_esym_numeric` returns None), they come from the
+    exact esym solve on the residue-atom L~ (`_esym_solution`, no profile gate),
     evaluated at the residues; rows singular there raise ZeroDivisionError.
     The exact L_GHG (esym values as atoms) is then evaluated and divided by
     L~ once at `bits` precision; a wrong esym value can only raise the
@@ -691,11 +693,10 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
                                       seed=seed, bits=bits)
         assign = {f"p{k}": _mpnum.to_mpc(p) for k, p in enumerate(p_vals, 1)}
         series = _z0_series(Lt, op, assign)
-        if series is None:
+        es = _mpnum.solve_esym_numeric(*series) if series else None
+        if es is None:
             es = [v.eval_num(assign, num=mp.mpc)
                   for v in _esym_solution(Lt, ops)[0].values]
-        else:
-            es = _mpnum.solve_esym_numeric(*series)
         defect = _mpnum.remainder_defect(L, op, roots, p_vals, es)
         passed = defect < mp.mpf(10) ** tol_exp
         esym = EsymVector("numeric", tuple(es))

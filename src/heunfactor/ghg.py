@@ -42,7 +42,7 @@ class GHGParams:
                    tuple(_val(b, ring) for b in lower))
 
 
-def _euler_poly_op(coeffs: Sequence[RatFunc], ring: Ring, var: str) -> DiffOp:
+def _euler_poly_op(coeffs: Sequence[RatFunc], ring: Ring) -> DiffOp:
     """sum coeffs[k] * th^k as a normal-ordered operator, th = z d/dz, by
     th^k = sum_j S(k, j) z^j D^j with S the Stirling numbers of the second
     kind, S(k, j) = j S(k-1, j) + S(k-1, j-1)."""
@@ -50,7 +50,7 @@ def _euler_poly_op(coeffs: Sequence[RatFunc], ring: Ring, var: str) -> DiffOp:
     for k in range(1, len(coeffs)):
         prev = stirling[-1] + [0]
         stirling.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, k + 1)])
-    z = RatFunc.of(ring.var(var), ring)
+    z = RatFunc.of(ring.var("z"), ring)
     out = []
     for j in range(len(coeffs)):
         c = RatFunc.of(0, ring)
@@ -58,7 +58,7 @@ def _euler_poly_op(coeffs: Sequence[RatFunc], ring: Ring, var: str) -> DiffOp:
             if stirling[k][j] and coeffs[k] != 0:
                 c = c + coeffs[k] * stirling[k][j]
         out.append(c * z ** j)
-    return DiffOp(ring, var, out)
+    return DiffOp(ring, "z", out)
 
 
 def _theta_shift_product(shifts: Sequence[RatFunc], ring: Ring) -> list:
@@ -73,7 +73,7 @@ def _theta_shift_product(shifts: Sequence[RatFunc], ring: Ring) -> list:
     return coeffs
 
 
-def ghg_operator(g: GHGParams, var: str = "z") -> DiffOp:
+def ghg_operator(g: GHGParams) -> DiffOp:
     """Monic operator of order q+1 annihilating pFq; requires p = q + 1."""
     p, q = len(g.upper), len(g.lower)
     if p != q + 1:
@@ -83,8 +83,8 @@ def ghg_operator(g: GHGParams, var: str = "z") -> DiffOp:
     lower_shifted = [b - 1 for b in g.lower]
     b_poly = _theta_shift_product(lower_shifted, ring)
     a_poly = _theta_shift_product(list(g.upper), ring)
-    D = DiffOp.d(ring, var)
-    L = D * _euler_poly_op(b_poly, ring, var) - _euler_poly_op(a_poly, ring, var)
+    D = DiffOp.d(ring, "z")
+    L = D * _euler_poly_op(b_poly, ring) - _euler_poly_op(a_poly, ring)
     return L.scale(RatFunc.of(1, ring) / L.leading)
 
 
@@ -104,7 +104,7 @@ def esym_shifted(esym: Sequence[RatFunc], c: Value, ring: Ring) -> list:
 
 
 def ghg_operator_esym(sum_ab: Value, prod_ab: Value, gamma: Value,
-                      esym: Sequence[Value], ring: Ring, var: str = "z") -> DiffOp:
+                      esym: Sequence[Value], ring: Ring) -> DiffOp:
     """L_{alpha, beta, e_1+1, .., e_N+1; gamma, e_1, .., e_N} built from the
     elementary symmetric functions of the e_i (no individual e_i needed).
 
@@ -132,8 +132,8 @@ def ghg_operator_esym(sum_ab: Value, prod_ab: Value, gamma: Value,
     b_poly = poly_from_esym([-1], [g - 1])
     # uppers: (alpha, beta, e_i + 1) -> (th^2 + (a+b) th + ab), (th + e_i + 1)
     a_poly = poly_mul(poly_from_esym([1], []), [pab, sab, RatFunc.of(1, ring)])
-    D = DiffOp.d(ring, var)
-    L = D * _euler_poly_op(b_poly, ring, var) - _euler_poly_op(a_poly, ring, var)
+    D = DiffOp.d(ring, "z")
+    L = D * _euler_poly_op(b_poly, ring) - _euler_poly_op(a_poly, ring)
     assert L.order == N + 2
     return L.scale(RatFunc.of(1, ring) / L.leading)
 

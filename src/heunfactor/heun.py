@@ -121,7 +121,7 @@ class HeunParams:
     def swap_alpha_beta(self) -> "HeunParams":
         return replace(self, alpha=self.beta, beta=self.alpha)
 
-    # -- JSON wire format (rationals as "p/q", symbols as {"sym": name}) ------
+    # -- JSON wire format (rationals as "p/q", atoms as {"sym": field}) -------
 
     def to_json(self) -> dict:
         out = {}
@@ -131,14 +131,9 @@ class HeunParams:
             if f is not None:
                 out[key] = str(f)
                 continue
-            if v.is_poly():
-                p = v.as_poly()
-                if p.num_terms() == 1:
-                    (e, c), = p.terms()
-                    if c == 1 and sum(e) == 1:
-                        name = p.ring.names[e.index(1)]
-                        out[key] = {"sym": name}
-                        continue
+            if key in self.ring.index and v == RatFunc.of(self.ring.var(key), self.ring):
+                out[key] = {"sym": key}
+                continue
             if key == "delta":
                 continue  # derived expression; reconstructed on load
             raise UsageError(f"field {key} is not a serializable atom/rational")
@@ -158,8 +153,8 @@ class HeunParams:
                     return Fraction(v)
                 except (ValueError, ZeroDivisionError):
                     raise UsageError(f"bad rational for {key}: {v!r}") from None
-            if isinstance(v, Mapping) and set(v) == {"sym"} and isinstance(v["sym"], str):
-                return RatFunc.of(ring.var(v["sym"]), ring)
+            if v == {"sym": key}:  # a symbol names its own field's atom
+                return RatFunc.of(ring.var(key), ring)
             raise UsageError(f"bad value for {key}: {v!r}")
 
         kwargs = {k: load(k) for k in ("alpha", "beta", "gamma", "epsilon", "q", "t")}

@@ -19,7 +19,6 @@ from typing import Optional
 from .exactalg import MultiPoly, RatFunc, UsageError, reduce_mod
 from .heun import (
     HeunParams,
-    PolySolution,
     NoSolution,
     apparency_poly,
     heun_operator,

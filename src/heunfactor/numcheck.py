@@ -230,18 +230,22 @@ APPARENT_BELOW = 1e-6
 NOT_APPARENT_ABOVE = 1e-3
 
 
-def classify_apparent(p: HeunParams, tol: float = 1e-12,
-                      pass_threshold: float = APPARENT_BELOW,
-                      fail_threshold: float = NOT_APPARENT_ABOVE) -> bool:
+def apparency_verdict(d: float) -> str:
+    """"apparent", "not_apparent" or "inconclusive" for a monodromy distance
+    d from the identity."""
+    if d < APPARENT_BELOW:
+        return "apparent"
+    return "not_apparent" if d > NOT_APPARENT_ABOVE else "inconclusive"
+
+
+def classify_apparent(p: HeunParams, tol: float = 1e-12) -> bool:
     """True/False apparency of z = t by monodromy distance from identity;
     raises InconclusiveError inside the threshold gap."""
-    M = monodromy(p, "t", tol=tol)
-    d = M.distance_from_identity()
-    if d < pass_threshold:
-        return True
-    if d > fail_threshold:
-        return False
-    raise InconclusiveError(f"monodromy defect {d:.3e} in the threshold gap")
+    d = monodromy(p, "t", tol=tol).distance_from_identity()
+    verdict = apparency_verdict(d)
+    if verdict == "inconclusive":
+        raise InconclusiveError(f"monodromy defect {d:.3e} in the threshold gap")
+    return verdict == "apparent"
 
 
 @dataclass(frozen=True)
@@ -250,21 +254,19 @@ class Witness:
     angle_defect: float
 
 
-def reducibility_witness(p: HeunParams, tol: float = 1e-5,
-                         integrator_tol: float = 1e-12):
+def reducibility_witness(p: HeunParams):
     """Common invariant direction of the monodromies around 0 and 1.
 
     Returns a Witness when some eigendirection of one matrix is carried to
-    itself by the other within `tol` (sine of the angle), else the minimized
-    defect wrapped in a Witness with angle_defect > tol.
+    itself by the other within 1e-5 (sine of the angle), else the minimized
+    defect wrapped in a Witness with angle_defect > 1e-5.
     """
     import numpy as np
 
     sings = _singularities(p)
     span = max(abs(sings["t"]), 1.0)
     basepoint = -0.61j * span
-    M0, M1 = (np.array(monodromy(p, loop, tol=integrator_tol,
-                                 basepoint=basepoint).entries)
+    M0, M1 = (np.array(monodromy(p, loop, basepoint=basepoint).entries)
               for loop in ("zero", "one"))
     best = None
     for M, other in ((M0, M1), (M1, M0)):
@@ -279,7 +281,7 @@ def reducibility_witness(p: HeunParams, tol: float = 1e-5,
             defect = float(np.linalg.norm(w - proj) / nw)
             if best is None or defect < best.angle_defect:
                 best = Witness(v, defect)
-    if best is None or best.angle_defect > tol:
+    if best is None or best.angle_defect > 1e-5:
         return None, best
     return best, best
 
@@ -312,8 +314,8 @@ class DecompositionResult:
 
 
 def decompose_2f1(p: HeunParams, sample_points: Optional[Sequence[float]] = None,
-                  holdout_points: Optional[Sequence[float]] = None,
-                  max_condition: float = 1e11) -> DecompositionResult:
+                  holdout_points: Optional[Sequence[float]] = None
+                  ) -> DecompositionResult:
     """Fit a numeric Heun solution (eps = -2, z = t apparent) against the six
     hypergeometric basis functions
 
@@ -362,7 +364,7 @@ def decompose_2f1(p: HeunParams, sample_points: Optional[Sequence[float]] = None
     A = np.array([basis(z) for z in sample_points], dtype=complex)
     y = np.array([poly_eval(coeffs, z - z0) for z in sample_points], dtype=complex)
     cond = float(np.linalg.cond(A))
-    if cond > max_condition:
+    if cond > 1e11:
         raise IntegrationError(f"basis is ill-conditioned: cond = {cond:.3e}")
     sol, *_ = np.linalg.lstsq(A, y, rcond=None)
     H = np.array([basis(z) for z in holdout_points], dtype=complex)

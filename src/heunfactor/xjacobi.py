@@ -203,8 +203,7 @@ def x1_apparency_factor(k, g, h):
     return root, val.is_zero
 
 
-def orthogonality_check(j: int, k: int, g, h, quad_order: int | None = None
-                        ) -> float:
+def orthogonality_check(j: int, k: int, g, h) -> float:
     """Inner product of two family members for the weight
     (1-eta)^(g+1/2) (1+eta)^(h+1/2) / (2^(g+h+2) xi(eta)^2).
 
@@ -223,8 +222,6 @@ def orthogonality_check(j: int, k: int, g, h, quad_order: int | None = None
     pk = x1_jacobi(k, g, h)
     xi = xi_poly(g, h)
     scale = 2.0 ** float(g + h + 2)
-    if quad_order is None:
-        quad_order = j + k + 12
 
     def integral(n):
         nodes, weights = roots_jacobi(n, float(g) + 0.5, float(h) + 0.5)
@@ -234,8 +231,8 @@ def orthogonality_check(j: int, k: int, g, h, quad_order: int | None = None
             total += w * pj.eval_float(x) * pk.eval_float(x) / (scale * xiv * xiv)
         return float(total)
 
-    v1 = integral(quad_order)
-    v2 = integral(2 * quad_order)
+    v1 = integral(j + k + 12)
+    v2 = integral(2 * (j + k + 12))
     ref = max(abs(v2), 1.0)
     if abs(v1 - v2) > 1e-9 * ref:
         raise QuadratureError(

@@ -242,6 +242,17 @@ class TestFactorizeCommand:
         assert code == 0 and rep["pass"]
         assert float(rep["defect_max"]) < 1e-60
 
+    def test_numeric_series_without_esym_takes_the_exact_solve(self, tmp_path, capsys):
+        # beta = 1/2 makes the residue p1 = 0: L~'s z = 0 series fixes no
+        # esym value, so the numeric lane falls back to the exact solve and
+        # fails as exact mode does (esym -22/3)
+        path = write(tmp_path, "i.json", _with(MAIER, beta="1/2"))
+        code, out, _ = run_cli(["factorize", path, "--mode", "numeric"], capsys)
+        rep = json.loads(out)
+        assert code == 2 and not rep["pass"]
+        assert float(rep["esym"][0][1:].split()[0]) == pytest.approx(-22 / 3)
+        assert float(rep["defect_max"]) == 3.0
+
 
 class TestX1Command:
     def test_full_checks(self, capsys):
@@ -494,6 +505,9 @@ def _with(inst, **params):
 NUMERIC_M1 = {"version": 1, "kind": "apparent_fuchsian", "mode": "numeric",
               "parameters": {"gamma": "5/7", "alpha": "1/3", "beta": "3/5",
                              "sing": [{"t": "2", "m": 1}]}}
+CONCRETE_EP1 = {"version": 1, "kind": "heun",
+                "parameters": {"alpha": "1", "beta": "2", "gamma": "34/3",
+                               "epsilon": "-1", "q": "1", "t": "2"}}
 SCHEMA_CASES = {
     "sing-int": ("factorize", _with(MAIER, sing=5)),
     "sing-entry-int": ("factorize", _with(MAIER, sing=[3])),
@@ -503,6 +517,12 @@ SCHEMA_CASES = {
     "p-too-long": ("factorize", _with(NUMERIC_M1, p=["1", "2"])),
     "p-too-short": ("factorize", _with(NUMERIC_M1, p=["1"], sing=[{"t": "2", "m": 1},
                                                                   {"t": "-3", "m": 1}])),
+    # a symbolic entry names its own field's atom, never another variable
+    "t-sym-z": ("apparency", _with(HEUN_SYM_EP1, t={"sym": "z"})),
+    "alpha-sym-z": ("apparency", _with(CONCRETE_EP1, alpha={"sym": "z"})),
+    "q-sym-zz": ("factorize", _with(MAIER, q={"sym": "zz"})),
+    "p-sym-zz": ("factorize", _with(NUMERIC_M1, p=[{"sym": "zz"}])),
+    "p-sym-p2": ("factorize", _with(dict(NUMERIC_M1, mode="exact"), p=[{"sym": "p2"}])),
 }
 
 
@@ -530,9 +550,6 @@ def test_oversized_json_integer_exits_1(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
-CONCRETE_EP1 = {"version": 1, "kind": "heun",
-                "parameters": {"alpha": "1", "beta": "2", "gamma": "34/3",
-                               "epsilon": "-1", "q": "1", "t": "2"}}
 _json_leaf = (st.none() | st.booleans() | st.integers()
               # built, not sampled: hypothesis prints its strategies, and
               # repr() refuses an int of more than 4300 digits
@@ -555,10 +572,22 @@ _json_values = st.recursive(
 def test_apparency_fuzzed_parameter_keeps_exit_contract(key, value):
     # one parameter of a heun instance replaced by arbitrary JSON: the
     # apparency command exits 0, 1 or 2 and never prints a traceback
+    _assert_exit_contract(["apparency"], _with(CONCRETE_EP1, **{key: value}))
+
+
+@settings(max_examples=25)
+@given(key=st.sampled_from(sorted(MAIER["parameters"]) + ["delta", "prod_ab", "p"]),
+       value=_json_values, mode=st.sampled_from(["exact", "numeric"]))
+def test_factorize_fuzzed_parameter_keeps_exit_contract(key, value, mode):
+    # the same for one parameter of MAIER, in exact and in numeric mode
+    _assert_exit_contract(["factorize", "--mode", mode], _with(MAIER, **{key: value}))
+
+
+def _assert_exit_contract(command: list, inst: dict):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(_with(CONCRETE_EP1, **{key: value}))
+        text = json.dumps(inst)
     finally:
         sys.set_int_max_str_digits(old)
     with tempfile.TemporaryDirectory() as d:
@@ -566,7 +595,7 @@ def test_apparency_fuzzed_parameter_keeps_exit_contract(key, value):
         path.write_text(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["apparency", str(path)])
+            code = main(command + [str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
 

@@ -3,7 +3,7 @@
 These verify the same zero-defect statement as the default suite's numeric
 path, but fully symbolically in the quotient ring.  On a 2-CPU machine
 whose speed drifts by up to 2x, ``HEUNFACTOR_DEEP=1 python -m pytest
-tests/test_deep.py -k 4`` takes 11-15 s (solve about 12 s, verify under
+tests/test_deep.py -k 4`` takes 8.5-10.5 s (solve about 9 s, verify under
 0.3 s); almost all of it is the Cramer solve of ``solve_esym``, since the
 row choice at one point mod p takes about 1 ms.  CI runs it.  At m = 5 the
 solve took 23 min in one run (the Cramer solve 1390 s, the row choice

@@ -175,6 +175,11 @@ class TestSolveLinear:
         x = solve_linear([[R.one, R.zero], [R.zero, R.one]], [a, b])
         assert x[0] == RatFunc(a) and x[1] == RatFunc(b)
 
+    def test_zero_component(self, R):
+        a = R.var("alpha")
+        x = solve_linear([[R.one, a], [a, R.one]], [a * a, a])
+        assert x == [RatFunc.of(0, R), RatFunc(a)]
+
     def test_round_trip_random(self, R, rng):
         for n in (2, 3):
             for _ in range(10):
@@ -460,6 +465,9 @@ class TestRatFunc:
         a = R.var("alpha")
         assert rank_of([[R.one, a], [a, a * a]]) == 1
         assert rank_of([[R.one, a], [a, R.one]]) == 2
+        # the elimination steps over a zero column and past a dependent row
+        assert rank_of([[R.zero, R.one, a], [R.zero, a, a * a], [R.zero, R.one, R.one]]) == 2
+        assert rank_of([[R.zero, R.zero], [R.zero, R.zero]]) == 0
 
     def test_point_rank_bounds_rank_of(self, R):
         a, t = R.var("alpha"), R.var("t")

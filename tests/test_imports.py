@@ -1,0 +1,41 @@
+"""Every name a heunfactor module imports is used in that module."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "heunfactor"
+
+
+def _unused_imports(tree: ast.Module) -> list:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    # a quoted annotation ("MultiPoly") uses the names it spells
+    for node in ast.walk(tree):
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            annotations = [a.annotation for a in args.posonlyargs + args.args
+                           + args.kwonlyargs + [args.vararg, args.kwarg]
+                           if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for ann in annotations:
+            for c in ast.walk(ann) if ann is not None else ():
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    used |= {n.id for n in ast.walk(ast.parse(c.value, mode="eval"))
+                             if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_import(path):
+    assert _unused_imports(ast.parse(path.read_text())) == []
