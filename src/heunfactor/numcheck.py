@@ -11,10 +11,10 @@ analytic continuation of D-finite functions).  Hardware doubles throughout;
 the certification-grade high-precision arithmetic lives in the
 factorization pipeline, which uses this oracle only as a sanity cross-check.
 
-The 2x2 monodromy matrices are tuples of rows in plain Python, so the
-monodromy oracle does not load numpy; only ``reducibility_witness`` (an
-eigenvector search) and ``decompose_2f1`` (a least-squares fit against
-scipy's 2F1) import it, when called.
+The 2x2 monodromy matrices are tuples of rows in plain Python, and the
+reducibility witness reads their eigenvectors in closed form; the
+decomposition takes its 2F1 values from ``mpmath.fp`` and its least squares
+and condition number from mpmath at double precision.
 """
 
 from __future__ import annotations
@@ -24,13 +24,12 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
+
+import mpmath
 
 from .heun import HeunParams
 from .exactalg import UsageError, poly_eval, poly_shift
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class IntegrationError(Exception):
@@ -161,6 +160,24 @@ def _max_abs(A: tuple) -> float:
     return max(abs(v) for row in A for v in row)
 
 
+def _norm(v: Sequence[complex]) -> float:
+    return math.hypot(*(abs(x) for x in v))
+
+
+def _eigenvectors(A: tuple) -> list:
+    """Unit eigenvectors of a 2x2 matrix given as a tuple of rows: for each
+    eigenvalue l the longer of the null vectors (b, l - a) and (l - d, c) of
+    A - l I; a multiple of the identity gives the unit vectors."""
+    (a, b), (c, d) = A
+    mid, root = (a + d) / 2, cmath.sqrt(((a - d) / 2) ** 2 + b * c)
+    out = []
+    for lam, unit in ((mid + root, (1, 0)), (mid - root, (0, 1))):
+        v = max(((b, lam - a), (lam - d, c)), key=_norm)
+        n = _norm(v)
+        out.append(tuple(x / n for x in v) if n else unit)
+    return out
+
+
 def _off_identity(A: tuple) -> float:
     """max |A - I| over the entries of a 2x2 matrix."""
     (a, b), (c, d) = A
@@ -250,7 +267,7 @@ def classify_apparent(p: HeunParams, tol: float = 1e-12) -> bool:
 
 @dataclass(frozen=True)
 class Witness:
-    vector: np.ndarray
+    vector: tuple       # unit eigenvector, complex
     angle_defect: float
 
 
@@ -261,24 +278,20 @@ def reducibility_witness(p: HeunParams):
     itself by the other within 1e-5 (sine of the angle), else the minimized
     defect wrapped in a Witness with angle_defect > 1e-5.
     """
-    import numpy as np
-
     sings = _singularities(p)
     span = max(abs(sings["t"]), 1.0)
     basepoint = -0.61j * span
-    M0, M1 = (np.array(monodromy(p, loop, basepoint=basepoint).entries)
+    M0, M1 = (monodromy(p, loop, basepoint=basepoint).entries
               for loop in ("zero", "one"))
     best = None
     for M, other in ((M0, M1), (M1, M0)):
-        _, vecs = np.linalg.eig(M)
-        for i in range(2):
-            v = vecs[:, i]
-            w = other @ v
-            nw = np.linalg.norm(w)
+        for v in _eigenvectors(M):
+            w = tuple(r[0] * v[0] + r[1] * v[1] for r in other)
+            nw = _norm(w)
             if nw == 0:
                 continue
-            proj = (np.vdot(v, w)) * v / np.vdot(v, v)
-            defect = float(np.linalg.norm(w - proj) / nw)
+            s = v[0].conjugate() * w[0] + v[1].conjugate() * w[1]
+            defect = _norm((w[0] - s * v[0], w[1] - s * v[1])) / nw
             if best is None or defect < best.angle_defect:
                 best = Witness(v, defect)
     if best is None or best.angle_defect > 1e-5:
@@ -308,7 +321,7 @@ def product_relation_defect(p: HeunParams, tol: float = 1e-12) -> float:
 
 @dataclass(frozen=True)
 class DecompositionResult:
-    coefficients: np.ndarray
+    coefficients: tuple     # complex, one per basis function
     residual: float
     condition_number: float
 
@@ -329,9 +342,7 @@ def decompose_2f1(p: HeunParams, sample_points: Optional[Sequence[float]] = None
     beta-delta not integers.  The held-out residual is the oracle; callers
     accept the decomposition claim when it is below 1e-8.
     """
-    import numpy as np
-    from scipy.special import hyp2f1   # real parameters, complex argument
-
+    hyp2f1 = mpmath.fp.hyp2f1     # real parameters, complex argument
     a, b, g, d = (_cnum(getattr(p, n)).real
                   for n in ("alpha", "beta", "gamma", "delta"))
     for name, v in (("alpha", a), ("beta", b), ("beta-gamma", b - g),
@@ -361,14 +372,16 @@ def decompose_2f1(p: HeunParams, sample_points: Optional[Sequence[float]] = None
                                    "sample point")
         return out
 
-    A = np.array([basis(z) for z in sample_points], dtype=complex)
-    y = np.array([poly_eval(coeffs, z - z0) for z in sample_points], dtype=complex)
-    cond = float(np.linalg.cond(A))
-    if cond > 1e11:
-        raise IntegrationError(f"basis is ill-conditioned: cond = {cond:.3e}")
-    sol, *_ = np.linalg.lstsq(A, y, rcond=None)
-    H = np.array([basis(z) for z in holdout_points], dtype=complex)
-    yh = np.array([poly_eval(coeffs, z - z0) for z in holdout_points], dtype=complex)
-    scale = max(1.0, float(np.max(np.abs(yh))))
-    residual = float(np.max(np.abs(H @ sol - yh))) / scale
+    with mpmath.mp.workprec(53):
+        A = mpmath.matrix([basis(z) for z in sample_points])
+        y = mpmath.matrix([poly_eval(coeffs, z - z0) for z in sample_points])
+        sv = mpmath.svd_c(A, compute_uv=False)
+        cond = float(max(sv) / min(sv)) if min(sv) else math.inf
+        if cond > 1e11:
+            raise IntegrationError(f"basis is ill-conditioned: cond = {cond:.3e}")
+        sol = tuple(complex(c) for c in mpmath.qr_solve(A, y)[0])
+    yh = [poly_eval(coeffs, z - z0) for z in holdout_points]
+    scale = max(1.0, *(abs(v) for v in yh))
+    residual = max(abs(sum(c * f for c, f in zip(sol, basis(z))) - v)
+                   for z, v in zip(holdout_points, yh)) / scale
     return DecompositionResult(sol, residual, cond)

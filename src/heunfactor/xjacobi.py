@@ -12,6 +12,7 @@ Heun parameter echo).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -203,6 +204,101 @@ def x1_apparency_factor(k, g, h):
     return root, val.is_zero
 
 
+#: Newton steps allowed per Gauss-Jacobi node; from the gaujac guesses
+#: 2-6 suffice wherever the guesses are good
+_NEWTON_CAP = 30
+
+
+def _jacobi_pair(n: int, a: float, b: float, x: float) -> tuple:
+    """(P_n(x), P_n'(x)) for the Jacobi polynomial of the weight
+    (1-x)^a (1+x)^b, by the three-term recurrence; |x| < 1."""
+    ab = a + b
+    p0, p1 = 1.0, (a - b + (ab + 2) * x) / 2
+    for j in range(2, n + 1):
+        c = 2 * j + ab
+        p0, p1 = p1, ((c - 1) * (a * a - b * b + c * (c - 2) * x) * p1
+                      - 2 * (j - 1 + a) * (j - 1 + b) * c * p0) / (2 * j * (j + ab) * (c - 2))
+    c = 2 * n + ab
+    return p1, (n * (a - b - c * x) * p1 + 2 * (n + a) * (n + b) * p0) / (c * (1 - x * x))
+
+
+def _gaujac_guess(i: int, n: int, a: float, b: float, x: list) -> float:
+    """Starting guess for node i (0-based, decreasing) of the n-point rule
+    from the nodes x[:i] already found: the empirical formulas of Numerical
+    Recipes' gaujac for the two nodes at each end, cubic extrapolation in
+    between."""
+    if i == 0:
+        an, bn = a / n, b / n
+        r1 = (1 + a) * (2.78 / (4 + n * n) + 0.768 * an / n)
+        r2 = 1 + 1.48 * an + 0.96 * bn + 0.452 * an * an + 0.83 * an * bn
+        return 1 - r1 / r2
+    if i == 1:
+        r1 = (4.1 + a) / ((1 + a) * (1 + 0.156 * a))
+        r2 = 1 + 0.06 * (n - 8) * (1 + 0.12 * a) / n
+        r3 = 1 + 0.012 * b * (1 + 0.25 * abs(a)) / n
+        return x[0] - (1 - x[0]) * r1 * r2 * r3
+    if i == 2:
+        r1 = (1.67 + 0.28 * a) / (1 + 0.37 * a)
+        r2 = 1 + 0.22 * (n - 8) / n
+        r3 = 1 + 8 * b / ((6.28 + b) * n * n)
+        return x[1] - (x[0] - x[1]) * r1 * r2 * r3
+    if i == n - 2:
+        r1 = (1 + 0.235 * b) / (0.766 + 0.119 * b)
+        r2 = 1 / (1 + 0.639 * (n - 4) / (1 + 0.71 * (n - 4)))
+        r3 = 1 / (1 + 20 * a / ((7.5 + a) * n * n))
+        return x[i - 1] + (x[i - 1] - x[i - 2]) * r1 * r2 * r3
+    if i == n - 1:
+        r1 = (1 + 0.37 * b) / (1.67 + 0.28 * b)
+        r2 = 1 / (1 + 0.22 * (n - 8) / n)
+        r3 = 1 / (1 + 8 * a / ((6.28 + a) * n * n))
+        return x[i - 1] + (x[i - 1] - x[i - 2]) * r1 * r2 * r3
+    return 3 * x[i - 1] - 3 * x[i - 2] + x[i - 3]
+
+
+def _gauss_jacobi(n: int, a: float, b: float) -> tuple:
+    """(nodes, weights) of the n-point Gauss-Jacobi rule for the weight
+    (1-x)^a (1+x)^b on [-1, 1], nodes decreasing.
+
+    Newton on the three-term recurrence from the gaujac starting guesses;
+    weights C / ((1-x^2) P_n'(x)^2) with
+    C = 2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1) n!), its
+    logarithm from math.lgamma.  The guesses degrade for large a or b, so
+    the rule is checked instead of trusted: QuadratureError when a node's
+    Newton iteration does not converge, the nodes are not strictly
+    decreasing inside (-1, 1), a weight is not positive, or the weights
+    miss the weight's integral 2^(a+b+1) B(a+1, b+1) by more than 1e-12
+    relative.
+    """
+    log2 = math.log(2)
+    c = math.exp((a + b + 1) * log2 + math.lgamma(n + a + 1) + math.lgamma(n + b + 1)
+                 - math.lgamma(n + a + b + 1) - math.lgamma(n + 1))
+    nodes, weights = [], []
+    for i in range(n):
+        z = _gaujac_guess(i, n, a, b, nodes)
+        for _ in range(_NEWTON_CAP):
+            p, dp = _jacobi_pair(n, a, b, z)
+            dz = p / dp
+            z -= dz
+            if abs(dz) <= 1e-15 or not -1 < z < 1:
+                break
+        else:
+            raise QuadratureError(f"Gauss-Jacobi node {i} of {n} did not converge")
+        if not -1 < z < (nodes[-1] if nodes else 1):
+            raise QuadratureError(f"Gauss-Jacobi node {i} of {n} is out of order")
+        dp = _jacobi_pair(n, a, b, z)[1]
+        w = c / ((1 - z * z) * dp * dp)
+        if not w > 0:
+            raise QuadratureError(f"Gauss-Jacobi weight {i} of {n} is not positive")
+        nodes.append(z)
+        weights.append(w)
+    mass = math.exp((a + b + 1) * log2 + math.lgamma(a + 1) + math.lgamma(b + 1)
+                    - math.lgamma(a + b + 2))
+    if abs(math.fsum(weights) - mass) > 1e-12 * mass:
+        raise QuadratureError(f"Gauss-Jacobi weights of order {n} miss the weight's "
+                              "integral")
+    return nodes, weights
+
+
 def orthogonality_check(j: int, k: int, g, h) -> float:
     """Inner product of two family members for the weight
     (1-eta)^(g+1/2) (1+eta)^(h+1/2) / (2^(g+h+2) xi(eta)^2).
@@ -211,10 +307,6 @@ def orthogonality_check(j: int, k: int, g, h) -> float:
     needs g, h > -1/2 so the weight is integrable and xi has no zero inside
     [-1, 1].  Off-diagonal values are zero up to quadrature accuracy.
     """
-    # imported here, by its only user, so that importing the CLI does not
-    # load scipy.special
-    from scipy.special import roots_jacobi
-
     g, h = Fraction(g), Fraction(h)
     if g <= Fraction(-1, 2) or h <= Fraction(-1, 2):
         raise UsageError("orthogonality needs g, h > -1/2")
@@ -224,12 +316,11 @@ def orthogonality_check(j: int, k: int, g, h) -> float:
     scale = 2.0 ** float(g + h + 2)
 
     def integral(n):
-        nodes, weights = roots_jacobi(n, float(g) + 0.5, float(h) + 0.5)
         total = 0.0
-        for x, w in zip(nodes.tolist(), weights.tolist()):
+        for x, w in zip(*_gauss_jacobi(n, float(g) + 0.5, float(h) + 0.5)):
             xiv = float(xi[0]) + float(xi[1]) * x
             total += w * pj.eval_float(x) * pk.eval_float(x) / (scale * xiv * xiv)
-        return float(total)
+        return total
 
     v1 = integral(j + k + 12)
     v2 = integral(2 * (j + k + 12))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -276,6 +277,14 @@ class TestX1Command:
     def test_g_equals_h_exit1(self, capsys):
         code, _, err = run_cli(["x1", "1", "1", "1"], capsys)
         assert code == 1 and "degenerate" in err
+
+    @pytest.mark.parametrize("g", ["12", "40", "1000"])
+    def test_unconverged_orthogonality_exits_2(self, capsys, g):
+        # the quadrature fails loudly: at g = 12 and 40 the doubled order
+        # disagrees, at g = 1000 the Gauss-Jacobi rule itself gives up
+        code, out, err = run_cli(["x1", "5", g, "1/4", "--ortho-max", "3"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: QuadratureError:") and "Traceback" not in err
 
 
 class TestMonodromyCommand:
@@ -583,6 +592,24 @@ def test_factorize_fuzzed_parameter_keeps_exit_contract(key, value, mode):
     _assert_exit_contract(["factorize", "--mode", mode], _with(MAIER, **{key: value}))
 
 
+_x1_rationals = (st.sampled_from(["-1/2", "1/2", "3/2", "-3/2", "-1", "0", "1/4",
+                                  "12", "40", "1000", "1999/2"])
+                 | st.builds(lambda n, d: str(F(n, d)), st.integers(-8, 1000),
+                             st.sampled_from([1, 2, 3, 4])))
+
+
+@settings(max_examples=25)
+@given(k=st.integers(0, 8), g=_x1_rationals, h=_x1_rationals)
+def test_x1_fuzzed_parameters_keep_exit_contract(k, g, h):
+    # small rationals for g and h, half-integers and large values included,
+    # with the orthogonality quadrature on
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["x1", "--ortho-max", "3", "--", str(k), g, h])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+
+
 def _assert_exit_contract(command: list, inst: dict):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
@@ -666,24 +693,26 @@ def test_option_count():
     assert sum(map(len, dests.values())) == 18
 
 
-def test_commands_leave_numpy_unloaded(tmp_path):
-    # only x1 (through scipy's quadrature) may load numpy
+def test_commands_run_with_numpy_and_scipy_unimportable(tmp_path):
+    # mpmath is the only runtime dependency: every command passes with the
+    # imports of numpy and scipy blocked (the sweep runs in-process, so the
+    # block covers its files too)
+    sweep = tmp_path / "sweep"
+    sweep.mkdir()
+    write(sweep, "a.json", CONCRETE_EP1)
+    write(sweep, "x.json", XJACOBI)
     argvs = [["apparency", write(tmp_path, "a.json", CONCRETE_EP1)],
              ["monodromy", write(tmp_path, "m.json", MONODROMY)],
-             ["factorize", write(tmp_path, "f.json", NUMERIC_M3)]]
+             ["factorize", write(tmp_path, "e.json", MAIER)],
+             ["factorize", write(tmp_path, "f.json", NUMERIC_M3)],
+             ["x1", "5", "1", "1/4", "--ortho-max", "3"],
+             ["sweep", str(sweep)]]
     script = ("import contextlib, io, sys\n"
+              "sys.modules['numpy'] = sys.modules['scipy'] = None\n"
               "from heunfactor.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
-              f"    codes = [main(a) for a in {argvs!r}]\n"
-              "print(codes, 'numpy' in sys.modules)\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[0, 0, 0] False"
-
-
-def test_cli_import_leaves_scipy_special_unloaded():
-    out = subprocess.run([sys.executable, "-c",
-                          "import sys, heunfactor.cli; "
-                          "print('scipy.special' in sys.modules)"],
-                         capture_output=True, text=True)
-    assert out.returncode == 0 and out.stdout.strip() == "False"
+              f"    print([main(a) for a in {argvs!r}], file=sys.__stdout__)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, HEUNFACTOR_THREADS="1"))
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0]"

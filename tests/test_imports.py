@@ -1,4 +1,5 @@
-"""Every name a heunfactor module imports is used in that module."""
+"""Every name a heunfactor module imports is used in that module, and no
+module imports numpy or scipy: mpmath is the only runtime dependency."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,14 @@ def _unused_imports(tree: ast.Module) -> list:
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_or_scipy_import(path):
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    assert not {m for m in modules if m.split(".")[0] in ("numpy", "scipy")}

@@ -161,7 +161,8 @@ class TestReducibilityWitness:
         v = v / np.linalg.norm(v)
         w, best = reducibility_witness(p)
         assert w is not None
-        overlap = abs(np.vdot(w.vector / np.linalg.norm(w.vector), v))
+        wv = np.asarray(w.vector)
+        overlap = abs(np.vdot(wv / np.linalg.norm(wv), v))
         assert overlap > 1 - 1e-6
 
 

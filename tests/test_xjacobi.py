@@ -10,6 +10,7 @@ from heunfactor.xjacobi import (
     QuadratureError,
     X1Poly,
     XJacobiError,
+    _gauss_jacobi,
     heun_annihilates_x1,
     jacobi_poly,
     orthogonality_check,
@@ -208,6 +209,37 @@ class TestOrthogonality:
 
         with pytest.raises(UsageError):
             orthogonality_check(0, 1, F(-3, 4), F(1, 4))
+
+
+class TestGaussJacobi:
+    @staticmethod
+    def _errors(n, a, b):
+        """(largest node error, largest relative weight error) of the rule
+        against a 30-digit mpmath.gauss_quadrature reference."""
+        from mpmath import mp, mpf
+
+        with mp.workdps(30):
+            X, W = mp.gauss_quadrature(n, "jacobi", mpf(a), mpf(b))
+            ref = sorted(zip(X, W), reverse=True)
+            nodes, weights = _gauss_jacobi(n, a, b)
+            return (max(abs(x - rx) for x, (rx, _) in zip(nodes, ref)),
+                    max(abs(w / rw - 1) for w, (_, rw) in zip(weights, ref)))
+
+    @pytest.mark.parametrize("n,a,b", [(19, 1.5, 0.75), (24, 7.5, 0.1),
+                                       (38, 0.05, 8.05)])
+    def test_rule_against_mpmath_at_30_digits(self, n, a, b):
+        dx, dw = self._errors(n, a, b)
+        assert dx <= 1e-15 and dw <= 1e-12
+
+    @pytest.mark.parametrize("n,a", [(17, 300.5), (34, 300.5), (17, 1000.5)])
+    def test_large_exponent_raises_or_is_right(self, n, a):
+        # the gaujac starting guesses are tuned for moderate a and b; where
+        # they fail, the rule raises instead of returning wrong nodes
+        try:
+            dx, dw = self._errors(n, a, 0.75)
+        except QuadratureError:
+            return
+        assert dx <= 1e-12 and dw <= 1e-9
 
 
 class Test4F3:
