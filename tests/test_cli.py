@@ -716,3 +716,27 @@ def test_commands_run_with_numpy_and_scipy_unimportable(tmp_path):
                          env=dict(os.environ, HEUNFACTOR_THREADS="1"))
     assert out.returncode == 0 and out.stderr == "", out.stderr
     assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0]"
+
+
+def test_commands_leave_numpy_unloaded(tmp_path):
+    # with numpy installed, no command (x1's quadrature included) loads it
+    argvs = [["apparency", write(tmp_path, "a.json", CONCRETE_EP1)],
+             ["monodromy", write(tmp_path, "m.json", MONODROMY)],
+             ["factorize", write(tmp_path, "f.json", NUMERIC_M3)],
+             ["x1", "5", "1", "1/4", "--ortho-max", "3"]]
+    script = ("import contextlib, io, sys\n"
+              "from heunfactor.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    codes = [main(a) for a in {argvs!r}]\n"
+              "print(codes, 'numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[0, 0, 0, 0] False"
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    out = subprocess.run([sys.executable, "-c",
+                          "import sys, heunfactor.cli; "
+                          "print('scipy.special' in sys.modules)"],
+                         capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.strip() == "False"
