@@ -52,7 +52,10 @@ class X1Poly:
         return poly_eval(self.coeffs, Fraction(x))
 
     def eval_float(self, x: float) -> float:
-        return poly_eval(self.coeffs, x)
+        """Value at the float x, correctly rounded: Horner in exact
+        rationals, since float Horner cancels among the large coefficients
+        of large g or h."""
+        return float(poly_eval(self.coeffs, Fraction(x)))
 
 
 def jacobi_poly(k: int, g, h) -> list:
@@ -204,9 +207,12 @@ def x1_apparency_factor(k, g, h):
     return root, val.is_zero
 
 
-#: Newton steps allowed per Gauss-Jacobi node; from the gaujac guesses
-#: 2-6 suffice wherever the guesses are good
+#: Newton steps allowed per Gauss-Jacobi node; from the Golub-Welsch
+#: eigenvalues one or two suffice
 _NEWTON_CAP = 30
+
+#: implicit QL sweeps allowed per eigenvalue
+_QL_CAP = 30
 
 
 def _jacobi_pair(n: int, a: float, b: float, x: float) -> tuple:
@@ -222,59 +228,77 @@ def _jacobi_pair(n: int, a: float, b: float, x: float) -> tuple:
     return p1, (n * (a - b - c * x) * p1 + 2 * (n + a) * (n + b) * p0) / (c * (1 - x * x))
 
 
-def _gaujac_guess(i: int, n: int, a: float, b: float, x: list) -> float:
-    """Starting guess for node i (0-based, decreasing) of the n-point rule
-    from the nodes x[:i] already found: the empirical formulas of Numerical
-    Recipes' gaujac for the two nodes at each end, cubic extrapolation in
-    between."""
-    if i == 0:
-        an, bn = a / n, b / n
-        r1 = (1 + a) * (2.78 / (4 + n * n) + 0.768 * an / n)
-        r2 = 1 + 1.48 * an + 0.96 * bn + 0.452 * an * an + 0.83 * an * bn
-        return 1 - r1 / r2
-    if i == 1:
-        r1 = (4.1 + a) / ((1 + a) * (1 + 0.156 * a))
-        r2 = 1 + 0.06 * (n - 8) * (1 + 0.12 * a) / n
-        r3 = 1 + 0.012 * b * (1 + 0.25 * abs(a)) / n
-        return x[0] - (1 - x[0]) * r1 * r2 * r3
-    if i == 2:
-        r1 = (1.67 + 0.28 * a) / (1 + 0.37 * a)
-        r2 = 1 + 0.22 * (n - 8) / n
-        r3 = 1 + 8 * b / ((6.28 + b) * n * n)
-        return x[1] - (x[0] - x[1]) * r1 * r2 * r3
-    if i == n - 2:
-        r1 = (1 + 0.235 * b) / (0.766 + 0.119 * b)
-        r2 = 1 / (1 + 0.639 * (n - 4) / (1 + 0.71 * (n - 4)))
-        r3 = 1 / (1 + 20 * a / ((7.5 + a) * n * n))
-        return x[i - 1] + (x[i - 1] - x[i - 2]) * r1 * r2 * r3
-    if i == n - 1:
-        r1 = (1 + 0.37 * b) / (1.67 + 0.28 * b)
-        r2 = 1 / (1 + 0.22 * (n - 8) / n)
-        r3 = 1 / (1 + 8 * a / ((6.28 + a) * n * n))
-        return x[i - 1] + (x[i - 1] - x[i - 2]) * r1 * r2 * r3
-    return 3 * x[i - 1] - 3 * x[i - 2] + x[i - 3]
+def _jacobi_matrix(n: int, a: float, b: float) -> tuple:
+    """Diagonal and off-diagonal of the symmetric tridiagonal matrix whose
+    eigenvalues are the zeros of the n-th Jacobi polynomial (Golub-Welsch);
+    a, b > -1 with a + b > 0."""
+    ab = a + b
+    d = [(b - a) / (ab + 2)] + [(b * b - a * a) / ((2 * j + ab) * (2 * j + ab + 2))
+                                for j in range(1, n)]
+    e = [math.sqrt(4 * j * (j + a) * (j + b) * (j + ab)
+                   / ((2 * j + ab) ** 2 * (2 * j + ab + 1) * (2 * j + ab - 1)))
+         for j in range(1, n)]
+    return d, e
+
+
+def _tridiagonal_eigenvalues(d: list, e: list) -> list:
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal d and
+    off-diagonal e, by the implicit QL iteration with Wilkinson shifts;
+    QuadratureError when an eigenvalue needs more than _QL_CAP sweeps."""
+    n = len(d)
+    d, e = list(d), list(e) + [0.0]
+    for l in range(n):
+        for _ in range(_QL_CAP):
+            m = l
+            while m < n - 1 and abs(e[m]) > 1e-16 * (abs(d[m]) + abs(d[m + 1])):
+                m += 1
+            if m == l:
+                break
+            t = (d[l + 1] - d[l]) / (2 * e[l])
+            t = d[m] - d[l] + e[l] / (t + math.copysign(math.hypot(t, 1.0), t))
+            s = c = 1.0
+            p = 0.0
+            for i in range(m - 1, l - 1, -1):
+                f, r = s * e[i], c * e[i]
+                e[i + 1] = q = math.hypot(f, t)
+                if q == 0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    break
+                s, c = f / q, t / q
+                t = d[i + 1] - p
+                q = (d[i] - t) * s + 2 * c * r
+                p = s * q
+                d[i + 1] = t + p
+                t = c * q - r
+            else:
+                d[l] -= p
+                e[l], e[m] = t, 0.0
+        else:
+            raise QuadratureError(f"Jacobi matrix eigenvalue {l} of {n} did not converge")
+    return d
 
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple:
     """(nodes, weights) of the n-point Gauss-Jacobi rule for the weight
     (1-x)^a (1+x)^b on [-1, 1], nodes decreasing.
 
-    Newton on the three-term recurrence from the gaujac starting guesses;
-    weights C / ((1-x^2) P_n'(x)^2) with
-    C = 2^(a+b+1) Gamma(n+a+1) Gamma(n+b+1) / (Gamma(n+a+b+1) n!), its
-    logarithm from math.lgamma.  The guesses degrade for large a or b, so
-    the rule is checked instead of trusted: QuadratureError when a node's
-    Newton iteration does not converge, the nodes are not strictly
+    Newton on the three-term recurrence from the Golub-Welsch nodes (the
+    eigenvalues of the Jacobi matrix); weights mu C / ((1-x^2) P_n'(x)^2)
+    with mu = 2^(a+b+1) B(a+1, b+1) the weight's integral, its logarithm
+    from math.lgamma, and
+    C = (a+b+1) prod_{j=1..n} (a+j)(b+j) / (j (a+b+j)).  The rule is
+    checked instead of trusted: QuadratureError when the eigenvalues or a
+    node's Newton iteration do not converge, the nodes are not strictly
     decreasing inside (-1, 1), a weight is not positive, or the weights
-    miss the weight's integral 2^(a+b+1) B(a+1, b+1) by more than 1e-12
-    relative.
+    miss mu by more than 1e-12 relative.
     """
-    log2 = math.log(2)
-    c = math.exp((a + b + 1) * log2 + math.lgamma(n + a + 1) + math.lgamma(n + b + 1)
-                 - math.lgamma(n + a + b + 1) - math.lgamma(n + 1))
+    c = a + b + 1
+    for j in range(1, n + 1):
+        c *= (a + j) * (b + j) / (j * (a + b + j))
     nodes, weights = [], []
-    for i in range(n):
-        z = _gaujac_guess(i, n, a, b, nodes)
+    guesses = sorted(_tridiagonal_eigenvalues(*_jacobi_matrix(n, a, b)), reverse=True)
+    for i, z in enumerate(guesses):
         for _ in range(_NEWTON_CAP):
             p, dp = _jacobi_pair(n, a, b, z)
             dz = p / dp
@@ -291,12 +315,12 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple:
             raise QuadratureError(f"Gauss-Jacobi weight {i} of {n} is not positive")
         nodes.append(z)
         weights.append(w)
-    mass = math.exp((a + b + 1) * log2 + math.lgamma(a + 1) + math.lgamma(b + 1)
-                    - math.lgamma(a + b + 2))
-    if abs(math.fsum(weights) - mass) > 1e-12 * mass:
+    if abs(math.fsum(weights) - 1) > 1e-12:
         raise QuadratureError(f"Gauss-Jacobi weights of order {n} miss the weight's "
                               "integral")
-    return nodes, weights
+    mu = math.exp((a + b + 1) * math.log(2) + math.lgamma(a + 1) + math.lgamma(b + 1)
+                  - math.lgamma(a + b + 2))
+    return nodes, [mu * w for w in weights]
 
 
 def orthogonality_check(j: int, k: int, g, h) -> float:

@@ -280,11 +280,22 @@ class TestX1Command:
 
     @pytest.mark.parametrize("g", ["12", "40", "1000"])
     def test_unconverged_orthogonality_exits_2(self, capsys, g):
-        # the quadrature fails loudly: at g = 12 and 40 the doubled order
-        # disagrees, at g = 1000 the Gauss-Jacobi rule itself gives up
+        # the quadrature fails loudly: the doubled order disagrees
         code, out, err = run_cli(["x1", "5", g, "1/4", "--ortho-max", "3"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: QuadratureError:") and "Traceback" not in err
+
+
+    @pytest.mark.parametrize("g,h,ortho_max", [
+        ("40", "100", "1"), ("1", "500", "3"), ("80", "40", "3"), ("300", "5/2", "3"),
+        ("500", "300", "3"), ("1000", "10", "3"), ("5/2", "1000", "3")])
+    def test_large_exponent_orthogonality_passes(self, capsys, g, h, ortho_max):
+        # large g + 1/2 and h + 1/2 are Gauss-Jacobi exponents; these pass
+        # with scipy's roots_jacobi as the rule too
+        code, out, _ = run_cli(["x1", "5", g, h, "--ortho-max", ortho_max], capsys)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["pass"] and len(rep["orthogonality"]) == int(ortho_max)
 
 
 class TestMonodromyCommand:

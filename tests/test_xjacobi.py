@@ -231,10 +231,16 @@ class TestGaussJacobi:
         dx, dw = self._errors(n, a, b)
         assert dx <= 1e-15 and dw <= 1e-12
 
+    @pytest.mark.parametrize("n,a,b", [(17, 300.5, 0.75), (34, 1.5, 1000.5),
+                                       (40, 500.5, 300.5)])
+    def test_large_exponents_against_mpmath(self, n, a, b):
+        dx, dw = self._errors(n, a, b)
+        assert dx <= 1e-15 and dw <= 1e-11
+
     @pytest.mark.parametrize("n,a", [(17, 300.5), (34, 300.5), (17, 1000.5)])
     def test_large_exponent_raises_or_is_right(self, n, a):
-        # the gaujac starting guesses are tuned for moderate a and b; where
-        # they fail, the rule raises instead of returning wrong nodes
+        # the rule is checked, not trusted: where it cannot be right it
+        # raises instead of returning wrong nodes
         try:
             dx, dw = self._errors(n, a, 0.75)
         except QuadratureError:
