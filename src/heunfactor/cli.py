@@ -17,9 +17,10 @@ Instance file schema (version 1):
       "seed": 0                             (optional)
     }
 
-Rationals are "p/q" strings, a symbolic entry names its own field's atom
-({"sym": "alpha"} for alpha, {"sym": "p2"} for p[1]); unknown keys are
-rejected.  kind-specific parameters:
+Rationals are "p/q" strings or JSON integers (never booleans) in every
+kind; a symbolic entry names its own field's atom ({"sym": "alpha"} for
+alpha, {"sym": "p2"} for p[1]); unknown keys are rejected.  kind-specific
+parameters:
 
     heun:              alpha, beta, gamma, epsilon, q, t (delta optional,
                        derived from the Fuchs relation when absent)
@@ -48,7 +49,8 @@ from . import factorize as fz
 from . import numcheck
 from . import xjacobi as xj
 from .exactalg import RatFunc, UsageError, poly_deriv, poly_eval
-from .heun import HeunParams, HeunConditionError, UnsupportedCaseError, apparency_poly
+from .heun import (HeunParams, HeunConditionError, UnsupportedCaseError, apparency_poly,
+                   base_ring)
 
 
 class SchemaError(Exception):
@@ -63,7 +65,18 @@ def _rat(v, where: str) -> Fraction:
             raise SchemaError(f"{where}: bad rational {v!r}: {e}") from None
     if type(v) is int:  # not bool: a JSON true/false is not a number
         return Fraction(v)
-    raise SchemaError(f"{where}: rationals must be 'p/q' strings, got {v!r}")
+    raise SchemaError(f"{where}: rationals must be 'p/q' strings or integers, got {v!r}")
+
+
+def _value(v, where: str, ring, atom: str) -> RatFunc:
+    """An instance value in ``ring``: a rational (see _rat), or the atom
+    ``atom`` when v is {"sym": atom}."""
+    if isinstance(v, dict):
+        if v != {"sym": atom}:
+            raise SchemaError(f"{where}: bad symbol {v!r} (the atom is "
+                              f"{{'sym': '{atom}'}})")
+        return RatFunc.of(ring.var(atom), ring)
+    return RatFunc.of(_rat(v, where), ring)
 
 
 def _check_keys(obj: dict, allowed: set, where: str, required: set = frozenset()):
@@ -146,7 +159,9 @@ def _heun_from_parameters(params: dict) -> HeunParams:
     _check_keys(params, {"alpha", "beta", "gamma", "delta", "epsilon", "q", "t"},
                 "parameters", required={"alpha", "beta", "gamma", "epsilon",
                                          "q", "t"})
-    return HeunParams.from_json(params)
+    ring = base_ring()
+    return HeunParams.make(ring=ring,
+                           **{k: _value(v, k, ring, k) for k, v in params.items()})
 
 
 def cmd_apparency(inst: dict) -> tuple:
@@ -159,17 +174,12 @@ def cmd_apparency(inst: dict) -> tuple:
         "condition_polynomial": P.pretty(),
         "degree": P.degree("q"),
     }
-    concrete = all(
-        getattr(p, n).is_poly() and getattr(p, n).as_poly().is_const()
-        for n in ("alpha", "beta", "gamma", "t"))
-    q_concrete = p.q.is_poly() and p.q.as_poly().is_const()
     status = 0
-    if concrete:
-        cd = {k: v.as_poly().const_value()
-              for k, v in RatFunc.of(P, p.ring).coeffs_in("q").items()}
+    if all(getattr(p, n).fraction() is not None for n in ("alpha", "beta", "gamma", "t")):
+        cd = {k: v.fraction() for k, v in RatFunc.of(P, p.ring).coeffs_in("q").items()}
         report["numeric_roots"] = [f"{r.real!r}{'+' if r.imag >= 0 else '-'}"
                                    f"{abs(r.imag)!r}j" for r in _float_roots(cd)]
-    if q_concrete:
+    if p.q.fraction() is not None:
         val = RatFunc.of(P, p.ring).subs({"q": p.q})
         report["apparent"] = val.is_zero
         status = 0 if val.is_zero else 2
@@ -299,7 +309,9 @@ def _polish(p: list, dp: list, z):
 # -- factorize -------------------------------------------------------------------
 
 
-def _fuchsian_from_parameters(params: dict, mode: str):
+def _fuchsian_from_parameters(params: dict):
+    """(gamma, delta, sing, prod_ab, p values, ring); a residue left out is
+    its atom (through a symbolic q when M = 1)."""
     _check_keys(params, {"gamma", "delta", "alpha", "beta", "prod_ab",
                          "sing", "q", "p"}, "parameters",
                 required={"gamma", "sing"})
@@ -327,37 +339,19 @@ def _fuchsian_from_parameters(params: dict, mode: str):
         prod_ab = _rat(params["prod_ab"], "prod_ab")
     M = len(sing)
     ring = fz.factor_ring(M, N)
-    p_vals = None
-    if "q" in params or ("p" not in params and mode == "exact" and M == 1):
+    if "q" in params or ("p" not in params and M == 1):
         if M != 1:
             raise SchemaError("'q' shortcut needs exactly one extra singularity")
-        qv = params.get("q", {"sym": "q"})
-        if isinstance(qv, dict):
-            if qv != {"sym": "q"}:
-                raise SchemaError(f"bad symbolic q: {qv!r} (the atom is {{'sym': 'q'}})")
-            q = RatFunc.of(ring.var("q"), ring)
-        else:
-            q = RatFunc.of(_rat(qv, "q"), ring)
-        p_vals = [RatFunc.of(prod_ab, ring) * RatFunc.of(sing[0][0], ring) - q]
+        q = _value(params.get("q", {"sym": "q"}), "q", ring, "q")
+        p_vals = [RatFunc.of(prod_ab * sing[0][0], ring) - q]
     elif "p" in params:
         if not isinstance(params["p"], list) or len(params["p"]) != M:
             raise SchemaError(f"p: must be a list with one entry per sing entry ({M})")
-        p_vals = []
-        for i, pv in enumerate(params["p"]):
-            if isinstance(pv, dict):
-                if pv != {"sym": f"p{i+1}"}:
-                    raise SchemaError(f"bad symbolic p[{i}]: {pv!r} (the atom is "
-                                      f"{{'sym': 'p{i+1}'}})")
-                p_vals.append(RatFunc.of(ring.var(f"p{i+1}"), ring))
-            else:
-                p_vals.append(RatFunc.of(_rat(pv, f"p[{i}]"), ring))
-    elif mode == "exact":
+        p_vals = [_value(pv, f"p[{i}]", ring, f"p{i+1}")
+                  for i, pv in enumerate(params["p"])]
+    else:
         p_vals = [RatFunc.of(ring.var(f"p{k+1}"), ring) for k in range(M)]
-    Lt = None
-    if p_vals is not None:
-        Lt = fz.ApparentFuchsian.from_p_form(gamma, delta, sing, prod_ab,
-                                             p_vals, ring)
-    return gamma, delta, sing, prod_ab, Lt
+    return gamma, delta, sing, prod_ab, p_vals, ring
 
 
 def cmd_factorize(inst: dict, mode, precision_bits, tol_exp, deep, seed) -> tuple:
@@ -368,20 +362,17 @@ def cmd_factorize(inst: dict, mode, precision_bits, tol_exp, deep, seed) -> tupl
     mode = mode or inst.get("mode", "exact")
     bits = precision_bits if precision_bits is not None else inst.get("precision_bits", 300)
     seed = seed if seed is not None else inst.get("seed", 0)
-    gamma, delta, sing, prod_ab, Lt = _fuchsian_from_parameters(inst["parameters"], mode)
+    gamma, delta, sing, prod_ab, p_vals, ring = _fuchsian_from_parameters(
+        inst["parameters"])
     if mode == "exact":
-        if Lt is None:
-            raise SchemaError("exact mode needs q/p values (or symbolic atoms)")
+        Lt = fz.ApparentFuchsian.from_p_form(gamma, delta, sing, prod_ab, p_vals, ring)
         rep = fz.verify_factorization(Lt, deep=deep)
     else:
-        p_concrete = None
-        if Lt is not None:
-            ps = Lt.p_residues()
-            if all(p.is_poly() and p.as_poly().is_const() for p in ps):
-                p_concrete = [p.as_poly().const_value() for p in ps]
+        # a residue that is not a number (an atom) is solved for
+        ps = [p.fraction() for p in p_vals]
         rep = fz.verify_factorization_numeric(
-            gamma, delta, sing, prod_ab, p_vals=p_concrete, bits=bits,
-            seed=seed, tol_exp=tol_exp)
+            gamma, delta, sing, prod_ab, p_vals=None if None in ps else ps,
+            bits=bits, seed=seed, tol_exp=tol_exp)
     report = {"command": "factorize", "instance": inst["parameters"],
               **rep.to_json()}
     return report, 0 if rep.passed else 2

@@ -867,6 +867,12 @@ class RatFunc:
             raise UsageError(f"not a polynomial: {self.pretty()}")
         return self._num
 
+    def fraction(self) -> Fraction | None:
+        """The value as a Fraction when it is a constant, else None."""
+        if self._fac or not self._num.is_const():
+            return None
+        return self._num.const_value()
+
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, MultiPoly)):
             other = RatFunc.of(other, self.ring)

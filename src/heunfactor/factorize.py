@@ -101,10 +101,7 @@ class ApparentFuchsian:
             raise UsageError("multiplicities m_k must be >= 1")
         if len(self.s_coeffs) != len(self.sing) + 1:
             raise UsageError("numerator must have M + 1 coefficients s_0..s_M")
-        concrete = []
-        for tk, _ in self.sing:
-            if tk.is_poly() and tk.as_poly().is_const():
-                concrete.append(tk.as_poly().const_value())
+        concrete = [c for c in (tk.fraction() for tk, _ in self.sing) if c is not None]
         if any(c in (0, 1) for c in concrete):
             raise UsageError("t_k must avoid 0 and 1")
         if len(set(concrete)) != len(concrete):

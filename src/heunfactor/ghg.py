@@ -164,18 +164,10 @@ def pfq_eval(g: GHGParams, z: Fraction, terms: int = 24) -> PartialSum:
     summed completely and exactly.  Otherwise `terms` terms are summed and a
     crude geometric tail bound is attached.
     """
-    uppers = []
-    lowers = []
-    for a in g.upper:
-        f = a.as_poly().const_value() if a.is_poly() and a.as_poly().is_const() else None
-        if f is None:
-            raise UsageError("pfq_eval requires concrete rational parameters")
-        uppers.append(f)
-    for b in g.lower:
-        f = b.as_poly().const_value() if b.is_poly() and b.as_poly().is_const() else None
-        if f is None:
-            raise UsageError("pfq_eval requires concrete rational parameters")
-        lowers.append(f)
+    uppers = [a.fraction() for a in g.upper]
+    lowers = [b.fraction() for b in g.lower]
+    if None in uppers + lowers:
+        raise UsageError("pfq_eval requires concrete rational parameters")
     z = Fraction(z)
     stop = None
     for a in uppers:

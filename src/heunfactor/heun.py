@@ -12,8 +12,7 @@ accessory-parameter mode is the default for the condition polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from .exactalg import (
     MultiPoly,
@@ -53,22 +52,8 @@ class SolutionError(Exception):
 
 def _is_int(r: RatFunc) -> Optional[int]:
     """The exact integer value of a constant RatFunc, else None."""
-    if not r.is_poly():
-        return None
-    p = r.as_poly()
-    if not p.is_const():
-        return None
-    c = p.const_value()
-    return c.numerator if c.denominator == 1 else None
-
-
-def _as_fraction(r: RatFunc) -> Optional[Fraction]:
-    if not r.is_poly():
-        return None
-    p = r.as_poly()
-    if not p.is_const():
-        return None
-    return p.const_value()
+    f = r.fraction()
+    return f.numerator if f is not None and f.denominator == 1 else None
 
 
 @dataclass(frozen=True)
@@ -111,7 +96,7 @@ class HeunParams:
         if lhs != rhs:
             raise HeunConditionError(
                 "gamma + delta + epsilon != alpha + beta + 1")
-        tf = _as_fraction(self.t)
+        tf = self.t.fraction()
         if tf is not None and tf in (0, 1):
             raise HeunConditionError(f"t = {tf} is a genuine singularity position")
 
@@ -120,48 +105,6 @@ class HeunParams:
 
     def swap_alpha_beta(self) -> "HeunParams":
         return replace(self, alpha=self.beta, beta=self.alpha)
-
-    # -- JSON wire format (rationals as "p/q", atoms as {"sym": field}) -------
-
-    def to_json(self) -> dict:
-        out = {}
-        for key in ("alpha", "beta", "gamma", "delta", "epsilon", "q", "t"):
-            v: RatFunc = getattr(self, key)
-            f = _as_fraction(v)
-            if f is not None:
-                out[key] = str(f)
-                continue
-            if key in self.ring.index and v == RatFunc.of(self.ring.var(key), self.ring):
-                out[key] = {"sym": key}
-                continue
-            if key == "delta":
-                continue  # derived expression; reconstructed on load
-            raise UsageError(f"field {key} is not a serializable atom/rational")
-        return out
-
-    @classmethod
-    def from_json(cls, obj: Mapping, ring: Ring | None = None) -> "HeunParams":
-        if ring is None:
-            ring = base_ring()
-
-        def load(key):
-            if key not in obj:
-                return None
-            v = obj[key]
-            if isinstance(v, str):
-                try:
-                    return Fraction(v)
-                except (ValueError, ZeroDivisionError):
-                    raise UsageError(f"bad rational for {key}: {v!r}") from None
-            if v == {"sym": key}:  # a symbol names its own field's atom
-                return RatFunc.of(ring.var(key), ring)
-            raise UsageError(f"bad value for {key}: {v!r}")
-
-        kwargs = {k: load(k) for k in ("alpha", "beta", "gamma", "epsilon", "q", "t")}
-        missing = [k for k, v in kwargs.items() if v is None]
-        if missing:
-            raise UsageError(f"missing Heun parameters: {missing}")
-        return cls.make(delta=load("delta"), ring=ring, **kwargs)
 
 
 def heun_operator(p: HeunParams) -> DiffOp:

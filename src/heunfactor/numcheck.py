@@ -23,7 +23,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 import mpmath
@@ -42,10 +41,10 @@ class InconclusiveError(Exception):
 
 def _cnum(v) -> complex:
     """HeunParams fields to complex (must be concrete rationals)."""
-    f = v.as_poly().const_value() if v.is_poly() and v.as_poly().is_const() else None
+    f = v.fraction()
     if f is None:
         raise UsageError("numeric oracle requires concrete rational parameters")
-    return complex(Fraction(f))
+    return complex(f)
 
 
 def heun_ode_coeffs(p: HeunParams):

@@ -13,6 +13,7 @@ Heun parameter echo).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -281,18 +282,24 @@ def _tridiagonal_eigenvalues(d: list, e: list) -> list:
 
 def _gauss_jacobi(n: int, a: float, b: float) -> tuple:
     """(nodes, weights) of the n-point Gauss-Jacobi rule for the weight
-    (1-x)^a (1+x)^b on [-1, 1], nodes decreasing.
+    ((1-x)/2)^a ((1+x)/2)^b / 2 on [-1, 1], nodes decreasing: the Jacobi
+    weight (1-x)^a (1+x)^b over 2^(a+b+1), so the weights sum to
+    B(a+1, b+1) and no power of two leaves the double range.
 
     Newton on the three-term recurrence from the Golub-Welsch nodes (the
-    eigenvalues of the Jacobi matrix); weights mu C / ((1-x^2) P_n'(x)^2)
-    with mu = 2^(a+b+1) B(a+1, b+1) the weight's integral, its logarithm
-    from math.lgamma, and
+    eigenvalues of the Jacobi matrix); weights B C / ((1-x^2) P_n'(x)^2)
+    with B = B(a+1, b+1) from math.lgamma and
     C = (a+b+1) prod_{j=1..n} (a+j)(b+j) / (j (a+b+j)).  The rule is
-    checked instead of trusted: QuadratureError when the eigenvalues or a
-    node's Newton iteration do not converge, the nodes are not strictly
-    decreasing inside (-1, 1), a weight is not positive, or the weights
-    miss mu by more than 1e-12 relative.
+    checked instead of trusted: QuadratureError when B is below the normal
+    double range, the eigenvalues or a node's Newton iteration do not
+    converge, the nodes are not strictly decreasing inside (-1, 1), a
+    weight is not positive, or the weights miss B by more than 1e-12
+    relative.
     """
+    beta = math.exp(math.lgamma(a + 1) + math.lgamma(b + 1) - math.lgamma(a + b + 2))
+    if beta < sys.float_info.min:
+        raise QuadratureError(f"the weight's integral B({a + 1}, {b + 1}) underflows "
+                              "the double range")
     c = a + b + 1
     for j in range(1, n + 1):
         c *= (a + j) * (b + j) / (j * (a + b + j))
@@ -318,9 +325,7 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple:
     if abs(math.fsum(weights) - 1) > 1e-12:
         raise QuadratureError(f"Gauss-Jacobi weights of order {n} miss the weight's "
                               "integral")
-    mu = math.exp((a + b + 1) * math.log(2) + math.lgamma(a + 1) + math.lgamma(b + 1)
-                  - math.lgamma(a + b + 2))
-    return nodes, [mu * w for w in weights]
+    return nodes, [beta * w for w in weights]
 
 
 def orthogonality_check(j: int, k: int, g, h) -> float:
@@ -337,13 +342,12 @@ def orthogonality_check(j: int, k: int, g, h) -> float:
     pj = x1_jacobi(j, g, h)
     pk = x1_jacobi(k, g, h)
     xi = xi_poly(g, h)
-    scale = 2.0 ** float(g + h + 2)
 
     def integral(n):
         total = 0.0
         for x, w in zip(*_gauss_jacobi(n, float(g) + 0.5, float(h) + 0.5)):
             xiv = float(xi[0]) + float(xi[1]) * x
-            total += w * pj.eval_float(x) * pk.eval_float(x) / (scale * xiv * xiv)
+            total += w * pj.eval_float(x) * pk.eval_float(x) / (xiv * xiv)
         return total
 
     v1 = integral(j + k + 12)
@@ -379,8 +383,7 @@ def x1_4f3_check(k: int, g, h) -> Fraction:
     if D_k == 0:
         raise XJacobiError("member vanishes at eta = 1; no proportionality constant")
     lhs = series * D_k
-    got = {kk: v.as_poly().const_value() if v.is_poly() else None
-           for kk, v in lhs.coeffs_in("eta").items()}
+    got = {kk: v.fraction() for kk, v in lhs.coeffs_in("eta").items()}
     for i, c in enumerate(poly.coeffs):
         gi = got.pop(i, Fraction(0))
         if gi != c:

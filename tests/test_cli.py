@@ -120,6 +120,14 @@ class TestApparencyCommand:
         assert json.loads(out)["numeric_roots"] == [
             f"{float(F(-15, 7))!r}+0.0j", f"{float(F(40, 21))!r}+0.0j"]
 
+    @pytest.mark.parametrize("command", ["apparency", "monodromy"])
+    def test_json_integers_read_as_rationals(self, tmp_path, capsys, command):
+        # rationals are strings or JSON integers in every kind of file
+        strings = write(tmp_path, "s.json", MONODROMY)
+        ints = write(tmp_path, "i.json", _with(MONODROMY, alpha=1, beta=2, q=1, t=2))
+        runs = [run_cli([command, path], capsys) for path in (strings, ints)]
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
     def test_malformed_json_exit1_with_position(self, tmp_path, capsys):
         p = tmp_path / "bad.json"
         p.write_text('{"version": 1,,}')
@@ -288,7 +296,9 @@ class TestX1Command:
 
     @pytest.mark.parametrize("g,h,ortho_max", [
         ("40", "100", "1"), ("1", "500", "3"), ("80", "40", "3"), ("300", "5/2", "3"),
-        ("500", "300", "3"), ("1000", "10", "3"), ("5/2", "1000", "3")])
+        ("500", "300", "3"), ("1000", "10", "3"), ("5/2", "1000", "3"),
+        # 2^(g+h+2) leaves the double range; the rule's weights carry no such power
+        ("1000", "100", "1")])
     def test_large_exponent_orthogonality_passes(self, capsys, g, h, ortho_max):
         # large g + 1/2 and h + 1/2 are Gauss-Jacobi exponents; these pass
         # with scipy's roots_jacobi as the rule too
@@ -296,6 +306,13 @@ class TestX1Command:
         assert code == 0
         rep = json.loads(out)
         assert rep["pass"] and len(rep["orthogonality"]) == int(ortho_max)
+
+    def test_beta_function_underflow_exits_2(self, capsys):
+        # B(g + 3/2, h + 3/2) below the double range: every inner product
+        # would read 0 and pass, so the rule refuses
+        code, out, err = run_cli(["x1", "2", "600", "500", "--ortho-max", "1"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: QuadratureError:") and "underflow" in err
 
 
 class TestMonodromyCommand:
@@ -384,6 +401,12 @@ class TestSweep:
         assert out1 == out2
 
 
+def _heun_parameters(p: HeunParams) -> dict:
+    """The parameters of a concrete bundle as a heun instance file has them."""
+    return {k: str(getattr(p, k).fraction())
+            for k in ("alpha", "beta", "gamma", "delta", "epsilon", "q", "t")}
+
+
 class TestSweepAgreement:
     def test_apparency_vs_monodromy_panel(self, tmp_path, capsys):
         # compact CLI version of the oracle-agreement suite: exactly apparent
@@ -410,10 +433,10 @@ class TestSweepAgreement:
             if abs(tf) < F(1, 4) or abs(tf - 1) < F(1, 4) or abs(tf) > 8:
                 continue
             inst = {"version": 1, "kind": "heun", "mode": "numeric",
-                    "parameters": p.to_json()}
+                    "parameters": _heun_parameters(p)}
             (d / f"ok_{made}.json").write_text(json.dumps(inst))
             bad = {"version": 1, "kind": "heun", "mode": "numeric",
-                   "parameters": p.subs_q(p.q + F(1, 2)).to_json()}
+                   "parameters": _heun_parameters(p.subs_q(p.q + F(1, 2)))}
             (d / f"zz_bad_{made}.json").write_text(json.dumps(bad))
             made += 1
         code, out, _ = run_cli(["sweep", str(d)], capsys)
@@ -603,6 +626,23 @@ def test_factorize_fuzzed_parameter_keeps_exit_contract(key, value, mode):
     _assert_exit_contract(["factorize", "--mode", mode], _with(MAIER, **{key: value}))
 
 
+@settings(max_examples=25)
+@given(key=st.sampled_from(sorted(MONODROMY["parameters"]) + ["delta"]),
+       value=_json_values)
+def test_monodromy_fuzzed_parameter_keeps_exit_contract(key, value):
+    # the same for one parameter of a numeric heun instance
+    _assert_exit_contract(["monodromy"], _with(MONODROMY, **{key: value}))
+
+
+@settings(max_examples=25)
+@given(inst=st.sampled_from([CONCRETE_EP1, MONODROMY, MAIER]),
+       key=st.sampled_from(["alpha", "gamma", "q", "t", "delta"]), value=_json_values)
+def test_sweep_fuzzed_file_keeps_exit_contract(inst, key, value):
+    # a directory of one file with one fuzzed parameter: the sweep and the
+    # file's entry stay within the exit contract
+    _assert_exit_contract(["sweep"], _with(inst, **{key: value}), as_dir=True)
+
+
 _x1_rationals = (st.sampled_from(["-1/2", "1/2", "3/2", "-3/2", "-1", "0", "1/4",
                                   "12", "40", "1000", "1999/2"])
                  | st.builds(lambda n, d: str(F(n, d)), st.integers(-8, 1000),
@@ -621,7 +661,9 @@ def test_x1_fuzzed_parameters_keep_exit_contract(k, g, h):
     assert "Traceback" not in err.getvalue()
 
 
-def _assert_exit_contract(command: list, inst: dict):
+def _assert_exit_contract(command: list, inst: dict, as_dir: bool = False):
+    """``command`` on ``inst`` written to a file (or, with as_dir, on the
+    directory that holds it) exits 0, 1 or 2 without a traceback."""
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
@@ -633,15 +675,18 @@ def _assert_exit_contract(command: list, inst: dict):
         path.write_text(text)
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(command + [str(path)])
+            code = main(command + [d if as_dir else str(path)])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+    if as_dir and out.getvalue():
+        assert json.loads(out.getvalue())["results"][0]["exit_code"] == code
 
 
 XJACOBI = {"version": 1, "kind": "xjacobi", "parameters": {"k": 3, "g": "1", "h": "1/4"}}
 BOOLEAN_CASES = {
     "m-true": ("factorize", _with(MAIER, sing=[{"t": "2", "m": True}])),
     "gamma-true": ("factorize", _with(MAIER, gamma=True)),
+    "alpha-true": ("apparency", _with(CONCRETE_EP1, alpha=True)),
     "k-true": (None, _with(XJACOBI, k=True)),  # xjacobi files run only in a sweep
 }
 

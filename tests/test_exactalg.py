@@ -461,6 +461,15 @@ class TestRatFunc:
         assert hash(uncancelled) == hash(cancelled)
         assert len({uncancelled, cancelled}) == 1
 
+    def test_fraction_of_constants_only(self, R):
+        z, a = R.var("z"), R.var("alpha")
+        assert RatFunc.of(F(-3, 7), R).fraction() == F(-3, 7)
+        assert RatFunc.of(0, R).fraction() == 0
+        # a constant quotient cancels to a constant
+        assert RatFunc(3 * (z - 1), {z - 1: 1}).fraction() == 3
+        assert RatFunc.of(a, R).fraction() is None
+        assert RatFunc(R.one, {z: 1}).fraction() is None
+
     def test_rank_of(self, R):
         a = R.var("alpha")
         assert rank_of([[R.one, a], [a, a * a]]) == 1

@@ -73,15 +73,6 @@ class TestConstruction:
         assert p.t == RatFunc.of(F(2), p.ring)
         assert p.alpha == RatFunc.of(-2, p.ring)
 
-    def test_json_round_trip(self):
-        p = HeunParams.make(alpha=F(1, 3), beta=2, gamma=F(-5, 7), epsilon=-1,
-                            q=F(22, 7), t=F(9, 2))
-        p2 = HeunParams.from_json(p.to_json())
-        assert p2 == p
-        sym = HeunParams.symbolic(epsilon=-2)
-        sym2 = HeunParams.from_json(sym.to_json())
-        assert sym2 == sym
-
 
 class TestSeries:
     def test_c0_is_one(self):

@@ -215,12 +215,14 @@ class TestGaussJacobi:
     @staticmethod
     def _errors(n, a, b):
         """(largest node error, largest relative weight error) of the rule
-        against a 30-digit mpmath.gauss_quadrature reference."""
+        against a 30-digit mpmath.gauss_quadrature reference, whose weights
+        (for (1-x)^a (1+x)^b) are rescaled by 2^-(a+b+1)."""
         from mpmath import mp, mpf
 
         with mp.workdps(30):
             X, W = mp.gauss_quadrature(n, "jacobi", mpf(a), mpf(b))
-            ref = sorted(zip(X, W), reverse=True)
+            scale = mp.power(2, -(mpf(a) + mpf(b) + 1))
+            ref = sorted(zip(X, (w * scale for w in W)), reverse=True)
             nodes, weights = _gauss_jacobi(n, a, b)
             return (max(abs(x - rx) for x, (rx, _) in zip(nodes, ref)),
                     max(abs(w / rw - 1) for w, (_, rw) in zip(weights, ref)))
