@@ -2,8 +2,9 @@
 
 Arbitrary-precision rationals (``fractions.Fraction``), sparse multivariate
 polynomials over Q, rational functions with factored denominators,
-reduction modulo a monic ideal generator, fraction-free (Bareiss) linear
-solving and a small Buchberger engine for bivariate-style ideals.
+reduction modulo a monic ideal generator, division-free linear solving
+(Cramer's rule by expansion by minors), fraction-free (Bareiss) rank and a
+small Buchberger engine for bivariate-style ideals.
 
 Everything here is an immutable value; all operations are pure functions,
 so values can be shared freely between threads.
@@ -641,7 +642,8 @@ def _quotient(f: MultiPoly, g: MultiPoly):
     quotient digit with a nonzero remainder proves that g does not divide f,
     and the quotient's content is f's over g's.  Leading terms are drawn from
     a heap instead of re-scanning the remainder, so large exact divisions
-    (Bareiss interior steps) stay near-linear in the number of term updates.
+    (Bareiss steps of `_rank`, a Cramer numerator over its determinant)
+    stay near-linear in the number of term updates.
     """
     if g.is_const():
         return f * (1 / g.const_value())
@@ -1138,24 +1140,20 @@ def _cleared(A: Sequence[Sequence]) -> list:
     return [_over_lcm([RatFunc.of(x, ring) for x in row])[0] for row in A]
 
 
-def _bareiss(M: list) -> tuple:
-    """Fraction-free row echelon form of a nonempty MultiPoly matrix, in
+def _rank(M: list) -> int:
+    """Rank of a nonempty MultiPoly matrix by fraction-free row echelon, in
     place, skipping zero columns (Bareiss, Math. Comp. 22, 1968).
 
-    Returns (rank, last pivot, sign of the row swaps); a square matrix of
-    full rank has the determinant sign * last pivot.  Every division is
-    exact by Sylvester's identity, so it goes straight to `_quotient`.
+    Every division is exact by Sylvester's identity, so it goes straight to
+    `_quotient`.
     """
-    ring = M[0][0].ring
     nr, nc = len(M), len(M[0])
-    rank, prev, sign = 0, ring.one, 1
+    rank, prev = 0, M[0][0].ring.one
     for col in range(nc):
         piv = next((r for r in range(rank, nr) if not M[r][col].is_zero), None)
         if piv is None:
             continue
-        if piv != rank:
-            M[rank], M[piv] = M[piv], M[rank]
-            sign = -sign
+        M[rank], M[piv] = M[piv], M[rank]
         top = M[rank]
         for row in M[rank + 1:]:
             for j in range(col + 1, nc):
@@ -1164,21 +1162,25 @@ def _bareiss(M: list) -> tuple:
                 if q is None:  # pragma: no cover - Bareiss divisions are exact
                     raise ExactAlgError("Bareiss exact division failed")
                 row[j] = q
-            row[col] = ring.zero
         prev = top[col]
         rank += 1
         if rank == nr:
             break
-    return rank, prev, sign
+    return rank
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:
     """Solve A x = b exactly over the fraction field.
 
     Entries may be MultiPoly or RatFunc (one common ring).  Rows are cleared
-    of denominators, then the solution is assembled by Cramer's rule from
-    fraction-free (Bareiss) determinants, so no arithmetic ever leaves the
-    polynomial ring until the single final division per component.
+    of denominators, then one Laplace expansion of the augmented n x (n+1)
+    matrix [A | b] gives every determinant of Cramer's rule: row k expands
+    each (k+1)-column minor of the rows 0..k along row k, from the k-column
+    minors of the rows above, so each minor is computed once, a zero minor
+    is dropped, and no polynomial is ever divided (expansion by minors,
+    Gentleman & Johnson, ACM TOMS 2, 1976).  The columns 0..n-1 give det A;
+    the columns without j give Cramer's numerator j up to the sign
+    (-1)^(n-1-j), since b sits last instead of at column j.
 
     Raises SingularMatrixError (with the achieved rank) when det = 0.
     """
@@ -1188,15 +1190,31 @@ def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:
     if any(len(row) != n for row in A) or len(b) != n:
         raise UsageError("solve_linear requires a square system")
     M = _cleared([list(A[i]) + [b[i]] for i in range(n)])
-    rank, det, sign = _bareiss([row[:n] for row in M])
-    if rank < n:
-        raise SingularMatrixError(rank, n)
-    det = sign * det
-    out = []
-    for j in range(n):
-        rank, det_j, sign = _bareiss([row[:j] + row[n:] + row[j + 1:n] for row in M])
-        out.append(RatFunc(sign * det_j, {det: 1}) if rank == n else RatFunc.of(0, det.ring))
-    return out
+    # the sparsest rows last, where their entries multiply the largest
+    # minors; a row order scales det and every numerator by one sign
+    M.sort(key=lambda row: -sum(x.num_terms() for x in row))
+    # column set (bit mask) -> nonzero minor on the rows expanded so far
+    minors = {0: M[0][0].ring.one}
+    for row in M:
+        nxt: dict = {}
+        for cols, minor in minors.items():
+            for c, x in enumerate(row):
+                bit = 1 << c
+                if cols & bit or x.is_zero:
+                    continue
+                # along the minor's last row, x's cofactor has the sign of
+                # the number of columns after c
+                p = x * minor if not (cols >> c).bit_count() & 1 else -(x * minor)
+                s = cols | bit
+                nxt[s] = nxt[s] + p if s in nxt else p
+        minors = {s: v for s, v in nxt.items() if not v.is_zero}
+    full = (1 << (n + 1)) - 1
+    det = minors.get(full ^ 1 << n)
+    if det is None:
+        raise SingularMatrixError(_rank([row[:n] for row in M]), n)
+    zero = det.ring.zero
+    return [RatFunc(minors.get(full ^ 1 << j, zero) * (-1) ** (n - 1 - j), {det: 1})
+            for j in range(n)]
 
 
 def _mod_value(f: MultiPoly):
@@ -1239,7 +1257,7 @@ def point_rank(A: Sequence[Sequence[MultiPoly]]):
 
 def rank_of(A: Sequence[Sequence]) -> int:
     """Rank of a rectangular MultiPoly/RatFunc matrix (fraction-free)."""
-    return _bareiss(_cleared(A))[0] if A else 0
+    return _rank(_cleared(A)) if A else 0
 
 
 # -- Groebner (optional exact path for several apparency generators) ----------

@@ -3,13 +3,12 @@
 These verify the same zero-defect statement as the default suite's numeric
 path, but fully symbolically in the quotient ring.  On a 2-CPU machine
 whose speed drifts by up to 2x, ``HEUNFACTOR_DEEP=1 python -m pytest
-tests/test_deep.py -k 4`` takes 8.5-10.5 s (solve about 9 s, verify under
-0.3 s); almost all of it is the Cramer solve of ``solve_esym``, since the
-row choice at one point mod p takes about 1 ms.  CI runs it.  At m = 5 the
-solve took 23 min in one run (the Cramer solve 1390 s, the row choice
-2 ms, verify 1.3 s), against 9 min 22 s for the whole test in an earlier
-run on a faster stretch of the machine.  That is why they sit behind the
-flag."""
+tests/test_deep.py`` took 9-22 s in five runs.  Strength 4 takes about
+1 s and strength 5 the rest: in its solve and verify, timed one by one,
+the Cramer minors of ``solve_esym`` took 7-15 s, normalizing the solved
+values 2-3.5 s and verify 1.1-1.8 s.  CI runs both.  They sit behind
+the flag because strength 5 alone would add about a third to the default
+suite's time."""
 
 import os
 

@@ -195,6 +195,42 @@ class TestSolveLinear:
                     continue
                 assert all(sol[j] == RatFunc(xs[j]) for j in range(n))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_round_trip_polynomial_entries(self, n):
+        # sparse entries in three variables, zeros among them, and a known
+        # solution with a shared polynomial denominator, so b is rational
+        rng = random.Random(5000 + n)
+        ring = Ring(("x", "y", "z"))
+        den = rand_poly(ring, rng, nterms=2, deg=1)
+        solved = 0
+        while solved < 3:
+            A = [[rand_poly(ring, rng, nterms=rng.choice([0, 1, 2, 3]), deg=2)
+                  for _ in range(n)] for _ in range(n)]
+            if point_rank(A) != n:
+                continue
+            xs = [RatFunc(rand_poly(ring, rng, nterms=rng.choice([0, 2, 3])),
+                          {den: 1}) for _ in range(n)]
+            b = [sum((A[i][j] * xs[j] for j in range(n)), RatFunc.of(0, ring))
+                 for i in range(n)]
+            assert solve_linear(A, b) == xs
+            solved += 1
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_rank_deficient_polynomial_system(self, rank):
+        # rows past `rank` are polynomial combinations of the first two
+        rng = random.Random(6000 + rank)
+        ring = Ring(("x", "y", "z"))
+        rows = [[rand_poly(ring, rng, nterms=3, deg=2) for _ in range(4)]
+                for _ in range(rank)]
+        for _ in range(4 - rank):
+            p, q = rand_poly(ring, rng, nterms=2, deg=1), rand_poly(ring, rng, nterms=2, deg=1)
+            rows.append([p * u + q * v for u, v in zip(rows[0], rows[1])])
+        assert point_rank(rows[:rank]) == rank
+        b = [rand_poly(ring, rng) for _ in range(4)]
+        with pytest.raises(SingularMatrixError) as err:
+            solve_linear(rows, b)
+        assert err.value.rank == rank and err.value.size == 4
+
     def test_singular_reports_rank(self, R):
         with pytest.raises(SingularMatrixError) as err:
             solve_linear([[R.one, R.one], [R.one, R.one]], [R.zero, R.one])
