@@ -29,13 +29,17 @@ parameters:
                        optional "q" (M = 1) or "p" list (omit to leave the
                        accessory symbolic in exact mode / solved in numeric)
     xjacobi:           k, g, h
+
+Each command imports the layers it runs inside its cmd_* function, not at
+the top of this module: every command is a fresh interpreter, and a cold
+`apparency` or `x1` would otherwise pay for importing all of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import cmath
-import concurrent.futures
+import importlib
 import json
 import math
 import os
@@ -43,11 +47,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from mpmath import mp
-
-from . import factorize as fz
-from . import numcheck
-from . import xjacobi as xj
 from .exactalg import RatFunc, UsageError, poly_deriv, poly_eval
 from .heun import (HeunParams, HeunConditionError, UnsupportedCaseError, apparency_poly,
                    base_ring)
@@ -215,6 +214,7 @@ def _float_roots(cd: dict) -> list:
         log2c = {k: math.log2(abs(c.numerator)) - math.log2(c.denominator) - s * (n - k)
                  for k, c in enumerate(dense) if c}
         xs = _aberth(coeffs, _newton_polygon_start(log2c, n))
+        from mpmath import mp
         with mp.workprec(106):
             exact = [mp.mpf(c.numerator) / c.denominator for c in dense]
             deriv = poly_deriv(exact)
@@ -312,6 +312,8 @@ def _polish(p: list, dp: list, z):
 def _fuchsian_from_parameters(params: dict):
     """(gamma, delta, sing, prod_ab, p values, ring); a residue left out is
     its atom (through a symbolic q when M = 1)."""
+    from . import factorize as fz
+
     _check_keys(params, {"gamma", "delta", "alpha", "beta", "prod_ab",
                          "sing", "q", "p"}, "parameters",
                 required={"gamma", "sing"})
@@ -357,6 +359,8 @@ def _fuchsian_from_parameters(params: dict):
 def cmd_factorize(inst: dict, mode, precision_bits, tol_exp, deep, seed) -> tuple:
     """``mode``, ``precision_bits`` and ``seed`` override the instance's own
     values unless None."""
+    from . import factorize as fz
+
     if inst["kind"] != "apparent_fuchsian":
         raise SchemaError("factorize expects an 'apparent_fuchsian' instance")
     mode = mode or inst.get("mode", "exact")
@@ -382,6 +386,8 @@ def cmd_factorize(inst: dict, mode, precision_bits, tol_exp, deep, seed) -> tupl
 
 
 def cmd_x1(k: int, g, h, ortho_max=None) -> tuple:
+    from . import xjacobi as xj
+
     g = _rat(g, "g")
     h = _rat(h, "h")
     if g == h:
@@ -417,6 +423,8 @@ def cmd_x1(k: int, g, h, ortho_max=None) -> tuple:
 
 
 def cmd_monodromy(inst: dict, tol: float) -> tuple:
+    from . import numcheck
+
     if inst["kind"] != "heun":
         raise SchemaError("monodromy expects a 'heun' instance")
     p = _heun_from_parameters(inst["parameters"])
@@ -459,11 +467,16 @@ def _sweep_one(path_str: str, opts: dict) -> dict:
     return {"file": Path(path_str).name, "exit_code": code, key: value}
 
 
-def _sweep_workers() -> int:
-    raw = os.environ.get("HEUNFACTOR_THREADS") or str(os.cpu_count() or 1)
-    if not (raw.strip().isdigit() and int(raw) >= 1):
+def _sweep_workers(files: int) -> int:
+    """The sweep's worker count: HEUNFACTOR_THREADS, else the CPUs this
+    process may run on; never more than ``files`` (a pool forks all its
+    workers at once)."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    raw = os.environ.get("HEUNFACTOR_THREADS") or str(cpus)
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
         raise UsageError(f"HEUNFACTOR_THREADS must be a positive integer, got {raw!r}")
-    return int(raw)
+    return min(int(raw), files)
 
 
 def cmd_sweep(directory: str, opts: dict) -> tuple:
@@ -473,8 +486,14 @@ def cmd_sweep(directory: str, opts: dict) -> tuple:
     if not root.is_dir():
         raise SchemaError(f"{root} is not a directory")
     paths = sorted(str(p) for p in root.glob("*.json"))
-    workers = _sweep_workers()
-    if len(paths) <= 1 or workers == 1:
+    workers = _sweep_workers(len(paths))
+    # load every command's layers before the pool forks, so that no worker
+    # imports them again
+    for name in ("factorize", "numcheck", "xjacobi"):
+        importlib.import_module(f".{name}", __package__)
+    import concurrent.futures
+
+    if workers <= 1:
         results = [_sweep_one(p, opts) for p in paths]
     else:
         try:
@@ -496,10 +515,10 @@ def cmd_sweep(directory: str, opts: dict) -> tuple:
 # -- exit codes and entry point --------------------------------------------------
 
 
-#: a bad input or setting (exit 1); any other exception from the
+#: a bad input or setting (exit 1; factorize's UnsupportedProfileError and
+#: xjacobi's XJacobiError are UsageErrors); any other exception from the
 #: verification machinery fails the run (exit 2)
-USAGE_ERRORS = (SchemaError, UsageError, HeunConditionError, UnsupportedCaseError,
-                fz.UnsupportedProfileError, xj.XJacobiError)
+USAGE_ERRORS = (SchemaError, UsageError, HeunConditionError, UnsupportedCaseError)
 
 
 def _guarded(run) -> tuple:

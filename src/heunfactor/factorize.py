@@ -60,7 +60,7 @@ SUPPORTED_PROFILES = (
 DEFAULT_EXACT_M1 = 3
 
 
-class UnsupportedProfileError(Exception):
+class UnsupportedProfileError(UsageError):
     pass
 
 
@@ -410,8 +410,9 @@ def _esym_solution(Lt: ApparentFuchsian, ops: Optional[tuple] = None) -> tuple:
             rank=err.rank) from err
     values = []
     dens = []
+    stripped: dict = {}   # the values share their denominator factors
     for v in sol:
-        nv, profile = _normalize_t_denominator(v, ring)
+        nv, profile = _normalize_t_denominator(v, ring, stripped)
         values.append(nv)
         dens.append(profile)
     return EsymVector("exact", tuple(values), tuple(dens), (Lt, work)), work
@@ -468,13 +469,14 @@ def _select_rows(rows: list, N: int, ring: Ring):
     return A, b
 
 
-def _normalize_t_denominator(v: RatFunc, ring: Ring):
+def _normalize_t_denominator(v: RatFunc, ring: Ring, stripped: dict):
     """Try to rewrite v as polynomial / (t^a (t-1)^b); report the profile.
 
     The solved esym values are claimed to be polynomial in q, alpha, beta,
     gamma and holomorphic in t off {0, 1}; this pulls the powers of t and
     (t - 1) out of each denominator factor and cancels the rest into the
-    numerator, which succeeds exactly when the claim holds.
+    numerator, which succeeds exactly when the claim holds.  ``stripped``
+    maps each factor already seen to (rest, a, b), f = t^a (t - 1)^b rest.
     """
     from .exactalg import exact_div
 
@@ -484,14 +486,17 @@ def _normalize_t_denominator(v: RatFunc, ring: Ring):
     num = v.num
     out_fac: dict = {}
     for f, k in v.den_factors().items():
-        rest = f
-        a = b = 0
-        while (d := exact_div(rest, t)) is not None:
-            rest = d
-            a += 1
-        while (d := exact_div(rest, t - 1)) is not None:
-            rest = d
-            b += 1
+        if f not in stripped:
+            rest = f
+            a = b = 0
+            while (d := exact_div(rest, t)) is not None:
+                rest = d
+                a += 1
+            while (d := exact_div(rest, t - 1)) is not None:
+                rest = d
+                b += 1
+            stripped[f] = rest, a, b
+        rest, a, b = stripped[f]
         if not rest.is_const():
             ok = True
             for _ in range(k):

@@ -23,7 +23,7 @@ from .ghg import pfq_sym_eval, pochhammer
 from .heun import HeunParams, base_ring, heun_operator
 
 
-class XJacobiError(Exception):
+class XJacobiError(UsageError):
     pass
 
 

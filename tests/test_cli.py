@@ -476,7 +476,7 @@ def _bad_settings():
     for command, inst, flags, name in cases:
         for via in ("direct", "sweep"):
             yield pytest.param(via, command, inst, flags, {}, id=f"{via}-{name}")
-    for v in ("abc", "0", "-1"):
+    for v in ("abc", "0", "-1", "²"):
         yield pytest.param("sweep", "factorize", NUMERIC_M3, [],
                            {"HEUNFACTOR_THREADS": v}, id=f"sweep-threads={v}")
 
@@ -796,3 +796,85 @@ def test_cli_import_leaves_scipy_special_unloaded():
                           "print('scipy.special' in sys.modules)"],
                          capture_output=True, text=True)
     assert out.returncode == 0 and out.stdout.strip() == "False"
+
+
+#: the layers a command may or may not load, beyond heun, exactalg and oredop
+LAYERS = ("heunfactor.factorize", "heunfactor._mpnum", "heunfactor.numcheck",
+          "heunfactor.xjacobi", "heunfactor.ghg", "mpmath", "concurrent.futures.process")
+FACTORIZE_LAYERS = ["heunfactor.factorize", "heunfactor._mpnum", "heunfactor.ghg",
+                    "mpmath"]
+
+
+def _layers_loaded(argv, prelude="", env=None) -> str:
+    """Exit code and the LAYERS loaded after ``main(argv)`` in a fresh
+    interpreter (after ``prelude``), as the script prints them."""
+    script = (f"import contextlib, io, sys\n{prelude}"
+              "from heunfactor.cli import main\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = main({argv!r})\n"
+              f"print(code, [m for m in {LAYERS!r} if m in sys.modules])\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, **(env or {})))
+    assert out.returncode == 0, out.stderr
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("argv,loads", [
+    pytest.param(["apparency", "{d}/a.json"], ["mpmath"], id="apparency"),
+    pytest.param(["x1", "5", "1", "1/4", "--ortho-max", "3"],
+                 ["heunfactor.xjacobi", "heunfactor.ghg"], id="x1"),
+    pytest.param(["monodromy", "{d}/m.json"], ["heunfactor.numcheck", "mpmath"], id="monodromy"),
+    pytest.param(["factorize", "{d}/e.json"], FACTORIZE_LAYERS, id="factorize-exact"),
+    pytest.param(["factorize", "{d}/f.json"], FACTORIZE_LAYERS, id="factorize-numeric"),
+    pytest.param(["sweep", "{d}/sweep"], list(LAYERS), id="sweep"),
+])
+def test_each_command_loads_only_its_layers(tmp_path, argv, loads):
+    # every command is a fresh interpreter, so the CLI imports a layer only
+    # in the command that runs it
+    write(tmp_path, "a.json", CONCRETE_EP1)
+    write(tmp_path, "m.json", MONODROMY)
+    write(tmp_path, "e.json", MAIER)
+    write(tmp_path, "f.json", NUMERIC_M3)
+    (tmp_path / "sweep").mkdir()
+    write(tmp_path / "sweep", "a.json", CONCRETE_EP1)
+    write(tmp_path / "sweep", "b.json", CONCRETE_EP1)
+    got = _layers_loaded([a.format(d=tmp_path) for a in argv],
+                         env={"HEUNFACTOR_THREADS": "2"})
+    assert got == f"0 {loads!r}"
+
+
+def test_sweep_loads_every_command_before_its_pool_starts(tmp_path):
+    # the pool forks: a layer the parent has not loaded would be imported
+    # again in each worker.  The stand-in pool records what is loaded when
+    # it is made, then fails, so the sweep runs its two apparency files
+    # (which load no command module themselves) in-process
+    for name in ("a.json", "b.json"):
+        write(tmp_path, name, CONCRETE_EP1)
+    prelude = ("import concurrent.futures\n"
+               "class Pool:\n"
+               "    def __init__(self, max_workers):\n"
+               "        print([m for m in ('heunfactor.factorize', 'heunfactor.numcheck',\n"
+               "                           'heunfactor.xjacobi') if m in sys.modules],\n"
+               "              file=sys.__stdout__)\n"
+               "        raise OSError('no pool')\n"
+               "concurrent.futures.ProcessPoolExecutor = Pool\n")
+    got = _layers_loaded(["sweep", str(tmp_path)], prelude, env={"HEUNFACTOR_THREADS": "2"})
+    pool, rest = got.splitlines()
+    assert pool == "['heunfactor.factorize', 'heunfactor.numcheck', 'heunfactor.xjacobi']"
+    assert rest.startswith("0 ")
+
+
+def test_sweep_workers_capped_at_file_count(monkeypatch):
+    # a pool forks all its workers at once, so HEUNFACTOR_THREADS=5000 over
+    # two files must not ask for 5000; no process is started here
+    from heunfactor.cli import _sweep_workers
+
+    monkeypatch.setenv("HEUNFACTOR_THREADS", "5000")
+    assert [_sweep_workers(n) for n in (0, 1, 2, 10)] == [0, 1, 2, 10]
+    monkeypatch.setenv("HEUNFACTOR_THREADS", "3")
+    assert [_sweep_workers(n) for n in (2, 3, 10)] == [2, 3, 3]
+    # the default is the CPUs this process may run on, not the machine's
+    monkeypatch.delenv("HEUNFACTOR_THREADS")
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert [_sweep_workers(n) for n in (2, 10)] == [2, 3]

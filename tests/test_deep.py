@@ -6,7 +6,7 @@ whose speed drifts by up to 2x, ``HEUNFACTOR_DEEP=1 python -m pytest
 tests/test_deep.py`` took 9-22 s in five runs.  Strength 4 takes about
 1 s and strength 5 the rest: in its solve and verify, timed one by one,
 the Cramer minors of ``solve_esym`` took 7-15 s, normalizing the solved
-values 2-3.5 s and verify 1.1-1.8 s.  CI runs both.  They sit behind
+values 1.9-2.3 s and verify 1.1-1.8 s.  CI runs both.  They sit behind
 the flag because strength 5 alone would add about a third to the default
 suite's time."""
 
