@@ -1,10 +1,23 @@
 """High-precision numeric operator arithmetic (mpmath lane).
 
 Runs the factorization defect check at several hundred bits on the exact
-operators, evaluated at numeric residues and esym values: dense univariate
-polynomials over ``mpmath.mpc``, rational functions whose denominators are
-exponent vectors over a fixed basis of linear factors (z - r_i), and
-normal-ordered operator composition / right division by a monic operator.
+operators, evaluated at numeric residues and esym values: rational functions
+whose denominators are exponent vectors over a fixed basis of linear factors
+(z - r_i), and normal-ordered operator composition / right division by a
+monic operator.
+
+Numerators are Gaussian integers in fixed point: two int coefficient lists
+(re, im) standing for (re + i im) 2^-W, with one W per `FactorBasis`, the
+working precision ``mp.prec`` at its construction plus ``GUARD_BITS``.
+Sums, derivatives and integer scales are exact.  Each input coefficient and
+each coefficient of a product (exactalg's ``poly_mul`` on plain ints) is
+rounded once to the nearest multiple of 2^-W, an absolute error of at most
+2^-(W+1) in each part.  The verdict compares an absolute numerator maximum
+with 10^tol_exp, and tol_exp > -prec log10 2, so these roundings sit
+GUARD_BITS below the finest verdict.  Fixed point loses to floating point
+only where a value below 2^-GUARD_BITS, which keeps fewer than prec
+significant bits, meets a large one; tests/test_mpnum.py's dynamic-range
+test covers residues, parameters and singular points from 1/10^6 to 1000.
 
 The esym values come from the z = 0 series identity of L~ (an N x N solve,
 no division), or from the exact esym solve when that series cannot carry
@@ -18,13 +31,19 @@ by a leading coefficient equal to one, so degrees stay at desk scale.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import zip_longest
+from math import comb, isqrt
+from operator import add
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .exactalg import (exact_div, poly_add, poly_deriv, poly_mul, poly_scale, poly_shift,
                        poly_trim)
+
+# bits kept below the working precision by the fixed-point numerators
+GUARD_BITS = 32
 
 
 def to_mpc(x) -> "mpmath.mpc":
@@ -34,116 +53,154 @@ def to_mpc(x) -> "mpmath.mpc":
     return mp.mpc(x)
 
 
+def _rounded(p: list, W: int) -> list:
+    """A product of two 2^-W fixed-point polynomials back at scale 2^-W,
+    each coefficient rounded to nearest."""
+    half = 1 << (W - 1)
+    return [(c + half) >> W for c in p]
+
+
+def _gauss_mul(a: list, b: list, c: list, d: list) -> tuple:
+    """(a + i b)(c + i d) for int coefficient lists, exactly: three products,
+    or two when one factor is real."""
+    if b == [0]:
+        return poly_mul(a, c), poly_mul(a, d)
+    if d == [0]:
+        return poly_mul(a, c), poly_mul(b, c)
+    ac, bd = poly_mul(a, c), poly_mul(b, d)
+    mixed = poly_mul(poly_add(a, b), poly_add(c, d))
+    return poly_add(ac, poly_scale(bd, -1)), poly_add(mixed, poly_scale(poly_add(ac, bd), -1))
+
+
 class FactorBasis:
-    """Fixed list of linear-factor roots (z - r_i) shared by a computation;
-    ``exact`` keeps the rational roots that exact denominators split over."""
+    """Fixed list of rational roots r_i of the linear factors (z - r_i)
+    shared by a computation, and its fixed-point exponent W."""
 
     def __init__(self, roots):
         self.exact = tuple(Fraction(r) for r in roots)
-        self.roots = tuple(to_mpc(r) for r in self.exact)
+        self.bits = mp.prec + GUARD_BITS
         self._products = {}
+        self._splits = {}
+
+    def fixed(self, x) -> tuple:
+        """(re, im) of the mpc x in units of 2^-W, rounded to nearest."""
+        W = self.bits + 1
+        return tuple((to_fixed(part, W) + 1) >> 1 for part in x._mpc_)
+
+    def split(self, fac) -> tuple:
+        """(exponents, c) with fac = c prod (z - r_i)^exponents_i, for a
+        polynomial fac in z alone; found once per factor."""
+        out = self._splits.get(fac)
+        if out is None:
+            z = fac.ring.var("z")
+            rest, exps = fac, []
+            for r in self.exact:
+                n = 0
+                while (q := exact_div(rest, z - r)) is not None:
+                    rest, n = q, n + 1
+                exps.append(n)
+            if not rest.is_const():
+                raise ValueError(f"denominator factor {fac.pretty()} does not "
+                                 "split over the factor basis")
+            out = self._splits[fac] = (exps, rest.const_value())
+        return out
+
+    def _product(self, vec) -> tuple:
+        """(P, D): prod (z - r_i)^vec_i = P(z) / D with P an int list."""
+        P, D = [1], 1
+        for r, k in zip(self.exact, vec):
+            for _ in range(k):
+                P = poly_mul(P, [-r.numerator, r.denominator])
+            D *= r.denominator ** k
+        return P, D
+
+    def _fixed_poly(self, P: list, D: int) -> list:
+        """P / D in units of 2^-W, rounded to nearest."""
+        W = self.bits + 1
+        return [((c << W) // D + 1) >> 1 for c in P]
 
     def expand(self, vec) -> list:
-        """prod (z - r_i)^vec_i, built once per exponent vector."""
+        """prod (z - r_i)^vec_i in fixed point, one int list (the roots are
+        real), exact and then rounded; built once per exponent vector."""
         vec = tuple(vec)
         out = self._products.get(vec)
         if out is None:
-            out = [mp.mpc(1)]
-            for r, k in zip(self.roots, vec):
-                for _ in range(k):
-                    out = poly_mul(out, [-r, mp.mpc(1)])
-            self._products[vec] = out
+            out = self._products[vec] = self._fixed_poly(*self._product(vec))
         return out
 
 
 class RatM:
-    """num(z) / prod (z - r_i)^vec_i over a shared FactorBasis."""
+    """(re + i im)(z) 2^-W / prod (z - r_i)^vec_i over a shared FactorBasis:
+    re and im are int coefficient lists, W is ``basis.bits``."""
 
-    __slots__ = ("basis", "num", "vec")
+    __slots__ = ("basis", "re", "im", "vec")
 
-    def __init__(self, basis: FactorBasis, num: list, vec=None):
+    def __init__(self, basis: FactorBasis, re: list, im: list, vec: tuple):
         self.basis = basis
-        # products, sums and derivatives already hold mpc values
-        mpc = mp.mpc
-        self.num = poly_trim([c if type(c) is mpc else to_mpc(c) for c in num])
-        self.vec = tuple(vec) if vec is not None else (0,) * len(basis.roots)
+        self.re = poly_trim(re)
+        self.im = poly_trim(im)
+        self.vec = vec
 
     @classmethod
-    def const(cls, basis, c):
-        return cls(basis, [to_mpc(c)])
+    def zero(cls, basis):
+        return cls(basis, [0], [0], (0,) * len(basis.exact))
 
     @classmethod
     def from_exact(cls, basis: FactorBasis, f, assign) -> "RatM":
         """An exact coefficient f (a RatFunc whose denominator factors are
         polynomials in z alone) at the numeric values ``assign`` of the other
         variables of its numerator."""
-        cs = f.num.coeffs_in("z")
-        num = [mp.mpc(0)] * (max(cs, default=0) + 1)
-        for k, c in cs.items():
-            num[k] = c.eval_num(assign, num=mp.mpc)
-        vec = [0] * len(basis.roots)
+        vec = [0] * len(basis.exact)
         scale = Fraction(1)
         for fac, k in f.den_factors().items():
-            rest = fac
-            for i, r in enumerate(basis.exact):
-                while (q := exact_div(rest, fac.ring.var("z") - r)) is not None:
-                    rest = q
-                    vec[i] += k
-            if not rest.is_const():
-                raise ValueError(f"denominator factor {fac.pretty()} does not "
-                                 "split over the factor basis")
-            scale *= rest.const_value() ** k
-        return cls(basis, [c * scale.denominator / scale.numerator for c in num], vec)
+            exps, c = basis.split(fac)
+            vec = [v + k * e for v, e in zip(vec, exps)]
+            scale *= c ** k
+        cs = f.num.coeffs_in("z")
+        re = [0] * (max(cs, default=0) + 1)
+        im = list(re)
+        for k, c in cs.items():
+            v = c.eval_num(assign, num=mp.mpc) * scale.denominator / scale.numerator
+            re[k], im[k] = basis.fixed(v)
+        return cls(basis, re, im, tuple(vec))
 
     @property
     def is_zero(self):
-        return len(self.num) == 1 and self.num[0] == 0
+        return self.re == [0] and self.im == [0]
 
-    def _align(self, other):
-        vec = tuple(max(a, b) for a, b in zip(self.vec, other.vec))
-        def lift(r):
-            extra = [v - w for v, w in zip(vec, r.vec)]
-            num = r.num
-            if any(extra):
-                num = poly_mul(num, r.basis.expand(extra))
-            return num
-        return vec, lift(self), lift(other)
+    def _lift(self, vec) -> tuple:
+        """(re, im) over the denominator exponents vec >= self.vec."""
+        extra = [v - w for v, w in zip(vec, self.vec)]
+        if not any(extra):
+            return self.re, self.im
+        e, W = self.basis.expand(extra), self.basis.bits
+        return _rounded(poly_mul(self.re, e), W), _rounded(poly_mul(self.im, e), W)
 
     def __add__(self, other):
-        if not isinstance(other, RatM):
-            other = RatM.const(self.basis, other)
-        vec, a, b = self._align(other)
-        return RatM(self.basis, poly_add(a, b), vec)
-
-    def __neg__(self):
-        return RatM(self.basis, [-c for c in self.num], self.vec)
+        vec = tuple(map(max, self.vec, other.vec))
+        (a, b), (c, d) = self._lift(vec), other._lift(vec)
+        return RatM(self.basis, poly_add(a, c), poly_add(b, d), vec)
 
     def __sub__(self, other):
-        if not isinstance(other, RatM):
-            other = RatM.const(self.basis, other)
-        return self + (-other)
+        return self + other.scale(-1)
 
     def __mul__(self, other):
-        if not isinstance(other, RatM):
-            other = RatM.const(self.basis, other)
-        vec = tuple(a + b for a, b in zip(self.vec, other.vec))
-        return RatM(self.basis, poly_mul(self.num, other.num), vec)
+        W = self.basis.bits
+        re, im = _gauss_mul(self.re, self.im, other.re, other.im)
+        return RatM(self.basis, _rounded(re, W), _rounded(im, W),
+                    tuple(map(add, self.vec, other.vec)))
 
-    def scale(self, s):
-        return RatM(self.basis, poly_scale(self.num, s), self.vec)
+    def scale(self, s: int):
+        return RatM(self.basis, poly_scale(self.re, s), poly_scale(self.im, s), self.vec)
 
     def derivative(self) -> "RatM":
-        active = [i for i, k in enumerate(self.vec) if k]
-        if not active:
-            return RatM(self.basis, poly_deriv(self.num), self.vec)
-        new_vec = tuple(k + 1 if k else 0 for k in self.vec)
-        ones = [1 if k else 0 for k in self.vec]
-        total = poly_mul(poly_deriv(self.num), self.basis.expand(ones))
-        for i in active:
-            partial = self.basis.expand(ones[:i] + [0] + ones[i + 1:])
-            total = poly_add(total, poly_scale(poly_mul(self.num, partial),
-                                               -self.vec[i]))
-        return RatM(self.basis, total, new_vec)
+        # (n / prod (z - r_i)^k_i)' = n' / prod - sum_i k_i n / (prod (z - r_i))
+        out = RatM(self.basis, poly_deriv(self.re), poly_deriv(self.im), self.vec)
+        for i, k in enumerate(self.vec):
+            if k:
+                vec = self.vec[:i] + (k + 1,) + self.vec[i + 1:]
+                out = out + RatM(self.basis, poly_scale(self.re, -k), poly_scale(self.im, -k), vec)
+        return out
 
 
 class DiffOpM:
@@ -173,14 +230,14 @@ class DiffOpM:
     def coeff(self, j):
         if 0 <= j < len(self.coeffs):
             return self.coeffs[j]
-        return RatM.const(self.basis, 0)
+        return RatM.zero(self.basis)
 
     def __mul__(self, other: "DiffOpM"):
         n, m = self.order, other.order
         if n < 0 or m < 0:
             return DiffOpM(self.basis, [])
         derivs = other.derivative_table(n)
-        out = [RatM.const(self.basis, 0) for _ in range(n + m + 1)]
+        out = [RatM.zero(self.basis) for _ in range(n + m + 1)]
         for i, a in enumerate(self.coeffs):
             if a.is_zero:
                 continue
@@ -199,11 +256,11 @@ class DiffOpM:
             k = rem.order - other.order
             qk = rem.coeffs[-1]
             q[k] = qk
-            step = DiffOpM(self.basis, [RatM.const(self.basis, 0)] * k + [qk]) * other
+            step = DiffOpM(self.basis, [RatM.zero(self.basis)] * k + [qk]) * other
             new = [rem.coeff(j) - step.coeff(j) for j in range(rem.order)]
             rem = DiffOpM(self.basis, new)
         n = max(q) + 1 if q else 0
-        Q = DiffOpM(self.basis, [q.get(j, RatM.const(self.basis, 0)) for j in range(n)])
+        Q = DiffOpM(self.basis, [q.get(j, RatM.zero(self.basis)) for j in range(n)])
         return Q, rem
 
 
@@ -232,7 +289,10 @@ def remainder_defect(L, Lt, roots, p_vals, esym) -> mpmath.mpf:
     e1..eN, Lt the exact L-tilde with the residue atoms p1..pM, both
     evaluated at p_vals and esym over the factor basis of ``roots`` (the
     singular points [0, 1, t_1, ..., t_M]); returns the largest absolute
-    numerator coefficient of the remainder of L by Lt."""
+    numerator coefficient of the remainder of L by Lt, the largest
+    isqrt(re^2 + im^2) 2^-W over its fixed-point coefficients.  Its error is
+    a sum of roundings of at most 2^-(W+1) per part, each amplified only by
+    the other factors of its product (module docstring)."""
     basis = FactorBasis(roots)
 
     def at(op, name, vals):
@@ -241,45 +301,39 @@ def remainder_defect(L, Lt, roots, p_vals, esym) -> mpmath.mpf:
 
     divisor = at(Lt, "p", p_vals)
     _, rem = at(L, "e", esym).right_divide_monic(divisor)
-    return max((abs(x) for c in rem.coeffs for x in c.num), default=mp.mpf(0))
+    top = max((isqrt(x * x + y * y) for c in rem.coeffs
+               for x, y in zip_longest(c.re, c.im, fillvalue=0)), default=0)
+    return mpmath.ldexp(mp.mpf(top), -basis.bits)
 
 
 def newton_apparency(system_fns, jac_fns, M, seed=0):
     """Solve P_1(p)=...=P_M(p)=0 by damped Newton from at most 60 random
-    complex starts.
+    complex starts in [-2, 2]^2, each step at most max(1, max |p_i|) long.
 
     system_fns / jac_fns are callables taking a list of mpc and returning mpc.
-    Deterministic for fixed seed.  Returns the p-vector at residual below
-    10^max(-70, 12 - dps): 12 digits above working precision, capped at the
-    certification target -70 of 300 bits."""
+    Deterministic for fixed seed.  Returns p after the first full step
+    shorter than tol max(1, max |p_i|), tol = 10^max(-70, 12 - dps): 12
+    digits above working precision, capped at the certification target -70
+    of 300 bits.  Newton converges quadratically there, so p lies far closer
+    to the root than that step, down to the rounding floor of the system.
+    No absolute residual is asked for: a system with large terms keeps its
+    residual above any fixed target at working precision."""
     import random as _random
     rng = _random.Random(seed)
     tol = mp.mpf(10) ** max(-70, 12 - mp.dps)
     for _ in range(60):
         p = [mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(M)]
-        ok = True
         for _ in range(220):
-            F = mp.matrix([system_fns[i](p) for i in range(M)])
-            res = max(abs(F[i]) for i in range(M))
-            if res < tol:
-                break
-            J = mp.matrix(M, M)
-            for i in range(M):
-                for j in range(M):
-                    J[i, j] = jac_fns[i][j](p)
+            F = mp.matrix([f(p) for f in system_fns])
+            J = mp.matrix([[d(p) for d in row] for row in jac_fns])
             try:
                 step = mp.lu_solve(J, F)
             except ZeroDivisionError:
-                ok = False
                 break
             nrm = max(abs(step[i]) for i in range(M))
-            damp = 1 if nrm < 1 else mp.mpf(1) / nrm
+            reach = max(1, max(abs(x) for x in p))
+            damp = 1 if nrm < reach else reach / nrm
             p = [p[i] - damp * step[i] for i in range(M)]
-        else:
-            ok = False
-        if not ok:
-            continue
-        F = [system_fns[i](p) for i in range(M)]
-        if max(abs(f) for f in F) < tol:
-            return p
-    raise RuntimeError("Newton failed to reach the apparency residual target")
+            if nrm < tol * reach:
+                return p
+    raise RuntimeError("Newton failed to converge on the apparency system")

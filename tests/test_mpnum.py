@@ -1,8 +1,10 @@
-"""Numeric lane: the exact operators evaluated into the mpmath operator type,
-the series esym values against the exact solve's, and the divisor's reused
-derivative table."""
+"""Numeric lane: the exact operators evaluated into the fixed-point operator
+type, its remainder against the exact one, the series esym values against
+the exact solve's, the divisor's reused derivative table, Newton's reach and
+the verdicts over a wide dynamic range."""
 
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,8 +13,9 @@ from mpmath import mp
 from heunfactor import _mpnum
 from heunfactor._mpnum import DiffOpM, FactorBasis, RatM, to_mpc
 from heunfactor.exactalg import RatFunc, Ring, poly_eval
-from heunfactor.factorize import (_esym_solution, _residue_atom_factor, _z0_series,
-                                  random_profile_instance, solve_apparent_p)
+from heunfactor.factorize import (_division_work, _esym_solution, _residue_atom_factor,
+                                  _z0_series, random_profile_instance, solve_apparent_p,
+                                  verify_factorization, verify_factorization_numeric)
 from heunfactor.ghg import ghg_operator_esym
 
 _rats = st.fractions(min_value=-7, max_value=7, max_denominator=6)
@@ -21,10 +24,17 @@ Z_POINTS = (mp.mpc("0.3", "0.7"), mp.mpc("-1.9", "0.2"), mp.mpc("4.1", "-2.6"))
 
 
 def _value(r: RatM, z):
+    W = r.basis.bits
+    num = [mp.mpc(mp.ldexp(x, -W), mp.ldexp(y, -W))
+           for x, y in zip_longest(r.re, r.im, fillvalue=0)]
     den = mp.mpc(1)
-    for root, k in zip(r.basis.roots, r.vec):
-        den *= (z - root) ** k
-    return poly_eval(r.num, z) / den
+    for root, k in zip(r.basis.exact, r.vec):
+        den *= (z - to_mpc(root)) ** k
+    return poly_eval(num, z) / den
+
+
+def _at(basis, op, assign):
+    return DiffOpM(basis, [RatM.from_exact(basis, c, assign) for c in op.coeffs])
 
 
 def _operators(gamma, delta, sing, prod_ab):
@@ -63,6 +73,28 @@ def test_converted_coefficients_equal_the_exact_ones(inst):
                 for z in Z_POINTS:
                     want = c.eval_num({**assign, "z": z}, num=mp.mpc)
                     assert abs(_value(r, z) - want) <= mp.mpf(10) ** -70 * abs(want)
+
+
+@settings(max_examples=25, deadline=None)
+@given(inst=_instances())
+def test_fixed_point_remainder_equals_the_exact_one(inst):
+    # rational residues and esym values, so the exact division is the reference
+    gamma, delta, sing, prod_ab, ps, es = inst
+    Lt, L = _operators(gamma, delta, sing, prod_ab)
+    op = Lt.operator()
+    exact = _division_work(Lt, (L, op)).w_coeffs
+    assign = {**{f"p{k}": to_mpc(v) for k, v in enumerate(ps, 1)},
+              **{f"e{k}": to_mpc(v) for k, v in enumerate(es, 1)}}
+    with mp.workprec(300):
+        basis = FactorBasis([0, 1] + [t for t, _ in sing])
+        _, rem = _at(basis, L, assign).right_divide_monic(_at(basis, op, assign))
+        assert rem.order < len(exact)
+        for z in Z_POINTS:
+            at_z = {**assign, "z": z}
+            scale = max(abs(c.eval_num(at_z, num=mp.mpc)) for c in L.coeffs)
+            for j, w in enumerate(exact):
+                got = _value(rem.coeff(j), z)
+                assert abs(got - w.eval_num(at_z, num=mp.mpc)) <= mp.mpf(10) ** -70 * scale
 
 
 def test_repeated_and_composite_denominator_factors_split_over_the_basis():
@@ -121,7 +153,8 @@ def test_terminating_exponent_zero_series_takes_exponent_one_minus_gamma():
 
 
 def _same(a: DiffOpM, b: DiffOpM) -> bool:
-    return [(c.vec, c.num) for c in a.coeffs] == [(c.vec, c.num) for c in b.coeffs]
+    return ([(c.vec, c.re, c.im) for c in a.coeffs]
+            == [(c.vec, c.re, c.im) for c in b.coeffs])
 
 
 def test_a_shared_divisor_divides_like_fresh_copies():
@@ -129,16 +162,51 @@ def test_a_shared_divisor_divides_like_fresh_copies():
     Lt, L = _operators(gamma, delta, sing, prod_ab)
     roots = [0, 1] + [t for t, _ in sing]
     p_assign = {"p1": to_mpc(F(3, 2)), "p2": mp.mpc(-1, 2)}
-
-    def at(basis, op, assign):
-        return DiffOpM(basis, [RatM.from_exact(basis, c, assign) for c in op.coeffs])
-
     with mp.workprec(300):
         basis = FactorBasis(roots)
-        shared = at(basis, Lt.operator(), p_assign)
+        shared = _at(basis, Lt.operator(), p_assign)
         for es in ((1, 2, 3), (F(-1, 2), 5, F(7, 3))):
             e_assign = {f"e{j}": to_mpc(e) for j, e in enumerate(es, 1)}
-            got = at(basis, L, e_assign).right_divide_monic(shared)
+            got = _at(basis, L, e_assign).right_divide_monic(shared)
             fresh = FactorBasis(roots)
-            want = at(fresh, L, e_assign).right_divide_monic(at(fresh, Lt.operator(), p_assign))
+            want = _at(fresh, L, e_assign).right_divide_monic(_at(fresh, Lt.operator(),
+                                                                  p_assign))
             assert all(_same(g, w) for g, w in zip(got, want))
+
+
+def _apparent_m3(t, alpha, beta):
+    """gamma = 5/7 and one extra singular point t of multiplicity 3."""
+    gamma, m = F(5, 7), 3
+    return gamma, alpha + beta - gamma + m + 1, [(t, m)], alpha * beta
+
+
+@pytest.mark.parametrize(("t", "alpha", "beta", "root"), [
+    # the roots lie at -998.7 ... -3572.6, out of reach of 220 unit steps
+    (F(1000), F(1, 3), F(3, 5), "-998.72665651881940958"),
+    # coefficients near 1e37: no residual falls below 1e-70 at 300 bits
+    (F(1, 10**6), F(1, 5000), F(200, 3), "1.7500293425969091052e-8"),
+], ids=["far", "large-scale"])
+def test_newton_reaches_far_and_large_scale_residues(t, alpha, beta, root):
+    with mp.workprec(300):
+        (p,) = solve_apparent_p(*_apparent_m3(t, alpha, beta), seed=0)
+        assert mp.nstr(p.real, 20) == root
+
+
+@pytest.mark.parametrize(("alpha", "beta"), [(F(1, 5000), F(3, 5)), (F(200, 3), F(3, 5)),
+                                             (F(1, 5000), F(200, 3))],
+                         ids=["small", "large", "small-large"])
+@pytest.mark.parametrize("t", [F(1, 10**6), F(1, 1000), F(1000)], ids=str)
+def test_verdicts_over_a_wide_dynamic_range(t, alpha, beta):
+    # fixed point keeps fewer significant bits of small values: the apparent
+    # instance passes and its p + 1/7 control fails at 300 and 1000 bits, as
+    # the exact lane certifies
+    inst = _apparent_m3(t, alpha, beta)
+    assert verify_factorization(_residue_atom_factor(*inst), deep=True).passed
+    for bits in (300, 1000):
+        with mp.workprec(bits):
+            (p,) = solve_apparent_p(*inst, seed=0, bits=bits)
+            rep = verify_factorization_numeric(*inst, p_vals=[p], bits=bits)
+            assert rep.passed, (bits, rep.defect_max)
+            control = verify_factorization_numeric(*inst, p_vals=[p + to_mpc(F(1, 7))],
+                                                   bits=bits)
+            assert not control.passed and float(control.defect_max) > 1e-10

@@ -51,13 +51,13 @@ APPARENCY = {
 #: report (residue solved by Newton) and of a control at p = 1
 NUMERIC = {
     "exponent-0": (("1/3", "3/5"),
-                   "85869e5cb62fbf3a543a7ac9956a414d803c639e46a6aa91bda6698123759785",
+                   "7665f368abf244a0fb9ad0ab82f55a13cc242723a5c3a91cd7ad39ac4113d198",
                    "25c3cac0040644bf1467e97d1cd9f31c157682a49cca3607002d6fa0a0c0b01a"),
     "exponent-1-gamma": (("1/3", "-1"),
-                         "ef728a71f1e4cd58c25c2eec733b8c8df8ab16cb110544702489fcbe172dd6d4",
+                         "a560e9f978108d55873622337d737d609df49078407670f53d1ade5adf8fe99d",
                          "fa8bda785a58da2d7a8e498a28f39885b48b2f520680e7851782592c4d965dc0"),
     "exact-solve": (("0", "-2/7"),
-                    "2d7e6cb61d2024a45a565206427abf58810b4d572ae77fefd98097543acc9cd7",
+                    "5d29a03d0a6a1e8d7df8a27d0c34dc5991b29e98a5366aa0da92eae310807f0d",
                     "9b02a6265c6f947c2fd92fa05463a3863799cdb9a56f5b00d9405f75bf8c0ece"),
 }
 
