@@ -17,7 +17,24 @@ with 10^tol_exp, and tol_exp > -prec log10 2, so these roundings sit
 GUARD_BITS below the finest verdict.  Fixed point loses to floating point
 only where a value below 2^-GUARD_BITS, which keeps fewer than prec
 significant bits, meets a large one; tests/test_mpnum.py's dynamic-range
-test covers residues, parameters and singular points from 1/10^6 to 1000.
+test covers residues, parameters and singular points from 1/10^6 to 10^5.
+
+Every exact polynomial of the lane is evaluated one way, by `GaussPoint`:
+the input coefficients above, the z = 0 series ratios and Newton's F and
+Jacobian.  A power x^k comes from x^(k-1) x, rounded once, so its error is
+at most about k max(1, |x|)^(k-1) 2^-(W+1) per part; a monomial in several
+variables rounds once more per factor; the int coefficients multiply and
+add exactly, and the content is one rounded multiply.  A value therefore
+errs by a few 2^-W times the sum of its absolute terms, with each |x|
+floored at 1.  Newton (`newton_apparency`) stops on a step below
+10^-70 max(1, max |p|) at 300 bits; the error of F over |J| sets the noise
+of that step.  Large residues cost no significant bits: at t = 10^5
+(gamma 5/7, beta 3/5, m 3) the residue reaches |p| = 1.8e5 and the
+system's terms 1e30, and the root matches a 400-bit solve to 4e-91
+relative.  Small residues keep fewer bits only in their small terms: at
+t = 10^-6 the residue is 1.6e-10 and the root matches to 4e-91 as well.
+Only the step solve (M x M), the esym solve (N x N), the defect and the
+printed values are mpc.
 
 The esym values come from the z = 0 series identity of L~ (an N x N solve,
 no division), or from the exact esym solve when that series cannot carry
@@ -37,10 +54,10 @@ from operator import add
 
 import mpmath
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .exactalg import (exact_div, poly_add, poly_deriv, poly_mul, poly_scale, poly_shift,
-                       poly_trim)
+from .exactalg import (_FIELD_MASK, MultiPoly, UsageError, exact_div, poly_add, poly_deriv,
+                       poly_mul, poly_scale, poly_shift, poly_trim)
 
 # bits kept below the working precision by the fixed-point numerators
 GUARD_BITS = 32
@@ -51,6 +68,83 @@ def to_mpc(x) -> "mpmath.mpc":
     if isinstance(x, Fraction):
         return mp.mpc(x.numerator) / x.denominator
     return mp.mpc(x)
+
+
+def _fixed(x, W: int) -> tuple:
+    """(re, im) of the mpc x in units of 2^-W, rounded to nearest."""
+    return tuple((to_fixed(part, W + 1) + 1) >> 1 for part in x._mpc_)
+
+
+def _unfixed(v: tuple, W: int) -> "mpmath.mpc":
+    """The mpc of a fixed-point pair (re, im) in units of 2^-W."""
+    prec = mp.prec
+    return mp.make_mpc(tuple(from_man_exp(x, -W, prec, round_nearest) for x in v))
+
+
+def _round_mul(x: tuple, y: tuple, W: int) -> tuple:
+    """(a + i b)(c + i d) of two fixed-point pairs at scale 2^-W, rounded."""
+    (a, b), (c, d), half = x, y, 1 << (W - 1)
+    return (a * c - b * d + half) >> W, (a * d + b * c + half) >> W
+
+
+class GaussPoint:
+    """Values of named variables in Gaussian fixed point, (re + i im) 2^-W,
+    with a power table per variable that fills as polynomials need it."""
+
+    __slots__ = ("bits", "_powers")
+
+    def __init__(self, values, bits: int):
+        """values: {variable name: an mpc, or anything ``to_mpc`` lifts}."""
+        self.bits = bits
+        self._powers = {name: [(1 << bits, 0), _fixed(to_mpc(v), bits)]
+                        for name, v in values.items()}
+
+    def _power(self, name: str, k: int) -> tuple:
+        pw, W = self._powers[name], self.bits
+        while len(pw) <= k:
+            pw.append(_round_mul(pw[-1], pw[1], W))
+        return pw[k]
+
+    def value(self, f: MultiPoly, factor: Fraction = Fraction(1)) -> tuple:
+        """factor times the MultiPoly f at this point, (re, im) in units of
+        2^-W.  Each monomial is a product of table powers, rounded once per
+        product; the sum of the int-coefficient terms is exact, so the value
+        does not depend on term order; the content times factor is applied
+        at the end as one rounded rational multiply."""
+        ring, W = f.ring, self.bits
+        fields = [(ring._field(name)[0], name) for name in self._powers if name in ring.index]
+        re = im = 0
+        for key, c in f._t.items():
+            deg, mono = key >> ring._deg_shift, None
+            for s, name in fields:
+                k = key >> s & _FIELD_MASK
+                if k:
+                    deg -= k
+                    x = self._power(name, k)
+                    mono = x if mono is None else _round_mul(mono, x, W)
+            if deg:
+                raise UsageError(f"no value for a variable of {f.pretty()[:80]}")
+            if mono is None:
+                re += c << W
+            else:
+                re += c * mono[0]
+                im += c * mono[1]
+        q = f._c * factor
+        if q == 1:
+            return re, im
+        n, d = q.numerator, q.denominator
+        return (2 * re * n + d) // (2 * d), (2 * im * n + d) // (2 * d)
+
+    def mpc(self, f, factor: Fraction = Fraction(1)) -> "mpmath.mpc":
+        """factor times f, a MultiPoly or a RatFunc, at this point as an mpc;
+        each denominator factor is a `value` too, and divides in mpc."""
+        W = self.bits
+        if isinstance(f, MultiPoly):
+            return _unfixed(self.value(f, factor), W)
+        out = _unfixed(self.value(f.num, factor), W)
+        for g, k in f.den_factors().items():
+            out /= _unfixed(self.value(g), W) ** k
+        return out
 
 
 def _rounded(p: list, W: int) -> list:
@@ -81,11 +175,6 @@ class FactorBasis:
         self.bits = mp.prec + GUARD_BITS
         self._products = {}
         self._splits = {}
-
-    def fixed(self, x) -> tuple:
-        """(re, im) of the mpc x in units of 2^-W, rounded to nearest."""
-        W = self.bits + 1
-        return tuple((to_fixed(part, W) + 1) >> 1 for part in x._mpc_)
 
     def split(self, fac) -> tuple:
         """(exponents, c) with fac = c prod (z - r_i)^exponents_i, for a
@@ -146,10 +235,10 @@ class RatM:
         return cls(basis, [0], [0], (0,) * len(basis.exact))
 
     @classmethod
-    def from_exact(cls, basis: FactorBasis, f, assign) -> "RatM":
+    def from_exact(cls, basis: FactorBasis, f, point: GaussPoint) -> "RatM":
         """An exact coefficient f (a RatFunc whose denominator factors are
-        polynomials in z alone) at the numeric values ``assign`` of the other
-        variables of its numerator."""
+        polynomials in z alone) with the other variables of its numerator at
+        ``point``, whose scale is ``basis.bits``."""
         vec = [0] * len(basis.exact)
         scale = Fraction(1)
         for fac, k in f.den_factors().items():
@@ -160,8 +249,7 @@ class RatM:
         re = [0] * (max(cs, default=0) + 1)
         im = list(re)
         for k, c in cs.items():
-            v = c.eval_num(assign, num=mp.mpc) * scale.denominator / scale.numerator
-            re[k], im[k] = basis.fixed(v)
+            re[k], im[k] = point.value(c, 1 / scale)
         return cls(basis, re, im, tuple(vec))
 
     @property
@@ -264,18 +352,42 @@ class DiffOpM:
         return Q, rem
 
 
+def _solve(A: list, b: list) -> list:
+    """x with A x = b for a square mpc matrix (a list of rows), by Gaussian
+    elimination with partial pivoting; ZeroDivisionError when a pivot is no
+    larger than eps times the largest column sum of |A|."""
+    n = len(b)
+    rows = [list(r) + [v] for r, v in zip(A, b)]
+    tol = max(sum(abs(r[j]) for r in rows) for j in range(n)) * mp.eps
+    for k in range(n):
+        piv = max(range(k, n), key=lambda i: abs(rows[i][k]))
+        rows[k], rows[piv] = rows[piv], rows[k]
+        top = rows[k]
+        if abs(top[k]) <= tol:
+            raise ZeroDivisionError("matrix is numerically singular")
+        for r in rows[k + 1:]:
+            f = r[k] / top[k]
+            for j in range(k + 1, n + 1):
+                r[j] -= f * top[j]
+    x = [0] * n
+    for k in reversed(range(n)):
+        r = rows[k]
+        x[k] = (r[n] - sum(r[j] * x[j] for j in range(k + 1, n))) / r[k]
+    return x
+
+
 def solve_esym_numeric(ratios, shift) -> list | None:
     """Esym values from L-tilde's z = 0 series at exponent ``shift``, or None
     when the series does not determine them.
 
     ratios[n-1] = prod(1 + n / (e_i + shift)) for n = 1..N is a polynomial in
     n of degree N whose coefficients s_k = sigma'_{N-k} / sigma'_N are one
-    N x N lu_solve away.  s_N = 1 / prod(e_i + shift) cannot vanish for finite
+    N x N solve away.  s_N = 1 / prod(e_i + shift) cannot vanish for finite
     e_i, so a zero s_N means that the series fixes no esym values.
     """
     N = len(ratios)
-    A = mp.matrix([[mp.mpf(n) ** k for k in range(1, N + 1)] for n in range(1, N + 1)])
-    s = mp.lu_solve(A, mp.matrix([r - 1 for r in ratios]))
+    A = [[mp.mpf(n) ** k for k in range(1, N + 1)] for n in range(1, N + 1)]
+    s = _solve(A, [r - 1 for r in ratios])
     if not s[N - 1]:
         return None
     # prod(x + e_i + shift) = sigma'_N (1 + sum_k s_k x^k); shift x back
@@ -296,8 +408,8 @@ def remainder_defect(L, Lt, roots, p_vals, esym) -> mpmath.mpf:
     basis = FactorBasis(roots)
 
     def at(op, name, vals):
-        assign = {f"{name}{k}": to_mpc(v) for k, v in enumerate(vals, 1)}
-        return DiffOpM(basis, [RatM.from_exact(basis, c, assign) for c in op.coeffs])
+        point = GaussPoint({f"{name}{k}": v for k, v in enumerate(vals, 1)}, basis.bits)
+        return DiffOpM(basis, [RatM.from_exact(basis, c, point) for c in op.coeffs])
 
     divisor = at(Lt, "p", p_vals)
     _, rem = at(L, "e", esym).right_divide_monic(divisor)
@@ -306,34 +418,40 @@ def remainder_defect(L, Lt, roots, p_vals, esym) -> mpmath.mpf:
     return mpmath.ldexp(mp.mpf(top), -basis.bits)
 
 
-def newton_apparency(system_fns, jac_fns, M, seed=0):
+def newton_apparency(system, names, seed=0):
     """Solve P_1(p)=...=P_M(p)=0 by damped Newton from at most 60 random
     complex starts in [-2, 2]^2, each step at most max(1, max |p_i|) long.
 
-    system_fns / jac_fns are callables taking a list of mpc and returning mpc.
-    Deterministic for fixed seed.  Returns p after the first full step
-    shorter than tol max(1, max |p_i|), tol = 10^max(-70, 12 - dps): 12
-    digits above working precision, capped at the certification target -70
-    of 300 bits.  Newton converges quadratically there, so p lies far closer
-    to the root than that step, down to the rounding floor of the system.
-    No absolute residual is asked for: a system with large terms keeps its
-    residual above any fixed target at working precision."""
+    system: the MultiPolys P_j in the variables ``names`` (p1..pM).  F and
+    its Jacobian are evaluated at each iterate in Gaussian fixed point at
+    scale 2^-W, W = mp.prec + GUARD_BITS (`GaussPoint`); the M x M step
+    solve runs in mpc.  Deterministic for fixed seed.  Returns p (mpc)
+    after the first full step shorter than tol max(1, max |p_i|), tol =
+    10^max(-70, 12 - dps): 12 digits above working precision, capped at the
+    certification target -70 of 300 bits.  Newton converges quadratically
+    there, so p lies far closer to the root than that step, down to the
+    rounding floor of the system.  No absolute residual is asked for: a
+    system with large terms keeps its residual above any fixed target at
+    working precision."""
     import random as _random
     rng = _random.Random(seed)
+    M, W = len(names), mp.prec + GUARD_BITS
+    jac = [[P.derivative(n) for n in names] for P in system]
     tol = mp.mpf(10) ** max(-70, 12 - mp.dps)
     for _ in range(60):
         p = [mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(M)]
         for _ in range(220):
-            F = mp.matrix([f(p) for f in system_fns])
-            J = mp.matrix([[d(p) for d in row] for row in jac_fns])
+            at = GaussPoint(dict(zip(names, p)), W)
+            F = [at.mpc(P) for P in system]
+            J = [[at.mpc(d) for d in row] for row in jac]
             try:
-                step = mp.lu_solve(J, F)
+                step = _solve(J, F)
             except ZeroDivisionError:
                 break
-            nrm = max(abs(step[i]) for i in range(M))
+            nrm = max(abs(x) for x in step)
             reach = max(1, max(abs(x) for x in p))
             damp = 1 if nrm < reach else reach / nrm
-            p = [p[i] - damp * step[i] for i in range(M)]
+            p = [x - damp * dx for x, dx in zip(p, step)]
             if nrm < tol * reach:
                 return p
     raise RuntimeError("Newton failed to converge on the apparency system")

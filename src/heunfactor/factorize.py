@@ -163,21 +163,6 @@ class ApparentFuchsian:
     def prod_ab(self) -> RatFunc:
         return self.s_coeffs[-1]
 
-    def p_residues(self) -> list:
-        """Residue parameters p_k of the Appendix's display."""
-        out = []
-        roots = [tk for tk, _ in self.sing]
-        for k, tk in enumerate(roots):
-            num = RatFunc.of(0, self.ring)
-            for i, s in enumerate(self.s_coeffs):
-                num = num + s * tk ** i
-            den = RatFunc.of(1, self.ring)
-            for j, tj in enumerate(roots):
-                if j != k:
-                    den = den * (tk - tj)
-            out.append(num / den)
-        return out
-
     def heun_q(self) -> RatFunc:
         """The Heun accessory parameter -s_0 (M = 1 only)."""
         if self.M != 1:
@@ -618,25 +603,19 @@ def solve_apparent_p(gamma: Fraction, delta: Fraction, sing: Sequence,
                      prod_ab: Fraction, seed: int = 0, bits: int = 300):
     """Numerically solve the apparency system for the residues p_1..p_M.
 
-    Newton at `bits` precision from seeded random complex starts, refined to
-    residual < 1e-70 (the returned values are mpc).
+    Damped Newton at `bits` precision from seeded random complex starts
+    (`_mpnum.newton_apparency`), stopped after the first full step shorter
+    than tol max(1, max |p_i|), tol = 1e-70 at 300 bits and above; no
+    absolute residual is asked for.  Returns the residues as mpc.
     """
-    M = len(sing)
     system = apparency_system(_residue_atom_factor(gamma, delta, sing, prod_ab))
-    p_names = [f"p{k}" for k in range(1, M + 1)]
-
-    def fn_of(poly):
-        def f(pv):
-            return poly.eval_num(dict(zip(p_names, pv)), num=mp.mpc)
-        return f
-
-    fns = [fn_of(P) for P in system]
-    jac = [[fn_of(P.derivative(n)) for n in p_names] for P in system]
     with mp.workprec(bits):
-        return _mpnum.newton_apparency(fns, jac, M, seed=seed)
+        return _mpnum.newton_apparency(system, [f"p{k}" for k in range(1, len(sing) + 1)],
+                                       seed=seed)
 
 
-def _z0_series(Lt: ApparentFuchsian, op: DiffOp, assign: dict) -> Optional[tuple]:
+def _z0_series(Lt: ApparentFuchsian, op: DiffOp, point: _mpnum.GaussPoint
+               ) -> Optional[tuple]:
     """(ratios, shift) of L~'s z = 0 series for `_mpnum.solve_esym_numeric`,
     or None when neither z = 0 exponent carries the esym values.
 
@@ -648,7 +627,7 @@ def _z0_series(Lt: ApparentFuchsian, op: DiffOp, assign: dict) -> Optional[tuple
     exact data alone: the first with no vanishing (gamma')_n or
     (alpha')_n (beta')_n, n <= N, whose series is then unique and divisible
     by the Pochhammer factors.  The c_n come from the series engine with the
-    residues as atoms, evaluated at the residue values ``assign``."""
+    residues as atoms, evaluated at the residue values ``point``."""
     N, g, S, P = Lt.N, Lt.gamma, Lt.sum_ab, Lt.prod_ab
     c = 1 - g
     for rho, g2, S2, P2 in ((0, g, S, P), (c, 2 - g, S + 2 * c, P + c * S + c * c)):
@@ -657,11 +636,11 @@ def _z0_series(Lt: ApparentFuchsian, op: DiffOp, assign: dict) -> Optional[tuple
         if any(a.is_zero or b.is_zero for a, b in factors):
             continue
         cs = frobenius_series(op, 0, rho, N).coeffs
-        ratios, w = [], RatFunc.of(1, Lt.ring)
+        ratios, w = [], Fraction(1)
         for n, (a, b) in enumerate(factors, 1):
-            w = w * a * n / b
-            ratios.append((cs[n] * w).eval_num(assign, num=mp.mpc))
-        return ratios, _val(rho, Lt.ring).eval_num({}, num=mp.mpc)
+            w = w * a.fraction() * n / b.fraction()
+            ratios.append(point.mpc(cs[n], w))
+        return ratios, _mpnum.to_mpc(_val(rho, Lt.ring).fraction())
     return None
 
 
@@ -693,12 +672,12 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
         if p_vals is None:
             p_vals = solve_apparent_p(gamma, delta, sing, prod_ab,
                                       seed=seed, bits=bits)
-        assign = {f"p{k}": _mpnum.to_mpc(p) for k, p in enumerate(p_vals, 1)}
-        series = _z0_series(Lt, op, assign)
+        point = _mpnum.GaussPoint({f"p{k}": p for k, p in enumerate(p_vals, 1)},
+                                  mp.prec + _mpnum.GUARD_BITS)
+        series = _z0_series(Lt, op, point)
         es = _mpnum.solve_esym_numeric(*series) if series else None
         if es is None:
-            es = [v.eval_num(assign, num=mp.mpc)
-                  for v in _esym_solution(Lt, ops)[0].values]
+            es = [point.mpc(v) for v in _esym_solution(Lt, ops)[0].values]
         defect = _mpnum.remainder_defect(L, op, roots, p_vals, es)
         passed = defect < mp.mpf(10) ** tol_exp
         esym = EsymVector("numeric", tuple(es))

@@ -451,17 +451,6 @@ class TestReportShape:
 
 
 class TestFuchsianData:
-    def test_p_s_round_trip(self):
-        ring = factor_ring(2, 2)
-        gamma, delta, sing, prod_ab = random_profile_instance((1, 1), seed=3)
-        ps = [F(5, 7), F(-2, 3)]
-        Lt = ApparentFuchsian.from_p_form(gamma, delta, sing, prod_ab,
-                                          [RatFunc.of(p, ring) for p in ps],
-                                          ring)
-        back = Lt.p_residues()
-        assert [b.as_poly().const_value() for b in back] == ps
-        assert Lt.prod_ab == RatFunc.of(prod_ab, ring)
-
     def test_distinctness_enforced(self):
         ring = factor_ring(2, 2)
         from heunfactor.exactalg import UsageError

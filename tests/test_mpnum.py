@@ -1,8 +1,10 @@
-"""Numeric lane: the exact operators evaluated into the fixed-point operator
-type, its remainder against the exact one, the series esym values against
-the exact solve's, the divisor's reused derivative table, Newton's reach and
+"""Numeric lane: the fixed-point polynomial values against eval_num, the
+exact operators evaluated into the fixed-point operator type, its remainder
+against the exact one, the series esym values against the exact solve's,
+the divisor's reused derivative table, Newton's step solve and reach, and
 the verdicts over a wide dynamic range."""
 
+import random
 from fractions import Fraction as F
 from itertools import zip_longest
 
@@ -11,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 from heunfactor import _mpnum
-from heunfactor._mpnum import DiffOpM, FactorBasis, RatM, to_mpc
-from heunfactor.exactalg import RatFunc, Ring, poly_eval
+from heunfactor._mpnum import DiffOpM, FactorBasis, GaussPoint, RatM, to_mpc
+from heunfactor.exactalg import MultiPoly, RatFunc, Ring, poly_eval
 from heunfactor.factorize import (_division_work, _esym_solution, _residue_atom_factor,
-                                  _z0_series, random_profile_instance, solve_apparent_p,
-                                  verify_factorization, verify_factorization_numeric)
+                                  _z0_series, apparency_system, random_profile_instance,
+                                  solve_apparent_p, verify_factorization,
+                                  verify_factorization_numeric)
 from heunfactor.ghg import ghg_operator_esym
 
 _rats = st.fractions(min_value=-7, max_value=7, max_denominator=6)
@@ -34,7 +37,8 @@ def _value(r: RatM, z):
 
 
 def _at(basis, op, assign):
-    return DiffOpM(basis, [RatM.from_exact(basis, c, assign) for c in op.coeffs])
+    point = GaussPoint(assign, basis.bits)
+    return DiffOpM(basis, [RatM.from_exact(basis, c, point) for c in op.coeffs])
 
 
 def _operators(gamma, delta, sing, prod_ab):
@@ -58,6 +62,40 @@ def _instances(draw):
     return gamma, delta, list(zip(ts, profile)), prod_ab, ps, es
 
 
+def _random_mpc(rng, scale):
+    """A complex number with full 300-bit parts, each in [-scale, scale]."""
+    return mp.mpc(*(scale * (2 * mp.mpf(rng.getrandbits(300)) / 2 ** 300 - 1) for _ in "ri"))
+
+
+@pytest.mark.parametrize("profile", [(4,), (5,), (2, 2), (3, 1), (1, 3), (1, 1, 1)],
+                         ids=lambda p: "".join(map(str, p)))
+def test_fixed_point_values_match_eval_num(profile):
+    # the apparency system and its Jacobian, as Newton evaluates them, at
+    # random points with |p| up to 2e5: within a few 2^-W of the sum of the
+    # absolute terms (each |p| floored at 1), against eval_num at 1000 bits;
+    # the same terms in another dict order give the same ints
+    system = apparency_system(_residue_atom_factor(*random_profile_instance(profile, seed=11)))
+    names = [f"p{k}" for k in range(1, len(profile) + 1)]
+    polys = system + [P.derivative(n) for P in system for n in names]
+    rng = random.Random(str(profile))
+    with mp.workprec(300):
+        W = mp.prec + _mpnum.GUARD_BITS
+        for scale in (1, 1000, 2 * 10 ** 5):
+            assign = {n: _random_mpc(rng, scale) for n in names}
+            point = GaussPoint(assign, W)
+            for P in polys:
+                got = point.value(P)
+                terms = list(P.terms())
+                for order in (terms, terms[::-1]):
+                    assert point.value(MultiPoly.from_fraction_terms(P.ring, dict(order))) == got
+                with mp.workprec(1000):
+                    size = sum(abs(c) * mp.fprod(max(1, abs(assign[n])) ** e[P.ring.index[n]]
+                                                 for n in names) for e, c in terms)
+                    err = abs(mp.mpc(*(mp.ldexp(x, -W) for x in got))
+                              - P.eval_num(assign, num=mp.mpc))
+                    assert err <= 4 * mp.ldexp(size, -W)
+
+
 @settings(max_examples=40)
 @given(inst=_instances())
 def test_converted_coefficients_equal_the_exact_ones(inst):
@@ -68,8 +106,9 @@ def test_converted_coefficients_equal_the_exact_ones(inst):
         for op, names, vals in ((Lt.operator(), "p", ps), (L, "e", es)):
             assign = {f"{names}{k}": mp.mpc(v.numerator) / v.denominator
                       for k, v in enumerate(vals, 1)}
+            point = GaussPoint(assign, basis.bits)
             for c in op.coeffs:
-                r = RatM.from_exact(basis, c, assign)
+                r = RatM.from_exact(basis, c, point)
                 for z in Z_POINTS:
                     want = c.eval_num({**assign, "z": z}, num=mp.mpc)
                     assert abs(_value(r, z) - want) <= mp.mpf(10) ** -70 * abs(want)
@@ -104,13 +143,14 @@ def test_repeated_and_composite_denominator_factors_split_over_the_basis():
     with mp.workprec(300):
         basis = FactorBasis([0, 1, F(5, 2)])
         assign = {"p1": mp.mpc(2, -1)}
-        r = RatM.from_exact(basis, f, assign)
+        point = GaussPoint(assign, basis.bits)
+        r = RatM.from_exact(basis, f, point)
         assert r.vec == (2, 1, 2)
         for z0 in Z_POINTS:
             want = f.eval_num({**assign, "z": z0}, num=mp.mpc)
             assert abs(_value(r, z0) - want) <= mp.mpf(10) ** -70 * abs(want)
         with pytest.raises(ValueError, match="does not split"):
-            RatM.from_exact(basis, RatFunc(p1, {z - 3: 1}), assign)
+            RatM.from_exact(basis, RatFunc(p1, {z - 3: 1}), point)
 
 
 def _check_routes_agree(gamma, delta, sing, prod_ab):
@@ -123,7 +163,7 @@ def _check_routes_agree(gamma, delta, sing, prod_ab):
     with mp.workprec(300):
         pv = solve_apparent_p(gamma, delta, sing, prod_ab, seed=0)
         assign = {f"p{k}": to_mpc(p) for k, p in enumerate(pv, 1)}
-        series = _z0_series(Lt, op, assign)
+        series = _z0_series(Lt, op, GaussPoint(assign, mp.prec + _mpnum.GUARD_BITS))
         assert series is not None
         es = _mpnum.solve_esym_numeric(*series)
         exact = [v.eval_num(assign, num=mp.mpc) for v in _esym_solution(Lt)[0].values]
@@ -180,6 +220,20 @@ def _apparent_m3(t, alpha, beta):
     return gamma, alpha + beta - gamma + m + 1, [(t, m)], alpha * beta
 
 
+def test_step_solve_matches_lu_solve_and_rejects_a_singular_matrix():
+    rng = random.Random(7)
+    with mp.workprec(300):
+        for n in (1, 2, 3):
+            A = [[_random_mpc(rng, 10) for _ in range(n)] for _ in range(n)]
+            b = [_random_mpc(rng, 10) for _ in range(n)]
+            want = mp.lu_solve(mp.matrix(A), mp.matrix(b))
+            for x, y in zip(_mpnum._solve(A, b), want):
+                assert abs(x - y) <= mp.mpf(10) ** -85 * abs(y)
+        with pytest.raises(ZeroDivisionError):
+            _mpnum._solve([[mp.mpc(1, 2), mp.mpc(2, 4)], [mp.mpc(3), mp.mpc(6)]],
+                          [mp.mpc(1), mp.mpc(2)])
+
+
 @pytest.mark.parametrize(("t", "alpha", "beta", "root"), [
     # the roots lie at -998.7 ... -3572.6, out of reach of 220 unit steps
     (F(1000), F(1, 3), F(3, 5), "-998.72665651881940958"),
@@ -210,3 +264,23 @@ def test_verdicts_over_a_wide_dynamic_range(t, alpha, beta):
             control = verify_factorization_numeric(*inst, p_vals=[p + to_mpc(F(1, 7))],
                                                    bits=bits)
             assert not control.passed and float(control.defect_max) > 1e-10
+
+
+@pytest.mark.parametrize(("alpha", "bits"), [(F(1, 3), 300), (F(200, 3), 400)],
+                         ids=["1/3", "200/3"])
+def test_verdicts_at_large_t(alpha, bits):
+    # t = 10^5: the residue lies near -10^5 (alpha 1/3) or -1.8e5 (alpha
+    # 200/3) and the system's terms reach 1e30; Newton's root matches a
+    # 400-bit solve to 1e-90.  The gate is absolute, and the operators'
+    # coefficients grow like t^k, so alpha 200/3 is checked at 400 bits.
+    inst = _apparent_m3(F(10 ** 5), alpha, F(3, 5))
+    assert verify_factorization(_residue_atom_factor(*inst), deep=True).passed
+    with mp.workprec(400):
+        (want,) = solve_apparent_p(*inst, seed=0, bits=400)
+    with mp.workprec(bits):
+        (p,) = solve_apparent_p(*inst, seed=0, bits=bits)
+        assert abs(p - want) <= mp.mpf(10) ** -90 * abs(want)
+        rep = verify_factorization_numeric(*inst, p_vals=[p], bits=bits)
+        assert rep.passed, rep.defect_max
+        control = verify_factorization_numeric(*inst, p_vals=[p + to_mpc(F(1, 7))], bits=bits)
+        assert not control.passed and float(control.defect_max) > 1e-10

@@ -51,13 +51,13 @@ APPARENCY = {
 #: report (residue solved by Newton) and of a control at p = 1
 NUMERIC = {
     "exponent-0": (("1/3", "3/5"),
-                   "7665f368abf244a0fb9ad0ab82f55a13cc242723a5c3a91cd7ad39ac4113d198",
+                   "956d8b863ad0e75fb600b5ea8274372579d7da756517e86418ce6ed3c8c31a4e",
                    "25c3cac0040644bf1467e97d1cd9f31c157682a49cca3607002d6fa0a0c0b01a"),
     "exponent-1-gamma": (("1/3", "-1"),
-                         "a560e9f978108d55873622337d737d609df49078407670f53d1ade5adf8fe99d",
+                         "ee71ecb20367ef00579fb23ef51cfc208d47308af575e5283b7dfec958510710",
                          "fa8bda785a58da2d7a8e498a28f39885b48b2f520680e7851782592c4d965dc0"),
     "exact-solve": (("0", "-2/7"),
-                    "5d29a03d0a6a1e8d7df8a27d0c34dc5991b29e98a5366aa0da92eae310807f0d",
+                    "b8bd0c8f857455fc6953597f39ea98e159022a94cb8e29fa7e5b782ed0cced30",
                     "9b02a6265c6f947c2fd92fa05463a3863799cdb9a56f5b00d9405f75bf8c0ece"),
 }
 
