@@ -47,7 +47,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .exactalg import RatFunc, UsageError, poly_deriv, poly_eval
+from .exactalg import RatFunc, UsageError
 from .heun import (HeunParams, HeunConditionError, UnsupportedCaseError, apparency_poly,
                    base_ring)
 
@@ -195,8 +195,7 @@ def _float_roots(cd: dict) -> list:
     none overflows or underflows a float (s = 0 whenever the coefficients
     fit); when no shift does both, the least one that avoids overflow.  A
     root whose imaginary part is below its error estimate is taken as real;
-    then at most two Newton steps on the exact coefficients, at twice double
-    precision, polish each root, a step kept only when it lowers |p|.
+    then at most two exact dyadic Newton steps polish each root (`_polish`).
     """
     low = min(k for k, c in cd.items() if c)
     dense = [Fraction(cd.get(k, 0)) for k in range(low, max(cd) + 1)]
@@ -214,14 +213,11 @@ def _float_roots(cd: dict) -> list:
         log2c = {k: math.log2(abs(c.numerator)) - math.log2(c.denominator) - s * (n - k)
                  for k, c in enumerate(dense) if c}
         xs = _aberth(coeffs, _newton_polygon_start(log2c, n))
-        from mpmath import mp
-        with mp.workprec(106):
-            exact = [mp.mpf(c.numerator) / c.denominator for c in dense]
-            deriv = poly_deriv(exact)
-            for x in xs:
-                z = (mp.ldexp(x.real, s) if abs(x.imag) <= _newton(coeffs, x)[1]
-                     else mp.mpc(mp.ldexp(x.real, s), mp.ldexp(x.imag, s)))
-                roots.append(complex(_polish(exact, deriv, z)))
+        den = math.lcm(*(c.denominator for c in dense))
+        ints = [c.numerator * (den // c.denominator) for c in dense]
+        for x in xs:
+            im = 0.0 if abs(x.imag) <= _newton(coeffs, x)[1] else x.imag
+            roots.append(_polish(ints, _dyadic(x.real, s), _dyadic(im, s)))
     return sorted(roots, key=lambda r: (round(r.real, 10), round(r.imag, 10)))
 
 
@@ -289,21 +285,86 @@ def _aberth(c: list, zs: list) -> list:
     return zs
 
 
-def _polish(p: list, dp: list, z):
-    """At most two Newton steps from z on the polynomial p (mp coefficients,
-    ascending; dp its derivative) at the working precision; a step is kept
-    only when it lowers |p|."""
-    pz = poly_eval(p, z)
+#: the polished roots' working precision: twice a double's mantissa
+POLISH_BITS = 106
+
+
+def _polish(c: list, re: tuple, im: tuple) -> complex:
+    """At most two exact dyadic Newton steps on the integer polynomial c
+    (ascending, degree n; the exact coefficients over one common
+    denominator) from z = re + i im, each part a dyadic (m, e) for m 2^e; a
+    step is kept only when it lowers |p|.
+
+    z is held as (a + ib) 2^-E with Gaussian integers, so that Horner on ints
+    gives 2^(E n) p(z) and 2^(E (n-1)) p'(z) exactly, and the |p| comparison
+    is exact too.  Each new iterate is rounded to POLISH_BITS per part;
+    without that rounding the integers grow with every step."""
+    n = len(c) - 1
+    dc = [k * ck for k, ck in enumerate(c)][1:]
+    z = _join(re, im)
+    P = _horner(c, *z)
     for _ in range(2):
-        dz = poly_eval(dp, z)
-        if dz == 0:
+        a, b, E = z
+        Qr, Qi = _horner(dc, *z)
+        if not (Qr or Qi):
             break
-        z2 = z - pz / dz
-        p2 = poly_eval(p, z2)
-        if not abs(p2) < abs(pz):
+        # z - p/p' = (w Q - P) / (Q 2^E), w = a + ib; times conj(Q) / |Q|^2
+        Xr, Xi = a * Qr - b * Qi - P[0], a * Qi + b * Qr - P[1]
+        d = (Qr * Qr + Qi * Qi) << E
+        re2, im2 = _rounded(Xr * Qr + Xi * Qi, d), _rounded(Xi * Qr - Xr * Qi, d)
+        z2 = _join(re2, im2)
+        P2 = _horner(c, *z2)
+        # |p(z2)| < |p(z)|: |P2| 2^(E n) < |P| 2^(E2 n), squared
+        if not ((P2[0] ** 2 + P2[1] ** 2) << 2 * n * E
+                < (P[0] ** 2 + P[1] ** 2) << 2 * n * z2[2]):
             break
-        z, pz = z2, p2
-    return z
+        z, P, re, im = z2, P2, re2, im2
+    return complex(_to_float(*re), _to_float(*im))
+
+
+def _dyadic(x: float, s: int) -> tuple:
+    """x 2^s as (m, e), m 2^e."""
+    m, d = x.as_integer_ratio()
+    return m, s - d.bit_length() + 1
+
+
+def _join(re: tuple, im: tuple) -> tuple:
+    """(a, b, E) with a + ib = (re + i im) 2^E exactly and E >= 0 the least
+    such."""
+    E = max([0] + [-e for m, e in (re, im) if m])
+    return tuple(m << (e + E) if m else 0 for m, e in (re, im)) + (E,)
+
+
+def _horner(c: list, a: int, b: int, E: int) -> tuple:
+    """2^(E n) sum c[k] z^k at z = (a + ib) 2^-E as Gaussian integer parts,
+    n = len(c) - 1."""
+    re, im = c[-1], 0
+    for k, ck in enumerate(reversed(c[:-1]), 1):
+        re, im = re * a - im * b + (ck << E * k), re * b + im * a
+    return re, im
+
+
+def _rounded(num: int, den: int) -> tuple:
+    """num/den (den > 0) rounded to POLISH_BITS bits, ties to even, as (m, e)."""
+    if not num:
+        return 0, 0
+    n = abs(num)
+    # the quotient n / (den 2^e) has POLISH_BITS + 2 or + 3 bits
+    e = n.bit_length() - den.bit_length() - POLISH_BITS - 2
+    q, r = divmod(n, den << e) if e >= 0 else divmod(n << -e, den)
+    shift = q.bit_length() - POLISH_BITS
+    m, rest, half = q >> shift, q & ((1 << shift) - 1), 1 << (shift - 1)
+    if rest > half or (rest == half and (r or m & 1)):
+        m += 1
+    return (m if num > 0 else -m), e + shift
+
+
+def _to_float(m: int, e: int) -> float:
+    """m 2^e rounded to a double (to +-inf beyond the double range)."""
+    try:
+        return math.ldexp(float(m), e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
 
 
 # -- factorize -------------------------------------------------------------------
@@ -489,7 +550,7 @@ def cmd_sweep(directory: str, opts: dict) -> tuple:
     workers = _sweep_workers(len(paths))
     # load every command's layers before the pool forks, so that no worker
     # imports them again
-    for name in ("factorize", "numcheck", "xjacobi"):
+    for name in ("factorize", "_mpnum", "numcheck", "xjacobi"):
         importlib.import_module(f".{name}", __package__)
     import concurrent.futures
 

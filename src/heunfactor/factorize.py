@@ -14,7 +14,8 @@ in the apparency ideal certifies the instance.
 
 Exact mode works in Q(params)[q] / (P_app(q)) for one extra singularity and
 falls back to a budgeted Groebner reduction (or the numeric path) for more.
-Numeric mode runs the same division at several hundred bits.
+Numeric mode runs the same division at several hundred bits; only its
+functions import mpmath and `_mpnum`, so exact mode runs without them.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-import mpmath
-from mpmath import mp
-
-from . import _mpnum
 from .exactalg import (
     BudgetExceededError,
     MultiPoly,
@@ -584,6 +581,8 @@ def verify_factorization(Lt: ApparentFuchsian,
 def _esym_strings(esym: EsymVector) -> tuple:
     if esym.mode == "exact":
         return tuple(v.pretty() for v in esym.values)
+    import mpmath
+
     return tuple(mpmath.nstr(v, 25) for v in esym.values)
 
 
@@ -608,6 +607,10 @@ def solve_apparent_p(gamma: Fraction, delta: Fraction, sing: Sequence,
     than tol max(1, max |p_i|), tol = 1e-70 at 300 bits and above; no
     absolute residual is asked for.  Returns the residues as mpc.
     """
+    from mpmath import mp
+
+    from . import _mpnum
+
     system = apparency_system(_residue_atom_factor(gamma, delta, sing, prod_ab))
     with mp.workprec(bits):
         return _mpnum.newton_apparency(system, [f"p{k}" for k in range(1, len(sing) + 1)],
@@ -628,6 +631,8 @@ def _z0_series(Lt: ApparentFuchsian, op: DiffOp, point: _mpnum.GaussPoint
     (alpha')_n (beta')_n, n <= N, whose series is then unique and divisible
     by the Pochhammer factors.  The c_n come from the series engine with the
     residues as atoms, evaluated at the residue values ``point``."""
+    from . import _mpnum
+
     N, g, S, P = Lt.N, Lt.gamma, Lt.sum_ab, Lt.prod_ab
     c = 1 - g
     for rho, g2, S2, P2 in ((0, g, S, P), (c, 2 - g, S + 2 * c, P + c * S + c * c)):
@@ -661,6 +666,11 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
     below 10^tol_exp, which must lie in (-bits log10 2, 0): a bound no finer
     than the working precision.
     """
+    import mpmath
+    from mpmath import mp
+
+    from . import _mpnum
+
     if bits < 1:
         raise UsageError(f"precision must be a positive number of bits, got {bits}")
     if not -bits * math.log10(2) < tol_exp < 0:

@@ -472,7 +472,7 @@ def frobenius_series(L: DiffOp, point: Value, exponent: Value, order: int,
     pt = _val(point, ring)
     rho = _val(exponent, ring)
     z = RatFunc.of(ring.var(var), ring)
-    shifted = [c.subs({var: z + pt}) for c in L.coeffs]
+    shifted = L.coeffs if pt.is_zero else [c.subs({var: z + pt}) for c in L.coeffs]
     # clear the denominator factors that involve var, each made monic in var
     fac: dict = {}
     for c in shifted:

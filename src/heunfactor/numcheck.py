@@ -14,7 +14,8 @@ factorization pipeline, which uses this oracle only as a sanity cross-check.
 The 2x2 monodromy matrices are tuples of rows in plain Python, and the
 reducibility witness reads their eigenvectors in closed form; the
 decomposition takes its 2F1 values from ``mpmath.fp`` and its least squares
-and condition number from mpmath at double precision.
+and condition number from mpmath at double precision.  Only the
+decomposition loads mpmath, so a cold ``monodromy`` command does not.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import mpmath
 
 from .heun import HeunParams
 from .exactalg import UsageError, poly_eval, poly_shift
@@ -341,6 +340,8 @@ def decompose_2f1(p: HeunParams, sample_points: Optional[Sequence[float]] = None
     beta-delta not integers.  The held-out residual is the oracle; callers
     accept the decomposition claim when it is below 1e-8.
     """
+    import mpmath
+
     hyp2f1 = mpmath.fp.hyp2f1     # real parameters, complex argument
     a, b, g, d = (_cnum(getattr(p, n)).real
                   for n in ("alpha", "beta", "gamma", "delta"))

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -15,8 +16,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
+import heunfactor.cli
 from heunfactor.cli import _float_roots, main
-from heunfactor.exactalg import RatFunc, poly_mul
+from heunfactor.exactalg import RatFunc, poly_deriv, poly_eval, poly_mul
 from heunfactor.heun import HeunParams, apparency_poly
 
 
@@ -166,6 +168,43 @@ def _monic(roots: list) -> dict:
 _small = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
 
 
+def _mp_polish(c: list, re: tuple, im: tuple) -> complex:
+    """The reference polish: at most two Newton steps in mpmath at 106 bits on
+    the coefficients c[k] / c[-1] rounded to 106 bits, from re + i im (a real
+    start when im is 0), a step kept only when it lowers |p|.  Same call as
+    ``cli._polish``."""
+    with mp.workprec(106):
+        p = [mp.mpf(f.numerator) / f.denominator for f in (F(k, c[-1]) for k in c)]
+        dp = poly_deriv(p)
+        z = mp.ldexp(*re) if not im[0] else mp.mpc(mp.ldexp(*re), mp.ldexp(*im))
+        pz = poly_eval(p, z)
+        for _ in range(2):
+            dz = poly_eval(dp, z)
+            if dz == 0:
+                break
+            z2 = z - pz / dz
+            p2 = poly_eval(p, z2)
+            if not abs(p2) < abs(pz):
+                break
+            z, pz = z2, p2
+        return complex(z)
+
+
+def _root_strings(cd: dict, monkeypatch, polish=None) -> list:
+    """repr of each of _float_roots(cd), polished by ``polish`` if given."""
+    with monkeypatch.context() as m:
+        if polish is not None:
+            m.setattr(heunfactor.cli, "_polish", polish)
+        return [repr(r) for r in _float_roots(cd)]
+
+
+def _condition(eps: int, alpha=F(1), beta=F(2), gamma=F(34, 3), t=F(2)) -> dict:
+    """The exact coefficients {k: c_k} of the apparency condition in q."""
+    p = HeunParams.make(alpha=alpha, beta=beta, gamma=gamma, epsilon=eps, q=0, t=t)
+    return {k: c.fraction() for k, c in
+            RatFunc.of(apparency_poly(p), p.ring).coeffs_in("q").items()}
+
+
 class TestFloatRoots:
     @given(reals=st.lists(_small, max_size=8, unique=True),
            pairs=st.lists(st.tuples(_small, _small.filter(lambda b: b > 0)),
@@ -199,6 +238,30 @@ class TestFloatRoots:
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert abs(g - float(w)) <= 1e-9 * float(w)
+
+    def test_exact_polish_agrees_with_mpmath_on_random_polynomials(self, monkeypatch):
+        # the exact dyadic polish prints the same doubles as two 106-bit
+        # mpmath Newton steps, on random monic rational polynomials
+        rng = random.Random(4127)
+        count = 0
+        while count < 1000:
+            n = rng.randint(1, 9)
+            big = rng.choice([10, 10 ** 6, 10 ** 40])
+            cd = {k: F(rng.randint(-big, big), rng.randint(1, 50)) for k in range(n)}
+            cd[n] = F(1)
+            got = _root_strings(cd, monkeypatch)
+            assert got == _root_strings(cd, monkeypatch, _mp_polish), cd
+            count += len(got)
+
+    @pytest.mark.parametrize("params", [
+        dict(alpha=F(1), beta=F(2), gamma=F(34, 3), t=F(2)),
+        dict(alpha=F(1, 3), beta=F(-1, 2), gamma=F(-4, 3), t=F(36, 7)),
+    ], ids=["paper", "small"])
+    def test_exact_polish_agrees_with_mpmath_on_conditions(self, monkeypatch, params):
+        for eps in range(-1, -21, -1):
+            cd = _condition(eps, **params)
+            assert (_root_strings(cd, monkeypatch)
+                    == _root_strings(cd, monkeypatch, _mp_polish)), eps
 
 
 class TestFactorizeCommand:
@@ -618,6 +681,39 @@ def test_apparency_fuzzed_parameter_keeps_exit_contract(key, value):
     _assert_exit_contract(["apparency"], _with(CONCRETE_EP1, **{key: value}))
 
 
+_rational = st.builds(F, st.integers(-20, 20), st.integers(1, 7))
+
+
+@settings(max_examples=50)
+@given(alpha=_rational, beta=_rational, gamma=_rational, q=_rational,
+       t=_rational.filter(lambda t: t not in (0, 1)), eps=st.integers(-6, -1))
+def test_apparency_fuzzed_rational_instance_prints_its_roots(alpha, beta, gamma, q, t, eps):
+    # a rational heun instance exits 0 or 2 with a report, never a traceback,
+    # and prints `degree` finite roots, each within half a Newton step (at
+    # 400 bits, on the exact condition, relative to the root) of where
+    # Newton goes
+    inst = _with(CONCRETE_EP1, alpha=str(alpha), beta=str(beta), gamma=str(gamma),
+                 epsilon=str(eps), q=str(q), t=str(t))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "i.json"
+        path.write_text(json.dumps(inst))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["apparency", str(path)])
+    assert code in (0, 2) and err.getvalue() == ""
+    rep = json.loads(out.getvalue())
+    assert rep["degree"] == len(rep["numeric_roots"]) == 1 - eps
+    cd = _condition(eps, alpha, beta, gamma, t)
+    with mp.workprec(400):
+        desc = [mp.mpf(c.numerator) / c.denominator
+                for c in (cd.get(k, F(0)) for k in range(1 - eps, -1, -1))]
+        for s in rep["numeric_roots"]:
+            z = mp.mpc(complex(s))
+            assert mp.isfinite(z)
+            val, der = mp.polyval(desc, z, derivative=True)
+            assert abs(val) <= abs(der) * abs(z) / 2, s
+
+
 @settings(max_examples=25)
 @given(key=st.sampled_from(sorted(MAIER["parameters"]) + ["delta", "prod_ab", "p"]),
        value=_json_values, mode=st.sampled_from(["exact", "numeric"]))
@@ -774,6 +870,28 @@ def test_commands_run_with_numpy_and_scipy_unimportable(tmp_path):
     assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0]"
 
 
+def test_exact_commands_run_with_mpmath_unimportable(tmp_path, capsys):
+    # apparency, monodromy and exact factorize do no multiprecision work: with
+    # the import of mpmath blocked they print the same reports and exit codes
+    argvs = [["apparency", write(tmp_path, "a.json", CONCRETE_EP1)],
+             ["apparency", write(tmp_path, "n.json", _with(CONCRETE_EP1, q="2"))],
+             ["monodromy", write(tmp_path, "m.json", MONODROMY)],
+             ["factorize", write(tmp_path, "e.json", MAIER)]]
+    want = [[main(a), capsys.readouterr().out] for a in argvs]
+    script = ("import contextlib, io, json, sys\n"
+              "sys.modules['mpmath'] = None\n"
+              "from heunfactor.cli import main\n"
+              "runs = []\n"
+              f"for a in {argvs!r}:\n"
+              "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+              "        runs.append([main(a), out.getvalue()])\n"
+              "print(json.dumps(runs))\n")
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    assert json.loads(out.stdout) == want
+    assert [code for code, _ in want] == [0, 2, 0, 0]
+
+
 def test_commands_leave_numpy_unloaded(tmp_path):
     # with numpy installed, no command (x1's quadrature included) loads it
     argvs = [["apparency", write(tmp_path, "a.json", CONCRETE_EP1)],
@@ -820,11 +938,12 @@ def _layers_loaded(argv, prelude="", env=None) -> str:
 
 
 @pytest.mark.parametrize("argv,loads", [
-    pytest.param(["apparency", "{d}/a.json"], ["mpmath"], id="apparency"),
+    pytest.param(["apparency", "{d}/a.json"], [], id="apparency"),
     pytest.param(["x1", "5", "1", "1/4", "--ortho-max", "3"],
                  ["heunfactor.xjacobi", "heunfactor.ghg"], id="x1"),
-    pytest.param(["monodromy", "{d}/m.json"], ["heunfactor.numcheck", "mpmath"], id="monodromy"),
-    pytest.param(["factorize", "{d}/e.json"], FACTORIZE_LAYERS, id="factorize-exact"),
+    pytest.param(["monodromy", "{d}/m.json"], ["heunfactor.numcheck"], id="monodromy"),
+    pytest.param(["factorize", "{d}/e.json"], ["heunfactor.factorize", "heunfactor.ghg"],
+                 id="factorize-exact"),
     pytest.param(["factorize", "{d}/f.json"], FACTORIZE_LAYERS, id="factorize-numeric"),
     pytest.param(["sweep", "{d}/sweep"], list(LAYERS), id="sweep"),
 ])
@@ -853,14 +972,16 @@ def test_sweep_loads_every_command_before_its_pool_starts(tmp_path):
     prelude = ("import concurrent.futures\n"
                "class Pool:\n"
                "    def __init__(self, max_workers):\n"
-               "        print([m for m in ('heunfactor.factorize', 'heunfactor.numcheck',\n"
-               "                           'heunfactor.xjacobi') if m in sys.modules],\n"
+               "        print([m for m in ('heunfactor.factorize', 'heunfactor._mpnum',\n"
+               "                           'heunfactor.numcheck', 'heunfactor.xjacobi')\n"
+               "               if m in sys.modules],\n"
                "              file=sys.__stdout__)\n"
                "        raise OSError('no pool')\n"
                "concurrent.futures.ProcessPoolExecutor = Pool\n")
     got = _layers_loaded(["sweep", str(tmp_path)], prelude, env={"HEUNFACTOR_THREADS": "2"})
     pool, rest = got.splitlines()
-    assert pool == "['heunfactor.factorize', 'heunfactor.numcheck', 'heunfactor.xjacobi']"
+    assert pool == ("['heunfactor.factorize', 'heunfactor._mpnum', 'heunfactor.numcheck', "
+                    "'heunfactor.xjacobi']")
     assert rest.startswith("0 ")
 
 
