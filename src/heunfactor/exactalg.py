@@ -783,6 +783,17 @@ class RatFunc:
     The public ``num``/``den`` views present the spec's (numerator,
     denominator) pair; internally the denominator is a multiset of primitive
     factors so that cancellation is a cheap exact-division attempt per factor.
+
+    Arithmetic by a rational constant (an ``int``, a ``Fraction`` or a
+    RatFunc whose ``fraction()`` is not None, on either side of ``*``, on
+    the right of ``/``) scales the numerator's content and keeps the factor
+    dict: ``RatFunc(num * c, fac)``, or ``num / c``, which refuses a zero.
+    A constant numerator is ``{0: 1}`` and carries no factors, so the
+    general product would copy the same terms, multiply the same contents
+    and merge nothing into the same factors, and both routes end in the
+    same ``_cancel``; adding an ``int`` or ``Fraction`` to a value without
+    factors is the numerators' sum either way.  The results are equal down
+    to their terms, content and factor order.
     """
 
     __slots__ = ("ring", "_num", "_fac")
@@ -904,7 +915,18 @@ class RatFunc:
             return other
         return None
 
+    def _scalar(self, other) -> Fraction | None:
+        """`other` as a Fraction when it is a rational constant of this
+        ring (int, Fraction or constant RatFunc), else None."""
+        if isinstance(other, (int, Fraction)):
+            return _frac(other)
+        if isinstance(other, RatFunc) and other.ring == self.ring:
+            return other.fraction()
+        return None
+
     def __add__(self, other):
+        if not self._fac and isinstance(other, (int, Fraction)):
+            return RatFunc(self._num + other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -932,9 +954,15 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
+        c = self._scalar(other)
+        if c is not None:
+            return RatFunc(self._num * c, self._fac)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        c = self.fraction()
+        if c is not None:
+            return RatFunc(other._num * c, other._fac)
         if self.is_zero or other.is_zero:
             return RatFunc(self.ring.zero)
         fac = dict(self._fac)
@@ -945,6 +973,9 @@ class RatFunc:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
+        c = self._scalar(other)
+        if c is not None:
+            return RatFunc(self._num / c, self._fac)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

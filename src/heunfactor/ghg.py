@@ -51,13 +51,15 @@ def _euler_poly_op(coeffs: Sequence[RatFunc], ring: Ring) -> DiffOp:
         prev = stirling[-1] + [0]
         stirling.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, k + 1)])
     z = RatFunc.of(ring.var("z"), ring)
+    zj = RatFunc.of(1, ring)  # z**j
     out = []
     for j in range(len(coeffs)):
         c = RatFunc.of(0, ring)
         for k in range(j, len(coeffs)):
             if stirling[k][j] and coeffs[k] != 0:
                 c = c + coeffs[k] * stirling[k][j]
-        out.append(c * z ** j)
+        out.append(c * zj)
+        zj = zj * z
     return DiffOp(ring, "z", out)
 
 
@@ -93,12 +95,17 @@ def esym_shifted(esym: Sequence[RatFunc], c: Value, ring: Ring) -> list:
     through those of (e_1, ..., e_N); index 0 holds 1."""
     N = len(esym)
     cc = _val(c, ring)
+    r = cc.fraction()
+    step = cc if r is None else r
+    powers = [1]  # powers[n] = c**n, Fractions when c is rational
+    for _ in range(N):
+        powers.append(powers[-1] * step)
     base = [RatFunc.of(1, ring)] + [_val(e, ring) for e in esym]
     out = []
     for k in range(N + 1):
         acc = RatFunc.of(0, ring)
         for j in range(k + 1):
-            acc = acc + base[j] * comb(N - j, k - j) * cc ** (k - j)
+            acc = acc + base[j] * comb(N - j, k - j) * powers[k - j]
         out.append(acc)
     return out
 

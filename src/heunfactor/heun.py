@@ -449,13 +449,6 @@ def polytype_condition_poly(p: HeunParams, sigma0: Value, sigma1: Value,
 # -- generic Frobenius machinery ----------------------------------------------
 
 
-def _falling(rho: RatFunc, k: int, ring: Ring) -> RatFunc:
-    out = RatFunc.of(1, ring)
-    for i in range(k):
-        out = out * (rho - i)
-    return out
-
-
 def frobenius_series(L: DiffOp, point: Value, exponent: Value, order: int,
                      free_value: Value = 0,
                      modulus: Optional[MultiPoly] = None) -> LocalSeries:
@@ -490,13 +483,23 @@ def frobenius_series(L: DiffOp, point: Value, exponent: Value, order: int,
     for c in cleared:
         acoef.append(c.coeffs_in(var))
     dmin = min(min(m - k for m in cs) for k, cs in enumerate(acoef) if cs)
+    # falls[j][k] = (rho + j)(rho + j - 1)...(rho + j - k + 1), Fractions
+    # when rho is rational
+    r = rho.fraction()
+    falls = []
+    for j in range(order + 1):
+        x = (rho if r is None else r) + j
+        fk = [1]
+        for i in range(len(acoef) - 1):
+            fk.append(fk[-1] * (x - i))
+        falls.append(fk)
 
     def T(j: int, d: int) -> RatFunc:
         out = RatFunc.of(0, ring)
         for k, cs in enumerate(acoef):
             m = d + k
             if m in cs:
-                out = out + cs[m] * _falling(rho + j, k, ring)
+                out = out + cs[m] * falls[j][k]
         return out
 
     zero = RatFunc.of(0, ring)

@@ -328,13 +328,21 @@ def _gauss_jacobi(n: int, a: float, b: float) -> tuple:
     return nodes, [beta * w for w in weights]
 
 
-def orthogonality_check(j: int, k: int, g, h) -> float:
+def orthogonality_check(j: int, k: int, g, h) -> tuple:
     """Inner product of two family members for the weight
-    (1-eta)^(g+1/2) (1+eta)^(h+1/2) / (2^(g+h+2) xi(eta)^2).
+    (1-eta)^(g+1/2) (1+eta)^(h+1/2) / (2^(g+h+2) xi(eta)^2), and its scale
+    sqrt(<j,j> <k,k>), which bounds |<j,k>| (Cauchy-Schwarz).
 
     Gauss-Jacobi quadrature with order doubling as convergence control;
     needs g, h > -1/2 so the weight is integrable and xi has no zero inside
-    [-1, 1].  Off-diagonal values are zero up to quadrature accuracy.
+    [-1, 1].  The diagonal pair is summed over the same nodes and
+    polynomial values.  Off-diagonal values are zero up to quadrature
+    accuracy, which a caller judges against the scale as well: at
+    g = 1000, h = 100 the scale is below 1e-140, so every value there is
+    small in absolute terms.  The doubled-order test stays absolute: at
+    (j, k, g, h) = (0, 5, 1, 500) the base order misses the doubled
+    order's value by 1.6e-6 of the scale, while the doubled order's value
+    is 3e-10 of it.
     """
     g, h = Fraction(g), Fraction(h)
     if g <= Fraction(-1, 2) or h <= Fraction(-1, 2):
@@ -344,19 +352,23 @@ def orthogonality_check(j: int, k: int, g, h) -> float:
     xi = xi_poly(g, h)
 
     def integral(n):
-        total = 0.0
+        jk = jj = kk = 0.0
         for x, w in zip(*_gauss_jacobi(n, float(g) + 0.5, float(h) + 0.5)):
             xiv = float(xi[0]) + float(xi[1]) * x
-            total += w * pj.eval_float(x) * pk.eval_float(x) / (xiv * xiv)
-        return total
+            d = xiv * xiv
+            a, b = pj.eval_float(x), pk.eval_float(x)
+            jk += w * a * b / d
+            jj += w * a * a / d
+            kk += w * b * b / d
+        return jk, math.sqrt(jj) * math.sqrt(kk)
 
-    v1 = integral(j + k + 12)
-    v2 = integral(2 * (j + k + 12))
+    v1, _ = integral(j + k + 12)
+    v2, scale = integral(2 * (j + k + 12))
     ref = max(abs(v2), 1.0)
     if abs(v1 - v2) > 1e-9 * ref:
         raise QuadratureError(
             f"quadrature not converged: {v1!r} vs {v2!r} at doubled order")
-    return v2
+    return v2, scale
 
 
 def x1_4f3_check(k: int, g, h) -> Fraction:

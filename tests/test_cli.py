@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 import heunfactor.cli
-from heunfactor.cli import _float_roots, main
+from heunfactor.cli import MAX_MULTIPLICITY, _float_roots, main
 from heunfactor.exactalg import RatFunc, poly_deriv, poly_eval, poly_mul
 from heunfactor.heun import HeunParams, apparency_poly
 
@@ -369,6 +369,23 @@ class TestX1Command:
         assert code == 0
         rep = json.loads(out)
         assert rep["pass"] and len(rep["orthogonality"]) == int(ortho_max)
+
+    def test_wrong_inner_product_at_a_tiny_scale_fails(self, capsys, monkeypatch):
+        # at (1000, 100) the diagonal scale is below 1e-140: an inner
+        # product of half of it passes any absolute test, right or wrong
+        from heunfactor import xjacobi
+
+        real = xjacobi.orthogonality_check
+
+        def wrong(j, k, g, h):
+            _, scale = real(j, k, g, h)
+            return 0.5 * scale, scale
+
+        monkeypatch.setattr(xjacobi, "orthogonality_check", wrong)
+        code, out, _ = run_cli(["x1", "5", "1000", "100", "--ortho-max", "1"], capsys)
+        rep = json.loads(out)
+        assert code == 2 and not rep["pass"]
+        assert 0 < abs(float(rep["orthogonality"]["<0,5>"])) < 1e-100
 
     def test_beta_function_underflow_exits_2(self, capsys):
         # B(g + 3/2, h + 3/2) below the double range: every inner product
@@ -755,6 +772,52 @@ def test_x1_fuzzed_parameters_keep_exit_contract(k, g, h):
         code = main(["x1", "--ortho-max", "3", "--", str(k), g, h])
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+_ABSENT = "<absent>"  # the key is left out of the file
+
+
+@settings(max_examples=40)
+@given(inst=st.sampled_from([CONCRETE_EP1, MONODROMY, MAIER, NUMERIC_M1]),
+       key=st.sampled_from(["version", "kind", "mode"]),
+       value=st.sampled_from([_ABSENT, 0, 2, True, 1.0, "1", 10 ** 400, "heun",
+                              "apparent_fuchsian", "xjacobi", "exact", "numeric",
+                              ["exact"], {"kind": "heun"}]) | _json_leaf,
+       command=st.sampled_from(["apparency", "factorize", "monodromy", "sweep"]))
+def test_fuzzed_instance_key_keeps_exit_contract(inst, key, value, command):
+    # version, kind or mode of a valid file replaced by arbitrary JSON or
+    # left out, under every command that reads instance files
+    inst = {k: v for k, v in dict(inst, **{key: value}).items() if v != _ABSENT}
+    _assert_exit_contract([command], inst, as_dir=command == "sweep")
+
+
+@settings(max_examples=40)
+@given(m=st.sampled_from([0, -1, "1", 1.0, True, None, [1], 10 ** 6, 10 ** 400,
+                          MAX_MULTIPLICITY + 1]) | _json_leaf,
+       mode=st.sampled_from(["exact", "numeric"]), as_list=st.booleans())
+def test_fuzzed_multiplicity_keeps_exit_contract(m, mode, as_list):
+    # a multiplicity of any JSON value, huge ones included, and a sing that
+    # is one object instead of a list of them
+    sing = {"t": "2", "m": m}
+    inst = dict(_with(MAIER, sing=[sing] if as_list else sing), mode=mode)
+    _assert_exit_contract(["factorize"], inst)
+
+
+@pytest.mark.parametrize("sing", [[{"t": "2", "m": 10 ** 6}],
+                                  [{"t": "2", "m": 1}] * (MAX_MULTIPLICITY + 1)])
+def test_multiplicities_past_the_limit_exit_1(tmp_path, capsys, sing):
+    # refused before the factor ring is built: 10^6 e-atoms exhaust memory
+    path = write(tmp_path, "i.json", dict(_with(MAIER, sing=sing), mode="numeric"))
+    code, out, err = run_cli(["factorize", path], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "multiplicities sum to" in err
+
+
+@pytest.mark.parametrize("version", [True, 1.0, "1"])
+def test_version_must_be_the_integer_1(tmp_path, capsys, version):
+    path = write(tmp_path, "i.json", dict(MAIER, version=version))
+    code, _, err = run_cli(["factorize", path], capsys)
+    assert code == 1 and "unsupported version" in err
 
 
 def _assert_exit_contract(command: list, inst: dict, as_dir: bool = False):

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import mpmath as mp
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from heunfactor.exactalg import (
     MultiPoly,
@@ -19,6 +19,7 @@ from heunfactor.exactalg import (
     _MOD_P,
     _MOD_POINTS,
     _grlex_key,
+    _over_lcm,
     _mod_image,
     _surely_not_divisor,
     exact_div,
@@ -53,9 +54,8 @@ _terms = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4),
                          st.fractions(min_value=-9, max_value=9, max_denominator=6),
                          max_size=5)
 # denominator factors of the values: shared, repeated and composite ones
-_dens = st.dictionaries(st.sampled_from([_x, _y, _x - 1, _x + _y, _x * _y + 1,
-                                         _x * (_y - 2)]),
-                        st.integers(1, 2), max_size=2)
+_den_factors = st.sampled_from([_x, _y, _x - 1, _x + _y, _x * _y + 1, _x * (_y - 2)])
+_dens = st.dictionaries(_den_factors, st.integers(1, 2), max_size=2)
 _xy_values = st.builds(
     lambda terms, fac: RatFunc(MultiPoly.from_fraction_terms(
         _XYE, {(a, b, 0, 0): c for (a, b, _, _), c in terms.items()}), fac),
@@ -521,3 +521,115 @@ class TestRatFunc:
         assert point_rank([[t, a], [R.zero, R.zero]]) == 1
         # no value at the point: a content denominator divisible by p
         assert point_rank([[a * F(1, _MOD_P), R.one]]) is None
+
+
+# -- arithmetic by a rational constant -----------------------------------------
+#
+# RatFunc multiplies, divides and adds by a constant without lifting it; the
+# references below are the general route: both operands lifted, numerators
+# multiplied or added over the merged factors, a quotient through inverse().
+
+
+def _lift(v):
+    return v if isinstance(v, RatFunc) else RatFunc.of(v, _XYE)
+
+
+def _general_mul(a, b):
+    a, b = _lift(a), _lift(b)
+    if a.is_zero or b.is_zero:
+        return RatFunc(_XYE.zero)
+    fac = dict(a._fac)
+    for f, k in b._fac.items():
+        fac[f] = fac.get(f, 0) + k
+    return RatFunc(a._num * b._num, fac)
+
+
+def _general_div(a, c):
+    c = _lift(c)
+    if c.is_zero:
+        raise ZeroDivisionError
+    num = _XYE.one
+    for f, k in c._fac.items():
+        num = num * f ** k
+    return _general_mul(a, RatFunc(num, {c._num: 1}))
+
+
+def _general_add(a, c):
+    a, c = _lift(a), _lift(c)
+    if a.is_zero:
+        return c
+    if c.is_zero:
+        return a
+    if a._fac == c._fac:
+        return RatFunc(a._num + c._num, a._fac)
+    (n1, n2), fac = _over_lcm((a, c))
+    return RatFunc(n1 + n2, fac)
+
+
+def _same(got, want):
+    assert got._num._t == want._num._t
+    assert got._num._c == want._num._c
+    assert list(got._fac.items()) == list(want._fac.items())
+
+
+def _unreduced(terms, den):
+    """The coefficient of e1 in (n + e1 D (n + 1)) / D, D the product of
+    the factors, as coeffs_in gives it: D (n + 1) / D, not cancelled."""
+    n = MultiPoly.from_fraction_terms(
+        _XYE, {(a, b, 0, d): c for (a, b, _, d), c in terms.items()})
+    D = _XYE.one
+    for f, m in den.items():
+        D = D * f ** m
+    return RatFunc(n + _XYE.var("e1") * D * (n + 1), den).coeffs_in("e1").get(1)
+
+
+def _substituted(terms, value):
+    """A value whose factor is a composite power, (value's numerator)^2 as
+    one factor, as subs builds it; None where the factor vanishes."""
+    e1 = _XYE.var("e1")
+    try:
+        return RatFunc(MultiPoly.from_fraction_terms(_XYE, terms),
+                       {e1: 2, e1 + _x: 1}).subs({"e1": value})
+    except ZeroDivisionError:
+        return None
+
+
+_operands = st.one_of(
+    _xy_values,
+    st.builds(_unreduced, _terms,
+              st.dictionaries(_den_factors, st.integers(1, 2), min_size=1, max_size=2)
+              ).filter(lambda v: v is not None),
+    st.builds(_substituted, _terms, _xy_values).filter(lambda v: v is not None))
+_fracs = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+_constants = st.one_of(
+    st.integers(-5, 5),
+    _fracs,
+    st.builds(lambda c: RatFunc.of(c, _XYE), _fracs),
+    # a constant that cancellation leaves: c (x - 1) / (x - 1)
+    st.builds(lambda c: RatFunc((_x - 1) * c, {_x - 1: 1}), _fracs))
+
+
+class TestScalarRoute:
+    @settings(max_examples=80)
+    @given(a=_operands, c=_constants)
+    def test_matches_the_general_route(self, a, c):
+        _same(a * c, _general_mul(a, c))
+        _same(c * a, _general_mul(c, a))
+        _same(a + c, _general_add(a, c))
+        if _lift(c).is_zero:
+            with pytest.raises(ZeroDivisionError):
+                a / c
+        else:
+            _same(a / c, _general_div(a, c))
+
+    @given(a=_operands)
+    def test_division_by_zero_raises(self, a):
+        for zero in (0, F(0), RatFunc.of(0, _XYE)):
+            with pytest.raises(ZeroDivisionError):
+                a / zero
+
+    def test_constant_of_another_ring_is_refused(self):
+        other = RatFunc.of(3, Ring(("x",)))
+        for op in (lambda v: v * other, lambda v: v / other, lambda v: v + other):
+            with pytest.raises(UsageError):
+                op(RatFunc(_x))

@@ -186,12 +186,23 @@ class TestHeunMap:
 
 class TestOrthogonality:
     def test_off_diagonal(self):
-        v = orthogonality_check(0, 1, F(1), F(1, 4))
-        assert abs(v) < 1e-10
+        v, scale = orthogonality_check(0, 1, F(1), F(1, 4))
+        assert abs(v) < 1e-10 and abs(v) < 1e-13 * scale
 
     def test_diagonal_nonzero(self):
-        v = orthogonality_check(0, 0, F(1), F(1, 4))
+        v, scale = orthogonality_check(0, 0, F(1), F(1, 4))
         assert v > 1e-6
+        # on the diagonal the scale is the value itself
+        assert scale == pytest.approx(v, rel=1e-14)
+
+    @pytest.mark.parametrize("k,g,h", [(5, F(1000), F(100)), (5, F(1), F(1, 4)),
+                                       (8, F(7, 2), F(1, 3))])
+    def test_off_diagonal_relative_to_the_diagonal(self, k, g, h):
+        # worst measured: 4.5e-15 at (5, 1000, 100), where the scale is
+        # below 1e-140
+        for j in range(k):
+            v, scale = orthogonality_check(j, k, g, h)
+            assert abs(v) < 1e-13 * scale
 
     def test_random_parameters_off_diagonal(self):
         rng = make_rng(66)
@@ -201,7 +212,7 @@ class TestOrthogonality:
             h = F(rng.randint(0, 3)) + F(1, 5)
             if g == h:
                 continue
-            assert abs(orthogonality_check(2, 5, g, h)) < 1e-8
+            assert abs(orthogonality_check(2, 5, g, h)[0]) < 1e-8
             done += 1
 
     def test_parameter_bounds(self):
