@@ -29,7 +29,7 @@ parameters:
                        alpha+beta via "alpha","beta" or "delta"+"prod_ab";
                        optional "q" (M = 1) or "p" list (omit to leave the
                        accessory symbolic in exact mode / solved in numeric)
-    xjacobi:           k, g, h
+    xjacobi:           k (0..MAX_X1_DEGREE), g, h
 
 Each command imports the layers it runs inside its cmd_* function, not at
 the top of this module: every command is a fresh interpreter, and a cold
@@ -64,6 +64,12 @@ class SchemaError(Exception):
 #: beta 2, t 2, q 1) N = 64 and 200 already exit 2 with a numerically
 #: singular esym system at the default 300 bits.
 MAX_MULTIPLICITY = 64
+
+#: the largest degree k an x1 call or an xjacobi file may ask for.  The
+#: exact checks grow fast in k: a cold ``heunfactor x1 K 1 1/4`` took
+#: 0.45 s at k = 64, 2.9 s at k = 200, 30 s at k = 500 and ran past 40 s
+#: at k = 1000.
+MAX_X1_DEGREE = 64
 
 
 def _rat(v, where: str) -> Fraction:
@@ -460,6 +466,8 @@ def cmd_factorize(inst: dict, mode, precision_bits, tol_exp, deep, seed) -> tupl
 
 
 def cmd_x1(k: int, g, h, ortho_max=None) -> tuple:
+    if not 0 <= k <= MAX_X1_DEGREE:
+        raise SchemaError(f"k = {k} is outside 0..{MAX_X1_DEGREE}")
     from . import xjacobi as xj
 
     g = _rat(g, "g")

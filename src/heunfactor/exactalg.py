@@ -266,6 +266,8 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
+            if not other:  # no constant to build: the dense helpers test == 0
+                return not self._t
             other = self.ring.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
@@ -288,6 +290,8 @@ class MultiPoly:
         return None
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)) and not other:
+            return self
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -726,6 +730,16 @@ def poly_shift(a: Sequence, c) -> list:
     out = [0]
     for coeff in reversed(a):
         out = poly_add(poly_mul(out, [c, 1]), [coeff])
+    return out
+
+
+def poly_deflate(a: Sequence, r) -> list:
+    """Coefficients of p(z) / (z - r) for a root r of p (synthetic division)."""
+    out = [0] * (len(a) - 1)
+    acc = 0
+    for k in range(len(a) - 1, 0, -1):
+        acc = a[k] + r * acc
+        out[k - 1] = acc
     return out
 
 

@@ -38,6 +38,12 @@ from .exactalg import (
     _val,
     groebner_reduce,
     point_rank,
+    poly_add,
+    poly_deflate,
+    poly_eval,
+    poly_mul,
+    poly_scale,
+    poly_shift,
     rank_of,
     reduce_mod,
     solve_linear,
@@ -166,18 +172,63 @@ class ApparentFuchsian:
             raise UsageError("heun_q is only defined for M = 1")
         return -self.s_coeffs[0]
 
+    def cleared(self) -> tuple:
+        """(roots, Q, P1, S) of the cleared form Q L~ = Q D^2 + P1 D + S:
+        Q = z (z-1) prod(z - t_k) with roots 0, 1, t_1..t_M,
+        P1 = gamma Q/z + delta Q/(z-1) - sum m_k Q/(z - t_k) and
+        S = sum s_i z^i, as coefficient lists in z, low degree first.
+
+        With gamma, delta and the t_k rational and the s_i polynomials, the
+        roots and the entries of Q and P1 are ints or Fractions and those of
+        S MultiPolys; otherwise they stay RatFuncs."""
+        roots = [0, 1] + [tk for tk, _ in self.sing]
+        weights = [self.gamma, self.delta] + [-mk for _, mk in self.sing]
+        S = list(self.s_coeffs)
+        fracs = [v.fraction() for v in weights[:2] + roots[2:]]
+        if None not in fracs and all(s.is_poly() for s in S):
+            weights[:2], roots[2:] = fracs[:2], fracs[2:]
+            S = [s.num for s in S]
+        Q = [1]
+        for r in roots:
+            Q = poly_mul(Q, [-r, 1])
+        P1 = [0]
+        for r, w in zip(roots, weights):
+            P1 = poly_add(P1, poly_scale(poly_deflate(Q, r), w))
+        return roots, Q, P1, S
+
+    def local_coeffs(self, point: RatFunc) -> list:
+        """The cleared form about z = point, for `heun.frobenius_series`
+        (see `DiffOp.local_coeffs`): S, P1 and Q Taylor-shifted to the
+        point, as {m: nonzero coefficient of (z - point)^m}."""
+        _, Q, P1, S = self.cleared()
+        c = point.fraction()
+        if c is None:
+            c = point
+        out = []
+        for a in (S, P1, Q):
+            if c != 0:
+                a = poly_shift(a, c)
+            out.append({m: v for m, v in enumerate(a) if v != 0})
+        return out
+
     def operator(self) -> DiffOp:
+        """L~ as the monic DiffOp D^2 + (P1/Q) D + S/Q, each coefficient
+        over the factors z - r of Q."""
         ring = self.ring
+        roots, _, P1, S = self.cleared()
         z = RatFunc.of(ring.var("z"), ring)
-        c1 = self.gamma / z + self.delta / (z - 1)
-        c0 = RatFunc.of(0, ring)
-        for i, s in enumerate(self.s_coeffs):
-            c0 = c0 + s * z ** i
-        c0 = c0 / z / (z - 1)
-        for tk, mk in self.sing:
-            c1 = c1 - RatFunc.of(mk, ring) / (z - tk)
-            c0 = c0 / (z - tk)
-        return DiffOp(ring, "z", [c0, c1, RatFunc.of(1, ring)])
+        fac: dict = {}
+        cofactor = ring.one   # the denominators of the roots
+        for r in roots:
+            f = z - r
+            fac[f.num] = fac.get(f.num, 0) + 1
+            cofactor = cofactor * f.den
+
+        def over_q(a):
+            n = _val(poly_eval(a, z.num), ring)
+            return RatFunc(n.num * cofactor, {**n.den_factors(), **fac})
+
+        return DiffOp(ring, "z", [over_q(S), over_q(P1), RatFunc.of(1, ring)])
 
 
 # -- apparency conditions ------------------------------------------------------
@@ -193,12 +244,16 @@ def apparency_system(Lt: ApparentFuchsian) -> list:
     """
     ring = Lt.ring
     p_atoms = [RatFunc.of(ring.var(f"p{k}"), ring) for k in range(1, Lt.M + 1)]
-    sym = ApparentFuchsian.from_p_form(Lt.gamma, Lt.delta, Lt.sing,
-                                       Lt.prod_ab, p_atoms, ring)
-    L = sym.operator()
+    return _obstruction_system(ApparentFuchsian.from_p_form(
+        Lt.gamma, Lt.delta, Lt.sing, Lt.prod_ab, p_atoms, ring))
+
+
+def _obstruction_system(Lt: ApparentFuchsian) -> list:
+    """`apparency_system` of an L~ whose residues are already the atoms."""
+    ring = Lt.ring
     out = []
     for j, (tj, mj) in enumerate(Lt.sing):
-        ser = frobenius_series(L, tj, 0, mj + 1)
+        ser = frobenius_series(Lt, tj, 0, mj + 1)
         if ser.log_coefficient is None:
             raise DegenerateInstanceError(
                 f"no obstruction found at t_{j+1}; singularity is degenerate")
@@ -347,14 +402,14 @@ def _division_work(Lt: ApparentFuchsian, ops: Optional[tuple] = None
     return FactorizationWork(Q, tuple(ws))
 
 
-def check_profile(Lt: ApparentFuchsian, deep: bool = False, numeric: bool = False):
+def check_profile(Lt: ApparentFuchsian, deep: bool = False):
     prof = Lt.profile
     if tuple(sorted(prof, reverse=True)) not in {tuple(sorted(p, reverse=True))
                                                  for p in SUPPORTED_PROFILES}:
         raise UnsupportedProfileError(
             f"profile {prof} is outside the verified cases "
             "(M=1 m<=5, M=2 m1+m2<=4, M=3 (1,1,1))")
-    if Lt.M == 1 and not numeric and not deep and prof[0] > DEFAULT_EXACT_M1:
+    if Lt.M == 1 and not deep and prof[0] > DEFAULT_EXACT_M1:
         raise UnsupportedProfileError(
             f"exact-symbolic m1 = {prof[0]} runs only under deep mode "
             "(use numeric mode or pass deep=True)")
@@ -599,26 +654,30 @@ def _residue_atom_factor(gamma, delta, sing: Sequence, prod_ab) -> ApparentFuchs
 
 
 def solve_apparent_p(gamma: Fraction, delta: Fraction, sing: Sequence,
-                     prod_ab: Fraction, seed: int = 0, bits: int = 300):
+                     prod_ab: Fraction, seed: int = 0, bits: int = 300,
+                     Lt: Optional[ApparentFuchsian] = None):
     """Numerically solve the apparency system for the residues p_1..p_M.
 
     Damped Newton at `bits` precision from seeded random complex starts
     (`_mpnum.newton_apparency`), stopped after the first full step shorter
     than tol max(1, max |p_i|), tol = 1e-70 at 300 bits and above; no
-    absolute residual is asked for.  Returns the residues as mpc.
+    absolute residual is asked for.  Returns the residues as mpc.  `Lt`
+    takes `_residue_atom_factor` of the same data when the caller has
+    built it already.
     """
     from mpmath import mp
 
     from . import _mpnum
 
-    system = apparency_system(_residue_atom_factor(gamma, delta, sing, prod_ab))
+    if Lt is None:
+        Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
+    system = _obstruction_system(Lt)
     with mp.workprec(bits):
         return _mpnum.newton_apparency(system, [f"p{k}" for k in range(1, len(sing) + 1)],
                                        seed=seed)
 
 
-def _z0_series(Lt: ApparentFuchsian, op: DiffOp, point: _mpnum.GaussPoint
-               ) -> Optional[tuple]:
+def _z0_series(Lt: ApparentFuchsian, point: _mpnum.GaussPoint) -> Optional[tuple]:
     """(ratios, shift) of L~'s z = 0 series for `_mpnum.solve_esym_numeric`,
     or None when neither z = 0 exponent carries the esym values.
 
@@ -640,7 +699,7 @@ def _z0_series(Lt: ApparentFuchsian, op: DiffOp, point: _mpnum.GaussPoint
         factors = [(g2 + k, k * k + k * S2 + P2) for k in range(N)]
         if any(a.is_zero or b.is_zero for a, b in factors):
             continue
-        cs = frobenius_series(op, 0, rho, N).coeffs
+        cs = frobenius_series(Lt, 0, rho, N).coeffs
         ratios, w = [], Fraction(1)
         for n, (a, b) in enumerate(factors, 1):
             w = w * a.fraction() * n / b.fraction()
@@ -681,10 +740,10 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
     with mp.workprec(bits):
         if p_vals is None:
             p_vals = solve_apparent_p(gamma, delta, sing, prod_ab,
-                                      seed=seed, bits=bits)
+                                      seed=seed, bits=bits, Lt=Lt)
         point = _mpnum.GaussPoint({f"p{k}": p for k, p in enumerate(p_vals, 1)},
                                   mp.prec + _mpnum.GUARD_BITS)
-        series = _z0_series(Lt, op, point)
+        series = _z0_series(Lt, point)
         es = _mpnum.solve_esym_numeric(*series) if series else None
         if es is None:
             es = [point.mpc(v) for v in _esym_solution(Lt, ops)[0].values]

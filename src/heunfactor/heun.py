@@ -12,6 +12,7 @@ accessory-parameter mode is the default for the condition polynomials.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .exactalg import (
@@ -136,9 +137,13 @@ class LocalSeries:
     free_index: Optional[int] = None
 
 
-def _reduce_num(r: RatFunc, modulus: Optional[MultiPoly], var: str = "q") -> RatFunc:
-    if modulus is None or r.is_zero:
+def _reduce_num(r, modulus: Optional[MultiPoly], var: str = "q"):
+    """r with its numerator reduced modulo `modulus`; r may also be a
+    rational constant or a MultiPoly (the series engine's values)."""
+    if modulus is None or isinstance(r, (int, Fraction)) or r.is_zero:
         return r
+    if isinstance(r, MultiPoly):
+        return reduce_mod(r, modulus, var)
     return RatFunc(reduce_mod(r.num, modulus, var), r.den_factors())
 
 
@@ -449,7 +454,11 @@ def polytype_condition_poly(p: HeunParams, sigma0: Value, sigma1: Value,
 # -- generic Frobenius machinery ----------------------------------------------
 
 
-def frobenius_series(L: DiffOp, point: Value, exponent: Value, order: int,
+def _is_zero(v) -> bool:
+    return v == 0 if isinstance(v, (int, Fraction)) else v.is_zero
+
+
+def frobenius_series(L, point: Value, exponent: Value, order: int,
                      free_value: Value = 0,
                      modulus: Optional[MultiPoly] = None) -> LocalSeries:
     """Frobenius/Taylor coefficients of a solution sum c_j u^(rho+j), u = z - point.
@@ -459,29 +468,19 @@ def frobenius_series(L: DiffOp, point: Value, exponent: Value, order: int,
     its index reported in free_index.  A vanishing multiplier with nonzero
     right side stops the series and stores the obstruction in
     log_coefficient.
+
+    L is a `DiffOp` or any operator with a ``ring`` and a method
+    ``local_coeffs(point)`` giving the coefficients a_k of sum a_k D^k,
+    cleared of the denominators that vanish somewhere, as
+    [{m: nonzero coefficient of u^m in a_k}].  Those coefficients may be
+    ints, Fractions, MultiPolys or RatFuncs; the recurrence keeps the type
+    its data give (MultiPolys over Fraction multipliers for rational data)
+    and the returned series holds RatFuncs.
     """
     ring = L.ring
-    var = L.var
     pt = _val(point, ring)
     rho = _val(exponent, ring)
-    z = RatFunc.of(ring.var(var), ring)
-    shifted = L.coeffs if pt.is_zero else [c.subs({var: z + pt}) for c in L.coeffs]
-    # clear the denominator factors that involve var, each made monic in var
-    fac: dict = {}
-    for c in shifted:
-        for f, k in c.den_factors().items():
-            if f.involves(var):
-                fac[f] = max(fac.get(f, 0), k)
-    den = RatFunc.of(1, ring)
-    leads: dict = {}
-    for f, k in fac.items():
-        den = den * RatFunc.of(f, ring) ** k
-        lead = f.coeff_of(var, f.degree(var))
-        leads[lead] = leads.get(lead, 0) + k
-    cleared = [c * den * RatFunc(ring.one, leads) for c in shifted]
-    acoef = []  # acoef[k][m] = coeff of u^m in a_k
-    for c in cleared:
-        acoef.append(c.coeffs_in(var))
+    acoef = L.local_coeffs(pt)  # acoef[k][m] = coeff of u^m in a_k
     dmin = min(min(m - k for m in cs) for k, cs in enumerate(acoef) if cs)
     # falls[j][k] = (rho + j)(rho + j - 1)...(rho + j - k + 1), Fractions
     # when rho is rational
@@ -494,33 +493,36 @@ def frobenius_series(L: DiffOp, point: Value, exponent: Value, order: int,
             fk.append(fk[-1] * (x - i))
         falls.append(fk)
 
-    def T(j: int, d: int) -> RatFunc:
-        out = RatFunc.of(0, ring)
+    def T(j: int, d: int):
+        out = 0
         for k, cs in enumerate(acoef):
             m = d + k
             if m in cs:
                 out = out + cs[m] * falls[j][k]
         return out
 
-    zero = RatFunc.of(0, ring)
-    cs_out = [RatFunc.of(1, ring)]
+    def lifted(values) -> tuple:
+        return tuple(RatFunc.of(v, ring) for v in values)
+
+    cs_out = [1]
     free_index = None
     for i in range(1, order + 1):
-        rhs = zero
+        rhs = 0
         for j in range(i):
             tj = T(j, dmin + i - j)
-            if not tj.is_zero:
+            if not _is_zero(tj):
                 rhs = rhs + cs_out[j] * tj
         rhs = _reduce_num(rhs, modulus)
         mult = T(i, dmin)
-        if mult.is_zero:
-            if not rhs.is_zero:
-                return LocalSeries(pt, rho, tuple(cs_out), log_coefficient=rhs)
+        if _is_zero(mult):
+            if not _is_zero(rhs):
+                return LocalSeries(pt, rho, lifted(cs_out),
+                                   log_coefficient=RatFunc.of(rhs, ring))
             cs_out.append(_val(free_value, ring))
             free_index = i
         else:
             cs_out.append(_reduce_num(-rhs / mult, modulus))
-    return LocalSeries(pt, rho, tuple(cs_out), free_index=free_index)
+    return LocalSeries(pt, rho, lifted(cs_out), free_index=free_index)
 
 
 def transform_to_infinity(L: DiffOp) -> DiffOp:

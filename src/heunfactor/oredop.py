@@ -179,6 +179,28 @@ class DiffOp:
         return (DiffOp(ring, var, q),
                 DiffOp(ring, var, [_cancelled(c) for c in rem]))
 
+    def local_coeffs(self, point: RatFunc) -> list:
+        """The operator about var = point, for ``heun.frobenius_series``:
+        [{m: coefficient of u^m}] per coefficient, u = var - point, after
+        the shift and after multiplying by the denominator factors that
+        involve var, each made monic in var."""
+        ring, var = self.ring, self.var
+        z = RatFunc.of(ring.var(var), ring)
+        shifted = self.coeffs if point.is_zero else [c.subs({var: z + point})
+                                                    for c in self.coeffs]
+        fac: dict = {}
+        for c in shifted:
+            for f, k in c.den_factors().items():
+                if f.involves(var):
+                    fac[f] = max(fac.get(f, 0), k)
+        den = RatFunc.of(1, ring)
+        leads: dict = {}
+        for f, k in fac.items():
+            den = den * RatFunc.of(f, ring) ** k
+            lead = f.coeff_of(var, f.degree(var))
+            leads[lead] = leads.get(lead, 0) + k
+        return [(c * den * RatFunc(ring.one, leads)).coeffs_in(var) for c in shifted]
+
     def pretty(self) -> str:
         if self.is_zero:
             return "0"

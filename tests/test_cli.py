@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mpmath import mp
 
 import heunfactor.cli
-from heunfactor.cli import MAX_MULTIPLICITY, _float_roots, main
+from heunfactor.cli import MAX_MULTIPLICITY, MAX_X1_DEGREE, _float_roots, main
 from heunfactor.exactalg import RatFunc, poly_deriv, poly_eval, poly_mul
 from heunfactor.heun import HeunParams, apparency_poly
 
@@ -349,6 +349,15 @@ class TestX1Command:
         code, _, err = run_cli(["x1", "1", "1", "1"], capsys)
         assert code == 1 and "degenerate" in err
 
+    @pytest.mark.parametrize("k", [MAX_X1_DEGREE + 1, 1000, 10 ** 29, -1, -5])
+    def test_degree_outside_the_bound_exits_1(self, capsys, k):
+        # k = 1000 ran past 40 s before any output; k = -1 failed as
+        # "E2 = 0: degenerate symmetric values"
+        code, out, err = run_cli(["x1", "--", str(k), "1", "1/4"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(MAX_X1_DEGREE) in err
+
     @pytest.mark.parametrize("g", ["12", "40", "1000"])
     def test_unconverged_orthogonality_exits_2(self, capsys, g):
         # the quadrature fails loudly: the doubled order disagrees
@@ -594,6 +603,7 @@ class TestExitCodeContract:
         assert entry["report"] == json.loads(x1_out)
 
     @pytest.mark.parametrize("case,want", [("xjacobi-half", 1),
+                                           ("xjacobi-degree", 1),
                                            ("not-apparent", 2),
                                            ("integration-error", 2)])
     def test_same_exit_code_direct_and_in_sweep(self, tmp_path, capsys,
@@ -602,6 +612,10 @@ class TestExitCodeContract:
             inst = {"version": 1, "kind": "xjacobi",
                     "parameters": {"k": 3, "g": "-1/2", "h": "1/4"}}
             direct = ["x1", "--", "3", "-1/2", "1/4"]
+        elif case == "xjacobi-degree":
+            inst = {"version": 1, "kind": "xjacobi",
+                    "parameters": {"k": 1000, "g": "1", "h": "1/4"}}
+            direct = ["x1", "1000", "1", "1/4"]
         else:
             inst = json.loads(json.dumps(MONODROMY))
             if case == "not-apparent":

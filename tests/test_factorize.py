@@ -10,6 +10,7 @@ from heunfactor import factorize
 from heunfactor.cli import cmd_factorize
 from heunfactor.exactalg import _MOD_P, RatFunc, Ring, rank_of, reduce_mod
 from heunfactor.factorize import (
+    SUPPORTED_PROFILES,
     ApparentFuchsian,
     DegenerateInstanceError,
     SolutionResidualError,
@@ -29,7 +30,7 @@ from heunfactor.factorize import (
     verify_factorization,
     verify_factorization_numeric,
 )
-from heunfactor.heun import HeunParams, apparency_poly, heun_operator
+from heunfactor.heun import HeunParams, apparency_poly, frobenius_series, heun_operator
 from heunfactor.oredop import DiffOp
 
 from conftest import make_rng, rand_frac
@@ -323,6 +324,100 @@ EDGES = [
     (3, -1, 1, 2),
     (F(5, 7), -1, F(-9, 7), 2),
 ]
+
+
+def _same_parts(a: RatFunc, b: RatFunc):
+    """Equal terms, content and factor dict, the factors in the same order."""
+    assert a.num == b.num and a.num.content() == b.num.content()
+    assert list(a.den_factors().items()) == list(b.den_factors().items())
+
+
+def _series_points(Lt):
+    """(point, exponent, order) at each t_j (exponent 0, step m_j + 1) and
+    at z = 0 (both exponents)."""
+    pts = [(tj, 0, mj + 1) for tj, mj in Lt.sing]
+    return pts + [(0, 0, Lt.N + 1), (0, 1 - Lt.gamma, Lt.N + 1)]
+
+
+def _partial_fraction_operator(Lt):
+    """[c0, c1] of L~ summed and divided term by term: the reference the
+    cleared lists must reproduce."""
+    ring = Lt.ring
+    z = RatFunc.of(ring.var("z"), ring)
+    c1 = Lt.gamma / z + Lt.delta / (z - 1)
+    c0 = RatFunc.of(0, ring)
+    for i, s in enumerate(Lt.s_coeffs):
+        c0 = c0 + s * z ** i
+    c0 = c0 / z / (z - 1)
+    for tk, mk in Lt.sing:
+        c1 = c1 - RatFunc.of(mk, ring) / (z - tk)
+        c0 = c0 / (z - tk)
+    return [c0, c1]
+
+
+def _cleared_form_cases():
+    cases = [pytest.param(lambda p=prof, s=seed: factorize._residue_atom_factor(
+        *random_profile_instance(p, seed=s)), id="".join(map(str, prof)) + f"-s{seed}")
+             for prof in SUPPORTED_PROFILES for seed in (1, 2)]
+    return cases + [pytest.param(lambda m=m: symbolic_m1(m)[0], id=f"symbolic-m{m}")
+                    for m in (1, 2, 3)]
+
+
+class TestClearedForm:
+    """L~'s series and operator from its cleared lists Q, P1, S equal those
+    of the DiffOp route (shift by substitution, clearing by products)."""
+
+    @pytest.mark.parametrize("make", _cleared_form_cases())
+    def test_series_match_the_operator_route(self, make):
+        Lt = make()
+        op = Lt.operator()
+        for point, rho, order in _series_points(Lt):
+            new = frobenius_series(Lt, point, rho, order)
+            old = frobenius_series(op, point, rho, order)
+            assert len(new.coeffs) == len(old.coeffs)
+            for a, b in zip(new.coeffs, old.coeffs):
+                _same_parts(a, b)
+            assert (new.log_coefficient is None) == (old.log_coefficient is None)
+            if new.log_coefficient is not None:
+                _same_parts(new.log_coefficient, old.log_coefficient)
+            assert new.free_index == old.free_index
+
+    @pytest.mark.parametrize("make", _cleared_form_cases())
+    def test_operator_matches_the_partial_fractions(self, make):
+        Lt = make()
+        op = Lt.operator()
+        assert op.coeffs[2] == 1
+        for a, b in zip(op.coeffs[:2], _partial_fraction_operator(Lt)):
+            _same_parts(a, b)
+
+    def test_exactly_apparent_instance_is_degenerate_on_both_routes(self, monkeypatch):
+        # q = 1 makes t = 2 apparent: no obstruction at step m + 1.
+        # apparency_system puts the atoms p_k in, so the degenerate branch
+        # is reached here with the residues as given
+        ring = factor_ring(1, 1)
+        Lt = ApparentFuchsian.from_heun(1, 2, F(34, 3), 1, 1, 2, ring)
+        with pytest.raises(DegenerateInstanceError, match="no obstruction found at t_1") as new:
+            factorize._obstruction_system(Lt)
+        monkeypatch.setattr(factorize, "frobenius_series",
+                            lambda L, *args: frobenius_series(L.operator(), *args))
+        with pytest.raises(DegenerateInstanceError) as old:
+            factorize._obstruction_system(Lt)
+        assert str(new.value) == str(old.value)
+
+    def test_one_residue_atom_factor_per_numeric_verify(self, monkeypatch):
+        built = []
+        from_p_form = ApparentFuchsian.from_p_form.__func__
+
+        def counting(cls, *args):
+            built.append(args)
+            return from_p_form(cls, *args)
+
+        monkeypatch.setattr(ApparentFuchsian, "from_p_form", classmethod(counting))
+        gamma, alpha, beta = F(5, 7), F(0), F(-2, 7)
+        sing = [(F(5, 2), 1), (F(-3), 1)]
+        delta = alpha + beta - gamma + 3
+        rep = verify_factorization_numeric(gamma, delta, sing, alpha * beta, bits=300)
+        assert rep.passed and len(built) == 1
 
 
 class TestNumericPipeline:

@@ -163,7 +163,7 @@ def _check_routes_agree(gamma, delta, sing, prod_ab):
     with mp.workprec(300):
         pv = solve_apparent_p(gamma, delta, sing, prod_ab, seed=0)
         assign = {f"p{k}": to_mpc(p) for k, p in enumerate(pv, 1)}
-        series = _z0_series(Lt, op, GaussPoint(assign, mp.prec + _mpnum.GUARD_BITS))
+        series = _z0_series(Lt, GaussPoint(assign, mp.prec + _mpnum.GUARD_BITS))
         assert series is not None
         es = _mpnum.solve_esym_numeric(*series)
         exact = [v.eval_num(assign, num=mp.mpc) for v in _esym_solution(Lt)[0].values]
