@@ -1,8 +1,9 @@
 """High-precision numeric operator arithmetic (mpmath lane).
 
 Runs the factorization defect check at several hundred bits on the exact
-operators, evaluated at numeric residues and esym values: rational functions
-whose denominators are exponent vectors over a fixed basis of linear factors
+L-tilde evaluated at numeric residues, and on L_GHG built from its th-table
+(`ghg._theta_table`) at numeric esym values: rational functions whose
+denominators are exponent vectors over a fixed basis of linear factors
 (z - r_i), and normal-ordered operator composition / right division by a
 monic operator.
 
@@ -20,9 +21,12 @@ significant bits, meets a large one; tests/test_mpnum.py's dynamic-range
 test covers residues, parameters and singular points from 1/10^6 to 10^5.
 
 Every exact polynomial of the lane is evaluated one way, by `GaussPoint`:
-the input coefficients above, the z = 0 series ratios and Newton's F and
-Jacobian.  A power x^k comes from x^(k-1) x, rounded once, so its error is
-at most about k max(1, |x|)^(k-1) 2^-(W+1) per part; a monomial in several
+L-tilde's coefficients, the z = 0 series ratios and Newton's F and
+Jacobian.  L_GHG needs no polynomial evaluation: each z-coefficient is an
+affine form in the esym values, rounded once from its exact value as
+`GaussPoint.value` rounds it (`ghg_operator_at`).  A power x^k comes from
+x^(k-1) x, rounded once, so its error is at most about
+k max(1, |x|)^(k-1) 2^-(W+1) per part; a monomial in several
 variables rounds once more per factor; the int coefficients multiply and
 add exactly, and the content is one rounded multiply.  A value therefore
 errs by a few 2^-W times the sum of its absolute terms, with each |x|
@@ -49,15 +53,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, isqrt
+from math import comb, isqrt, lcm
 from operator import add
 
 import mpmath
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
-from .exactalg import (_FIELD_MASK, MultiPoly, UsageError, exact_div, poly_add, poly_deriv,
-                       poly_mul, poly_scale, poly_shift, poly_trim)
+from .exactalg import (_FIELD_MASK, MultiPoly, UsageError, _frac, exact_div, poly_add,
+                       poly_deriv, poly_mul, poly_scale, poly_shift, poly_trim)
 
 # bits kept below the working precision by the fixed-point numerators
 GUARD_BITS = 32
@@ -396,23 +400,60 @@ def solve_esym_numeric(ratios, shift) -> list | None:
     return [monic[N - j] for j in range(1, N + 1)]
 
 
-def remainder_defect(L, Lt, roots, p_vals, esym) -> mpmath.mpf:
-    """The verdict's one division: L is the exact L_GHG with the esym atoms
-    e1..eN, Lt the exact L-tilde with the residue atoms p1..pM, both
-    evaluated at p_vals and esym over the factor basis of ``roots`` (the
-    singular points [0, 1, t_1, ..., t_M]); returns the largest absolute
-    numerator coefficient of the remainder of L by Lt, the largest
-    isqrt(re^2 + im^2) 2^-W over its fixed-point coefficients.  Its error is
-    a sum of roundings of at most 2^-(W+1) per part, each amplified only by
-    the other factors of its product (module docstring)."""
+def ghg_operator_at(basis: FactorBasis, table, esym) -> DiffOpM:
+    """L_GHG from its th-table (``ghg._theta_table``, rational scalars) with
+    the esym values ``esym``, over a basis whose roots start 0, 1.
+
+    Each coefficient below the top is (A_j z^j - B_j z^(j-1)) / (z^(N+2) -
+    z^(N+1)), so its vec is (N+1, 1, 0, ...), or `RatM.zero` when both forms
+    vanish identically.  A z-coefficient is the exact rational sum_i r_i x_i
+    (x_i the fixed-point sigma_i, x_0 = 2^W) rounded once to nearest, ties
+    up: what `GaussPoint.value` makes of it.  The result is therefore
+    `RatM.from_exact` of ``ghg_operator_esym``'s coefficients at the same
+    sigma values, bit for bit."""
+    W, N = basis.bits, len(esym)
+    xs = [(1 << W, 0)] + [_fixed(to_mpc(v), W) for v in esym]
+    den = lcm(*(_frac(s).denominator for row in table for s, _, _ in row))
+    vec = (N + 1, 1) + (0,) * (len(basis.exact) - 2)
+
+    def rounded(form: list, sign: int) -> tuple:
+        # sign * sum_i form_i x_i / den, (re, im) rounded to nearest
+        return tuple((2 * sign * sum(f * x[k] for f, x in zip(form, xs)) + den) // (2 * den)
+                     for k in (0, 1))
+
+    coeffs = []
+    for j, row in enumerate(table):
+        A, B = [0] * (N + 1), [0] * (N + 1)
+        for s, a, b in row:
+            m = (_frac(s) * den).numerator
+            A = [u + m * v for u, v in zip(A, a)]
+            B = [u + m * v for u, v in zip(B, b)]
+        if not any(A) and not any(B):
+            coeffs.append(RatM.zero(basis))
+            continue
+        re, im = [0] * (j + 1), [0] * (j + 1)
+        re[j], im[j] = rounded(A, 1)
+        if j:
+            re[j - 1], im[j - 1] = rounded(B, -1)
+        coeffs.append(RatM(basis, re, im, vec))
+    coeffs.append(RatM(basis, [1 << W], [0], (0,) * len(basis.exact)))
+    return DiffOpM(basis, coeffs)
+
+
+def remainder_defect(Lt, table, roots, p_vals, esym) -> mpmath.mpf:
+    """The verdict's one division: Lt is the exact L-tilde with the residue
+    atoms p1..pM, evaluated at p_vals, and L_GHG comes from its th-table at
+    the esym values (`ghg_operator_at`), both over the factor basis of
+    ``roots`` (the singular points [0, 1, t_1, ..., t_M]); returns the
+    largest absolute numerator coefficient of the remainder of L_GHG by
+    L-tilde, the largest isqrt(re^2 + im^2) 2^-W over its fixed-point
+    coefficients.  Its error is a sum of roundings of at most 2^-(W+1) per
+    part, each amplified only by the other factors of its product (module
+    docstring)."""
     basis = FactorBasis(roots)
-
-    def at(op, name, vals):
-        point = GaussPoint({f"{name}{k}": v for k, v in enumerate(vals, 1)}, basis.bits)
-        return DiffOpM(basis, [RatM.from_exact(basis, c, point) for c in op.coeffs])
-
-    divisor = at(Lt, "p", p_vals)
-    _, rem = at(L, "e", esym).right_divide_monic(divisor)
+    point = GaussPoint({f"p{k}": v for k, v in enumerate(p_vals, 1)}, basis.bits)
+    divisor = DiffOpM(basis, [RatM.from_exact(basis, c, point) for c in Lt.coeffs])
+    _, rem = ghg_operator_at(basis, table, esym).right_divide_monic(divisor)
     top = max((isqrt(x * x + y * y) for c in rem.coeffs
                for x, y in zip_longest(c.re, c.im, fillvalue=0)), default=0)
     return mpmath.ldexp(mp.mpf(top), -basis.bits)

@@ -48,7 +48,7 @@ from .exactalg import (
     reduce_mod,
     solve_linear,
 )
-from .ghg import _theta_shift_product, ghg_operator_esym
+from .ghg import _theta_shift_product, _theta_table, ghg_operator_esym
 from .heun import HeunParams, frobenius_series, _monic_in_q
 from .oredop import DiffOp
 
@@ -385,11 +385,13 @@ class FactorizationWork:
     w_coeffs: tuple
 
 
-def _atom_operators(Lt: ApparentFuchsian) -> tuple:
-    """(L_GHG with the e-atoms as its esym values, L~) of Lt."""
+def _atom_operators(Lt: ApparentFuchsian, op: Optional[DiffOp] = None) -> tuple:
+    """(L_GHG with the e-atoms as its esym values, L~) of Lt; `op` takes L~
+    when the caller has built it already."""
     ring = Lt.ring
     es = [ring.var(f"e{j}") for j in range(1, Lt.N + 1)]
-    return ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma, es, ring), Lt.operator()
+    L = ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma, es, ring)
+    return L, Lt.operator() if op is None else op
 
 
 def _division_work(Lt: ApparentFuchsian, ops: Optional[tuple] = None
@@ -718,10 +720,12 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
     values (`_mpnum.solve_esym_numeric` returns None), they come from the
     exact esym solve on the residue-atom L~ (`_esym_solution`, no profile gate),
     evaluated at the residues; rows singular there raise ZeroDivisionError.
-    The exact L_GHG (esym values as atoms) is then evaluated and divided by
-    L~ once at `bits` precision; a wrong esym value can only raise the
-    defect, never pass a verdict.  When p_vals is omitted the apparency
-    system is solved first.  Passes when the maximal defect coefficient is
+    Only that fallback builds the exact L_GHG with the esym atoms.  L_GHG
+    comes from its th-table (`ghg._theta_table`) at the esym values, bit for
+    bit the exact operator evaluated there, and is divided by L~ once at
+    `bits` precision; a wrong esym value can only raise the defect, never
+    pass a verdict.  When p_vals is omitted the apparency system is solved
+    first.  Passes when the maximal defect coefficient is
     below 10^tol_exp, which must lie in (-bits log10 2, 0): a bound no finer
     than the working precision.
     """
@@ -735,7 +739,8 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
     if not -bits * math.log10(2) < tol_exp < 0:
         raise UsageError(f"tol_exp = {tol_exp} is outside (-{bits} log10 2, 0)")
     Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
-    L, op = ops = _atom_operators(Lt)
+    op = Lt.operator()
+    table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), Lt.N)
     roots = [0, 1] + [t for t, _ in sing]
     with mp.workprec(bits):
         if p_vals is None:
@@ -746,8 +751,9 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
         series = _z0_series(Lt, point)
         es = _mpnum.solve_esym_numeric(*series) if series else None
         if es is None:
+            ops = _atom_operators(Lt, op)   # the edges' exact esym solve
             es = [point.mpc(v) for v in _esym_solution(Lt, ops)[0].values]
-        defect = _mpnum.remainder_defect(L, op, roots, p_vals, es)
+        defect = _mpnum.remainder_defect(op, table, roots, p_vals, es)
         passed = defect < mp.mpf(10) ** tol_exp
         esym = EsymVector("numeric", tuple(es))
         return VerificationReport(

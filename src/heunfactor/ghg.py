@@ -7,19 +7,26 @@ The operator is expanded symbolically from the Euler-operator product form
 with th = z d/dz, then divided by its leading coefficient z^q (1 - z); this
 avoids transcribing any fixed-order display and works for all q.
 
-``ghg_operator_esym`` builds L_{alpha, beta, e_1+1..e_N+1; gamma, e_1..e_N}
-from the elementary symmetric functions of e_1..e_N alone, which is what the
-factorization checks need (the individual e_i may be irrational).
+L_{alpha, beta, e_1+1..e_N+1; gamma, e_1..e_N} depends on the e_i only
+through their elementary symmetric functions sigma_k, and each of its
+coefficients is affine in them.  `_theta_table` writes it down once as int
+affine forms over the scalars alpha + beta, alpha beta and gamma, which is
+what the factorization checks need (the individual e_i may be irrational).
+Both lanes read that table: ``ghg_operator_esym`` assembles the exact
+operator from it, and the numeric lane (``_mpnum.ghg_operator_at``)
+evaluates it at fixed-point esym values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, lcm
+from operator import sub
 from typing import Optional, Sequence
 
-from .exactalg import MultiPoly, RatFunc, Ring, UsageError, Value, _val, poly_mul
+from .exactalg import MultiPoly, RatFunc, Ring, UsageError, Value, _over_lcm, _val
 from .oredop import DiffOp
 
 
@@ -42,14 +49,20 @@ class GHGParams:
                    tuple(_val(b, ring) for b in lower))
 
 
+def _stirling(n: int) -> list:
+    """Rows k < n of the Stirling numbers of the second kind S(k, j),
+    S(k, j) = j S(k-1, j) + S(k-1, j-1)."""
+    rows = [[1]]
+    for k in range(1, n):
+        prev = rows[-1] + [0]
+        rows.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, k + 1)])
+    return rows
+
+
 def _euler_poly_op(coeffs: Sequence[RatFunc], ring: Ring) -> DiffOp:
     """sum coeffs[k] * th^k as a normal-ordered operator, th = z d/dz, by
-    th^k = sum_j S(k, j) z^j D^j with S the Stirling numbers of the second
-    kind, S(k, j) = j S(k-1, j) + S(k-1, j-1)."""
-    stirling = [[1]]
-    for k in range(1, len(coeffs)):
-        prev = stirling[-1] + [0]
-        stirling.append([0] + [j * prev[j] + prev[j - 1] for j in range(1, k + 1)])
+    th^k = sum_j S(k, j) z^j D^j (`_stirling`)."""
+    stirling = _stirling(len(coeffs))
     z = RatFunc.of(ring.var("z"), ring)
     zj = RatFunc.of(1, ring)  # z**j
     out = []
@@ -90,24 +103,65 @@ def ghg_operator(g: GHGParams) -> DiffOp:
     return L.scale(RatFunc.of(1, ring) / L.leading)
 
 
-def esym_shifted(esym: Sequence[RatFunc], c: Value, ring: Ring) -> list:
-    """Elementary symmetric functions of (e_1 + c, ..., e_N + c) expressed
-    through those of (e_1, ..., e_N); index 0 holds 1."""
-    N = len(esym)
-    cc = _val(c, ring)
-    r = cc.fraction()
-    step = cc if r is None else r
-    powers = [1]  # powers[n] = c**n, Fractions when c is rational
-    for _ in range(N):
-        powers.append(powers[-1] * step)
-    base = [RatFunc.of(1, ring)] + [_val(e, ring) for e in esym]
-    out = []
-    for k in range(N + 1):
-        acc = RatFunc.of(0, ring)
-        for j in range(k + 1):
-            acc = acc + base[j] * comb(N - j, k - j) * powers[k - j]
-        out.append(acc)
-    return out
+@lru_cache(maxsize=None)
+def _theta_forms(N: int) -> tuple:
+    """`_theta_table` with int entries over the scalar basis (1, alpha +
+    beta, alpha beta, gamma): for each j, one (A, B) pair of vectors
+    [const, sigma_1..sigma_N] per basis scalar.  Depends on N alone."""
+    zero = (0,) * (N + 1)
+
+    def shifted(c: int) -> list:
+        # prod(th + e_i + c) = sum_m P[m] th^m with P[m] = sigma_(N-m)(e + c)
+        # = sum_(i <= N-m) comb(N - i, N - m - i) c^(N-m-i) sigma_i
+        return [tuple(comb(N - i, N - m - i) * c ** (N - m - i) if i <= N - m else 0
+                      for i in range(N + 1)) for m in range(N + 1)]
+
+    def at(P: list, m: int) -> tuple:
+        return P[m] if 0 <= m <= N else zero
+
+    up, low = shifted(1), shifted(-1)
+    # a(th) = (th^2 + (alpha + beta) th + alpha beta) prod(th + e_i + 1)
+    a = [(at(up, m - 2), at(up, m - 1), at(up, m), zero) for m in range(N + 3)]
+    # b(th) = (th + gamma - 1) prod(th + e_i - 1)
+    b = [(tuple(map(sub, at(low, m - 1), at(low, m))), zero, zero, at(low, m))
+         for m in range(N + 2)]
+    stirling = _stirling(N + 3)
+
+    def euler(poly: list, j: int) -> list:
+        # sum_k S(k, j) poly[k]: the z^j D^j part of poly(th)
+        return [tuple(sum(stirling[k][j] * poly[k][s][i] for k in range(j, len(poly)))
+                      for i in range(N + 1)) for s in range(4)]
+
+    out, prev = [], [zero] * 4
+    for j in range(N + 2):
+        beta = euler(b, j)
+        B = [tuple(j * x + y for x, y in zip(u, v)) for u, v in zip(beta, prev)]
+        out.append(tuple(zip(euler(a, j), B)))
+        prev = beta
+    return tuple(out)
+
+
+def _theta_table(sum_ab, prod_ab, gamma, N: int) -> list:
+    """L_{alpha, beta, e_1+1..e_N+1; gamma, e_1..e_N} through the
+    elementary symmetric functions sigma_k of the e_i, as one table.
+
+    In th = z d/dz the operator is D b(th) - a(th) with
+
+        a(th) = (th^2 + (alpha + beta) th + alpha beta) prod(th + e_i + 1),
+        b(th) = (th + gamma - 1) prod(th + e_i - 1);
+
+    th^k = sum_j S(k, j) z^j D^j (S: Stirling numbers of the second kind)
+    makes its monic form sum_j (A_j z^j - B_j z^(j-1)) / (z^(N+2) -
+    z^(N+1)) D^j, with A_j = sum_k S(k, j) a_k, B_j = j beta_j + beta_(j-1),
+    beta_j = sum_k S(k, j) b_k, and coefficient 1 at D^(N+2).  Each A_j and
+    B_j is affine in the sigma_k, with coefficients affine in the scalars.
+    Returns, for j = 0..N+1, the triples (scalar, A, B) with int vectors A,
+    B = [const, sigma_1..sigma_N]: A_j and B_j are the sums of scalar
+    times vector over the triples.  The scalar is 1, sum_ab, prod_ab or
+    gamma, as given (Fractions or RatFuncs)."""
+    scalars = (1, sum_ab, prod_ab, gamma)
+    return [[(s, A, B) for s, (A, B) in zip(scalars, rows) if any(A) or any(B)]
+            for rows in _theta_forms(N)]
 
 
 def ghg_operator_esym(sum_ab: Value, prod_ab: Value, gamma: Value,
@@ -116,33 +170,35 @@ def ghg_operator_esym(sum_ab: Value, prod_ab: Value, gamma: Value,
     elementary symmetric functions of the e_i (no individual e_i needed).
 
     Only alpha + beta and alpha * beta enter, so irrational pairs are fine.
+    Each numerator of `_theta_table` is assembled per basis scalar as one
+    int-term polynomial in z and the esym values, over their common
+    denominator, then scaled by its scalar.
     """
-    es = [_val(e, ring) for e in esym]
-    N = len(es)
-    sab, pab, g = _val(sum_ab, ring), _val(prod_ab, ring), _val(gamma, ring)
-
-    def poly_from_esym(shift_consts: list, extra: list) -> list:
-        # prod(th + e_i + c) expanded, then multiplied by prod(th + r) for r in extra
-        coeffs = None
-        for c in shift_consts:
-            sy = esym_shifted(es, c, ring)
-            # sum_k sy[k] th^(N-k), low power first
-            cs = [sy[N - i] for i in range(N + 1)]
-            coeffs = cs if coeffs is None else poly_mul(coeffs, cs)
-        if coeffs is None:
-            coeffs = [RatFunc.of(1, ring)]
-        for r in extra:
-            coeffs = poly_mul(coeffs, [r, RatFunc.of(1, ring)])
-        return coeffs
-
-    # lowers: (gamma, e_1..e_N) -> factors (th + gamma - 1), (th + e_i - 1)
-    b_poly = poly_from_esym([-1], [g - 1])
-    # uppers: (alpha, beta, e_i + 1) -> (th^2 + (a+b) th + ab), (th + e_i + 1)
-    a_poly = poly_mul(poly_from_esym([1], []), [pab, sab, RatFunc.of(1, ring)])
-    D = DiffOp.d(ring, "z")
-    L = D * _euler_poly_op(b_poly, ring) - _euler_poly_op(a_poly, ring)
-    assert L.order == N + 2
-    return L.scale(RatFunc.of(1, ring) / L.leading)
+    N = len(esym)
+    table = _theta_table(*(_val(v, ring) for v in (sum_ab, prod_ab, gamma)), N)
+    nums, fac = _over_lcm([RatFunc.of(1, ring)] + [_val(e, ring) for e in esym])
+    den_c = lcm(*(n._c.denominator for n in nums))
+    # sigma_i as int terms over 1 / den_c
+    sigmas = [[(key, c * (n._c * den_c).numerator) for key, c in n._t.items()] for n in nums]
+    uz = ring._field("z")[1]
+    den = MultiPoly(ring, {(N + 2) * uz: 1, (N + 1) * uz: -1}, Fraction(1), _normalized=True)
+    coeffs = []
+    for j, rows in enumerate(table):
+        num = RatFunc.of(0, ring)
+        for s, A, B in rows:
+            t: dict = {}
+            for i, terms in enumerate(sigmas):
+                for key, c in terms:
+                    if A[i]:
+                        k = key + j * uz
+                        t[k] = t.get(k, 0) + A[i] * c
+                    if B[i]:   # B_0 = 0, so j >= 1 here
+                        k = key + (j - 1) * uz
+                        t[k] = t.get(k, 0) - B[i] * c
+            num = num + s * RatFunc(MultiPoly(ring, t, Fraction(1, den_c)), fac)
+        # the numerator's z-degree is below the denominator's: nothing cancels
+        coeffs.append(RatFunc(num.num, {**num.den_factors(), den: 1}, _simplify=False))
+    return DiffOp(ring, "z", coeffs + [RatFunc.of(1, ring)])
 
 
 # -- series evaluation ---------------------------------------------------------

@@ -469,6 +469,18 @@ class TestNumericPipeline:
         assert rep.passed
         assert len(calls) == 1
 
+    def test_series_verdicts_build_no_exact_ghg_operator(self, monkeypatch):
+        # off the edges L_GHG comes from its th-table at the esym values
+        calls = []
+        build = factorize.ghg_operator_esym
+        monkeypatch.setattr(factorize, "ghg_operator_esym",
+                            lambda *a: calls.append(a) or build(*a))
+        for profile in [(2,), (1, 1), (1, 1, 1)]:
+            gamma, delta, sing, prod_ab = random_profile_instance(profile, seed=5)
+            rep = verify_factorization_numeric(gamma, delta, sing, prod_ab, bits=300)
+            assert rep.passed
+        assert calls == []
+
     @pytest.mark.parametrize("profile", [(1, 1), (2, 1)])
     def test_two_singularity_edges_pass_and_their_controls_fail(self, profile):
         from mpmath import mp

@@ -86,21 +86,34 @@ class TestOperator:
             # residual coefficients of z^n vanish for n <= K - (q+1)
             assert val_num - val_den >= K - 3 + 1
 
+    @staticmethod
+    def _esym(es):
+        sigma = [F(1)]
+        for e in es:   # prod(x + e_i), one factor at a time
+            sigma = [a + b * e for a, b in zip(sigma + [0], [0] + sigma)]
+        return sigma[1:]
+
     def test_esym_route_matches_explicit(self, R):
         rng = random.Random(8)
-        done = 0
-        while done < 10:
-            e1 = rand_frac(rng, nonzero=True)
-            e2 = rand_frac(rng, nonzero=True)
-            if e1 == e2:
-                continue
-            al, be, ga = (rand_frac(rng, nonzero=True) for _ in range(3))
-            Ge = GHGParams.make([al, be, e1 + 1, e2 + 1], [ga, e1, e2], R)
-            L1 = ghg_operator(Ge)
-            L2 = ghg_operator_esym(al + be, al * be, ga,
-                                   [R.const(e1 + e2), R.const(e1 * e2)], R)
-            assert L1 == L2
-            done += 1
+        for N in range(1, 6):
+            done = 0
+            while done < 4:
+                es = [rand_frac(rng, nonzero=True) for _ in range(N)]
+                if len(set(es)) < N:
+                    continue
+                al, be, ga = (rand_frac(rng, nonzero=True) for _ in range(3))
+                Ge = GHGParams.make([al, be] + [e + 1 for e in es], [ga] + es, R)
+                sigma = [R.const(s) for s in self._esym(es)]
+                assert ghg_operator(Ge) == ghg_operator_esym(al + be, al * be, ga, sigma, R)
+                done += 1
+
+    @pytest.mark.parametrize("N", [2, 4])
+    def test_esym_route_matches_explicit_with_symbolic_parameters(self, R, N):
+        al, be, ga = (RatFunc.of(R.var(n), R) for n in ("alpha", "beta", "gamma"))
+        es = [F(1, 3), F(-2), F(5, 2), F(7, 4)][:N]
+        Ge = GHGParams.make([al, be] + [e + 1 for e in es], [ga] + es, R)
+        L2 = ghg_operator_esym(al + be, al * be, ga, [R.const(s) for s in self._esym(es)], R)
+        assert ghg_operator(Ge) == L2
 
 
 class TestSeries:

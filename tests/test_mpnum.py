@@ -1,6 +1,7 @@
 """Numeric lane: the fixed-point polynomial values against eval_num, the
-exact operators evaluated into the fixed-point operator type, its remainder
-against the exact one, the series esym values against the exact solve's,
+exact operators evaluated into the fixed-point operator type, L_GHG from
+its th-table against the evaluated exact one, the remainder against the
+exact one, the series esym values against the exact solve's,
 the divisor's reused derivative table, Newton's step solve and reach, and
 the verdicts over a wide dynamic range."""
 
@@ -19,7 +20,7 @@ from heunfactor.factorize import (_division_work, _esym_solution, _residue_atom_
                                   _z0_series, apparency_system, random_profile_instance,
                                   solve_apparent_p, verify_factorization,
                                   verify_factorization_numeric)
-from heunfactor.ghg import ghg_operator_esym
+from heunfactor.ghg import _theta_table, ghg_operator_esym
 
 _rats = st.fractions(min_value=-7, max_value=7, max_denominator=6)
 _profiles = st.sampled_from([(1,), (2,), (3,), (1, 1), (2, 1)])
@@ -136,6 +137,74 @@ def test_fixed_point_remainder_equals_the_exact_one(inst):
                 assert abs(got - w.eval_num(at_z, num=mp.mpc)) <= mp.mpf(10) ** -70 * scale
 
 
+def _assert_table_is_exact(Lt, es, bits=300):
+    """L_GHG from the th-table at the esym values es has the same (re, im,
+    vec) in every coefficient as the exact e-atom operator evaluated at
+    them; returns the table's operator."""
+    ring = Lt.ring
+    L = ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma,
+                          [ring.var(f"e{j}") for j in range(1, Lt.N + 1)], ring)
+    table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), Lt.N)
+    with mp.workprec(bits):
+        basis = FactorBasis([0, 1] + [t.fraction() for t, _ in Lt.sing])
+        point = GaussPoint({f"e{k}": to_mpc(v) for k, v in enumerate(es, 1)}, basis.bits)
+        got = _mpnum.ghg_operator_at(basis, table, es)
+        assert ([(c.re, c.im, c.vec) for c in got.coeffs]
+                == [(r.re, r.im, r.vec) for r in (RatM.from_exact(basis, c, point)
+                                                  for c in L.coeffs)])
+    return got
+
+
+@settings(max_examples=40, deadline=None)
+@given(inst=_instances())
+def test_theta_table_is_the_exact_operator_at_rational_esym_values(inst):
+    gamma, delta, sing, prod_ab, _, es = inst
+    _assert_table_is_exact(_residue_atom_factor(gamma, delta, sing, prod_ab), es)
+
+
+def _solved_esym(inst, bits):
+    """Residues by Newton and esym values as the numeric verdict finds them."""
+    Lt = _residue_atom_factor(*inst)
+    with mp.workprec(bits):
+        pv = solve_apparent_p(*inst, seed=0, bits=bits)
+        point = GaussPoint({f"p{k}": p for k, p in enumerate(pv, 1)},
+                           mp.prec + _mpnum.GUARD_BITS)
+        series = _z0_series(Lt, point)
+        es = _mpnum.solve_esym_numeric(*series) if series else None
+        if es is None:
+            es = [point.mpc(v) for v in _esym_solution(Lt)[0].values]
+    return Lt, es
+
+
+def _pinned(profile, beta):
+    """gamma 5/7, alpha 1/3 and a pinned beta, which ends the exponent-0 series."""
+    gamma, alpha, N = F(5, 7), F(1, 3), sum(profile)
+    sing = list(zip((F(5, 2), F(-3, 4), F(3)), profile))
+    return gamma, alpha + beta - gamma + N + 1, sing, alpha * beta
+
+
+@pytest.mark.parametrize("inst", [
+    *(random_profile_instance(p, seed=11) for p in [(4,), (5,), (2, 2), (3, 1), (1, 3), (1, 1, 1)]),
+    _pinned((5,), F(-1)), _pinned((1, 1, 1), F(-2)),
+], ids=["4", "5", "22", "31", "13", "111", "5-pinned", "111-pinned"])
+def test_theta_table_is_the_exact_operator_at_solved_esym_values(inst):
+    _assert_table_is_exact(*_solved_esym(inst, 300))
+
+
+def test_theta_table_zero_coefficient_and_large_t():
+    # alpha = 0: alpha beta = 0 makes the D^0 coefficient vanish identically;
+    # its esym values come from the exact solve, as on every such edge
+    Lt, es = _solved_esym(_apparent_m3(F(5, 2), F(0), F(-2, 7)), 300)
+    L = _assert_table_is_exact(Lt, es)
+    assert L.coeffs[0].is_zero and L.coeffs[0].vec == (0, 0, 0)
+    # t = 10^5, alpha = 200/3: operator coefficients near t^k, at 400 bits
+    _assert_table_is_exact(*_solved_esym(_apparent_m3(F(10 ** 5), F(200, 3), F(3, 5)), 400), 400)
+    # gamma = 2^-32 puts B_1 = -1 + gamma sigma_1 at sigma_1 = 1/3 (2^31 times
+    # an odd int at 300 bits) on a tie, which rounds -B_1 up, not -(B_1 up)
+    _assert_table_is_exact(_residue_atom_factor(F(1, 2 ** 32), F(7, 3), [(F(5, 2), 1)],
+                                                 F(1, 2)), [F(1, 3)])
+
+
 def test_repeated_and_composite_denominator_factors_split_over_the_basis():
     ring = Ring(("z", "p1"))
     z, p1 = ring.var("z"), ring.var("p1")
@@ -157,7 +226,7 @@ def _check_routes_agree(gamma, delta, sing, prod_ab):
     """The series esym values equal the exact solve's values at the same
     residues to 1e-70 relative, both divide with defect below 1e-60;
     returns the series."""
-    Lt, L = _operators(gamma, delta, sing, prod_ab)
+    Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
     op = Lt.operator()
     roots = [0, 1] + [t for t, _ in sing]
     with mp.workprec(300):
@@ -170,8 +239,9 @@ def _check_routes_agree(gamma, delta, sing, prod_ab):
         assert len(es) == len(exact) == Lt.N
         for x, y in zip(es, exact):
             assert abs(x - y) <= mp.mpf(10) ** -70 * abs(y)
+        table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), Lt.N)
         for values in (es, exact):
-            assert _mpnum.remainder_defect(L, op, roots, pv, values) < mp.mpf(10) ** -60
+            assert _mpnum.remainder_defect(op, table, roots, pv, values) < mp.mpf(10) ** -60
     return series
 
 
