@@ -4,8 +4,8 @@ Runs the factorization defect check at several hundred bits on the exact
 L-tilde evaluated at numeric residues, and on L_GHG built from its th-table
 (`ghg._theta_table`) at numeric esym values: rational functions whose
 denominators are exponent vectors over a fixed basis of linear factors
-(z - r_i), and normal-ordered operator composition / right division by a
-monic operator.
+(z - r_i), and operators over them, whose right division by a monic
+operator is `oredop.right_divide` with fixed-point coefficients.
 
 Numerators are Gaussian integers in fixed point: two int coefficient lists
 (re, im) standing for (re + i im) 2^-W, with one W per `FactorBasis`, the
@@ -53,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
-from math import comb, isqrt, lcm
+from math import isqrt, lcm
 from operator import add
 
 import mpmath
@@ -62,6 +62,7 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .exactalg import (_FIELD_MASK, MultiPoly, UsageError, _frac, exact_div, poly_add,
                        poly_deriv, poly_mul, poly_scale, poly_shift, poly_trim)
+from .oredop import right_divide
 
 # bits kept below the working precision by the fixed-point numerators
 GUARD_BITS = 32
@@ -319,41 +320,14 @@ class DiffOpM:
     def order(self):
         return len(self.coeffs) - 1
 
-    def coeff(self, j):
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
-        return RatM.zero(self.basis)
-
-    def __mul__(self, other: "DiffOpM"):
-        n, m = self.order, other.order
-        if n < 0 or m < 0:
-            return DiffOpM(self.basis, [])
-        derivs = other.derivative_table(n)
-        out = [RatM.zero(self.basis) for _ in range(n + m + 1)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero:
-                continue
-            for k in range(i + 1):
-                ck = comb(i, k)
-                for j, b in enumerate(derivs[k]):
-                    if not b.is_zero:
-                        out[i - k + j] = out[i - k + j] + (a * b).scale(ck)
-        return DiffOpM(self.basis, out)
-
     def right_divide_monic(self, other: "DiffOpM"):
-        """(Q, rem) for a divisor whose leading coefficient is exactly 1."""
-        rem = self
-        q = {}
-        while rem.order >= other.order:
-            k = rem.order - other.order
-            qk = rem.coeffs[-1]
-            q[k] = qk
-            step = DiffOpM(self.basis, [RatM.zero(self.basis)] * k + [qk]) * other
-            new = [rem.coeff(j) - step.coeff(j) for j in range(rem.order)]
-            rem = DiffOpM(self.basis, new)
-        n = max(q) + 1 if q else 0
-        Q = DiffOpM(self.basis, [q.get(j, RatM.zero(self.basis)) for j in range(n)])
-        return Q, rem
+        """(Q, rem) for a divisor whose leading coefficient is exactly 1; each
+        coefficient subtracts its rounded Leibniz products, summed from zero."""
+        zero = RatM.zero(self.basis)
+        q, rem = right_divide(self.coeffs, other, zero, lambda c: c,
+                              lambda a, b, ck: (a * b).scale(ck),
+                              lambda c, ts: c - sum(ts, zero))
+        return DiffOpM(self.basis, q), DiffOpM(self.basis, rem)
 
 
 def _solve(A: list, b: list) -> list:

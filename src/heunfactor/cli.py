@@ -436,7 +436,7 @@ def _fuchsian_from_parameters(params: dict):
     return gamma, delta, sing, prod_ab, p_vals, ring
 
 
-def cmd_factorize(inst: dict, mode, precision_bits, tol_exp, deep, seed) -> tuple:
+def cmd_factorize(inst: dict, mode, precision_bits, tol_exp, seed) -> tuple:
     """``mode``, ``precision_bits`` and ``seed`` override the instance's own
     values unless None."""
     from . import factorize as fz
@@ -450,7 +450,7 @@ def cmd_factorize(inst: dict, mode, precision_bits, tol_exp, deep, seed) -> tupl
         inst["parameters"])
     if mode == "exact":
         Lt = fz.ApparentFuchsian.from_p_form(gamma, delta, sing, prod_ab, p_vals, ring)
-        rep = fz.verify_factorization(Lt, deep=deep)
+        rep = fz.verify_factorization(Lt, deep=True)  # see DEFAULT_EXACT_M1
     else:
         # a residue that is not a number (an atom) is solved for
         ps = [p.fraction() for p in p_vals]
@@ -468,6 +468,8 @@ def cmd_factorize(inst: dict, mode, precision_bits, tol_exp, deep, seed) -> tupl
 def cmd_x1(k: int, g, h, ortho_max=None) -> tuple:
     if not 0 <= k <= MAX_X1_DEGREE:
         raise SchemaError(f"k = {k} is outside 0..{MAX_X1_DEGREE}")
+    if ortho_max is not None and ortho_max < 0:
+        raise SchemaError(f"--ortho-max must be at least 0, got {ortho_max}")
     from . import xjacobi as xj
 
     g = _rat(g, "g")
@@ -527,7 +529,7 @@ def cmd_monodromy(inst: dict, tol: float) -> tuple:
 # -- sweep -----------------------------------------------------------------------
 
 
-def _run_file(path, mode, precision_bits, tol, tol_exp, deep, seed) -> tuple:
+def _run_file(path, mode, precision_bits, tol, tol_exp, seed) -> tuple:
     """Run one instance file through the command its kind (and, for heun
     files, its mode) selects."""
     inst = load_instance(path)
@@ -536,7 +538,7 @@ def _run_file(path, mode, precision_bits, tol, tol_exp, deep, seed) -> tuple:
             return cmd_monodromy(inst, tol)
         return cmd_apparency(inst)
     if inst["kind"] == "apparent_fuchsian":
-        return cmd_factorize(inst, mode, precision_bits, tol_exp, deep, seed)
+        return cmd_factorize(inst, mode, precision_bits, tol_exp, seed)
     params = inst["parameters"]
     _check_keys(params, {"k", "g", "h"}, "parameters", required={"k", "g", "h"})
     if type(params["k"]) is not int:
@@ -565,7 +567,7 @@ def _sweep_workers(files: int) -> int:
 
 def cmd_sweep(directory: str, opts: dict) -> tuple:
     """``opts`` holds the settings forwarded to every file: mode,
-    precision_bits, tol, tol_exp, deep and seed."""
+    precision_bits, tol, tol_exp and seed."""
     root = Path(directory)
     if not root.is_dir():
         raise SchemaError(f"{root} is not a directory")
@@ -629,11 +631,10 @@ FLAGS = {
     "precision_bits": dict(type=int, default=None),
     "tol": dict(type=float, default=1e-12),
     "tol_exp": dict(type=int, default=-60),
-    "deep": dict(action="store_true"),
     "seed": dict(type=int, default=None),
     "ortho_max": dict(type=int, default=None),
 }
-SWEEP_FLAGS = ("mode", "precision_bits", "tol", "tol_exp", "deep", "seed")
+SWEEP_FLAGS = ("mode", "precision_bits", "tol", "tol_exp", "seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -658,9 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
     command("apparency", "condition polynomial for z = t", {"instance": str}, (),
             lambda a: cmd_apparency(load_instance(a.instance)))
     command("factorize", "verify the operator factorization", {"instance": str},
-            ("mode", "precision_bits", "tol_exp", "deep", "seed"),
+            ("mode", "precision_bits", "tol_exp", "seed"),
             lambda a: cmd_factorize(load_instance(a.instance), a.mode, a.precision_bits,
-                                    a.tol_exp, a.deep, a.seed))
+                                    a.tol_exp, a.seed))
     command("x1", "exceptional-Jacobi checks", {"k": int, "g": str, "h": str},
             ("ortho_max",), lambda a: cmd_x1(a.k, a.g, a.h, a.ortho_max))
     command("monodromy", "numeric apparency oracle", {"instance": str}, ("tol",),

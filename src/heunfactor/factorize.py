@@ -59,7 +59,12 @@ SUPPORTED_PROFILES = (
     (1, 1, 1),
 )
 
-#: exact-symbolic runs allowed by default; 4 and 5 only under --deep
+#: the largest precision of a numeric verification: a cold m = 5 run (gamma
+#: 5/7, alpha 1/3, beta 3/5, t 2) took 0.26 s at 300 bits, 8.9 s at 100000
+MAX_PRECISION_BITS = 32768
+
+#: exact M = 1 strengths run without deep=True; the CLI always passes it:
+#: only fully symbolic 4 and 5 are slow, and a file's alpha..t are rational
 DEFAULT_EXACT_M1 = 3
 
 
@@ -734,8 +739,8 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
 
     from . import _mpnum
 
-    if bits < 1:
-        raise UsageError(f"precision must be a positive number of bits, got {bits}")
+    if not 1 <= bits <= MAX_PRECISION_BITS:
+        raise UsageError(f"precision must be 1..{MAX_PRECISION_BITS} bits, got {bits}")
     if not -bits * math.log10(2) < tol_exp < 0:
         raise UsageError(f"tol_exp = {tol_exp} is outside (-{bits} log10 2, 0)")
     Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)

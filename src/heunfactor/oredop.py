@@ -7,6 +7,11 @@ invertible leading coefficient is exact.  Both add up their Leibniz
 products without cancelling partial sums and cancel each coefficient they
 return once, so the returned coefficients are reduced.
 
+`leibniz` and `right_divide` write that product and that division once for
+any coefficient ring (Bronstein and Petkovsek, "An introduction to
+pseudo-linear algebra", 1996); the fixed-point ``_mpnum.DiffOpM`` divides
+with them too.
+
 ``QuasiFunction`` models w^a (w-1)^b R(w) with symbolic exponents; it is
 closed under d/dw, which is what the quasi-polynomial checks need.
 """
@@ -124,11 +129,8 @@ class DiffOp:
         if not isinstance(other, DiffOp):
             return NotImplemented
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return DiffOp.zero_op(self.ring, self.var)
-        zero = RatFunc.of(0, self.ring)
-        return DiffOp(self.ring, self.var, [_cancelled(_sum(ts)) if ts else zero
-                                            for ts in _leibniz(self.coeffs, other)])
+        return DiffOp(self.ring, self.var, [_cancelled(_sum(ts)) if ts else 0
+                                            for ts in leibniz(self.coeffs, other, _product)])
 
     def apply(self, f) -> RatFunc:
         """Apply the operator to a rational function of the main variable."""
@@ -160,24 +162,13 @@ class DiffOp:
         self._check(other)
         if other.order < 1:
             raise DiffOpError("divisor must have order >= 1")
-        lead = other.leading
-        if lead.is_zero:  # pragma: no cover - trimmed representation
-            raise DiffOpError("divisor leading coefficient vanishes identically")
-        ring, var, n = self.ring, self.var, other.order
-        zero = RatFunc.of(0, ring)
         # the remainder's coefficients stay uncancelled until the end
-        rem = list(self.coeffs)
-        q = [zero] * max(len(rem) - n, 0)
-        while len(rem) > n:
-            k = len(rem) - 1 - n
-            q[k] = qk = rem[-1] / lead
-            # rem -= (qk * D^k) * other; the top coefficient cancels exactly
-            step = _leibniz([zero] * k + [-qk], other)
-            rem = [_sum([c] + ts) for c, ts in zip(rem[:-1], step)]
-            while rem and rem[-1].is_zero:
-                rem.pop()
-        return (DiffOp(ring, var, q),
-                DiffOp(ring, var, [_cancelled(c) for c in rem]))
+        q, rem = right_divide(self.coeffs, other, RatFunc.of(0, self.ring),
+                              lambda c: c / other.leading,
+                              lambda a, b, ck: _product(a, b, -ck),
+                              lambda c, ts: _sum([c] + ts))
+        return (DiffOp(self.ring, self.var, q),
+                DiffOp(self.ring, self.var, [_cancelled(c) for c in rem]))
 
     def local_coeffs(self, point: RatFunc) -> list:
         """The operator about var = point, for ``heun.frobenius_series``:
@@ -220,9 +211,11 @@ class DiffOp:
         return f"<DiffOp {self.pretty()}>"
 
 
-def _leibniz(coeffs: Sequence, other: DiffOp) -> list:
+def leibniz(coeffs: Sequence, other, term) -> list:
     """Per coefficient of (sum_i coeffs[i] D^i) * other, the list of its
-    uncancelled Leibniz products, by D^i o b = sum_k C(i, k) b^(k) D^(i-k)."""
+    Leibniz terms term(a, b, C(i, k)), by D^i o b = sum_k C(i, k) b^(k)
+    D^(i-k); ``other`` is any operator with ``order`` and
+    ``derivative_table``, and zero coefficients give no terms."""
     derivs = other.derivative_table(len(coeffs) - 1)
     out = [[] for _ in range(len(coeffs) + other.order)]
     for i, a in enumerate(coeffs):
@@ -232,12 +225,35 @@ def _leibniz(coeffs: Sequence, other: DiffOp) -> list:
             ck = comb(i, k)
             for j, b in enumerate(derivs[k]):
                 if not b.is_zero:
-                    fac = a.den_factors()
-                    for f, m in b.den_factors().items():
-                        fac[f] = fac.get(f, 0) + m
-                    out[i - k + j].append(
-                        RatFunc(a.num * b.num * ck, fac, _simplify=False))
+                    out[i - k + j].append(term(a, b, ck))
     return out
+
+
+def right_divide(coeffs: Sequence, other, zero, quotient, term, combine) -> tuple:
+    """Coefficient lists (q, rem), sum_i coeffs[i] D^i = q * other + rem and
+    len(rem) <= order(other): a step's qk = quotient(top) is the top over
+    other's leading coefficient, and each coefficient c below the top becomes
+    combine(c, its terms of (qk D^k) * other by `leibniz` with ``term``)."""
+    n = other.order
+    rem = list(coeffs)
+    q = [zero] * max(len(rem) - n, 0)
+    while len(rem) > n:
+        k = len(rem) - 1 - n
+        q[k] = qk = quotient(rem[-1])
+        step = leibniz([zero] * k + [qk], other, term)
+        # the top coefficient cancels exactly, so it is dropped, not computed
+        rem = [combine(c, ts) for c, ts in zip(rem[:-1], step)]
+        while rem and rem[-1].is_zero:
+            rem.pop()
+    return q, rem
+
+
+def _product(a: RatFunc, b: RatFunc, ck: int) -> RatFunc:
+    """ck a b, uncancelled."""
+    fac = a.den_factors()
+    for f, m in b.den_factors().items():
+        fac[f] = fac.get(f, 0) + m
+    return RatFunc(a.num * b.num * ck, fac, _simplify=False)
 
 
 def _sum(terms: list) -> RatFunc:

@@ -11,6 +11,7 @@ import tempfile
 import time
 from fractions import Fraction as F
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,6 +20,7 @@ from mpmath import mp
 import heunfactor.cli
 from heunfactor.cli import MAX_MULTIPLICITY, MAX_X1_DEGREE, _float_roots, main
 from heunfactor.exactalg import RatFunc, poly_deriv, poly_eval, poly_mul
+from heunfactor.factorize import MAX_PRECISION_BITS
 from heunfactor.heun import HeunParams, apparency_poly
 
 
@@ -325,6 +327,37 @@ class TestFactorizeCommand:
         assert float(rep["esym"][0][1:].split()[0]) == pytest.approx(-22 / 3)
         assert float(rep["defect_max"]) == 3.0
 
+    @pytest.mark.parametrize("via", ["direct", "sweep"])
+    def test_exact_m5_with_q_symbolic_passes_without_a_flag(self, tmp_path, capsys, via):
+        # a file gives alpha, beta, gamma and t as rationals: with q symbolic
+        # the exact M = 1, m = 5 run takes a fraction of a second, and it
+        # passes by default (it once exited 1 unless --deep was given)
+        inst = _with(MAIER, alpha="1/3", beta="2/7", sing=[{"t": "2", "m": 5}],
+                     q={"sym": "q"})
+        path = write(tmp_path, "i.json", inst)
+        code, out, err = run_cli(["factorize", path] if via == "direct"
+                                 else ["sweep", str(tmp_path)], capsys)
+        rep = json.loads(out)
+        if via == "sweep":
+            assert rep["results"][0]["exit_code"] == 0
+            rep = rep["results"][0]["report"]
+        assert code == 0 and err == ""
+        assert rep["pass"] and rep["defect_max"] == "0" and rep["profile"] == [5]
+        assert len(rep["esym"]) == 5 and "q^5" in rep["esym"][4]
+
+    @pytest.mark.parametrize("via", ["flag", "file", "sweep"])
+    def test_precision_past_the_limit_exits_1(self, tmp_path, capsys, via):
+        bits = MAX_PRECISION_BITS + 1
+        inst = dict(NUMERIC_M1, precision_bits=bits) if via == "file" else NUMERIC_M1
+        path = write(tmp_path, "i.json", inst)
+        flags = [] if via == "file" else ["--precision-bits", str(bits)]
+        code, out, err = run_cli(["sweep" if via == "sweep" else "factorize",
+                                  str(tmp_path) if via == "sweep" else path] + flags,
+                                 capsys)
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(MAX_PRECISION_BITS) in err
+
 
 class TestX1Command:
     def test_full_checks(self, capsys):
@@ -357,6 +390,14 @@ class TestX1Command:
         assert code == 1 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(MAX_X1_DEGREE) in err
+
+    @pytest.mark.parametrize("j", [-1, -5, -10 ** 20])
+    def test_negative_ortho_max_exits_1(self, capsys, j):
+        # it once ran no orthogonality check, and passed with an empty one
+        code, out, err = run_cli(["x1", "3", "1", "1/4", "--ortho-max", str(j)], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "--ortho-max" in err
 
     @pytest.mark.parametrize("g", ["12", "40", "1000"])
     def test_unconverged_orthogonality_exits_2(self, capsys, g):
@@ -834,6 +875,58 @@ def test_version_must_be_the_integer_1(tmp_path, capsys, version):
     assert code == 1 and "unsupported version" in err
 
 
+_flag_value = (
+    (st.integers(-5, 400)
+     | st.sampled_from([10 ** 18, -10 ** 18, 10 ** 400, MAX_PRECISION_BITS + 1])).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(["nan", "inf", "-inf", "1e-400", "1e400", "-0", "0.5", "1/2", "",
+                       "exact", "numeric", "9" * 5000])
+    | st.text(max_size=6))
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """Positionals per command for the flag fuzz: instance files, and for
+    the sweep two directories of one file each (so that a failed file is
+    one error line)."""
+    d = tmp_path_factory.mktemp("flags")
+    for name, inst in (("factorize", NUMERIC_M1), ("monodromy", MONODROMY)):
+        (d / name).mkdir()
+        write(d / name, "i.json", inst)
+    return {"factorize": [[str(d / "factorize" / "i.json")]],
+            "monodromy": [[str(d / "monodromy" / "i.json")]],
+            "x1": [["3", "1", "1/4"]],
+            "sweep": [[str(d / "factorize")], [str(d / "monodromy")]]}
+
+
+@pytest.mark.parametrize("command", ["factorize", "monodromy", "sweep", "x1"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_fuzzed_flags_keep_exit_contract(flag_inputs, command, data):
+    # every flag a command takes left out, set to a usual value, or set to
+    # an arbitrary string (ints, negative and huge ones, nan, inf, text):
+    # exit 0, 1 or 2, no traceback, and a usage error is one error line
+    positionals = data.draw(st.sampled_from(flag_inputs[command]))
+    argv = [command] + positionals
+    for flag in sorted(COMMAND_FLAGS[command][1]):
+        how = data.draw(st.sampled_from(["absent", "usual", "fuzzed"]), label=flag)
+        if how != "absent":
+            value = FLAG_ARGS[flag][1] if how == "usual" else data.draw(_flag_value)
+            argv.append(f"{flag}={value}")
+    argv.append(data.draw(st.sampled_from(["--json", "--text"])))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"HEUNFACTOR_THREADS": "1"}):
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse's usage errors
+            code = e.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    errors = [l for l in err.getvalue().splitlines() if l.startswith("error:")]
+    assert len(errors) == (code == 1), err.getvalue()
+
+
 def _assert_exit_contract(command: list, inst: dict, as_dir: bool = False):
     """``command`` on ``inst`` written to a file (or, with as_dir, on the
     directory that holds it) exits 0, 1 or 2 without a traceback."""
@@ -884,14 +977,13 @@ FLAG_ARGS = {"--mode": ["--mode", "exact"], "--precision-bits": ["--precision-bi
              "--tol": ["--tol", "1e-12"], "--tol-exp": ["--tol-exp", "-60"],
              "--deep": ["--deep"], "--seed": ["--seed", "0"],
              "--ortho-max": ["--ortho-max", "1"]}
+# --deep is gone: every command refuses it as an unrecognized argument
 COMMAND_FLAGS = {
     "apparency": (["i.json"], set()),
     "monodromy": (["i.json"], {"--tol"}),
     "x1": (["3", "1", "1/4"], {"--ortho-max"}),
-    "factorize": (["i.json"], {"--mode", "--precision-bits", "--tol-exp", "--deep",
-                               "--seed"}),
-    "sweep": (["d"], {"--mode", "--precision-bits", "--tol", "--tol-exp", "--deep",
-                      "--seed"}),
+    "factorize": (["i.json"], {"--mode", "--precision-bits", "--tol-exp", "--seed"}),
+    "sweep": (["d"], {"--mode", "--precision-bits", "--tol", "--tol-exp", "--seed"}),
 }
 
 
@@ -919,7 +1011,7 @@ def test_option_count():
     # --json/--text set one option, so count destinations, not spellings
     dests = {name: {a.dest for a in sp._actions if a.option_strings and a.dest != "help"}
              for name, sp in subparsers.items()}
-    assert sum(map(len, dests.values())) == 18
+    assert sum(map(len, dests.values())) == 16
 
 
 def test_commands_run_with_numpy_and_scipy_unimportable(tmp_path):

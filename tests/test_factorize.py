@@ -503,7 +503,7 @@ class TestNumericPipeline:
         inst = {"version": 1, "kind": "apparent_fuchsian", "mode": "numeric",
                 "parameters": {"gamma": "5/7", "alpha": "0", "beta": "-2/7",
                                "sing": [{"t": "5/2", "m": 6}]}}
-        report, code = cmd_factorize(inst, None, None, -60, False, None)
+        report, code = cmd_factorize(inst, None, None, -60, None)
         assert code == 0
         assert report["pass"] and float(report["defect_max"]) < 1e-60
 

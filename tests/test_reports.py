@@ -100,6 +100,6 @@ def test_numeric_factorization_reports(route):
     for extra, want, want_code in (({}, apparent, 0), ({"p": ["1"]}, control, 2)):
         inst = {"version": 1, "kind": "apparent_fuchsian", "mode": "numeric",
                 "parameters": {**params, **extra}}
-        report, code = cmd_factorize(inst, None, None, -60, False, None)
+        report, code = cmd_factorize(inst, None, None, -60, None)
         assert code == want_code
         assert digest(report) == want
