@@ -30,15 +30,15 @@ k max(1, |x|)^(k-1) 2^-(W+1) per part; a monomial in several
 variables rounds once more per factor; the int coefficients multiply and
 add exactly, and the content is one rounded multiply.  A value therefore
 errs by a few 2^-W times the sum of its absolute terms, with each |x|
-floored at 1.  Newton (`newton_apparency`) stops on a step below
+floored at 1.  Newton (`newton_apparency`) iterates in this fixed point
+too, its M x M step solve included, and stops on a step below
 10^-70 max(1, max |p|) at 300 bits; the error of F over |J| sets the noise
 of that step.  Large residues cost no significant bits: at t = 10^5
 (gamma 5/7, beta 3/5, m 3) the residue reaches |p| = 1.8e5 and the
 system's terms 1e30, and the root matches a 400-bit solve to 4e-91
 relative.  Small residues keep fewer bits only in their small terms: at
 t = 10^-6 the residue is 1.6e-10 and the root matches to 4e-91 as well.
-Only the step solve (M x M), the esym solve (N x N), the defect and the
-printed values are mpc.
+Only the esym solve (N x N), the defect and the printed values are mpc.
 
 The esym values come from the z = 0 series identity of L~ (an N x N solve,
 no division), or from the exact esym solve when that series cannot carry
@@ -51,10 +51,11 @@ by a leading coefficient equal to one, so degrees stay at desk scale.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import zip_longest
 from math import isqrt, lcm
-from operator import add
+from operator import add, truediv
 
 import mpmath
 from mpmath import mp
@@ -99,9 +100,10 @@ class GaussPoint:
     __slots__ = ("bits", "_powers")
 
     def __init__(self, values, bits: int):
-        """values: {variable name: an mpc, or anything ``to_mpc`` lifts}."""
+        """values: {variable name: an mpc, or anything ``to_mpc`` lifts, or a
+        fixed-point pair (re, im) in units of 2^-bits, taken as it is}."""
         self.bits = bits
-        self._powers = {name: [(1 << bits, 0), _fixed(to_mpc(v), bits)]
+        self._powers = {name: [(1 << bits, 0), v if type(v) is tuple else _fixed(to_mpc(v), bits)]
                         for name, v in values.items()}
 
     def _power(self, name: str, k: int) -> tuple:
@@ -134,7 +136,7 @@ class GaussPoint:
             else:
                 re += c * mono[0]
                 im += c * mono[1]
-        q = f._c * factor
+        q = f._c if factor == 1 else f._c * factor
         if q == 1:
             return re, im
         n, d = q.numerator, q.denominator
@@ -330,27 +332,30 @@ class DiffOpM:
         return DiffOpM(self.basis, q), DiffOpM(self.basis, rem)
 
 
-def _solve(A: list, b: list) -> list:
-    """x with A x = b for a square mpc matrix (a list of rows), by Gaussian
+def _solve(A: list, b: list, div=truediv,
+           mulsub=lambda c, fs, xs: c - sum(f * x for f, x in zip(fs, xs)), mag=abs) -> list:
+    """x with A x = b for a square matrix (a list of rows), by Gaussian
     elimination with partial pivoting; ZeroDivisionError when a pivot is no
-    larger than eps times the largest column sum of |A|."""
+    larger than eps = 2^(1 - prec) times the largest column sum of |A|.  The
+    arithmetic comes in as div(a, b) = a / b, mulsub(c, fs, xs) = c - sum f x
+    and mag(a) = |a|: mpc's by default, `_fixed_arithmetic`'s for Newton."""
     n = len(b)
     rows = [list(r) + [v] for r, v in zip(A, b)]
-    tol = max(sum(abs(r[j]) for r in rows) for j in range(n)) * mp.eps
+    colsum = max(sum(mag(r[j]) for r in rows) for j in range(n))
     for k in range(n):
-        piv = max(range(k, n), key=lambda i: abs(rows[i][k]))
-        rows[k], rows[piv] = rows[piv], rows[k]
+        size, piv = max((mag(rows[i][k]), -i) for i in range(k, n))   # first of equals
+        rows[k], rows[-piv] = rows[-piv], rows[k]
         top = rows[k]
-        if abs(top[k]) <= tol:
+        if size * (1 << mp.prec - 1) <= colsum:   # size <= eps colsum, exactly scaled
             raise ZeroDivisionError("matrix is numerically singular")
         for r in rows[k + 1:]:
-            f = r[k] / top[k]
+            f = (div(r[k], top[k]),)
             for j in range(k + 1, n + 1):
-                r[j] -= f * top[j]
+                r[j] = mulsub(r[j], f, (top[j],))
     x = [0] * n
     for k in reversed(range(n)):
         r = rows[k]
-        x[k] = (r[n] - sum(r[j] * x[j] for j in range(k + 1, n))) / r[k]
+        x[k] = div(mulsub(r[n], r[k + 1:n], x[k + 1:]), r[k])
     return x
 
 
@@ -433,40 +438,66 @@ def remainder_defect(Lt, table, roots, p_vals, esym) -> mpmath.mpf:
     return mpmath.ldexp(mp.mpf(top), -basis.bits)
 
 
+def _mag(x: tuple) -> int:
+    """|x| of a fixed-point pair, floored to the unit."""
+    return isqrt(x[0] * x[0] + x[1] * x[1])
+
+
+def _fixed_arithmetic(W: int) -> tuple:
+    """`_solve`'s (div, mulsub, mag) on Gaussian fixed-point pairs at 2^-W."""
+
+    def div(x, y):
+        # ((ac + bd) + i (bc - ad)) / (c^2 + d^2), rounded to nearest
+        (a, b), (c, d) = x, y
+        den = c * c + d * d
+        return tuple(((2 * v << W) + den) // (2 * den) for v in (a * c + b * d, b * c - a * d))
+
+    def mulsub(c, fs, xs):
+        re, im = c
+        for f, x in zip(fs, xs):
+            a, b = _round_mul(f, x, W)
+            re, im = re - a, im - b
+        return re, im
+
+    return div, mulsub, _mag
+
+
 def newton_apparency(system, names, seed=0):
     """Solve P_1(p)=...=P_M(p)=0 by damped Newton from at most 60 random
     complex starts in [-2, 2]^2, each step at most max(1, max |p_i|) long.
 
-    system: the MultiPolys P_j in the variables ``names`` (p1..pM).  F and
-    its Jacobian are evaluated at each iterate in Gaussian fixed point at
-    scale 2^-W, W = mp.prec + GUARD_BITS (`GaussPoint`); the M x M step
-    solve runs in mpc.  Deterministic for fixed seed.  Returns p (mpc)
-    after the first full step shorter than tol max(1, max |p_i|), tol =
+    system: the MultiPolys P_j in the variables ``names`` (p1..pM).  From
+    each start to the root, p, F (`GaussPoint.value`), its Jacobian, the
+    M x M step solve (`_fixed_arithmetic`: products and quotients rounded
+    once) and the update are Gaussian fixed point at scale 2^-W, W = mp.prec
+    + GUARD_BITS.  Deterministic for fixed seed.  Returns p (mpc) after the
+    first full step shorter than tol max(1, max |p_i|), tol =
     10^max(-70, 12 - dps): 12 digits above working precision, capped at the
     certification target -70 of 300 bits.  Newton converges quadratically
     there, so p lies far closer to the root than that step, down to the
     rounding floor of the system.  No absolute residual is asked for: a
     system with large terms keeps its residual above any fixed target at
     working precision."""
-    import random as _random
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     M, W = len(names), mp.prec + GUARD_BITS
     jac = [[P.derivative(n) for n in names] for P in system]
-    tol = mp.mpf(10) ** max(-70, 12 - mp.dps)
+    one = 1 << W
+    tol = (one * 10 ** 12) // 10 ** min(82, mp.dps)   # 10^max(-70, 12 - dps) 2^W
+    arithmetic = _fixed_arithmetic(W)
     for _ in range(60):
-        p = [mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(M)]
+        p = [_fixed(mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)), W) for _ in range(M)]
         for _ in range(220):
             at = GaussPoint(dict(zip(names, p)), W)
-            F = [at.mpc(P) for P in system]
-            J = [[at.mpc(d) for d in row] for row in jac]
             try:
-                step = _solve(J, F)
+                step = _solve([[at.value(d) for d in row] for row in jac],
+                              [at.value(P) for P in system], *arithmetic)
             except ZeroDivisionError:
                 break
-            nrm = max(abs(x) for x in step)
-            reach = max(1, max(abs(x) for x in p))
-            damp = 1 if nrm < reach else reach / nrm
-            p = [x - damp * dx for x, dx in zip(p, step)]
-            if nrm < tol * reach:
-                return p
+            nrm = max(map(_mag, step))
+            reach = max(one, max(map(_mag, p)))
+            if nrm >= reach:
+                step = [tuple((2 * v * reach + nrm) // (2 * nrm) for v in dx) for dx in step]
+            p = [(x - dx, y - dy) for (x, y), (dx, dy) in zip(p, step)]
+            if nrm << W < tol * reach:
+                return [_unfixed(x, W) for x in p]
     raise RuntimeError("Newton failed to converge on the apparency system")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random as _random
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -177,11 +178,14 @@ class ApparentFuchsian:
             raise UsageError("heun_q is only defined for M = 1")
         return -self.s_coeffs[0]
 
+    @cached_property
     def cleared(self) -> tuple:
         """(roots, Q, P1, S) of the cleared form Q L~ = Q D^2 + P1 D + S:
         Q = z (z-1) prod(z - t_k) with roots 0, 1, t_1..t_M,
         P1 = gamma Q/z + delta Q/(z-1) - sum m_k Q/(z - t_k) and
-        S = sum s_i z^i, as coefficient lists in z, low degree first.
+        S = sum s_i z^i, as coefficient tuples in z, low degree first; built
+        once per instance and kept in its __dict__, outside the fields that
+        ``__eq__`` and ``__hash__`` read.
 
         With gamma, delta and the t_k rational and the s_i polynomials, the
         roots and the entries of Q and P1 are ints or Fractions and those of
@@ -199,13 +203,13 @@ class ApparentFuchsian:
         P1 = [0]
         for r, w in zip(roots, weights):
             P1 = poly_add(P1, poly_scale(poly_deflate(Q, r), w))
-        return roots, Q, P1, S
+        return tuple(roots), tuple(Q), tuple(P1), tuple(S)
 
     def local_coeffs(self, point: RatFunc) -> list:
         """The cleared form about z = point, for `heun.frobenius_series`
         (see `DiffOp.local_coeffs`): S, P1 and Q Taylor-shifted to the
         point, as {m: nonzero coefficient of (z - point)^m}."""
-        _, Q, P1, S = self.cleared()
+        _, Q, P1, S = self.cleared
         c = point.fraction()
         if c is None:
             c = point
@@ -220,7 +224,7 @@ class ApparentFuchsian:
         """L~ as the monic DiffOp D^2 + (P1/Q) D + S/Q, each coefficient
         over the factors z - r of Q."""
         ring = self.ring
-        roots, _, P1, S = self.cleared()
+        roots, _, P1, S = self.cleared
         z = RatFunc.of(ring.var("z"), ring)
         fac: dict = {}
         cofactor = ring.one   # the denominators of the roots
@@ -665,12 +669,12 @@ def solve_apparent_p(gamma: Fraction, delta: Fraction, sing: Sequence,
                      Lt: Optional[ApparentFuchsian] = None):
     """Numerically solve the apparency system for the residues p_1..p_M.
 
-    Damped Newton at `bits` precision from seeded random complex starts
-    (`_mpnum.newton_apparency`), stopped after the first full step shorter
-    than tol max(1, max |p_i|), tol = 1e-70 at 300 bits and above; no
-    absolute residual is asked for.  Returns the residues as mpc.  `Lt`
-    takes `_residue_atom_factor` of the same data when the caller has
-    built it already.
+    Damped Newton at `bits` precision from seeded random complex starts, in
+    Gaussian fixed point up to the returned root (`_mpnum.newton_apparency`),
+    stopped after the first full step shorter than tol max(1, max |p_i|),
+    tol = 1e-70 at 300 bits and above; no absolute residual is asked for.
+    Returns the residues as mpc.  `Lt` takes `_residue_atom_factor` of the
+    same data when the caller has built it already.
     """
     from mpmath import mp
 

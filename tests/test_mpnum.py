@@ -293,15 +293,60 @@ def _apparent_m3(t, alpha, beta):
 def test_step_solve_matches_lu_solve_and_rejects_a_singular_matrix():
     rng = random.Random(7)
     with mp.workprec(300):
+        W = mp.prec + _mpnum.GUARD_BITS
+        fixed = _mpnum._fixed_arithmetic(W)
         for n in (1, 2, 3):
             A = [[_random_mpc(rng, 10) for _ in range(n)] for _ in range(n)]
             b = [_random_mpc(rng, 10) for _ in range(n)]
             want = mp.lu_solve(mp.matrix(A), mp.matrix(b))
             for x, y in zip(_mpnum._solve(A, b), want):
                 assert abs(x - y) <= mp.mpf(10) ** -85 * abs(y)
+        for trial in range(60):
+            # one scale s from 1e-6 to 1e6 per system: fixed point rounds each
+            # product and quotient to 2^-W absolutely, 2^-W / s relative to
+            # the entries; the reference solves the same rounded entries
+            n, scale = trial % 3 + 1, mp.mpf(10) ** rng.randint(-6, 6)
+            A = [[_mpnum._fixed(_random_mpc(rng, scale), W) for _ in range(n)] for _ in range(n)]
+            b = [_mpnum._fixed(_random_mpc(rng, scale), W) for _ in range(n)]
+            got = _mpnum._solve(A, b, *fixed)
+            with mp.workprec(W + 64):
+                want = mp.lu_solve(mp.matrix([[_mpnum._unfixed(a, W) for a in r] for r in A]),
+                                   mp.matrix([_mpnum._unfixed(v, W) for v in b]))
+                bound = mp.ldexp(max(1, max(abs(y) for y in want)) / min(1, scale), 20 - W)
+                assert all(abs(_mpnum._unfixed(x, W) - y) <= bound for x, y in zip(got, want))
+        singular = ([[mp.mpc(1, 2), mp.mpc(2, 4)], [mp.mpc(3), mp.mpc(6)]], [mp.mpc(1), mp.mpc(2)])
         with pytest.raises(ZeroDivisionError):
-            _mpnum._solve([[mp.mpc(1, 2), mp.mpc(2, 4)], [mp.mpc(3), mp.mpc(6)]],
-                          [mp.mpc(1), mp.mpc(2)])
+            _mpnum._solve(*singular)
+        with pytest.raises(ZeroDivisionError):
+            _mpnum._solve([[_mpnum._fixed(a, W) for a in r] for r in singular[0]],
+                          [_mpnum._fixed(v, W) for v in singular[1]], *fixed)
+
+
+@pytest.mark.parametrize("profile", [(4,), (2, 2), (1, 1, 1)],
+                         ids=lambda p: "".join(map(str, p)))
+def test_newton_stays_in_fixed_point_and_lands_on_the_root(profile, monkeypatch):
+    Lt = _residue_atom_factor(*random_profile_instance(profile, seed=5))
+    system, names = apparency_system(Lt), [f"p{k}" for k in range(1, len(profile) + 1)]
+    real, unfixed = _mpnum._unfixed, []
+    monkeypatch.setattr(_mpnum, "_unfixed", lambda v, W: unfixed.append(v) or real(v, W))
+    with mp.workprec(300):
+        p = _mpnum.newton_apparency(system, names, seed=0)
+    # only the returned root leaves fixed point: no iterate goes through mpc
+    assert len(unfixed) == len(names)
+    with mp.workprec(400):
+        if len(names) == 1:
+            cs = system[0].coeffs_in("p1")
+            poly = [to_mpc(cs[k].const_value()) if k in cs else 0
+                    for k in range(max(cs), -1, -1)]
+            root = min(mp.polyroots(poly, maxsteps=200, extraprec=400),
+                       key=lambda r: abs(r - p[0]))
+            assert abs(p[0] - root) <= mp.mpf(10) ** -90 * abs(root)
+        else:
+            at = dict(zip(names, p))
+            F = [P.eval_num(at, to_mpc) for P in system]
+            J = [[P.derivative(n).eval_num(at, to_mpc) for n in names] for P in system]
+            step = mp.lu_solve(mp.matrix(J), mp.matrix(F))
+            assert max(abs(x) for x in step) <= mp.mpf(10) ** -85 * max(abs(x) for x in p)
 
 
 @pytest.mark.parametrize(("t", "alpha", "beta", "root"), [
