@@ -1,11 +1,16 @@
 """High-precision numeric operator arithmetic (mpmath lane).
 
-Runs the factorization defect check at several hundred bits on the exact
-L-tilde evaluated at numeric residues, and on L_GHG built from its th-table
-(`ghg._theta_table`) at numeric esym values: rational functions whose
-denominators are exponent vectors over a fixed basis of linear factors
-(z - r_i), and operators over them, whose right division by a monic
-operator is `oredop.right_divide` with fixed-point coefficients.
+Runs the factorization defect check at several hundred bits: L_GHG, built
+from its th-table (`ghg._theta_table`) at numeric esym values, is reduced
+modulo L-tilde, read from its cleared form Q D^2 + P1 D + S at numeric
+residues (`cleared_remainder`, the D^j mod L-tilde recurrence).  The
+remainder r1 D + r0 is read over z^N Q^(N+1), Q = z (z-1) prod(z - t_k),
+a denominator fixed by the instance, whatever form the operators take.
+Rational functions whose denominators are exponent vectors over a fixed
+basis of linear factors (z - r_i) (`RatM`), and operators over them
+(`DiffOpM`), carry L_GHG's coefficients; ``DiffOpM.right_divide_monic``,
+`oredop.right_divide` with fixed-point coefficients, is the tests'
+reference division.
 
 Numerators are Gaussian integers in fixed point: two int coefficient lists
 (re, im) standing for (re + i im) 2^-W, with one W per `FactorBasis`, the
@@ -42,17 +47,18 @@ Only the esym solve (N x N), the defect and the printed values are mpc.
 
 The esym values come from the z = 0 series identity of L~ (an N x N solve,
 no division), or from the exact esym solve when that series cannot carry
-them (``factorize.verify_factorization_numeric``); either way one division,
-``remainder_defect``, decides the verdict.
-
-Denominators never need cancellation here: every division in the pipeline is
-by a leading coefficient equal to one, so degrees stay at desk scale.
+them (``factorize.verify_factorization_numeric``); either way one
+remainder, ``remainder_defect``, decides the verdict.  It needs no
+quotient: each step of the recurrence is a few products with Q, Q', P1
+and S, and the denominators are powers of Q known in advance, so nothing
+is cancelled or lifted.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 from math import isqrt, lcm
 from operator import add, truediv
@@ -62,7 +68,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .exactalg import (_FIELD_MASK, MultiPoly, UsageError, _frac, exact_div, poly_add,
-                       poly_deriv, poly_mul, poly_scale, poly_shift, poly_trim)
+                       poly_deflate, poly_deriv, poly_mul, poly_scale, poly_shift, poly_trim)
 from .oredop import right_divide
 
 # bits kept below the working precision by the fixed-point numerators
@@ -161,6 +167,11 @@ def _rounded(p: list, W: int) -> list:
     return [(c + half) >> W for c in p]
 
 
+def _fixed_rationals(a, W: int) -> list:
+    """Rational coefficients in units of 2^-W, rounded to nearest, ties up."""
+    return [(2 * c.numerator << W) // c.denominator + 1 >> 1 for c in map(Fraction, a)]
+
+
 def _gauss_mul(a: list, b: list, c: list, d: list) -> tuple:
     """(a + i b)(c + i d) for int coefficient lists, exactly: three products,
     or two when one factor is real."""
@@ -201,27 +212,17 @@ class FactorBasis:
             out = self._splits[fac] = (exps, rest.const_value())
         return out
 
-    def _product(self, vec) -> tuple:
-        """(P, D): prod (z - r_i)^vec_i = P(z) / D with P an int list."""
-        P, D = [1], 1
-        for r, k in zip(self.exact, vec):
-            for _ in range(k):
-                P = poly_mul(P, [-r.numerator, r.denominator])
-            D *= r.denominator ** k
-        return P, D
-
-    def _fixed_poly(self, P: list, D: int) -> list:
-        """P / D in units of 2^-W, rounded to nearest."""
-        W = self.bits + 1
-        return [((c << W) // D + 1) >> 1 for c in P]
-
     def expand(self, vec) -> list:
         """prod (z - r_i)^vec_i in fixed point, one int list (the roots are
         real), exact and then rounded; built once per exponent vector."""
         vec = tuple(vec)
         out = self._products.get(vec)
         if out is None:
-            out = self._products[vec] = self._fixed_poly(*self._product(vec))
+            P = [1]
+            for r, k in zip(self.exact, vec):
+                for _ in range(k):
+                    P = poly_mul(P, [-r, 1])
+            out = self._products[vec] = _fixed_rationals(P, self.bits)
         return out
 
 
@@ -419,23 +420,77 @@ def ghg_operator_at(basis: FactorBasis, table, esym) -> DiffOpM:
     return DiffOpM(basis, coeffs)
 
 
-def remainder_defect(Lt, table, roots, p_vals, esym) -> mpmath.mpf:
-    """The verdict's one division: Lt is the exact L-tilde with the residue
-    atoms p1..pM, evaluated at p_vals, and L_GHG comes from its th-table at
-    the esym values (`ghg_operator_at`), both over the factor basis of
-    ``roots`` (the singular points [0, 1, t_1, ..., t_M]); returns the
-    largest absolute numerator coefficient of the remainder of L_GHG by
-    L-tilde, the largest isqrt(re^2 + im^2) 2^-W over its fixed-point
-    coefficients.  Its error is a sum of roundings of at most 2^-(W+1) per
-    part, each amplified only by the other factors of its product (module
-    docstring)."""
+def _rounded_sum(W: int, *products) -> list:
+    """The sum of exact products of 2^-W polynomials, rounded once back to
+    scale 2^-W."""
+    return _rounded(reduce(poly_add, products), W)
+
+
+def cleared_remainder(Lt, table, p_vals, esym) -> tuple:
+    """(r1, r0, W): the remainder r1 D + r0 of L_GHG on right division by
+    L-tilde as Gaussian fixed-point numerators (re, im) at scale 2^-W over
+    z^N Q^(N+1), Q = z (z-1) prod(z - t_k).
+
+    L-tilde is the residue-atom factor with p_vals for its atoms, read from
+    its cleared form Q D^2 + P1 D + S (``Lt.cleared``, which must take its
+    rational branch); L_GHG comes from its th-table at the esym values
+    (`ghg_operator_at`), sum_j C_j D^j / (z^(N+1) (z-1)) with monic
+    D^(N+2).  The remainder of D^j is (U_j D + V_j) / Q^(j-1) by the normal
+    form D (u D + v) = (u' + v - u P1/Q) D + v' - u S/Q of pseudo-linear
+    algebra (Bronstein and Petkovsek, 1996): from U_1 = 1, V_1 = 0, with
+    e = j - 1,
+        U_(j+1) = (U_j' + V_j) Q - U_j (e Q' + P1),
+        V_(j+1) = V_j' Q - e Q' V_j - U_j S;
+    with U_0 = 0, V_0 = 1 over Q^0, and n = N + 2,
+        r = z^N X_n + prod(z - t_k) sum_(j<n) C_j X_j Q^(N - max(j-1, 0))
+    for X = U (r1) and X = V (r0), the sum by Horner in Q.  Q, Q', P1 and
+    prod(z - t_k) are rounded once, S by `GaussPoint.value`; each step sums
+    its exact products and rounds once."""
+    roots, Q, P1, S = Lt.cleared
+    if not all(isinstance(s, MultiPoly) for s in S):
+        raise UsageError("the fixed-point remainder needs rational gamma, delta and t_k")
     basis = FactorBasis(roots)
-    point = GaussPoint({f"p{k}": v for k, v in enumerate(p_vals, 1)}, basis.bits)
-    divisor = DiffOpM(basis, [RatM.from_exact(basis, c, point) for c in Lt.coeffs])
-    _, rem = ghg_operator_at(basis, table, esym).right_divide_monic(divisor)
-    top = max((isqrt(x * x + y * y) for c in rem.coeffs
-               for x, y in zip_longest(c.re, c.im, fillvalue=0)), default=0)
-    return mpmath.ldexp(mp.mpf(top), -basis.bits)
+    W, N = basis.bits, len(esym)
+    n = N + 2
+    q, dq, minus_p1, prod = (_fixed_rationals(a, W) for a in (
+        Q, poly_deriv(Q), poly_scale(P1, -1), poly_deflate(poly_deflate(Q, 0), 1)))
+    point = GaussPoint({f"p{k}": v for k, v in enumerate(p_vals, 1)}, W)
+    minus_s = tuple(poly_scale(part, -1) for part in zip(*map(point.value, S)))
+    zero, one = ([0], [0]), ([1 << W], [0])
+    U, V = [zero, one], [one, zero]
+    for e in range(n - 1):
+        (ur, ui), (vr, vi) = U[-1], V[-1]
+        minus_edq = poly_scale(dq, -e)
+        minus_b = poly_add(minus_edq, minus_p1)   # -(e Q' + P1)
+        minus_us = _gauss_mul(ur, ui, *minus_s)
+        U.append(tuple(_rounded_sum(W, poly_mul(poly_add(poly_deriv(u), v), q),
+                                    poly_mul(u, minus_b)) for u, v in ((ur, vr), (ui, vi))))
+        V.append(tuple(_rounded_sum(W, poly_mul(poly_deriv(v), q), poly_mul(v, minus_edq), t)
+                       for v, t in zip((vr, vi), minus_us)))
+    C = [(c.re, c.im) for c in ghg_operator_at(basis, table, esym).coeffs[:n]]
+    r = []
+    for X in (U, V):
+        acc = zero
+        for j in range(1, n):
+            terms = [_gauss_mul(*C[k], *X[k]) for k in ((1, 0) if j == 1 else (j,))]
+            acc = tuple(_rounded_sum(W, poly_mul(a, q), *ts) for a, *ts in zip(acc, *terms))
+        r.append(tuple(poly_add([0] * N + x, _rounded(poly_mul(a, prod), W))
+                       for x, a in zip(X[n], acc)))
+    return r[0], r[1], W
+
+
+def remainder_defect(Lt, table, p_vals, esym) -> mpmath.mpf:
+    """The verdict: the largest absolute numerator coefficient of the
+    remainder of L_GHG on right division by L-tilde (`cleared_remainder`),
+    read over the instance's fixed denominator z^N Q^(N+1), Q = z (z-1)
+    prod(z - t_k): the largest isqrt(re^2 + im^2) 2^-W over the fixed-point
+    coefficients of r1 and r0.  Its error is a sum of roundings of at most
+    2^-(W+1) per part, each amplified only by the other factors of its
+    product (module docstring)."""
+    r1, r0, W = cleared_remainder(Lt, table, p_vals, esym)
+    top = max(isqrt(x * x + y * y) for re, im in (r1, r0)
+              for x, y in zip_longest(re, im, fillvalue=0))
+    return mpmath.ldexp(mp.mpf(top), -W)
 
 
 def _mag(x: tuple) -> int:

@@ -394,21 +394,13 @@ class FactorizationWork:
     w_coeffs: tuple
 
 
-def _atom_operators(Lt: ApparentFuchsian, op: Optional[DiffOp] = None) -> tuple:
-    """(L_GHG with the e-atoms as its esym values, L~) of Lt; `op` takes L~
-    when the caller has built it already."""
+def _division_work(Lt: ApparentFuchsian) -> FactorizationWork:
+    """Right division of L_GHG, with the e-atoms as its esym values, by the
+    operator L~."""
     ring = Lt.ring
     es = [ring.var(f"e{j}") for j in range(1, Lt.N + 1)]
     L = ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma, es, ring)
-    return L, Lt.operator() if op is None else op
-
-
-def _division_work(Lt: ApparentFuchsian, ops: Optional[tuple] = None
-                   ) -> FactorizationWork:
-    """Right division of L_GHG by L~, both with e-atoms; `ops` takes the pair
-    `_atom_operators(Lt)` when the caller has built it already."""
-    L, op = ops or _atom_operators(Lt)
-    Q, rem = L.right_divide(op)
+    Q, rem = L.right_divide(Lt.operator())
     ws = [rem.coeff(0), rem.coeff(1)] + [RatFunc.of(0, Lt.ring)] * Lt.N
     return FactorizationWork(Q, tuple(ws))
 
@@ -437,12 +429,12 @@ def solve_esym(Lt: ApparentFuchsian, deep: bool = False) -> tuple:
     return _esym_solution(Lt)
 
 
-def _esym_solution(Lt: ApparentFuchsian, ops: Optional[tuple] = None) -> tuple:
-    """`solve_esym` without the profile gate; `ops` as in `_division_work`."""
+def _esym_solution(Lt: ApparentFuchsian) -> tuple:
+    """`solve_esym` without the profile gate."""
     ring = Lt.ring
     N = Lt.N
     e_names = [f"e{j}" for j in range(1, N + 1)]
-    work = _division_work(Lt, ops)
+    work = _division_work(Lt)
     w1 = work.w_coeffs[1]
     num = w1.num
     if Lt.M >= 2:
@@ -729,14 +721,16 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
     values (`_mpnum.solve_esym_numeric` returns None), they come from the
     exact esym solve on the residue-atom L~ (`_esym_solution`, no profile gate),
     evaluated at the residues; rows singular there raise ZeroDivisionError.
-    Only that fallback builds the exact L_GHG with the esym atoms.  L_GHG
-    comes from its th-table (`ghg._theta_table`) at the esym values, bit for
-    bit the exact operator evaluated there, and is divided by L~ once at
-    `bits` precision; a wrong esym value can only raise the defect, never
-    pass a verdict.  When p_vals is omitted the apparency system is solved
-    first.  Passes when the maximal defect coefficient is
-    below 10^tol_exp, which must lie in (-bits log10 2, 0): a bound no finer
-    than the working precision.
+    Only that fallback builds the exact L_GHG with the esym atoms and L~ as
+    an operator.  L_GHG comes from its th-table (`ghg._theta_table`) at the
+    esym values, bit for bit the exact operator evaluated there, and is
+    reduced modulo L~'s cleared form once at `bits` precision
+    (`_mpnum.remainder_defect`); a wrong esym value can only raise the
+    defect, never pass a verdict.  When p_vals is omitted the apparency
+    system is solved first.  Passes when the maximal numerator coefficient
+    of the remainder over z^N Q^(N+1), Q = z (z-1) prod(z - t_k), is below
+    10^tol_exp, which must lie in (-bits log10 2, 0): a bound no finer than
+    the working precision.
     """
     import mpmath
     from mpmath import mp
@@ -748,9 +742,7 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
     if not -bits * math.log10(2) < tol_exp < 0:
         raise UsageError(f"tol_exp = {tol_exp} is outside (-{bits} log10 2, 0)")
     Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
-    op = Lt.operator()
     table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), Lt.N)
-    roots = [0, 1] + [t for t, _ in sing]
     with mp.workprec(bits):
         if p_vals is None:
             p_vals = solve_apparent_p(gamma, delta, sing, prod_ab,
@@ -759,10 +751,9 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
                                   mp.prec + _mpnum.GUARD_BITS)
         series = _z0_series(Lt, point)
         es = _mpnum.solve_esym_numeric(*series) if series else None
-        if es is None:
-            ops = _atom_operators(Lt, op)   # the edges' exact esym solve
-            es = [point.mpc(v) for v in _esym_solution(Lt, ops)[0].values]
-        defect = _mpnum.remainder_defect(op, table, roots, p_vals, es)
+        if es is None:   # the edges' exact esym solve
+            es = [point.mpc(v) for v in _esym_solution(Lt)[0].values]
+        defect = _mpnum.remainder_defect(Lt, table, p_vals, es)
         passed = defect < mp.mpf(10) ** tol_exp
         esym = EsymVector("numeric", tuple(es))
         return VerificationReport(

@@ -481,6 +481,22 @@ class TestNumericPipeline:
             assert rep.passed
         assert calls == []
 
+    def test_series_verdicts_divide_by_no_operator(self, monkeypatch):
+        # the remainder comes from L~'s cleared form, so off the edges the
+        # verdict neither builds L~ as an operator nor divides one
+        from heunfactor import _mpnum
+
+        calls = []
+        for owner, name in ((ApparentFuchsian, "operator"), (_mpnum.DiffOpM, "right_divide_monic")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
+        for profile in [(2,), (1, 1), (1, 1, 1)]:
+            gamma, delta, sing, prod_ab = random_profile_instance(profile, seed=5)
+            rep = verify_factorization_numeric(gamma, delta, sing, prod_ab, bits=300)
+            assert rep.passed
+        assert calls == []
+
     @pytest.mark.parametrize("profile", [(1, 1), (2, 1)])
     def test_two_singularity_edges_pass_and_their_controls_fail(self, profile):
         from mpmath import mp

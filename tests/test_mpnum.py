@@ -1,7 +1,8 @@
 """Numeric lane: the fixed-point polynomial values against eval_num, the
 exact operators evaluated into the fixed-point operator type, L_GHG from
 its th-table against the evaluated exact one, the remainder against the
-exact one, the series esym values against the exact solve's,
+exact one, the cleared-form remainder against the Leibniz one, the series
+esym values against the exact solve's,
 the divisor's reused derivative table, Newton's step solve and reach, and
 the verdicts over a wide dynamic range."""
 
@@ -122,7 +123,7 @@ def test_fixed_point_remainder_equals_the_exact_one(inst):
     gamma, delta, sing, prod_ab, ps, es = inst
     Lt, L = _operators(gamma, delta, sing, prod_ab)
     op = Lt.operator()
-    exact = _division_work(Lt, (L, op)).w_coeffs
+    exact = _division_work(Lt).w_coeffs
     assign = {**{f"p{k}": to_mpc(v) for k, v in enumerate(ps, 1)},
               **{f"e{k}": to_mpc(v) for k, v in enumerate(es, 1)}}
     with mp.workprec(300):
@@ -227,8 +228,6 @@ def _check_routes_agree(gamma, delta, sing, prod_ab):
     residues to 1e-70 relative, both divide with defect below 1e-60;
     returns the series."""
     Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
-    op = Lt.operator()
-    roots = [0, 1] + [t for t, _ in sing]
     with mp.workprec(300):
         pv = solve_apparent_p(gamma, delta, sing, prod_ab, seed=0)
         assign = {f"p{k}": to_mpc(p) for k, p in enumerate(pv, 1)}
@@ -241,7 +240,7 @@ def _check_routes_agree(gamma, delta, sing, prod_ab):
             assert abs(x - y) <= mp.mpf(10) ** -70 * abs(y)
         table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), Lt.N)
         for values in (es, exact):
-            assert _mpnum.remainder_defect(op, table, roots, pv, values) < mp.mpf(10) ** -60
+            assert _mpnum.remainder_defect(Lt, table, pv, values) < mp.mpf(10) ** -60
     return series
 
 
@@ -288,6 +287,71 @@ def _apparent_m3(t, alpha, beta):
     """gamma = 5/7 and one extra singular point t of multiplicity 3."""
     gamma, m = F(5, 7), 3
     return gamma, alpha + beta - gamma + m + 1, [(t, m)], alpha * beta
+
+
+def _assert_cleared_remainder_is_leibniz(Lt, p_vals, es, bits=300) -> list:
+    """`cleared_remainder`'s r1, r0 over z^N Q^(N+1) equal the remainder of
+    `DiffOpM.right_divide_monic`, lifted to that denominator, within
+    2^8 H^(N+1) max(1, |C|) units of 2^-W: a unit per rounding, amplified
+    by at most N + 1 of L~'s cleared coefficients (H the largest |Q|, |P1|,
+    |S| coefficient, at least 1) and one of L_GHG's (C the largest).
+    Returns the vecs of the Leibniz r1 and r0."""
+    table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), Lt.N)
+    roots, Q, P1, S = Lt.cleared
+    with mp.workprec(bits):
+        r1, r0, W = _mpnum.cleared_remainder(Lt, table, p_vals, es)
+        basis = FactorBasis(roots)
+        assign = {f"p{k}": to_mpc(v) for k, v in enumerate(p_vals, 1)}
+        L = _mpnum.ghg_operator_at(basis, table, es)
+        _, rem = L.right_divide_monic(_at(basis, Lt.operator(), assign))
+        point = GaussPoint(assign, W)
+        H = max([mp.mpf(1)] + [abs(to_mpc(c)) for c in Q + P1] + [abs(point.mpc(s)) for s in S])
+        C = max(1, mp.ldexp(max(abs(x) for c in L.coeffs for x in c.re + c.im), -W))
+        bound = 2 ** 8 * H ** (Lt.N + 1) * C
+        over = (2 * Lt.N + 1,) + (Lt.N + 1,) * (Lt.M + 1)   # z^N Q^(N+1)
+        vecs = []
+        for k, got in ((1, r1), (0, r0)):
+            want = rem.coeffs[k] if k < len(rem.coeffs) else RatM.zero(basis)
+            assert all(v <= w for v, w in zip(want.vec, over))
+            vecs.append(want.vec)
+            for x, y in zip(got, want._lift(over)):
+                assert max(abs(a - b) for a, b in zip_longest(x, y, fillvalue=0)) <= bound
+    return vecs
+
+
+@settings(max_examples=25, deadline=None)
+@given(inst=_instances())
+def test_cleared_remainder_is_the_leibniz_remainder(inst):
+    gamma, delta, sing, prod_ab, ps, es = inst
+    Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
+    for shift in (0, F(1, 7)):
+        _assert_cleared_remainder_is_leibniz(Lt, [ps[0] + shift] + ps[1:], es)
+
+
+@pytest.mark.parametrize(("inst", "bits"), [
+    *((random_profile_instance(p, seed=11), 300)
+      for p in [(4,), (5,), (2, 2), (3, 1), (1, 3), (1, 1, 1)]),
+    (_pinned((5,), F(-1)), 300), (_pinned((1, 1, 1), F(-2)), 300),
+    ((F(0), F(1, 3) + F(3, 5) + 4, [(F(5, 2), 3)], F(1, 5)), 300),
+    (_apparent_m3(F(5, 2), F(0), F(-2, 7)), 300),
+    (_apparent_m3(F(5, 2), F(1, 3), F(-1)), 300),
+    (_apparent_m3(F(10 ** 5), F(200, 3), F(3, 5)), 400),
+    (_pinned((12,), F(3, 5)), 300),
+    (_pinned((2,), F(-55, 21)), 300),
+], ids=["4", "5", "22", "31", "13", "111", "5-pinned", "111-pinned", "gamma-0", "alpha-0",
+        "beta-minus-1", "t-1e5", "m12", "delta-0"])
+def test_cleared_remainder_is_the_leibniz_remainder_at_solved_values(inst, bits):
+    # apparent and at p + 1/7.  The Leibniz division reaches z^N Q^(N+1)
+    # itself, except in r1 for gamma = 0 (one z fewer, a shift) and for
+    # delta = 0 (one z - 1 fewer: r1 is the Leibniz r1 times z - 1)
+    gamma, delta = inst[:2]
+    Lt, es = _solved_esym(inst, bits)
+    with mp.workprec(bits):
+        pv = solve_apparent_p(*inst, seed=0, bits=bits)
+        over = (2 * Lt.N + 1,) + (Lt.N + 1,) * (Lt.M + 1)
+        r1_vec = (over[0] - (gamma == 0), over[1] - (delta == 0)) + over[2:]
+        for p in (pv, [pv[0] + to_mpc(F(1, 7))] + pv[1:]):
+            assert _assert_cleared_remainder_is_leibniz(Lt, p, es, bits) == [r1_vec, over]
 
 
 def test_step_solve_matches_lu_solve_and_rejects_a_singular_matrix():
