@@ -6,15 +6,20 @@ modulo L-tilde, read from its cleared form Q D^2 + P1 D + S at numeric
 residues (`cleared_remainder`, the D^j mod L-tilde recurrence).  The
 remainder r1 D + r0 is read over z^N Q^(N+1), Q = z (z-1) prod(z - t_k),
 a denominator fixed by the instance, whatever form the operators take.
-Rational functions whose denominators are exponent vectors over a fixed
-basis of linear factors (z - r_i) (`RatM`), and operators over them
-(`DiffOpM`), carry L_GHG's coefficients; ``DiffOpM.right_divide_monic``,
-`oredop.right_divide` with fixed-point coefficients, is the tests'
-reference division.
+
+The verdict's path (`remainder_defect`, `cleared_remainder`, `theta_at`)
+holds only Gaussian fixed-point pairs and int coefficient lists, all at
+the scale of the one `GaussPoint` of the residues.  The tests' reference
+layer is separate: rational functions whose denominators are exponent
+vectors over a fixed basis of linear factors (z - r_i) (`FactorBasis`,
+`RatM`), operators over them (`DiffOpM`) and ``DiffOpM.right_divide_monic``,
+`oredop.right_divide` with fixed-point coefficients, into which the tests
+evaluate the exact operators.
 
 Numerators are Gaussian integers in fixed point: two int coefficient lists
-(re, im) standing for (re + i im) 2^-W, with one W per `FactorBasis`, the
-working precision ``mp.prec`` at its construction plus ``GUARD_BITS``.
+(re, im) standing for (re + i im) 2^-W, with one W per `GaussPoint` (or
+`FactorBasis`), the working precision ``mp.prec`` at its construction plus
+``GUARD_BITS``.
 Sums, derivatives and integer scales are exact.  Each input coefficient and
 each coefficient of a product (exactalg's ``poly_mul`` on plain ints) is
 rounded once to the nearest multiple of 2^-W, an absolute error of at most
@@ -29,7 +34,7 @@ Every exact polynomial of the lane is evaluated one way, by `GaussPoint`:
 L-tilde's coefficients, the z = 0 series ratios and Newton's F and
 Jacobian.  L_GHG needs no polynomial evaluation: each z-coefficient is an
 affine form in the esym values, rounded once from its exact value as
-`GaussPoint.value` rounds it (`ghg_operator_at`).  A power x^k comes from
+`GaussPoint.value` rounds it (`theta_at`).  A power x^k comes from
 x^(k-1) x, rounded once, so its error is at most about
 k max(1, |x|)^(k-1) 2^-(W+1) per part; a monomial in several
 variables rounds once more per factor; the int coefficients multiply and
@@ -69,6 +74,7 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .exactalg import (_FIELD_MASK, MultiPoly, UsageError, _frac, exact_div, poly_add,
                        poly_deflate, poly_deriv, poly_mul, poly_scale, poly_shift, poly_trim)
+from .ghg import _theta_table
 from .oredop import right_divide
 
 # bits kept below the working precision by the fixed-point numerators
@@ -380,44 +386,32 @@ def solve_esym_numeric(ratios, shift) -> list | None:
     return [monic[N - j] for j in range(1, N + 1)]
 
 
-def ghg_operator_at(basis: FactorBasis, table, esym) -> DiffOpM:
-    """L_GHG from its th-table (``ghg._theta_table``, rational scalars) with
-    the esym values ``esym``, over a basis whose roots start 0, 1.
-
-    Each coefficient below the top is (A_j z^j - B_j z^(j-1)) / (z^(N+2) -
-    z^(N+1)), so its vec is (N+1, 1, 0, ...), or `RatM.zero` when both forms
-    vanish identically.  A z-coefficient is the exact rational sum_i r_i x_i
-    (x_i the fixed-point sigma_i, x_0 = 2^W) rounded once to nearest, ties
-    up: what `GaussPoint.value` makes of it.  The result is therefore
-    `RatM.from_exact` of ``ghg_operator_esym``'s coefficients at the same
-    sigma values, bit for bit."""
-    W, N = basis.bits, len(esym)
+def theta_at(W: int, table, esym) -> list:
+    """L_GHG's coefficients below D^(N+2) from its th-table
+    (``ghg._theta_table``, rational scalars) at the esym values ``esym``:
+    one Gaussian fixed-point pair (A_j, B_j) at scale 2^-W per j = 0..N+1,
+    the coefficient of D^j being (A_j z^j - B_j z^(j-1)) / (z^(N+2) -
+    z^(N+1)).  A_j and -B_j are the exact rationals sum_i r_i x_i (x_i the
+    fixed-point sigma_i, x_0 = 2^W) rounded once to nearest, ties up: what
+    `GaussPoint.value` makes of the exact operator's numerator
+    coefficients (``ghg_operator_esym``) at the same sigma values."""
     xs = [(1 << W, 0)] + [_fixed(to_mpc(v), W) for v in esym]
     den = lcm(*(_frac(s).denominator for row in table for s, _, _ in row))
-    vec = (N + 1, 1) + (0,) * (len(basis.exact) - 2)
 
     def rounded(form: list, sign: int) -> tuple:
         # sign * sum_i form_i x_i / den, (re, im) rounded to nearest
-        return tuple((2 * sign * sum(f * x[k] for f, x in zip(form, xs)) + den) // (2 * den)
-                     for k in (0, 1))
+        return tuple(sign * ((2 * sign * sum(f * x[k] for f, x in zip(form, xs)) + den)
+                             // (2 * den)) for k in (0, 1))
 
-    coeffs = []
-    for j, row in enumerate(table):
-        A, B = [0] * (N + 1), [0] * (N + 1)
+    out = []
+    for row in table:
+        A, B = [0] * len(xs), [0] * len(xs)
         for s, a, b in row:
             m = (_frac(s) * den).numerator
             A = [u + m * v for u, v in zip(A, a)]
             B = [u + m * v for u, v in zip(B, b)]
-        if not any(A) and not any(B):
-            coeffs.append(RatM.zero(basis))
-            continue
-        re, im = [0] * (j + 1), [0] * (j + 1)
-        re[j], im[j] = rounded(A, 1)
-        if j:
-            re[j - 1], im[j - 1] = rounded(B, -1)
-        coeffs.append(RatM(basis, re, im, vec))
-    coeffs.append(RatM(basis, [1 << W], [0], (0,) * len(basis.exact)))
-    return DiffOpM(basis, coeffs)
+        out.append((rounded(A, 1), rounded(B, -1)))
+    return out
 
 
 def _rounded_sum(W: int, *products) -> list:
@@ -426,19 +420,19 @@ def _rounded_sum(W: int, *products) -> list:
     return _rounded(reduce(poly_add, products), W)
 
 
-def cleared_remainder(Lt, table, p_vals, esym) -> tuple:
-    """(r1, r0, W): the remainder r1 D + r0 of L_GHG on right division by
-    L-tilde as Gaussian fixed-point numerators (re, im) at scale 2^-W over
-    z^N Q^(N+1), Q = z (z-1) prod(z - t_k).
+def cleared_remainder(Lt, point: GaussPoint, esym) -> tuple:
+    """(r1, r0): the remainder r1 D + r0 of L_GHG on right division by
+    L-tilde as Gaussian fixed-point numerators (re, im) at scale 2^-W, W =
+    ``point.bits``, over z^N Q^(N+1), Q = z (z-1) prod(z - t_k).
 
-    L-tilde is the residue-atom factor with p_vals for its atoms, read from
-    its cleared form Q D^2 + P1 D + S (``Lt.cleared``, which must take its
-    rational branch); L_GHG comes from its th-table at the esym values
-    (`ghg_operator_at`), sum_j C_j D^j / (z^(N+1) (z-1)) with monic
-    D^(N+2).  The remainder of D^j is (U_j D + V_j) / Q^(j-1) by the normal
-    form D (u D + v) = (u' + v - u P1/Q) D + v' - u S/Q of pseudo-linear
-    algebra (Bronstein and Petkovsek, 1996): from U_1 = 1, V_1 = 0, with
-    e = j - 1,
+    L-tilde is the residue-atom factor with its atoms at ``point``, read
+    from its cleared form Q D^2 + P1 D + S (``Lt.cleared``, which must take
+    its rational branch); L_GHG comes from its th-table at the esym values
+    (`theta_at`), sum_j C_j D^j / (z^(N+1) (z-1)) with C_j = z^(j-1) (A_j z
+    - B_j) and monic D^(N+2).  The remainder of D^j is (U_j D + V_j) /
+    Q^(j-1) by the normal form D (u D + v) = (u' + v - u P1/Q) D + v' -
+    u S/Q of pseudo-linear algebra (Bronstein and Petkovsek, 1996): from
+    U_1 = 1, V_1 = 0, with e = j - 1,
         U_(j+1) = (U_j' + V_j) Q - U_j (e Q' + P1),
         V_(j+1) = V_j' Q - e Q' V_j - U_j S;
     with U_0 = 0, V_0 = 1 over Q^0, and n = N + 2,
@@ -446,15 +440,13 @@ def cleared_remainder(Lt, table, p_vals, esym) -> tuple:
     for X = U (r1) and X = V (r0), the sum by Horner in Q.  Q, Q', P1 and
     prod(z - t_k) are rounded once, S by `GaussPoint.value`; each step sums
     its exact products and rounds once."""
-    roots, Q, P1, S = Lt.cleared
+    _, Q, P1, S = Lt.cleared
     if not all(isinstance(s, MultiPoly) for s in S):
         raise UsageError("the fixed-point remainder needs rational gamma, delta and t_k")
-    basis = FactorBasis(roots)
-    W, N = basis.bits, len(esym)
+    W, N = point.bits, Lt.N
     n = N + 2
     q, dq, minus_p1, prod = (_fixed_rationals(a, W) for a in (
         Q, poly_deriv(Q), poly_scale(P1, -1), poly_deflate(poly_deflate(Q, 0), 1)))
-    point = GaussPoint({f"p{k}": v for k, v in enumerate(p_vals, 1)}, W)
     minus_s = tuple(poly_scale(part, -1) for part in zip(*map(point.value, S)))
     zero, one = ([0], [0]), ([1 << W], [0])
     U, V = [zero, one], [one, zero]
@@ -467,7 +459,9 @@ def cleared_remainder(Lt, table, p_vals, esym) -> tuple:
                                     poly_mul(u, minus_b)) for u, v in ((ur, vr), (ui, vi))))
         V.append(tuple(_rounded_sum(W, poly_mul(poly_deriv(v), q), poly_mul(v, minus_edq), t)
                        for v, t in zip((vr, vi), minus_us)))
-    C = [(c.re, c.im) for c in ghg_operator_at(basis, table, esym).coeffs[:n]]
+    table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), N)
+    C = [tuple(poly_trim([0] * (j - 1) + [-b, a] if j else [a]) for a, b in zip(A, B))
+         for j, (A, B) in enumerate(theta_at(W, table, esym))]
     r = []
     for X in (U, V):
         acc = zero
@@ -476,10 +470,10 @@ def cleared_remainder(Lt, table, p_vals, esym) -> tuple:
             acc = tuple(_rounded_sum(W, poly_mul(a, q), *ts) for a, *ts in zip(acc, *terms))
         r.append(tuple(poly_add([0] * N + x, _rounded(poly_mul(a, prod), W))
                        for x, a in zip(X[n], acc)))
-    return r[0], r[1], W
+    return r[0], r[1]
 
 
-def remainder_defect(Lt, table, p_vals, esym) -> mpmath.mpf:
+def remainder_defect(Lt, point: GaussPoint, esym) -> mpmath.mpf:
     """The verdict: the largest absolute numerator coefficient of the
     remainder of L_GHG on right division by L-tilde (`cleared_remainder`),
     read over the instance's fixed denominator z^N Q^(N+1), Q = z (z-1)
@@ -487,10 +481,9 @@ def remainder_defect(Lt, table, p_vals, esym) -> mpmath.mpf:
     coefficients of r1 and r0.  Its error is a sum of roundings of at most
     2^-(W+1) per part, each amplified only by the other factors of its
     product (module docstring)."""
-    r1, r0, W = cleared_remainder(Lt, table, p_vals, esym)
-    top = max(isqrt(x * x + y * y) for re, im in (r1, r0)
+    top = max(isqrt(x * x + y * y) for re, im in cleared_remainder(Lt, point, esym)
               for x, y in zip_longest(re, im, fillvalue=0))
-    return mpmath.ldexp(mp.mpf(top), -W)
+    return mpmath.ldexp(mp.mpf(top), -point.bits)
 
 
 def _mag(x: tuple) -> int:

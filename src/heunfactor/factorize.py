@@ -49,7 +49,7 @@ from .exactalg import (
     reduce_mod,
     solve_linear,
 )
-from .ghg import _theta_shift_product, _theta_table, ghg_operator_esym
+from .ghg import _theta_shift_product, ghg_operator_esym
 from .heun import HeunParams, frobenius_series, _monic_in_q
 from .oredop import DiffOp
 
@@ -375,11 +375,10 @@ def thm44_left_factor(p: HeunParams, E1: RatFunc, v: RatFunc) -> DiffOp:
 
 @dataclass(frozen=True)
 class EsymVector:
-    """Solved elementary symmetric functions of e_1..e_N."""
+    """Elementary symmetric functions of e_1..e_N from the exact solve."""
 
-    mode: str                     # "exact" | "numeric"
-    values: tuple                 # RatFunc (exact) or mpc (numeric)
-    denominators: tuple = ()      # observed denominator factors, exact mode
+    values: tuple                 # RatFunc
+    denominators: tuple = ()      # observed denominator factors
     # (Lt, FactorizationWork) of the solve_esym call; the work keeps the
     # e-atoms symbolic, so it stays valid for any values on the same Lt
     division: Optional[tuple] = field(default=None, compare=False, repr=False)
@@ -455,7 +454,7 @@ def _esym_solution(Lt: ApparentFuchsian) -> tuple:
         nv, profile = _normalize_t_denominator(v, ring, stripped)
         values.append(nv)
         dens.append(profile)
-    return EsymVector("exact", tuple(values), tuple(dens), (Lt, work)), work
+    return EsymVector(tuple(values), tuple(dens), (Lt, work)), work
 
 
 def _affine_rows(num: MultiPoly, e_names: Sequence[str], ring: Ring) -> list:
@@ -606,8 +605,8 @@ def verify_factorization(Lt: ApparentFuchsian,
     q_symbolic = Lt.M == 1 and Lt.heun_q().num.involves("q")
     p_atoms_used = any(
         s.num.involves(f"p{k}") for s in Lt.s_coeffs for k in range(1, Lt.M + 1))
+    strings = tuple(v.pretty() for v in esym.values)
     residuals = []
-    detail = ""
     if Lt.M == 1 and q_symbolic:
         modulus = apparency_modulus(Lt)
         for w in (w0, w1):
@@ -621,7 +620,7 @@ def verify_factorization(Lt: ApparentFuchsian,
                                                  budget=groebner_budget))
         except BudgetExceededError:
             return VerificationReport(
-                "exact", Lt.profile, _esym_strings(esym), "budget-exceeded",
+                "exact", Lt.profile, strings, "budget-exceeded",
                 False, quotient.pretty(),
                 detail="Groebner budget exceeded; use the numeric path")
     else:
@@ -632,16 +631,8 @@ def verify_factorization(Lt: ApparentFuchsian,
         bad = next(r for r in residuals if not r.is_zero)
         offender = f"nonzero defect coefficient: {bad.pretty()[:200]}"
     return VerificationReport(
-        "exact", Lt.profile, _esym_strings(esym),
+        "exact", Lt.profile, strings,
         "0" if ok else "nonzero", ok, quotient.pretty(), detail=offender)
-
-
-def _esym_strings(esym: EsymVector) -> tuple:
-    if esym.mode == "exact":
-        return tuple(v.pretty() for v in esym.values)
-    import mpmath
-
-    return tuple(mpmath.nstr(v, 25) for v in esym.values)
 
 
 # -- numeric pipeline -----------------------------------------------------------
@@ -722,10 +713,12 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
     exact esym solve on the residue-atom L~ (`_esym_solution`, no profile gate),
     evaluated at the residues; rows singular there raise ZeroDivisionError.
     Only that fallback builds the exact L_GHG with the esym atoms and L~ as
-    an operator.  L_GHG comes from its th-table (`ghg._theta_table`) at the
-    esym values, bit for bit the exact operator evaluated there, and is
-    reduced modulo L~'s cleared form once at `bits` precision
-    (`_mpnum.remainder_defect`); a wrong esym value can only raise the
+    an operator.  The residues are one `_mpnum.GaussPoint`, shared by the
+    series and the remainder.  L_GHG's numerators come from its th-table
+    at the esym values as fixed-point pairs (`_mpnum.theta_at`), bit for
+    bit the exact operator evaluated there, and are reduced modulo L~'s
+    cleared form once at `bits` precision (`_mpnum.remainder_defect`); no
+    operator type is built.  A wrong esym value can only raise the
     defect, never pass a verdict.  When p_vals is omitted the apparency
     system is solved first.  Passes when the maximal numerator coefficient
     of the remainder over z^N Q^(N+1), Q = z (z-1) prod(z - t_k), is below
@@ -742,7 +735,6 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
     if not -bits * math.log10(2) < tol_exp < 0:
         raise UsageError(f"tol_exp = {tol_exp} is outside (-{bits} log10 2, 0)")
     Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
-    table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), Lt.N)
     with mp.workprec(bits):
         if p_vals is None:
             p_vals = solve_apparent_p(gamma, delta, sing, prod_ab,
@@ -753,11 +745,10 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
         es = _mpnum.solve_esym_numeric(*series) if series else None
         if es is None:   # the edges' exact esym solve
             es = [point.mpc(v) for v in _esym_solution(Lt)[0].values]
-        defect = _mpnum.remainder_defect(Lt, table, p_vals, es)
+        defect = _mpnum.remainder_defect(Lt, point, es)
         passed = defect < mp.mpf(10) ** tol_exp
-        esym = EsymVector("numeric", tuple(es))
         return VerificationReport(
-            "numeric", Lt.profile, _esym_strings(esym),
+            "numeric", Lt.profile, tuple(mpmath.nstr(v, 25) for v in es),
             mpmath.nstr(defect, 8), bool(passed), "(numeric quotient suppressed)",
             detail=f"precision {bits} bits, tolerance 1e{tol_exp}")
 

@@ -13,8 +13,8 @@ coefficients is affine in them.  `_theta_table` writes it down once as int
 affine forms over the scalars alpha + beta, alpha beta and gamma, which is
 what the factorization checks need (the individual e_i may be irrational).
 Both lanes read that table: ``ghg_operator_esym`` assembles the exact
-operator from it, and the numeric lane (``_mpnum.ghg_operator_at``)
-evaluates it at fixed-point esym values.
+operator from it, and the numeric verdict (``_mpnum.theta_at``) evaluates
+its numerators at fixed-point esym values, one (A_j, B_j) pair per D^j.
 """
 
 from __future__ import annotations

@@ -9,10 +9,11 @@ return once, so the returned coefficients are reduced.
 
 `leibniz` and `right_divide` write that product and that division once for
 any coefficient ring (Bronstein and Petkovsek, "An introduction to
-pseudo-linear algebra", 1996); the fixed-point ``_mpnum.DiffOpM`` divides
-with them too, as the reference for the numeric verdict, which reads its
-remainder modulo L~ off L~'s cleared form instead
-(``_mpnum.cleared_remainder``) over z^N Q^(N+1), Q = z (z-1) prod(z - t_k).
+pseudo-linear algebra", 1996).  The fixed-point ``_mpnum.DiffOpM`` divides
+with them too, but only as the tests' reference: the numeric verdict
+builds no operator and reads its remainder modulo L~ off L~'s cleared
+form (``_mpnum.cleared_remainder``) over z^N Q^(N+1), Q = z (z-1)
+prod(z - t_k).
 
 ``QuasiFunction`` models w^a (w-1)^b R(w) with symbolic exponents; it is
 closed under d/dw, which is what the quasi-polynomial checks need.

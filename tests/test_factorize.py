@@ -482,20 +482,28 @@ class TestNumericPipeline:
         assert calls == []
 
     def test_series_verdicts_divide_by_no_operator(self, monkeypatch):
-        # the remainder comes from L~'s cleared form, so off the edges the
-        # verdict neither builds L~ as an operator nor divides one
+        # the remainder comes from L~'s cleared form and L_GHG's th-table on
+        # fixed-point pairs, so off the edges the verdict neither builds L~
+        # as an operator nor divides one, builds none of the fixed-point
+        # operator types, and evaluates at one GaussPoint
+        from mpmath import mp
+
         from heunfactor import _mpnum
 
+        insts = [random_profile_instance(p, seed=5) for p in [(2,), (1, 1), (1, 1, 1)]]
+        with mp.workprec(300):
+            p_vals = [solve_apparent_p(*inst) for inst in insts]
         calls = []
-        for owner, name in ((ApparentFuchsian, "operator"), (_mpnum.DiffOpM, "right_divide_monic")):
+        for owner, name in ((ApparentFuchsian, "operator"), (_mpnum.DiffOpM, "right_divide_monic"),
+                            *((cls, "__init__") for cls in (_mpnum.FactorBasis, _mpnum.RatM,
+                                                            _mpnum.DiffOpM, _mpnum.GaussPoint))):
             real = getattr(owner, name)
+            label = f"{owner.__name__}.{name}"
             monkeypatch.setattr(owner, name,
-                                lambda *a, name=name, real=real: calls.append(name) or real(*a))
-        for profile in [(2,), (1, 1), (1, 1, 1)]:
-            gamma, delta, sing, prod_ab = random_profile_instance(profile, seed=5)
-            rep = verify_factorization_numeric(gamma, delta, sing, prod_ab, bits=300)
-            assert rep.passed
-        assert calls == []
+                                lambda *a, label=label, real=real: calls.append(label) or real(*a))
+        for inst, pv in zip(insts, p_vals):
+            assert verify_factorization_numeric(*inst, p_vals=pv, bits=300).passed
+        assert calls == ["GaussPoint.__init__"] * len(insts)
 
     @pytest.mark.parametrize("profile", [(1, 1), (2, 1)])
     def test_two_singularity_edges_pass_and_their_controls_fail(self, profile):

@@ -16,7 +16,7 @@ from mpmath import mp
 
 from heunfactor import _mpnum
 from heunfactor._mpnum import DiffOpM, FactorBasis, GaussPoint, RatM, to_mpc
-from heunfactor.exactalg import MultiPoly, RatFunc, Ring, poly_eval
+from heunfactor.exactalg import MultiPoly, RatFunc, Ring, poly_eval, poly_trim
 from heunfactor.factorize import (_division_work, _esym_solution, _residue_atom_factor,
                                   _z0_series, apparency_system, random_profile_instance,
                                   solve_apparent_p, verify_factorization,
@@ -43,14 +43,17 @@ def _at(basis, op, assign):
     return DiffOpM(basis, [RatM.from_exact(basis, c, point) for c in op.coeffs])
 
 
-def _operators(gamma, delta, sing, prod_ab):
-    """L~ with residue atoms and L_GHG with esym atoms, as the numeric lane
-    builds them."""
-    Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
+def _ghg_atoms(Lt):
+    """The exact L_GHG of L~'s data with the e-atoms as its esym values."""
     ring = Lt.ring
-    L = ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma,
-                          [ring.var(f"e{j}") for j in range(1, Lt.N + 1)], ring)
-    return Lt, L
+    return ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma,
+                             [ring.var(f"e{j}") for j in range(1, Lt.N + 1)], ring)
+
+
+def _operators(gamma, delta, sing, prod_ab):
+    """L~ with residue atoms and L_GHG with esym atoms."""
+    Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
+    return Lt, _ghg_atoms(Lt)
 
 
 @st.composite
@@ -139,21 +142,26 @@ def test_fixed_point_remainder_equals_the_exact_one(inst):
 
 
 def _assert_table_is_exact(Lt, es, bits=300):
-    """L_GHG from the th-table at the esym values es has the same (re, im,
-    vec) in every coefficient as the exact e-atom operator evaluated at
-    them; returns the table's operator."""
-    ring = Lt.ring
-    L = ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma,
-                          [ring.var(f"e{j}") for j in range(1, Lt.N + 1)], ring)
+    """L_GHG's pairs (A_j, B_j) from the th-table at the esym values es
+    give, bit for bit, the numerators z^(j-1) (A_j z - B_j) over z^(N+1)
+    (z - 1) of the exact e-atom operator evaluated at them, whose top
+    coefficient is 1; returns the pairs."""
+    L = _ghg_atoms(Lt)
     table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), Lt.N)
     with mp.workprec(bits):
         basis = FactorBasis([0, 1] + [t.fraction() for t, _ in Lt.sing])
-        point = GaussPoint({f"e{k}": to_mpc(v) for k, v in enumerate(es, 1)}, basis.bits)
-        got = _mpnum.ghg_operator_at(basis, table, es)
-        assert ([(c.re, c.im, c.vec) for c in got.coeffs]
-                == [(r.re, r.im, r.vec) for r in (RatM.from_exact(basis, c, point)
-                                                  for c in L.coeffs)])
-    return got
+        W = basis.bits
+        point = GaussPoint({f"e{k}": to_mpc(v) for k, v in enumerate(es, 1)}, W)
+        pairs = _mpnum.theta_at(W, table, es)
+        want = [RatM.from_exact(basis, c, point) for c in L.coeffs]
+        assert len(want) == len(pairs) + 1 == Lt.N + 3
+        assert (want[-1].re, want[-1].im, set(want[-1].vec)) == ([1 << W], [0], {0})
+        over = (Lt.N + 1, 1) + (0,) * Lt.M
+        for j, ((A, B), c, r) in enumerate(zip(pairs, L.coeffs, want)):
+            got = tuple(poly_trim([0] * (j - 1) + [-b, a] if j else [a]) for a, b in zip(A, B))
+            assert got == (r.re, r.im)
+            assert r.vec == ((0,) * len(over) if c.is_zero else over)
+    return pairs
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,8 +204,7 @@ def test_theta_table_zero_coefficient_and_large_t():
     # alpha = 0: alpha beta = 0 makes the D^0 coefficient vanish identically;
     # its esym values come from the exact solve, as on every such edge
     Lt, es = _solved_esym(_apparent_m3(F(5, 2), F(0), F(-2, 7)), 300)
-    L = _assert_table_is_exact(Lt, es)
-    assert L.coeffs[0].is_zero and L.coeffs[0].vec == (0, 0, 0)
+    assert _assert_table_is_exact(Lt, es)[0] == ((0, 0), (0, 0))
     # t = 10^5, alpha = 200/3: operator coefficients near t^k, at 400 bits
     _assert_table_is_exact(*_solved_esym(_apparent_m3(F(10 ** 5), F(200, 3), F(3, 5)), 400), 400)
     # gamma = 2^-32 puts B_1 = -1 + gamma sigma_1 at sigma_1 = 1/3 (2^31 times
@@ -231,16 +238,16 @@ def _check_routes_agree(gamma, delta, sing, prod_ab):
     with mp.workprec(300):
         pv = solve_apparent_p(gamma, delta, sing, prod_ab, seed=0)
         assign = {f"p{k}": to_mpc(p) for k, p in enumerate(pv, 1)}
-        series = _z0_series(Lt, GaussPoint(assign, mp.prec + _mpnum.GUARD_BITS))
+        point = GaussPoint(assign, mp.prec + _mpnum.GUARD_BITS)
+        series = _z0_series(Lt, point)
         assert series is not None
         es = _mpnum.solve_esym_numeric(*series)
         exact = [v.eval_num(assign, num=mp.mpc) for v in _esym_solution(Lt)[0].values]
         assert len(es) == len(exact) == Lt.N
         for x, y in zip(es, exact):
             assert abs(x - y) <= mp.mpf(10) ** -70 * abs(y)
-        table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), Lt.N)
         for values in (es, exact):
-            assert _mpnum.remainder_defect(Lt, table, pv, values) < mp.mpf(10) ** -60
+            assert _mpnum.remainder_defect(Lt, point, values) < mp.mpf(10) ** -60
     return series
 
 
@@ -291,20 +298,21 @@ def _apparent_m3(t, alpha, beta):
 
 def _assert_cleared_remainder_is_leibniz(Lt, p_vals, es, bits=300) -> list:
     """`cleared_remainder`'s r1, r0 over z^N Q^(N+1) equal the remainder of
-    `DiffOpM.right_divide_monic`, lifted to that denominator, within
-    2^8 H^(N+1) max(1, |C|) units of 2^-W: a unit per rounding, amplified
-    by at most N + 1 of L~'s cleared coefficients (H the largest |Q|, |P1|,
-    |S| coefficient, at least 1) and one of L_GHG's (C the largest).
-    Returns the vecs of the Leibniz r1 and r0."""
-    table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), Lt.N)
+    `DiffOpM.right_divide_monic` of the exact e-atom L_GHG and L~ evaluated
+    at es and p_vals, lifted to that denominator, within 2^8 H^(N+1)
+    max(1, |C|) units of 2^-W: a unit per rounding, amplified by at most
+    N + 1 of L~'s cleared coefficients (H the largest |Q|, |P1|, |S|
+    coefficient, at least 1) and one of L_GHG's (C the largest).  Returns
+    the vecs of the Leibniz r1 and r0."""
     roots, Q, P1, S = Lt.cleared
     with mp.workprec(bits):
-        r1, r0, W = _mpnum.cleared_remainder(Lt, table, p_vals, es)
         basis = FactorBasis(roots)
+        W = basis.bits
         assign = {f"p{k}": to_mpc(v) for k, v in enumerate(p_vals, 1)}
-        L = _mpnum.ghg_operator_at(basis, table, es)
-        _, rem = L.right_divide_monic(_at(basis, Lt.operator(), assign))
         point = GaussPoint(assign, W)
+        r1, r0 = _mpnum.cleared_remainder(Lt, point, es)
+        L = _at(basis, _ghg_atoms(Lt), {f"e{k}": to_mpc(v) for k, v in enumerate(es, 1)})
+        _, rem = L.right_divide_monic(_at(basis, Lt.operator(), assign))
         H = max([mp.mpf(1)] + [abs(to_mpc(c)) for c in Q + P1] + [abs(point.mpc(s)) for s in S])
         C = max(1, mp.ldexp(max(abs(x) for c in L.coeffs for x in c.re + c.im), -W))
         bound = 2 ** 8 * H ** (Lt.N + 1) * C
