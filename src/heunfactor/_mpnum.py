@@ -3,18 +3,19 @@
 Runs the factorization defect check at several hundred bits: L_GHG, built
 from its th-table (`ghg._theta_table`) at numeric esym values, is reduced
 modulo L-tilde, read from its cleared form Q D^2 + P1 D + S at numeric
-residues (`cleared_remainder`, the D^j mod L-tilde recurrence).  The
-remainder r1 D + r0 is read over z^N Q^(N+1), Q = z (z-1) prod(z - t_k),
-a denominator fixed by the instance, whatever form the operators take.
+residues (`d_remainders` and `cleared_remainder`, the D^j mod L-tilde
+recurrence).  The remainder r1 D + r0 is read over z^N Q^(N+1), Q = z (z-1)
+prod(z - t_k), a denominator fixed by the instance, whatever form the
+operators take.
 
-The verdict's path (`remainder_defect`, `cleared_remainder`, `theta_at`)
-holds only Gaussian fixed-point pairs and int coefficient lists, all at
-the scale of the one `GaussPoint` of the residues.  The tests' reference
-layer is separate: rational functions whose denominators are exponent
-vectors over a fixed basis of linear factors (z - r_i) (`FactorBasis`,
-`RatM`), operators over them (`DiffOpM`) and ``DiffOpM.right_divide_monic``,
-`oredop.right_divide` with fixed-point coefficients, into which the tests
-evaluate the exact operators.
+The verdict's path (`d_remainders`, `solve_esym_numeric`,
+`remainder_defect`, `theta_at`) holds only Gaussian fixed-point pairs and
+int coefficient lists, all at the scale of the one `GaussPoint` of the
+residues.  The tests' reference layer is separate: rational functions
+whose denominators are exponent vectors over a fixed basis of linear
+factors (z - r_i) (`FactorBasis`, `RatM`), operators over them (`DiffOpM`)
+and ``DiffOpM.right_divide_monic``, `oredop.right_divide` with fixed-point
+coefficients, into which the tests evaluate the exact operators.
 
 Numerators are Gaussian integers in fixed point: two int coefficient lists
 (re, im) standing for (re + i im) 2^-W, with one W per `GaussPoint` (or
@@ -31,14 +32,13 @@ significant bits, meets a large one; tests/test_mpnum.py's dynamic-range
 test covers residues, parameters and singular points from 1/10^6 to 10^5.
 
 Every exact polynomial of the lane is evaluated one way, by `GaussPoint`:
-L-tilde's coefficients, the z = 0 series ratios and Newton's F and
-Jacobian.  L_GHG needs no polynomial evaluation: each z-coefficient is an
-affine form in the esym values, rounded once from its exact value as
-`GaussPoint.value` rounds it (`theta_at`).  A power x^k comes from
-x^(k-1) x, rounded once, so its error is at most about
-k max(1, |x|)^(k-1) 2^-(W+1) per part; a monomial in several
-variables rounds once more per factor; the int coefficients multiply and
-add exactly, and the content is one rounded multiply.  A value therefore
+L-tilde's coefficients and Newton's F and Jacobian.  L_GHG needs no
+polynomial evaluation: each z-coefficient is an affine form in the esym
+values, rounded once from its exact value as `GaussPoint.value` rounds it
+(`theta_at`).  A power x^k comes from x^(k-1) x, rounded once, so its
+error is at most about k max(1, |x|)^(k-1) 2^-(W+1) per part; a monomial
+in several variables rounds once more per factor; the int coefficients
+multiply and add exactly, and the content is one rounded multiply.  A value therefore
 errs by a few 2^-W times the sum of its absolute terms, with each |x|
 floored at 1.  Newton (`newton_apparency`) iterates in this fixed point
 too, its M x M step solve included, and stops on a step below
@@ -48,15 +48,19 @@ of that step.  Large residues cost no significant bits: at t = 10^5
 system's terms 1e30, and the root matches a 400-bit solve to 4e-91
 relative.  Small residues keep fewer bits only in their small terms: at
 t = 10^-6 the residue is 1.6e-10 and the root matches to 4e-91 as well.
-Only the esym solve (N x N), the defect and the printed values are mpc.
+Only the defect and the printed values are mpc.
 
-The esym values come from the z = 0 series identity of L~ (an N x N solve,
-no division), or from the exact esym solve when that series cannot carry
-them (``factorize.verify_factorization_numeric``); either way one
-remainder, ``remainder_defect``, decides the verdict.  It needs no
-quotient: each step of the recurrence is a few products with Q, Q', P1
-and S, and the denominators are powers of Q known in advance, so nothing
-is cancelled or lifted.
+The esym values come from the remainder itself (`solve_esym_numeric`):
+the remainders of D^j modulo L~ do not depend on them and L_GHG's
+coefficients are affine in them, so r1 = 0 is the linear system that the
+exact lane solves in w1.  Its coefficient rows, tall and unscaled, are
+solved in this fixed point with partial pivoting over all rows (`_solve`,
+as Newton's step).  One pass of the recurrence serves the rows and the
+verdict, `remainder_defect` at the solved values, which reads every
+coefficient of r1 and r0: a wrong L~ passes only if some esym values make
+L_GHG = D~ L~.  Nothing needs a quotient: each step of the recurrence is
+a few products with Q, Q', P1 and S, and the denominators are powers of Q
+known in advance, so nothing is cancelled or lifted.
 """
 
 from __future__ import annotations
@@ -73,7 +77,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .exactalg import (_FIELD_MASK, MultiPoly, UsageError, _frac, exact_div, poly_add,
-                       poly_deflate, poly_deriv, poly_mul, poly_scale, poly_shift, poly_trim)
+                       poly_deflate, poly_deriv, poly_mul, poly_scale, poly_trim)
 from .ghg import _theta_table
 from .oredop import right_divide
 
@@ -153,17 +157,6 @@ class GaussPoint:
             return re, im
         n, d = q.numerator, q.denominator
         return (2 * re * n + d) // (2 * d), (2 * im * n + d) // (2 * d)
-
-    def mpc(self, f, factor: Fraction = Fraction(1)) -> "mpmath.mpc":
-        """factor times f, a MultiPoly or a RatFunc, at this point as an mpc;
-        each denominator factor is a `value` too, and divides in mpc."""
-        W = self.bits
-        if isinstance(f, MultiPoly):
-            return _unfixed(self.value(f, factor), W)
-        out = _unfixed(self.value(f.num, factor), W)
-        for g, k in f.den_factors().items():
-            out /= _unfixed(self.value(g), W) ** k
-        return out
 
 
 def _rounded(p: list, W: int) -> list:
@@ -341,24 +334,30 @@ class DiffOpM:
 
 def _solve(A: list, b: list, div=truediv,
            mulsub=lambda c, fs, xs: c - sum(f * x for f, x in zip(fs, xs)), mag=abs) -> list:
-    """x with A x = b for a square matrix (a list of rows), by Gaussian
-    elimination with partial pivoting; ZeroDivisionError when a pivot is no
-    larger than eps = 2^(1 - prec) times the largest column sum of |A|.  The
-    arithmetic comes in as div(a, b) = a / b, mulsub(c, fs, xs) = c - sum f x
-    and mag(a) = |a|: mpc's by default, `_fixed_arithmetic`'s for Newton."""
-    n = len(b)
+    """x with A x = b for a square or tall matrix (a list of rows), by
+    Gaussian elimination with partial pivoting over all remaining rows: the
+    n pivot rows fix x, and the other rows do not check it.
+    ZeroDivisionError when a pivot is no larger than eps = 2^(1 - prec)
+    times the largest column sum of |A|.  The arithmetic comes in as
+    div(a, b) = a / b, mulsub(c, fs, xs) = c - sum f x and mag(a) = |a|:
+    mpc's by default, `_fixed_arithmetic`'s for Newton and the esym rows."""
+    n = len(A[0])
     rows = [list(r) + [v] for r, v in zip(A, b)]
     colsum = max(sum(mag(r[j]) for r in rows) for j in range(n))
     for k in range(n):
-        size, piv = max((mag(rows[i][k]), -i) for i in range(k, n))   # first of equals
-        rows[k], rows[-piv] = rows[-piv], rows[k]
+        sizes = [mag(r[k]) for r in rows[k:]]
+        size = max(sizes)
+        piv = k + sizes.index(size)   # first of equals
+        rows[k], rows[piv] = rows[piv], rows[k]
+        sizes[piv - k] = sizes[0]
         top = rows[k]
         if size * (1 << mp.prec - 1) <= colsum:   # size <= eps colsum, exactly scaled
             raise ZeroDivisionError("matrix is numerically singular")
-        for r in rows[k + 1:]:
-            f = (div(r[k], top[k]),)
-            for j in range(k + 1, n + 1):
-                r[j] = mulsub(r[j], f, (top[j],))
+        for r, entry in zip(rows[k + 1:], sizes[1:]):
+            if entry:   # an exact zero eliminates nothing
+                f = (div(r[k], top[k]),)
+                for j in range(k + 1, n + 1):
+                    r[j] = mulsub(r[j], f, (top[j],))
     x = [0] * n
     for k in reversed(range(n)):
         r = rows[k]
@@ -366,52 +365,40 @@ def _solve(A: list, b: list, div=truediv,
     return x
 
 
-def solve_esym_numeric(ratios, shift) -> list | None:
-    """Esym values from L-tilde's z = 0 series at exponent ``shift``, or None
-    when the series does not determine them.
-
-    ratios[n-1] = prod(1 + n / (e_i + shift)) for n = 1..N is a polynomial in
-    n of degree N whose coefficients s_k = sigma'_{N-k} / sigma'_N are one
-    N x N solve away.  s_N = 1 / prod(e_i + shift) cannot vanish for finite
-    e_i, so a zero s_N means that the series fixes no esym values.
-    """
-    N = len(ratios)
-    A = [[mp.mpf(n) ** k for k in range(1, N + 1)] for n in range(1, N + 1)]
-    s = _solve(A, [r - 1 for r in ratios])
-    if not s[N - 1]:
-        return None
-    # prod(x + e_i + shift) = sigma'_N (1 + sum_k s_k x^k); shift x back
-    lead = 1 / s[N - 1]
-    monic = poly_shift([lead] + [s[k] * lead for k in range(N)], -to_mpc(shift))
-    return [monic[N - j] for j in range(1, N + 1)]
+def _theta_ints(table, N: int) -> tuple:
+    """(den, forms): the th-table (``ghg._theta_table``, rational scalars)
+    over one denominator, forms[j] = (A, B) with int vectors [const,
+    sigma_1..sigma_N] such that A_j = sum_i A[i] sigma_i / den (sigma_0 =
+    1), and B_j likewise."""
+    den = lcm(*(_frac(s).denominator for row in table for s, _, _ in row))
+    forms = []
+    for row in table:
+        ms = [(_frac(s) * den).numerator for s, _, _ in row]
+        forms.append(tuple([sum(m * t[k][i] for m, t in zip(ms, row)) for i in range(N + 1)]
+                           for k in (1, 2)))
+    return den, forms
 
 
 def theta_at(W: int, table, esym) -> list:
     """L_GHG's coefficients below D^(N+2) from its th-table
-    (``ghg._theta_table``, rational scalars) at the esym values ``esym``:
+    (``ghg._theta_table``, rational scalars) at the esym values ``esym``
+    (mpc-liftable, or fixed-point pairs at scale 2^-W taken as they are):
     one Gaussian fixed-point pair (A_j, B_j) at scale 2^-W per j = 0..N+1,
     the coefficient of D^j being (A_j z^j - B_j z^(j-1)) / (z^(N+2) -
     z^(N+1)).  A_j and -B_j are the exact rationals sum_i r_i x_i (x_i the
-    fixed-point sigma_i, x_0 = 2^W) rounded once to nearest, ties up: what
-    `GaussPoint.value` makes of the exact operator's numerator
-    coefficients (``ghg_operator_esym``) at the same sigma values."""
-    xs = [(1 << W, 0)] + [_fixed(to_mpc(v), W) for v in esym]
-    den = lcm(*(_frac(s).denominator for row in table for s, _, _ in row))
+    fixed-point sigma_i, x_0 = 2^W; the `_theta_ints` forms) rounded once
+    to nearest, ties up: what `GaussPoint.value` makes of the exact
+    operator's numerator coefficients (``ghg_operator_esym``) at the same
+    sigma values."""
+    xs = [(1 << W, 0)] + [v if type(v) is tuple else _fixed(to_mpc(v), W) for v in esym]
+    den, forms = _theta_ints(table, len(esym))
 
     def rounded(form: list, sign: int) -> tuple:
         # sign * sum_i form_i x_i / den, (re, im) rounded to nearest
         return tuple(sign * ((2 * sign * sum(f * x[k] for f, x in zip(form, xs)) + den)
                              // (2 * den)) for k in (0, 1))
 
-    out = []
-    for row in table:
-        A, B = [0] * len(xs), [0] * len(xs)
-        for s, a, b in row:
-            m = (_frac(s) * den).numerator
-            A = [u + m * v for u, v in zip(A, a)]
-            B = [u + m * v for u, v in zip(B, b)]
-        out.append((rounded(A, 1), rounded(B, -1)))
-    return out
+    return [(rounded(A, 1), rounded(B, -1)) for A, B in forms]
 
 
 def _rounded_sum(W: int, *products) -> list:
@@ -420,37 +407,31 @@ def _rounded_sum(W: int, *products) -> list:
     return _rounded(reduce(poly_add, products), W)
 
 
-def cleared_remainder(Lt, point: GaussPoint, esym) -> tuple:
-    """(r1, r0): the remainder r1 D + r0 of L_GHG on right division by
-    L-tilde as Gaussian fixed-point numerators (re, im) at scale 2^-W, W =
-    ``point.bits``, over z^N Q^(N+1), Q = z (z-1) prod(z - t_k).
+def d_remainders(Lt, point: GaussPoint) -> tuple:
+    """The esym-free part of `cleared_remainder`: (W, q, prod, U, V, table)
+    with W = ``point.bits``, Q and prod(z - t_k) as fixed-point int lists,
+    the remainders rem(D^j) = (U_j D + V_j) / Q^(j-1), j = 0..N+2, as
+    Gaussian fixed-point pairs, and L_GHG's th-table.
 
-    L-tilde is the residue-atom factor with its atoms at ``point``, read
-    from its cleared form Q D^2 + P1 D + S (``Lt.cleared``, which must take
-    its rational branch); L_GHG comes from its th-table at the esym values
-    (`theta_at`), sum_j C_j D^j / (z^(N+1) (z-1)) with C_j = z^(j-1) (A_j z
-    - B_j) and monic D^(N+2).  The remainder of D^j is (U_j D + V_j) /
-    Q^(j-1) by the normal form D (u D + v) = (u' + v - u P1/Q) D + v' -
-    u S/Q of pseudo-linear algebra (Bronstein and Petkovsek, 1996): from
-    U_1 = 1, V_1 = 0, with e = j - 1,
+    L-tilde, its residue atoms at ``point``, is read from its cleared form
+    Q D^2 + P1 D + S (``Lt.cleared``, which must take its rational branch).
+    By the normal form D (u D + v) = (u' + v - u P1/Q) D + v' - u S/Q
+    (Bronstein and Petkovsek, 1996), from U_0 = 0, V_0 = 1, U_1 = 1, V_1 = 0
+    and with e = j - 1,
         U_(j+1) = (U_j' + V_j) Q - U_j (e Q' + P1),
-        V_(j+1) = V_j' Q - e Q' V_j - U_j S;
-    with U_0 = 0, V_0 = 1 over Q^0, and n = N + 2,
-        r = z^N X_n + prod(z - t_k) sum_(j<n) C_j X_j Q^(N - max(j-1, 0))
-    for X = U (r1) and X = V (r0), the sum by Horner in Q.  Q, Q', P1 and
-    prod(z - t_k) are rounded once, S by `GaussPoint.value`; each step sums
-    its exact products and rounds once."""
+        V_(j+1) = V_j' Q - e Q' V_j - U_j S.
+    Q, Q', P1 and prod(z - t_k) are rounded once, S by `GaussPoint.value`;
+    each step sums its exact products and rounds once."""
     _, Q, P1, S = Lt.cleared
     if not all(isinstance(s, MultiPoly) for s in S):
         raise UsageError("the fixed-point remainder needs rational gamma, delta and t_k")
     W, N = point.bits, Lt.N
-    n = N + 2
     q, dq, minus_p1, prod = (_fixed_rationals(a, W) for a in (
         Q, poly_deriv(Q), poly_scale(P1, -1), poly_deflate(poly_deflate(Q, 0), 1)))
     minus_s = tuple(poly_scale(part, -1) for part in zip(*map(point.value, S)))
     zero, one = ([0], [0]), ([1 << W], [0])
     U, V = [zero, one], [one, zero]
-    for e in range(n - 1):
+    for e in range(N + 1):
         (ur, ui), (vr, vi) = U[-1], V[-1]
         minus_edq = poly_scale(dq, -e)
         minus_b = poly_add(minus_edq, minus_p1)   # -(e Q' + P1)
@@ -459,7 +440,16 @@ def cleared_remainder(Lt, point: GaussPoint, esym) -> tuple:
                                     poly_mul(u, minus_b)) for u, v in ((ur, vr), (ui, vi))))
         V.append(tuple(_rounded_sum(W, poly_mul(poly_deriv(v), q), poly_mul(v, minus_edq), t)
                        for v, t in zip((vr, vi), minus_us)))
-    table = _theta_table(*(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), N)
+    return W, q, prod, U, V, _theta_table(
+        *(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), N)
+
+
+def _remainder(rems: tuple, esym) -> tuple:
+    """`cleared_remainder` from the `d_remainders` of its L-tilde and point."""
+    W, q, prod, U, V, table = rems
+    n = len(table)
+    N = n - 2
+    zero = ([0], [0])
     C = [tuple(poly_trim([0] * (j - 1) + [-b, a] if j else [a]) for a, b in zip(A, B))
          for j, (A, B) in enumerate(theta_at(W, table, esym))]
     r = []
@@ -473,17 +463,60 @@ def cleared_remainder(Lt, point: GaussPoint, esym) -> tuple:
     return r[0], r[1]
 
 
-def remainder_defect(Lt, point: GaussPoint, esym) -> mpmath.mpf:
-    """The verdict: the largest absolute numerator coefficient of the
-    remainder of L_GHG on right division by L-tilde (`cleared_remainder`),
-    read over the instance's fixed denominator z^N Q^(N+1), Q = z (z-1)
-    prod(z - t_k): the largest isqrt(re^2 + im^2) 2^-W over the fixed-point
-    coefficients of r1 and r0.  Its error is a sum of roundings of at most
-    2^-(W+1) per part, each amplified only by the other factors of its
-    product (module docstring)."""
-    top = max(isqrt(x * x + y * y) for re, im in cleared_remainder(Lt, point, esym)
+def cleared_remainder(Lt, point: GaussPoint, esym) -> tuple:
+    """(r1, r0): the remainder r1 D + r0 of L_GHG on right division by
+    L-tilde as Gaussian fixed-point numerators (re, im) at scale 2^-W, W =
+    ``point.bits``, over z^N Q^(N+1), Q = z (z-1) prod(z - t_k).  L_GHG,
+    from its th-table at the esym values (`theta_at`), is sum_j C_j D^j /
+    (z^(N+1) (z-1)) with C_j = z^(j-1) (A_j z - B_j) and monic D^(N+2);
+    with rem(D^j) = (U_j D + V_j) / Q^(j-1) (`d_remainders`), n = N + 2,
+        r = z^N X_n + prod(z - t_k) sum_(j<n) C_j X_j Q^(N - max(j-1, 0))
+    for X = U (r1) and X = V (r0), by Horner in Q, each step rounded once."""
+    return _remainder(d_remainders(Lt, point), esym)
+
+
+def solve_esym_numeric(rems: tuple) -> list:
+    """The esym values sigma_1..sigma_N that make r1 vanish, as fixed-point
+    pairs at scale 2^-W, from `d_remainders` rems.  Each C_j is affine in
+    sigma (`_theta_ints`), so with Y_j = prod(z - t_k) U_j Q^(N - max(j-1,
+    0)), each rounded once, den r1 = G_0 + sum_i sigma_i G_i with
+        G_i = sum_j (A_j[i] z^j - B_j[i] z^(j-1)) Y_j  (+ den z^N U_(N+2) in G_0),
+    exact int combinations.  The coefficient rows of G_1..G_N against -G_0,
+    unscaled, go to `_solve` in Gaussian fixed point; singular rows raise
+    ZeroDivisionError."""
+    W, q, prod, U, V, table = rems
+    n = len(table)
+    N = n - 2
+    den, forms = _theta_ints(table, N)
+    QP = [prod]   # prod(z - t_k) Q^k
+    for _ in range(N):
+        QP.append(_rounded(poly_mul(QP[-1], q), W))
+    Y = [[_rounded(poly_mul(u, QP[N - max(j - 1, 0)]), W) for u in U[j]] for j in range(n)]
+    L = max([N + len(u) for u in U[n]] + [j + len(y) for j, ys in enumerate(Y) for y in ys])
+    G = [([0] * L, [0] * L) for _ in range(N + 1)]
+    for part, u in enumerate(U[n]):
+        G[0][part][N:N + len(u)] = [den * c for c in u]
+    for j, ((A, B), ys) in enumerate(zip(forms, Y)):
+        for part, y in enumerate(ys):
+            for g, a, b in zip(G, A, B):
+                if a or b:   # B_0 = 0, so at j = 0 g[-1] gains nothing
+                    g = g[part]
+                    for k, c in enumerate(y, j):
+                        g[k] += a * c
+                        g[k - 1] -= b * c
+    rows = [[(g[0][k], g[1][k]) for g in G[1:]] for k in range(L)]
+    return _solve(rows, [(-G[0][0][k], -G[0][1][k]) for k in range(L)], *_fixed_arithmetic(W))
+
+
+def remainder_defect(rems: tuple, esym) -> mpmath.mpf:
+    """The verdict: the largest isqrt(re^2 + im^2) 2^-W over the
+    coefficients of r1 and r0 (`cleared_remainder`, from the `d_remainders`
+    rems), over the instance's fixed denominator z^N Q^(N+1).  Its error is
+    a sum of roundings of at most 2^-(W+1) per part, each amplified only by
+    the other factors of its product (module docstring)."""
+    top = max(isqrt(x * x + y * y) for re, im in _remainder(rems, esym)
               for x, y in zip_longest(re, im, fillvalue=0))
-    return mpmath.ldexp(mp.mpf(top), -point.bits)
+    return mpmath.ldexp(mp.mpf(top), -rems[0])
 
 
 def _mag(x: tuple) -> int:

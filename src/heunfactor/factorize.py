@@ -14,7 +14,8 @@ in the apparency ideal certifies the instance.
 
 Exact mode works in Q(params)[q] / (P_app(q)) for one extra singularity and
 falls back to a budgeted Groebner reduction (or the numeric path) for more.
-Numeric mode runs the same division at several hundred bits; only its
+Numeric mode solves the same rows and reads the same remainder at several
+hundred bits, from the D^j mod L~ recurrence in fixed point; only its
 functions import mpmath and `_mpnum`, so exact mode runs without them.
 """
 
@@ -425,11 +426,6 @@ def solve_esym(Lt: ApparentFuchsian, deep: bool = False) -> tuple:
     in z-expansion order for M = 1 and (z-1)-expansion order for M >= 2.
     """
     check_profile(Lt, deep=deep)
-    return _esym_solution(Lt)
-
-
-def _esym_solution(Lt: ApparentFuchsian) -> tuple:
-    """`solve_esym` without the profile gate."""
     ring = Lt.ring
     N = Lt.N
     e_names = [f"e{j}" for j in range(1, N + 1)]
@@ -671,59 +667,25 @@ def solve_apparent_p(gamma: Fraction, delta: Fraction, sing: Sequence,
                                        seed=seed)
 
 
-def _z0_series(Lt: ApparentFuchsian, point: _mpnum.GaussPoint) -> Optional[tuple]:
-    """(ratios, shift) of L~'s z = 0 series for `_mpnum.solve_esym_numeric`,
-    or None when neither z = 0 exponent carries the esym values.
-
-    At exponent 0 the series of an apparent L~ is the pFq series of
-    L_{alpha,beta,e_i+1; gamma,e_i}; at 1 - gamma it is z^(1-gamma) times
-    the one with alpha, beta, e_i shifted by 1 - gamma and gamma -> 2 - gamma.
-    Either way c_n w_n = prod(1 + n / (e_i + rho)) with the exact weight
-    w_n = (gamma')_n n! / ((alpha')_n (beta')_n).  The exponent is chosen from
-    exact data alone: the first with no vanishing (gamma')_n or
-    (alpha')_n (beta')_n, n <= N, whose series is then unique and divisible
-    by the Pochhammer factors.  The c_n come from the series engine with the
-    residues as atoms, evaluated at the residue values ``point``."""
-    from . import _mpnum
-
-    N, g, S, P = Lt.N, Lt.gamma, Lt.sum_ab, Lt.prod_ab
-    c = 1 - g
-    for rho, g2, S2, P2 in ((0, g, S, P), (c, 2 - g, S + 2 * c, P + c * S + c * c)):
-        # (alpha')_n (beta')_n = prod_{k<n} (k^2 + k S' + P')
-        factors = [(g2 + k, k * k + k * S2 + P2) for k in range(N)]
-        if any(a.is_zero or b.is_zero for a, b in factors):
-            continue
-        cs = frobenius_series(Lt, 0, rho, N).coeffs
-        ratios, w = [], Fraction(1)
-        for n, (a, b) in enumerate(factors, 1):
-            w = w * a.fraction() * n / b.fraction()
-            ratios.append(point.mpc(cs[n], w))
-        return ratios, _mpnum.to_mpc(_val(rho, Lt.ring).fraction())
-    return None
-
-
 def verify_factorization_numeric(gamma, delta, sing, prod_ab,
                                  p_vals=None, bits: int = 300, seed: int = 0,
                                  tol_exp: int = -60) -> VerificationReport:
     """Numeric verification at `bits` precision.
 
-    The esym values come from c_1..c_N of L~'s z = 0 series (`_z0_series`).
-    When neither z = 0 exponent qualifies, or the series fixes fewer than N
-    values (`_mpnum.solve_esym_numeric` returns None), they come from the
-    exact esym solve on the residue-atom L~ (`_esym_solution`, no profile gate),
-    evaluated at the residues; rows singular there raise ZeroDivisionError.
-    Only that fallback builds the exact L_GHG with the esym atoms and L~ as
-    an operator.  The residues are one `_mpnum.GaussPoint`, shared by the
-    series and the remainder.  L_GHG's numerators come from its th-table
-    at the esym values as fixed-point pairs (`_mpnum.theta_at`), bit for
-    bit the exact operator evaluated there, and are reduced modulo L~'s
-    cleared form once at `bits` precision (`_mpnum.remainder_defect`); no
-    operator type is built.  A wrong esym value can only raise the
-    defect, never pass a verdict.  When p_vals is omitted the apparency
-    system is solved first.  Passes when the maximal numerator coefficient
-    of the remainder over z^N Q^(N+1), Q = z (z-1) prod(z - t_k), is below
-    10^tol_exp, which must lie in (-bits log10 2, 0): a bound no finer than
-    the working precision.
+    The residues are one `_mpnum.GaussPoint`.  One pass of the `D^j mod
+    L~` recurrence on L~'s cleared form (`_mpnum.d_remainders`) serves both
+    steps: the esym values solve the coefficient rows of the remainder's
+    D-coefficient r1, affine in them through L_GHG's th-table
+    (`_mpnum.solve_esym_numeric`, the rows the exact lane solves in w1;
+    singular rows raise ZeroDivisionError), and the verdict reads every
+    coefficient of r1 and r0 at those values (`_mpnum.remainder_defect`).
+    No exact division, exact solve or operator type is built, and a
+    wrong esym value can only raise the defect: a control passes only if
+    some esym values make L_GHG = D~ L~.  When p_vals is omitted the
+    apparency system is solved first.  Passes when the maximal numerator
+    coefficient of the remainder over z^N Q^(N+1), Q = z (z-1) prod(z -
+    t_k), is below 10^tol_exp, which must lie in (-bits log10 2, 0): a
+    bound no finer than the working precision.
     """
     import mpmath
     from mpmath import mp
@@ -741,14 +703,13 @@ def verify_factorization_numeric(gamma, delta, sing, prod_ab,
                                       seed=seed, bits=bits, Lt=Lt)
         point = _mpnum.GaussPoint({f"p{k}": p for k, p in enumerate(p_vals, 1)},
                                   mp.prec + _mpnum.GUARD_BITS)
-        series = _z0_series(Lt, point)
-        es = _mpnum.solve_esym_numeric(*series) if series else None
-        if es is None:   # the edges' exact esym solve
-            es = [point.mpc(v) for v in _esym_solution(Lt)[0].values]
-        defect = _mpnum.remainder_defect(Lt, point, es)
+        rems = _mpnum.d_remainders(Lt, point)
+        es = _mpnum.solve_esym_numeric(rems)
+        defect = _mpnum.remainder_defect(rems, es)
         passed = defect < mp.mpf(10) ** tol_exp
         return VerificationReport(
-            "numeric", Lt.profile, tuple(mpmath.nstr(v, 25) for v in es),
+            "numeric", Lt.profile,
+            tuple(mpmath.nstr(_mpnum._unfixed(v, point.bits), 25) for v in es),
             mpmath.nstr(defect, 8), bool(passed), "(numeric quotient suppressed)",
             detail=f"precision {bits} bits, tolerance 1e{tol_exp}")
 

@@ -1,5 +1,6 @@
 """Shared fixtures: reference transcriptions of the closed-form condition
-polynomials and solutions, plus random rational instance helpers."""
+polynomials and solutions, plus random rational instance helpers and the
+numeric lane's edge instances."""
 
 import random
 from fractions import Fraction as F
@@ -94,3 +95,15 @@ def rng():
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+#: numeric instances (gamma, alpha, beta, m) at t = 5/2 where a Pochhammer
+#: factor of L~'s z = 0 series vanishes at both exponents: alpha = 0 or -1
+#: terminates the exponent-0 GHG series, integer gamma makes the exponents
+#: resonant
+EDGES = [
+    (F(5, 7), 0, F(-2, 7), 3),
+    (-2, 0, -3, 2),
+    (3, -1, 1, 2),
+    (F(5, 7), -1, F(-9, 7), 2),
+]

@@ -317,9 +317,9 @@ class TestFactorizeCommand:
         assert float(rep["defect_max"]) < 1e-60
 
     def test_numeric_series_without_esym_takes_the_exact_solve(self, tmp_path, capsys):
-        # beta = 1/2 makes the residue p1 = 0: L~'s z = 0 series fixes no
-        # esym value, so the numeric lane falls back to the exact solve and
-        # fails as exact mode does (esym -22/3)
+        # beta = 1/2 makes the residue p1 = 0, where L~'s z = 0 series fixes
+        # no esym value; the remainder's rows do, and the numeric lane fails
+        # as exact mode does (esym -22/3)
         path = write(tmp_path, "i.json", _with(MAIER, beta="1/2"))
         code, out, _ = run_cli(["factorize", path, "--mode", "numeric"], capsys)
         rep = json.loads(out)

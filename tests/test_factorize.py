@@ -8,7 +8,7 @@ import pytest
 
 from heunfactor import factorize
 from heunfactor.cli import cmd_factorize
-from heunfactor.exactalg import _MOD_P, RatFunc, Ring, rank_of, reduce_mod
+from heunfactor.exactalg import _MOD_P, RatFunc, Ring, rank_of
 from heunfactor.factorize import (
     SUPPORTED_PROFILES,
     ApparentFuchsian,
@@ -30,10 +30,10 @@ from heunfactor.factorize import (
     verify_factorization,
     verify_factorization_numeric,
 )
-from heunfactor.heun import HeunParams, apparency_poly, frobenius_series, heun_operator
+from heunfactor.heun import HeunParams, frobenius_series, heun_operator
 from heunfactor.oredop import DiffOp
 
-from conftest import make_rng, rand_frac
+from conftest import EDGES, make_rng
 
 
 def symbolic_m1(m):
@@ -316,16 +316,6 @@ class TestApparencySystem:
         assert float(np.max(np.abs(M_bad - np.eye(2)))) > 1e-3
 
 
-#: numeric instances (gamma, alpha, beta, m) at t = 5/2 with no usable z = 0
-#: series: a Pochhammer factor vanishes at both exponents
-EDGES = [
-    (F(5, 7), 0, F(-2, 7), 3),
-    (-2, 0, -3, 2),
-    (3, -1, 1, 2),
-    (F(5, 7), -1, F(-9, 7), 2),
-]
-
-
 def _same_parts(a: RatFunc, b: RatFunc):
     """Equal terms, content and factor dict, the factors in the same order."""
     assert a.num == b.num and a.num.content() == b.num.content()
@@ -430,8 +420,7 @@ class TestNumericPipeline:
         assert float(rep.defect_max) < 1e-60
 
     # alpha = 0 or -1 terminates the exponent-0 GHG series; integer gamma
-    # gives resonant exponents at z = 0.  The last one has the smallest
-    # margin of the four (defect about 1e-72).
+    # gives resonant exponents at z = 0.  The defects read 0 to 1.3e-89.
     @pytest.mark.parametrize("gamma, alpha, beta, m", EDGES)
     def test_terminating_and_integer_gamma_edges_pass(self, gamma, alpha, beta, m):
         delta = alpha + beta - gamma + m + 1
@@ -440,37 +429,50 @@ class TestNumericPipeline:
         assert rep.passed
         assert float(rep.defect_max) < 1e-60
 
-    def test_only_edges_without_a_series_exponent_sample_the_remainder(self, monkeypatch):
-        # at both z = 0 exponents of each edge a Pochhammer factor vanishes,
-        # so only the edges take their esym values from the exact solve
-        calls = []
-        exact = factorize._esym_solution
-        monkeypatch.setattr(factorize, "_esym_solution",
-                            lambda *a: calls.append(a) or exact(*a))
-        for k, (gamma, alpha, beta, m) in enumerate(EDGES, 1):
-            delta = alpha + beta - gamma + m + 1
-            verify_factorization_numeric(F(gamma), F(delta), [(F(5, 2), m)],
-                                         F(alpha * beta), bits=300)
-            assert len(calls) == k
-        gamma, delta, sing, prod_ab = random_profile_instance((2,), seed=5)
-        assert verify_factorization_numeric(gamma, delta, sing, prod_ab, bits=300).passed
-        assert len(calls) == len(EDGES)
+    @pytest.mark.parametrize("gamma, alpha, beta, m", EDGES + [(F(5, 7), 0, F(-2, 7), 8)])
+    def test_edges_pass_without_an_exact_division_or_solve(self, gamma, alpha, beta, m,
+                                                           monkeypatch):
+        # the esym values come from the fixed-point remainder's rows on the
+        # edges too: no exact L_GHG, exact esym solve or exact division
+        def refuse(*args):
+            raise AssertionError("the numeric lane ran exact algebra")
 
-    def test_edge_builds_its_operators_once(self, monkeypatch):
-        # the exact esym fallback divides the operators the numeric lane built
-        calls = []
-        build = factorize.ghg_operator_esym
-        monkeypatch.setattr(factorize, "ghg_operator_esym",
-                            lambda *a: calls.append(a) or build(*a))
-        gamma, alpha, beta, m = EDGES[0]
+        monkeypatch.setattr(factorize, "ghg_operator_esym", refuse)
+        monkeypatch.setattr(factorize, "solve_esym", refuse)
+        monkeypatch.setattr(DiffOp, "right_divide", refuse)
         delta = alpha + beta - gamma + m + 1
         rep = verify_factorization_numeric(F(gamma), F(delta), [(F(5, 2), m)],
                                            F(alpha * beta), bits=300)
         assert rep.passed
-        assert len(calls) == 1
+        assert float(rep.defect_max) < 1e-60
+
+    @pytest.mark.parametrize(("alpha", "t", "m"), [(F(200, 3), 10 ** 5, 3), (F(1, 3), F(5, 2), 12)],
+                             ids=["t-1e5", "m12"])
+    def test_large_t_and_large_m_pass_at_300_bits(self, alpha, t, m):
+        # gamma 5/7, beta 3/5: the operators' coefficients reach 1e30 and
+        # more, yet the defect stays below 1e-60 at the default 300 bits;
+        # the control at p + 1/7 (the real root to 40 digits) exits 2
+        from mpmath import mp
+
+        params = {"gamma": "5/7", "alpha": str(alpha), "beta": "3/5",
+                  "sing": [{"t": str(t), "m": m}]}
+        inst = {"version": 1, "kind": "apparent_fuchsian", "mode": "numeric",
+                "parameters": params}
+        report, code = cmd_factorize(inst, None, 300, -60, None)
+        assert code == 0 and report["pass"], report["defect_max"]
+        gamma, beta = F(5, 7), F(3, 5)
+        with mp.workprec(300):
+            (p,) = solve_apparent_p(gamma, alpha + beta - gamma + m + 1, [(F(t), m)],
+                                    alpha * beta)
+            assert abs(p.imag) <= mp.mpf(10) ** -60 * abs(p)
+            control = str(F(mp.nstr(p.real, 40, min_fixed=-mp.inf, max_fixed=mp.inf))
+                          + F(1, 7))
+        report, code = cmd_factorize({**inst, "parameters": {**params, "p": [control]}},
+                                     None, 300, -60, None)
+        assert code == 2 and float(report["defect_max"]) > 1e-10
 
     def test_series_verdicts_build_no_exact_ghg_operator(self, monkeypatch):
-        # off the edges L_GHG comes from its th-table at the esym values
+        # L_GHG comes from its th-table at the esym values
         calls = []
         build = factorize.ghg_operator_esym
         monkeypatch.setattr(factorize, "ghg_operator_esym",
@@ -483,7 +485,7 @@ class TestNumericPipeline:
 
     def test_series_verdicts_divide_by_no_operator(self, monkeypatch):
         # the remainder comes from L~'s cleared form and L_GHG's th-table on
-        # fixed-point pairs, so off the edges the verdict neither builds L~
+        # fixed-point pairs, so the verdict neither builds L~
         # as an operator nor divides one, builds none of the fixed-point
         # operator types, and evaluates at one GaussPoint
         from mpmath import mp

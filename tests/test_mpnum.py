@@ -1,10 +1,10 @@
 """Numeric lane: the fixed-point polynomial values against eval_num, the
 exact operators evaluated into the fixed-point operator type, L_GHG from
 its th-table against the evaluated exact one, the remainder against the
-exact one, the cleared-form remainder against the Leibniz one, the series
-esym values against the exact solve's,
-the divisor's reused derivative table, Newton's step solve and reach, and
-the verdicts over a wide dynamic range."""
+exact one, the cleared-form remainder against the Leibniz one, the esym
+values from the remainder's rows against the exact solve's, the divisor's
+reused derivative table, the step and row solves, Newton's reach, and the
+verdicts over a wide dynamic range."""
 
 import random
 from fractions import Fraction as F
@@ -17,11 +17,12 @@ from mpmath import mp
 from heunfactor import _mpnum
 from heunfactor._mpnum import DiffOpM, FactorBasis, GaussPoint, RatM, to_mpc
 from heunfactor.exactalg import MultiPoly, RatFunc, Ring, poly_eval, poly_trim
-from heunfactor.factorize import (_division_work, _esym_solution, _residue_atom_factor,
-                                  _z0_series, apparency_system, random_profile_instance,
-                                  solve_apparent_p, verify_factorization,
-                                  verify_factorization_numeric)
+from heunfactor.factorize import (_division_work, _residue_atom_factor, apparency_system,
+                                  random_profile_instance, solve_apparent_p, solve_esym,
+                                  verify_factorization, verify_factorization_numeric)
 from heunfactor.ghg import _theta_table, ghg_operator_esym
+
+from conftest import EDGES
 
 _rats = st.fractions(min_value=-7, max_value=7, max_denominator=6)
 _profiles = st.sampled_from([(1,), (2,), (3,), (1, 1), (2, 1)])
@@ -171,17 +172,19 @@ def test_theta_table_is_the_exact_operator_at_rational_esym_values(inst):
     _assert_table_is_exact(_residue_atom_factor(gamma, delta, sing, prod_ab), es)
 
 
+def _row_esym(Lt, point) -> list:
+    """The numeric verdict's esym values at the residues ``point``, as mpc."""
+    rems = _mpnum.d_remainders(Lt, point)
+    return [_mpnum._unfixed(v, point.bits) for v in _mpnum.solve_esym_numeric(rems)]
+
+
 def _solved_esym(inst, bits):
     """Residues by Newton and esym values as the numeric verdict finds them."""
     Lt = _residue_atom_factor(*inst)
     with mp.workprec(bits):
         pv = solve_apparent_p(*inst, seed=0, bits=bits)
-        point = GaussPoint({f"p{k}": p for k, p in enumerate(pv, 1)},
-                           mp.prec + _mpnum.GUARD_BITS)
-        series = _z0_series(Lt, point)
-        es = _mpnum.solve_esym_numeric(*series) if series else None
-        if es is None:
-            es = [point.mpc(v) for v in _esym_solution(Lt)[0].values]
+        es = _row_esym(Lt, GaussPoint({f"p{k}": p for k, p in enumerate(pv, 1)},
+                                      mp.prec + _mpnum.GUARD_BITS))
     return Lt, es
 
 
@@ -201,8 +204,7 @@ def test_theta_table_is_the_exact_operator_at_solved_esym_values(inst):
 
 
 def test_theta_table_zero_coefficient_and_large_t():
-    # alpha = 0: alpha beta = 0 makes the D^0 coefficient vanish identically;
-    # its esym values come from the exact solve, as on every such edge
+    # alpha = 0: alpha beta = 0 makes the D^0 coefficient vanish identically
     Lt, es = _solved_esym(_apparent_m3(F(5, 2), F(0), F(-2, 7)), 300)
     assert _assert_table_is_exact(Lt, es)[0] == ((0, 0), (0, 0))
     # t = 10^5, alpha = 200/3: operator coefficients near t^k, at 400 bits
@@ -231,41 +233,48 @@ def test_repeated_and_composite_denominator_factors_split_over_the_basis():
 
 
 def _check_routes_agree(gamma, delta, sing, prod_ab):
-    """The series esym values equal the exact solve's values at the same
-    residues to 1e-70 relative, both divide with defect below 1e-60;
-    returns the series."""
+    """The esym values from the remainder's rows equal the exact solve's
+    values at the same residues to 1e-70 relative to the largest (an edge
+    can have sigma_N = 0), and both divide with defect below 1e-60."""
     Lt = _residue_atom_factor(gamma, delta, sing, prod_ab)
     with mp.workprec(300):
         pv = solve_apparent_p(gamma, delta, sing, prod_ab, seed=0)
         assign = {f"p{k}": to_mpc(p) for k, p in enumerate(pv, 1)}
         point = GaussPoint(assign, mp.prec + _mpnum.GUARD_BITS)
-        series = _z0_series(Lt, point)
-        assert series is not None
-        es = _mpnum.solve_esym_numeric(*series)
-        exact = [v.eval_num(assign, num=mp.mpc) for v in _esym_solution(Lt)[0].values]
+        es = _row_esym(Lt, point)
+        exact = [v.eval_num(assign, num=mp.mpc) for v in solve_esym(Lt, deep=True)[0].values]
         assert len(es) == len(exact) == Lt.N
-        for x, y in zip(es, exact):
-            assert abs(x - y) <= mp.mpf(10) ** -70 * abs(y)
+        size = max(abs(y) for y in exact)
+        assert all(abs(x - y) <= mp.mpf(10) ** -70 * size for x, y in zip(es, exact))
+        rems = _mpnum.d_remainders(Lt, point)
         for values in (es, exact):
-            assert _mpnum.remainder_defect(Lt, point, values) < mp.mpf(10) ** -60
-    return series
+            assert _mpnum.remainder_defect(rems, values) < mp.mpf(10) ** -60
 
 
 @pytest.mark.parametrize("profile", [(1,), (2,), (3,), (4,), (5,), (1, 1), (2, 1), (1, 2),
                                      (2, 2), (3, 1), (1, 3), (1, 1, 1)],
                          ids=lambda p: "".join(map(str, p)))
 def test_series_and_sampling_esym_agree(profile):
-    # series values against the exact solve's (see _check_routes_agree)
+    # row values against the exact solve's (see _check_routes_agree)
     _check_routes_agree(*random_profile_instance(profile, seed=11))
 
 
+@pytest.mark.parametrize("gamma, alpha, beta, m", EDGES)
+def test_row_esym_agrees_with_the_exact_solve_on_the_edges(gamma, alpha, beta, m):
+    _check_routes_agree(F(gamma), F(alpha + beta - gamma + m + 1), [(F(5, 2), m)],
+                        F(alpha * beta))
+
+
+@pytest.mark.parametrize(("profile", "beta"), [((5,), F(-1)), ((1, 1, 1), F(-2))],
+                         ids=["5-pinned", "111-pinned"])
+def test_row_esym_agrees_with_the_exact_solve_at_pinned_beta(profile, beta):
+    _check_routes_agree(*_pinned(profile, beta))
+
+
 def test_terminating_exponent_zero_series_takes_exponent_one_minus_gamma():
-    # beta = -1 ends the exponent-0 series; 1 - gamma = 2/7 carries the values
+    # beta = -1 ends the exponent-0 series of L~ at z = 0
     gamma, alpha, beta, m = F(5, 7), F(1, 3), F(-1), 3
-    _, shift = _check_routes_agree(gamma, alpha + beta - gamma + m + 1, [(F(5, 2), m)],
-                                   alpha * beta)
-    with mp.workprec(300):
-        assert shift == to_mpc(1 - gamma)
+    _check_routes_agree(gamma, alpha + beta - gamma + m + 1, [(F(5, 2), m)], alpha * beta)
 
 
 def _same(a: DiffOpM, b: DiffOpM) -> bool:
@@ -313,7 +322,8 @@ def _assert_cleared_remainder_is_leibniz(Lt, p_vals, es, bits=300) -> list:
         r1, r0 = _mpnum.cleared_remainder(Lt, point, es)
         L = _at(basis, _ghg_atoms(Lt), {f"e{k}": to_mpc(v) for k, v in enumerate(es, 1)})
         _, rem = L.right_divide_monic(_at(basis, Lt.operator(), assign))
-        H = max([mp.mpf(1)] + [abs(to_mpc(c)) for c in Q + P1] + [abs(point.mpc(s)) for s in S])
+        H = max([mp.mpf(1)] + [abs(to_mpc(c)) for c in Q + P1]
+                + [abs(_mpnum._unfixed(point.value(s), W)) for s in S])
         C = max(1, mp.ldexp(max(abs(x) for c in L.coeffs for x in c.re + c.im), -W))
         bound = 2 ** 8 * H ** (Lt.N + 1) * C
         over = (2 * Lt.N + 1,) + (Lt.N + 1,) * (Lt.M + 1)   # z^N Q^(N+1)
@@ -392,6 +402,30 @@ def test_step_solve_matches_lu_solve_and_rejects_a_singular_matrix():
         with pytest.raises(ZeroDivisionError):
             _mpnum._solve([[_mpnum._fixed(a, W) for a in r] for r in singular[0]],
                           [_mpnum._fixed(v, W) for v in singular[1]], *fixed)
+
+
+def test_row_solve_pivots_over_a_tall_matrix():
+    # a consistent 7 x 3 system in Gaussian fixed point, as the esym rows
+    # give it: rows of very different sizes, unscaled, a zero row and a
+    # row of rounding-noise size.  The pivots come from the large rows; a
+    # quotient rounds to 2^-W absolutely, so x errs by a few 2^-W times the
+    # ratio of the largest pivot row to the smallest (10^30 here)
+    rng = random.Random(11)
+    with mp.workprec(300):
+        W = mp.prec + _mpnum.GUARD_BITS
+        x = [_random_mpc(rng, 5) for _ in range(3)]
+        A = [[_random_mpc(rng, mp.mpf(10) ** e) for _ in range(3)]
+             for e in (30, 0, -80, 12, 3, -5)]
+        A.insert(2, [mp.mpc(0)] * 3)
+        b = [mp.fsum(a * v for a, v in zip(r, x)) for r in A]
+        got = _mpnum._solve([[_mpnum._fixed(a, W) for a in r] for r in A],
+                            [_mpnum._fixed(v, W) for v in b], *_mpnum._fixed_arithmetic(W))
+        bound = mp.ldexp(mp.mpf(10) ** 30, 8 - W)
+        assert all(abs(_mpnum._unfixed(g, W) - v) <= bound for g, v in zip(got, x))
+        dependent = [[a, 2 * a, c] for a, _, c in A]
+        with pytest.raises(ZeroDivisionError):
+            _mpnum._solve([[_mpnum._fixed(a, W) for a in r] for r in dependent],
+                          [_mpnum._fixed(v, W) for v in b], *_mpnum._fixed_arithmetic(W))
 
 
 @pytest.mark.parametrize("profile", [(4,), (2, 2), (1, 1, 1)],

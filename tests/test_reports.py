@@ -46,18 +46,20 @@ APPARENCY = {
     -3: "7a4a62d84f12ee96697c937b295bb24405da138415d34777350e54ac488f3704",
 }
 
-#: `factorize --mode numeric` at 300 bits, M = 1, m = 3, t = 5/2, gamma = 5/7,
-#: one instance per esym route: (alpha, beta) and the digests of the apparent
-#: report (residue solved by Newton) and of a control at p = 1
+#: `factorize --mode numeric` at 300 bits, M = 1, m = 3, t = 5/2, gamma = 5/7:
+#: (alpha, beta) and the digests of the apparent report (residue solved by
+#: Newton) and of a control at p = 1.  The keys name the z = 0 series
+#: exponent that carries the esym values (none on the alpha = 0 edge, which
+#: once took the exact solve); all three take them from the remainder's rows
 NUMERIC = {
     "exponent-0": (("1/3", "3/5"),
-                   "956d8b863ad0e75fb600b5ea8274372579d7da756517e86418ce6ed3c8c31a4e",
-                   "25c3cac0040644bf1467e97d1cd9f31c157682a49cca3607002d6fa0a0c0b01a"),
+                   "e0036106ae04133f224e036d7e7da30c188542f199ede30501509abd3f07199b",
+                   "df37742b354b5c0e12b191dddc1a804cebbeaee85d7a86570b63dedbe6df7548"),
     "exponent-1-gamma": (("1/3", "-1"),
-                         "ee71ecb20367ef00579fb23ef51cfc208d47308af575e5283b7dfec958510710",
-                         "fa8bda785a58da2d7a8e498a28f39885b48b2f520680e7851782592c4d965dc0"),
+                         "2b06b610cd05eef823ad886bc30a8dd258a67678bdf53973d08a3b78db90aa59",
+                         "680e18d10866bcb08239374b3cc168e31918276e2150de9ddfc97ff561ecc485"),
     "exact-solve": (("0", "-2/7"),
-                    "b8bd0c8f857455fc6953597f39ea98e159022a94cb8e29fa7e5b782ed0cced30",
+                    "850e1d5f0a128ced030bacd4f264e6132d5bb8fab35e38c24671e4912b3d1851",
                     "9b02a6265c6f947c2fd92fa05463a3863799cdb9a56f5b00d9405f75bf8c0ece"),
 }
 
