@@ -70,7 +70,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import zip_longest
 from math import isqrt, lcm
-from operator import add, truediv
+from operator import add
 
 import mpmath
 from mpmath import mp
@@ -332,20 +332,30 @@ class DiffOpM:
         return DiffOpM(self.basis, q), DiffOpM(self.basis, rem)
 
 
-def _solve(A: list, b: list, div=truediv,
-           mulsub=lambda c, fs, xs: c - sum(f * x for f, x in zip(fs, xs)), mag=abs) -> list:
-    """x with A x = b for a square or tall matrix (a list of rows), by
-    Gaussian elimination with partial pivoting over all remaining rows: the
-    n pivot rows fix x, and the other rows do not check it.
-    ZeroDivisionError when a pivot is no larger than eps = 2^(1 - prec)
-    times the largest column sum of |A|.  The arithmetic comes in as
-    div(a, b) = a / b, mulsub(c, fs, xs) = c - sum f x and mag(a) = |a|:
-    mpc's by default, `_fixed_arithmetic`'s for Newton and the esym rows."""
+def _mag(x: tuple) -> int:
+    """|x| of a fixed-point pair, floored to the unit."""
+    return isqrt(x[0] * x[0] + x[1] * x[1])
+
+
+def _solve(A: list, b: list, W: int) -> list:
+    """x with A x = b for a square or tall matrix (a list of rows) of
+    Gaussian fixed-point pairs at scale 2^-W, by Gaussian elimination with
+    partial pivoting over all remaining rows: the n pivot rows fix x, and
+    the other rows do not check it.  Products (`_round_mul`) and quotients
+    are rounded once to nearest.  ZeroDivisionError when a pivot is no
+    larger than eps = 2^(1 - prec) times the largest column sum of |A|."""
+
+    def div(x, y):
+        # ((ac + bd) + i (bc - ad)) / (c^2 + d^2)
+        (a, b), (c, d) = x, y
+        den = c * c + d * d
+        return tuple(((2 * v << W) + den) // (2 * den) for v in (a * c + b * d, b * c - a * d))
+
     n = len(A[0])
     rows = [list(r) + [v] for r, v in zip(A, b)]
-    colsum = max(sum(mag(r[j]) for r in rows) for j in range(n))
+    colsum = max(sum(_mag(r[j]) for r in rows) for j in range(n))
     for k in range(n):
-        sizes = [mag(r[k]) for r in rows[k:]]
+        sizes = [_mag(r[k]) for r in rows[k:]]
         size = max(sizes)
         piv = k + sizes.index(size)   # first of equals
         rows[k], rows[piv] = rows[piv], rows[k]
@@ -355,13 +365,15 @@ def _solve(A: list, b: list, div=truediv,
             raise ZeroDivisionError("matrix is numerically singular")
         for r, entry in zip(rows[k + 1:], sizes[1:]):
             if entry:   # an exact zero eliminates nothing
-                f = (div(r[k], top[k]),)
+                f = div(r[k], top[k])
                 for j in range(k + 1, n + 1):
-                    r[j] = mulsub(r[j], f, (top[j],))
+                    a, b = _round_mul(f, top[j], W)
+                    r[j] = r[j][0] - a, r[j][1] - b
     x = [0] * n
     for k in reversed(range(n)):
         r = rows[k]
-        x[k] = div(mulsub(r[n], r[k + 1:n], x[k + 1:]), r[k])
+        ps = [_round_mul(f, v, W) for f, v in zip(r[k + 1:n], x[k + 1:])]
+        x[k] = div((r[n][0] - sum(p[0] for p in ps), r[n][1] - sum(p[1] for p in ps)), r[k])
     return x
 
 
@@ -379,10 +391,10 @@ def _theta_ints(table, N: int) -> tuple:
     return den, forms
 
 
-def theta_at(W: int, table, esym) -> list:
-    """L_GHG's coefficients below D^(N+2) from its th-table
-    (``ghg._theta_table``, rational scalars) at the esym values ``esym``
-    (mpc-liftable, or fixed-point pairs at scale 2^-W taken as they are):
+def theta_at(W: int, den: int, forms: list, esym) -> list:
+    """L_GHG's coefficients below D^(N+2) from its th-table in int forms
+    (den, forms) (`_theta_ints`) at the esym values ``esym`` (mpc-liftable,
+    or fixed-point pairs at scale 2^-W taken as they are):
     one Gaussian fixed-point pair (A_j, B_j) at scale 2^-W per j = 0..N+1,
     the coefficient of D^j being (A_j z^j - B_j z^(j-1)) / (z^(N+2) -
     z^(N+1)).  A_j and -B_j are the exact rationals sum_i r_i x_i (x_i the
@@ -391,7 +403,6 @@ def theta_at(W: int, table, esym) -> list:
     operator's numerator coefficients (``ghg_operator_esym``) at the same
     sigma values."""
     xs = [(1 << W, 0)] + [v if type(v) is tuple else _fixed(to_mpc(v), W) for v in esym]
-    den, forms = _theta_ints(table, len(esym))
 
     def rounded(form: list, sign: int) -> tuple:
         # sign * sum_i form_i x_i / den, (re, im) rounded to nearest
@@ -408,10 +419,10 @@ def _rounded_sum(W: int, *products) -> list:
 
 
 def d_remainders(Lt, point: GaussPoint) -> tuple:
-    """The esym-free part of `cleared_remainder`: (W, q, prod, U, V, table)
-    with W = ``point.bits``, Q and prod(z - t_k) as fixed-point int lists,
-    the remainders rem(D^j) = (U_j D + V_j) / Q^(j-1), j = 0..N+2, as
-    Gaussian fixed-point pairs, and L_GHG's th-table.
+    """The esym-free part of `cleared_remainder`: (W, q, prod, U, V, den,
+    forms) with W = ``point.bits``, Q and prod(z - t_k) as fixed-point int
+    lists, the remainders rem(D^j) = (U_j D + V_j) / Q^(j-1), j = 0..N+2,
+    as Gaussian fixed-point pairs, and L_GHG's th-table as `_theta_ints`.
 
     L-tilde, its residue atoms at ``point``, is read from its cleared form
     Q D^2 + P1 D + S (``Lt.cleared``, which must take its rational branch).
@@ -440,18 +451,18 @@ def d_remainders(Lt, point: GaussPoint) -> tuple:
                                     poly_mul(u, minus_b)) for u, v in ((ur, vr), (ui, vi))))
         V.append(tuple(_rounded_sum(W, poly_mul(poly_deriv(v), q), poly_mul(v, minus_edq), t)
                        for v, t in zip((vr, vi), minus_us)))
-    return W, q, prod, U, V, _theta_table(
-        *(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), N)
+    return (W, q, prod, U, V) + _theta_ints(_theta_table(
+        *(v.fraction() for v in (Lt.sum_ab, Lt.prod_ab, Lt.gamma)), N), N)
 
 
 def _remainder(rems: tuple, esym) -> tuple:
     """`cleared_remainder` from the `d_remainders` of its L-tilde and point."""
-    W, q, prod, U, V, table = rems
-    n = len(table)
+    W, q, prod, U, V, den, forms = rems
+    n = len(forms)
     N = n - 2
     zero = ([0], [0])
     C = [tuple(poly_trim([0] * (j - 1) + [-b, a] if j else [a]) for a, b in zip(A, B))
-         for j, (A, B) in enumerate(theta_at(W, table, esym))]
+         for j, (A, B) in enumerate(theta_at(W, den, forms, esym))]
     r = []
     for X in (U, V):
         acc = zero
@@ -484,10 +495,9 @@ def solve_esym_numeric(rems: tuple) -> list:
     exact int combinations.  The coefficient rows of G_1..G_N against -G_0,
     unscaled, go to `_solve` in Gaussian fixed point; singular rows raise
     ZeroDivisionError."""
-    W, q, prod, U, V, table = rems
-    n = len(table)
+    W, q, prod, U, V, den, forms = rems
+    n = len(forms)
     N = n - 2
-    den, forms = _theta_ints(table, N)
     QP = [prod]   # prod(z - t_k) Q^k
     for _ in range(N):
         QP.append(_rounded(poly_mul(QP[-1], q), W))
@@ -505,7 +515,7 @@ def solve_esym_numeric(rems: tuple) -> list:
                         g[k] += a * c
                         g[k - 1] -= b * c
     rows = [[(g[0][k], g[1][k]) for g in G[1:]] for k in range(L)]
-    return _solve(rows, [(-G[0][0][k], -G[0][1][k]) for k in range(L)], *_fixed_arithmetic(W))
+    return _solve(rows, [(-G[0][0][k], -G[0][1][k]) for k in range(L)], W)
 
 
 def remainder_defect(rems: tuple, esym) -> mpmath.mpf:
@@ -519,39 +529,15 @@ def remainder_defect(rems: tuple, esym) -> mpmath.mpf:
     return mpmath.ldexp(mp.mpf(top), -rems[0])
 
 
-def _mag(x: tuple) -> int:
-    """|x| of a fixed-point pair, floored to the unit."""
-    return isqrt(x[0] * x[0] + x[1] * x[1])
-
-
-def _fixed_arithmetic(W: int) -> tuple:
-    """`_solve`'s (div, mulsub, mag) on Gaussian fixed-point pairs at 2^-W."""
-
-    def div(x, y):
-        # ((ac + bd) + i (bc - ad)) / (c^2 + d^2), rounded to nearest
-        (a, b), (c, d) = x, y
-        den = c * c + d * d
-        return tuple(((2 * v << W) + den) // (2 * den) for v in (a * c + b * d, b * c - a * d))
-
-    def mulsub(c, fs, xs):
-        re, im = c
-        for f, x in zip(fs, xs):
-            a, b = _round_mul(f, x, W)
-            re, im = re - a, im - b
-        return re, im
-
-    return div, mulsub, _mag
-
-
 def newton_apparency(system, names, seed=0):
     """Solve P_1(p)=...=P_M(p)=0 by damped Newton from at most 60 random
     complex starts in [-2, 2]^2, each step at most max(1, max |p_i|) long.
 
     system: the MultiPolys P_j in the variables ``names`` (p1..pM).  From
     each start to the root, p, F (`GaussPoint.value`), its Jacobian, the
-    M x M step solve (`_fixed_arithmetic`: products and quotients rounded
-    once) and the update are Gaussian fixed point at scale 2^-W, W = mp.prec
-    + GUARD_BITS.  Deterministic for fixed seed.  Returns p (mpc) after the
+    M x M step solve (`_solve`: products and quotients rounded once) and
+    the update are Gaussian fixed point at scale 2^-W, W = mp.prec +
+    GUARD_BITS.  Deterministic for fixed seed.  Returns p (mpc) after the
     first full step shorter than tol max(1, max |p_i|), tol =
     10^max(-70, 12 - dps): 12 digits above working precision, capped at the
     certification target -70 of 300 bits.  Newton converges quadratically
@@ -564,14 +550,13 @@ def newton_apparency(system, names, seed=0):
     jac = [[P.derivative(n) for n in names] for P in system]
     one = 1 << W
     tol = (one * 10 ** 12) // 10 ** min(82, mp.dps)   # 10^max(-70, 12 - dps) 2^W
-    arithmetic = _fixed_arithmetic(W)
     for _ in range(60):
         p = [_fixed(mp.mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)), W) for _ in range(M)]
         for _ in range(220):
             at = GaussPoint(dict(zip(names, p)), W)
             try:
                 step = _solve([[at.value(d) for d in row] for row in jac],
-                              [at.value(P) for P in system], *arithmetic)
+                              [at.value(P) for P in system], W)
             except ZeroDivisionError:
                 break
             nrm = max(map(_mag, step))

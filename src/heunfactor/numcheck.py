@@ -5,9 +5,10 @@ The monodromy of a fundamental system around z = t is the identity exactly
 when the singularity is apparent; continuing a fundamental system around a
 small loop therefore gives an independent numeric test of the exact
 apparency machinery.  The continuation steps the Taylor expansion at an
-ordinary point (the same recurrence as ``heun_taylor``) along a 16-gon,
-each step at most half the distance to the nearest singularity (classical
-analytic continuation of D-finite functions).  Hardware doubles throughout;
+ordinary point along a 16-gon, each step at most half the distance to the
+nearest singularity, both columns through one table per step of the lag
+multipliers of Heun's four-term recurrence (`_lags`; analytic continuation
+of D-finite functions, van der Hoeven 1999).  Hardware doubles throughout;
 the certification-grade high-precision arithmetic lives in the
 factorization pipeline, which uses this oracle only as a sanity cross-check.
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .heun import HeunParams
-from .exactalg import UsageError, poly_eval, poly_shift
+from .exactalg import UsageError, poly_eval
 
 
 class IntegrationError(Exception):
@@ -70,59 +71,72 @@ def _heun_polys(p: HeunParams):
             [-q, a * b])
 
 
-def _taylor(polys, z0: complex, y0: complex, dy0: complex, order: int,
-            h: complex = 1.0) -> list:
-    """Taylor coefficients c_0..c_order in s = (z - z0)/h of the solution of
-    D y'' + P1 y' + R1 y = 0 (``polys`` = (D, P1, R1), ascending in z) with
-    y(z0) = y0, y'(z0) = dy0."""
+def _lags(polys, z0: complex, h: complex):
+    """The lag table of the Taylor recurrence in s = (z - z0)/h of
+    D y'' + P1 y' + R1 y = 0 (``polys`` = (D, P1, R1), ascending in z, of
+    degree at most 3, 2, 1): ``rows(start, stop)`` lists (a_1(n), a_2(n),
+    a_3(n)) for n in range(start, stop), c_(n+2) = sum_l a_l(n) c_(n+2-l),
+        a_l(n) = -(D_l k (k-1) + P1_(l-1) k + R1_(l-2)) / (D_0 (n+2) (n+1)),
+    k = n + 2 - l, over the shifted, h-scaled (D, P1, R1): at an ordinary
+    point, `heun.frobenius_series`'s T(j, d)."""
+    D, P, R = ((list(f) + [0] * 4)[:4 - k] for k, f in enumerate(polys))
+    for a in (D, P, R):     # Taylor shift to z0 by repeated synthetic division
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += z0 * a[j + 1]
     # the equation in s: D(z0 + h s) y'' + h P1(..) y' + h^2 R1(..) y = 0
-    D, P1, R1 = ([c * h ** (m + k) for m, c in enumerate(poly_shift(f, z0))]
-                 for k, f in enumerate(polys))
+    D, P, R = ([c * h ** (m + k) for m, c in enumerate(a)] for k, a in enumerate((D, P, R)))
     if D[0] == 0:
         raise IntegrationError("expansion point is singular")
-    ys = [y0, h * dy0]
-    for s in range(order - 1):
-        acc = 0j
-        for m in range(1, len(D)):
-            n2 = s + 2 - m
-            if 0 <= n2 < len(ys):
-                acc += D[m] * ys[n2] * n2 * (n2 - 1)
-        for m, Pm in enumerate(P1):
-            n1 = s + 1 - m
-            if 0 <= n1 < len(ys):
-                acc += Pm * ys[n1] * n1
-        for m, Rm in enumerate(R1):
-            n0 = s - m
-            if 0 <= n0 < len(ys):
-                acc += Rm * ys[n0]
-        ys.append(-acc / (D[0] * (s + 2) * (s + 1)))
-    return ys
+    # each numerator over -D_0 as (x n + y) n + z
+    inv = -1 / D[0]
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = (
+        (inv * D[1], inv * (D[1] + P[0]), inv * P[0]),
+        (inv * D[2], inv * (P[1] - D[2]), inv * R[0]),
+        (inv * D[3], inv * (P[2] - 3 * D[3]), inv * (2 * D[3] - P[2] + R[1])))
+
+    def rows(start: int, stop: int) -> list:
+        ws = ((n, 1 / ((n + 2) * (n + 1))) for n in range(start, stop))
+        return [(((x1 * n + y1) * n + z1) * w, ((x2 * n + y2) * n + z2) * w,
+                 ((x3 * n + y3) * n + z3) * w) for n, w in ws]
+
+    return rows
 
 
 def heun_taylor(p: HeunParams, z0: complex, y0: complex, dy0: complex,
                 order: int = 80):
     """Taylor coefficients of the Heun solution at an ordinary point z0."""
-    return _taylor(_heun_polys(p), z0, y0, dy0, order)
+    cs = [0j, y0, dy0]      # c_-1 = 0
+    for a1, a2, a3 in _lags(_heun_polys(p), z0, 1.0)(0, order - 1):
+        cs.append(a1 * cs[-1] + a2 * cs[-2] + a3 * cs[-3])
+    return cs[1:]
 
 
-def _step(polys, z0: complex, h: complex, y: complex, dy: complex,
-          tol: float) -> tuple:
-    """(y, y') at z0 + h, the expansion doubled in length until its tail is
-    below the tolerance; |h| is at most half the distance to any
-    singularity, so the coefficients in s decay like 2^-n."""
+def _step(polys, z0: complex, h: complex, cols: list, tol: float) -> list:
+    """[(y, y') at z0 + h] of the columns (y, y') at z0, both through one lag
+    table (`_lags`) to one order, doubled until each tail is below the
+    tolerance; |h| is at most half the distance to any singularity, so the
+    coefficients in s decay like 2^-n."""
     # a tail below double precision is never reliably reached: terms stall
     # among the subnormals and the order would double without end
     floor = max(tol, sys.float_info.epsilon)
-    order = 32
+    rows = _lags(polys, z0, h)
+    # per column: c_(n-1), c_n, c_(n+1) and the sums of c_k and k c_k in s
+    (u0, du), (v0, dv) = cols
+    um, u1, vm, v1 = 0j, h * du, 0j, h * dv
+    su, tu, sv, tv = u0 + u1, u1, v0 + v1, v1
+    n, order = 0, 32
     while True:
-        cs = _taylor(polys, z0, y, dy, order, h)
-        val = poly_eval(cs, 1.0)
-        der = poly_eval([n * c for n, c in enumerate(cs)][1:], 1.0)
-        if not (cmath.isfinite(val) and cmath.isfinite(der)):
+        for k, (a1, a2, a3) in enumerate(rows(n, order - 1), n + 2):
+            um, u0, u1 = u0, u1, a1 * u1 + a2 * u0 + a3 * um
+            vm, v0, v1 = v0, v1, a1 * v1 + a2 * v0 + a3 * vm
+            su, tu, sv, tv = su + u1, tu + k * u1, sv + v1, tv + k * v1
+        if not all(map(cmath.isfinite, (su, tu, sv, tv))):
             raise IntegrationError("Taylor step overflowed")
-        if order * (abs(cs[-1]) + abs(cs[-2])) <= floor * max(1.0, abs(val), abs(der)):
-            return val, der / h
-        order *= 2
+        if (order * (abs(u1) + abs(u0)) <= floor * max(1.0, abs(su), abs(tu))
+                and order * (abs(v1) + abs(v0)) <= floor * max(1.0, abs(sv), abs(tv))):
+            return [(su, tu / h), (sv, tv / h)]
+        n, order = order - 1, 2 * order
 
 
 def _transfer_matrix(polys, sings: Sequence[complex], path: Sequence[complex],
@@ -142,7 +156,7 @@ def _transfer_matrix(polys, sings: Sequence[complex], path: Sequence[complex],
             h = target - z
             if abs(h) > dist / 2:
                 h *= dist / 2 / abs(h)
-            cols = [_step(polys, z, h, y, dy, tol) for y, dy in cols]
+            cols = _step(polys, z, h, cols, tol)
             z = target if h == target - z else z + h
     (y1, dy1), (y2, dy2) = cols
     return (y1, y2), (dy1, dy2)

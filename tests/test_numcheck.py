@@ -1,5 +1,7 @@
 """Numeric oracles: monodromy, reducibility, hypergeometric decomposition."""
 
+import cmath
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from heunfactor.exactalg import poly_eval
 from heunfactor.factorize import ep2_instance, lvw_instance
-from heunfactor.heun import HeunParams, heun_operator, polynomial_solution
+from heunfactor.heun import HeunParams, frobenius_series, heun_operator, polynomial_solution
 from heunfactor.numcheck import (
     InconclusiveError,
     IntegrationError,
@@ -39,6 +41,22 @@ class TestMonodromy:
         for p in (APPARENT, APPARENT.subs_q(2)):
             M = monodromy(p, "t")
             assert abs(M.det() - 1) < 1e-6
+
+    @pytest.mark.parametrize("seed", [5, 13, 29])
+    def test_determinant_identity_at_noninteger_exponents(self, seed):
+        # Liouville: det M = e^{2 pi i (sum of the local exponents)}, the
+        # exponents 0 and 1 - gamma (1 - delta, 1 - epsilon) of each loop
+        rng = make_rng(seed)
+        while True:
+            g, e = rand_noninteger(rng), rand_noninteger(rng)
+            p = HeunParams.make(alpha=rand_frac(rng), beta=rand_frac(rng), gamma=g,
+                                epsilon=e, q=rand_frac(rng), t=rand_frac(rng, 12, 30, 4))
+            d = p.delta.fraction()
+            if d.denominator != 1:
+                break
+        for loop, exponent in (("zero", g), ("one", d), ("t", e)):
+            want = cmath.exp(-2j * math.pi * float(exponent))
+            assert abs(monodromy(p, loop).det() - want) < 1e-11
 
     def test_classification(self):
         assert classify_apparent(APPARENT) is True
@@ -182,6 +200,22 @@ class TestHelpers:
         P = g / z + d / (z - 1) + e / (z - t)
         R = (a * b * z - q) / (z * (z - 1) * (z - t))
         assert abs(ypp + P * yp + R * y) < 1e-4
+
+    def test_heun_taylor_matches_the_exact_series(self):
+        # the float recurrence against frobenius_series at an ordinary point,
+        # whose c_0 = 1 and free c_1 = c1 fix the same solution
+        rng = make_rng(19)
+        generic = HeunParams.make(alpha=rand_frac(rng), beta=rand_frac(rng),
+                                  gamma=rand_noninteger(rng), epsilon=rand_noninteger(rng),
+                                  q=rand_frac(rng), t=rand_frac(rng, 12, 30, 4))
+        for p in (APPARENT, generic):
+            for c1 in (F(0), F(3, 10)):
+                series = frobenius_series(heun_operator(p), F(1, 2), 0, 40, free_value=c1)
+                got = heun_taylor(p, 0.5, 1.0, float(c1), order=40)
+                assert len(got) == len(series.coeffs) == 41
+                for g, c in zip(got, series.coeffs):
+                    want = float(c.fraction())
+                    assert abs(g - want) <= 1e-13 * abs(want)
 
 
 def _apparent_ep2_noninteger(seed):
