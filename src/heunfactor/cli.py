@@ -39,18 +39,17 @@ the top of this module: every command is a fresh interpreter, and a cold
 from __future__ import annotations
 
 import argparse
-import cmath
 import importlib
 import json
-import math
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .exactalg import RatFunc, UsageError
 from .heun import (HeunParams, HeunConditionError, UnsupportedCaseError, apparency_poly,
-                   base_ring)
+                   base_ring, condition_roots)
 
 
 class SchemaError(Exception):
@@ -71,9 +70,24 @@ MAX_MULTIPLICITY = 64
 #: at k = 1000.
 MAX_X1_DEGREE = 64
 
+#: the largest degree 1 - epsilon an apparency condition may have.  The
+#: exact recurrence grows fast in the degree: a cold ``apparency`` on the
+#: paper's instance (gamma 34/3, alpha 1, beta 2, t 2, q 1) took 0.29 s at
+#: degree 101, 1.0 s at 201, 1.7 s at 256 and 2.6 s at 301, and
+#: epsilon = -10^18 ran until it was killed.
+MAX_CONDITION_DEGREE = 256
+
+#: the most digits an integer in an input literal may have: Python's
+#: default limit on converting a string to an int.  `main` lifts that
+#: limit, so that a report can print longer integers, but not for inputs.
+MAX_LITERAL_DIGITS = 4300
+
 
 def _rat(v, where: str) -> Fraction:
     if isinstance(v, str):
+        if any(len(d) > MAX_LITERAL_DIGITS for d in re.findall(r"\d+", v.replace("_", ""))):
+            raise SchemaError(f"{where}: bad rational: an integer of more than "
+                              f"{MAX_LITERAL_DIGITS} digits")
         try:
             return Fraction(v)
         except (ValueError, ZeroDivisionError) as e:
@@ -105,6 +119,13 @@ def _check_keys(obj: dict, allowed: set, where: str, required: set = frozenset()
         raise SchemaError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _json_int(literal: str) -> int:
+    """A JSON integer literal's value; ValueError past MAX_LITERAL_DIGITS."""
+    if len(literal.lstrip("-")) > MAX_LITERAL_DIGITS:
+        raise ValueError(f"an integer literal of more than {MAX_LITERAL_DIGITS} digits")
+    return int(literal)
+
+
 def load_instance(path) -> dict:
     path = Path(path)
     try:
@@ -112,12 +133,12 @@ def load_instance(path) -> dict:
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from None
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as e:
         raise SchemaError(
             f"{path}: malformed JSON at line {e.lineno} column {e.colno} "
             f"(char {e.pos}): {e.msg}") from None
-    except ValueError as e:  # an integer literal past Python's digit limit
+    except ValueError as e:  # from _json_int
         raise SchemaError(f"{path}: malformed JSON: {e}") from None
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: instance must be a JSON object")
@@ -183,6 +204,10 @@ def cmd_apparency(inst: dict) -> tuple:
     if inst["kind"] != "heun":
         raise SchemaError("apparency expects a 'heun' instance")
     p = _heun_from_parameters(inst["parameters"])
+    e = p.epsilon.fraction()
+    if e is not None and e.denominator == 1 and 1 - e > MAX_CONDITION_DEGREE:
+        raise SchemaError(f"epsilon = {e}: the condition's degree 1 - epsilon is "
+                          f"more than {MAX_CONDITION_DEGREE}")
     P = apparency_poly(p)
     report = {
         "command": "apparency",
@@ -193,194 +218,12 @@ def cmd_apparency(inst: dict) -> tuple:
     if all(getattr(p, n).fraction() is not None for n in ("alpha", "beta", "gamma", "t")):
         cd = {k: v.fraction() for k, v in RatFunc.of(P, p.ring).coeffs_in("q").items()}
         report["numeric_roots"] = [f"{r.real!r}{'+' if r.imag >= 0 else '-'}"
-                                   f"{abs(r.imag)!r}j" for r in _float_roots(cd)]
+                                   f"{abs(r.imag)!r}j" for r in condition_roots(cd)]
     if p.q.fraction() is not None:
         val = RatFunc.of(P, p.ring).subs({"q": p.q})
         report["apparent"] = val.is_zero
         status = 0 if val.is_zero else 2
     return report, status
-
-
-def _float_roots(cd: dict) -> list:
-    """Sorted complex roots of the monic polynomial sum cd[k] q^k (exact
-    coefficients).
-
-    Zero low-order coefficients give roots at 0.  The others are found by an
-    Aberth-Ehrlich iteration in doubles for q = 2^s x, with s the shift
-    nearest 0 that brings every coefficient within about 2^(+-1000), so that
-    none overflows or underflows a float (s = 0 whenever the coefficients
-    fit); when no shift does both, the least one that avoids overflow.  A
-    root whose imaginary part is below its error estimate is taken as real;
-    then at most two exact dyadic Newton steps polish each root (`_polish`).
-    """
-    low = min(k for k, c in cd.items() if c)
-    dense = [Fraction(cd.get(k, 0)) for k in range(low, max(cd) + 1)]
-    n = len(dense) - 1
-    roots = [0j] * low
-    if n:
-        # c.numerator.bit_length() - c.denominator.bit_length() is log2 |c| to 1;
-        # c 2^(-s d) lies within 2^(+-1000) for lo <= s <= hi
-        logs = [(c.numerator.bit_length() - c.denominator.bit_length(), n - k)
-                for k, c in enumerate(dense[:-1]) if c]
-        lo = max(-((1000 - l) // d) for l, d in logs)
-        hi = min((l + 1000) // d for l, d in logs)
-        s = min(max(0, lo), hi) if lo <= hi else max(0, lo)
-        coeffs = [float(c / Fraction(2) ** (s * (n - k))) for k, c in enumerate(dense)]
-        log2c = {k: math.log2(abs(c.numerator)) - math.log2(c.denominator) - s * (n - k)
-                 for k, c in enumerate(dense) if c}
-        xs = _aberth(coeffs, _newton_polygon_start(log2c, n))
-        den = math.lcm(*(c.denominator for c in dense))
-        ints = [c.numerator * (den // c.denominator) for c in dense]
-        for x in xs:
-            im = 0.0 if abs(x.imag) <= _newton(coeffs, x)[1] else x.imag
-            roots.append(_polish(ints, _dyadic(x.real, s), _dyadic(im, s)))
-    return sorted(roots, key=lambda r: (round(r.real, 10), round(r.imag, 10)))
-
-
-def _newton_polygon_start(log2c: dict, n: int) -> list:
-    """Aberth starting points: for each edge of the upper convex hull of the
-    points (k, log2 |c_k|), as many points as the edge spans, on the circle
-    whose radius the edge's slope gives (Bini's choice)."""
-    hull = []
-    for pt in sorted(log2c.items()):
-        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
-                                 >= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])):
-            hull.pop()
-        hull.append(pt)
-    zs = []
-    for (k0, l0), (k1, l1) in zip(hull, hull[1:]):
-        m, r = k1 - k0, 2.0 ** ((l0 - l1) / (k1 - k0))
-        zs += [r * cmath.exp(2j * math.pi * (j / m + k0 / n) + 0.7j) for j in range(m)]
-    return zs
-
-
-def _newton(c: list, z: complex) -> tuple:
-    """(p(z)/p'(z), n (|p(z)| + rounding bound) / |p'(z)|, whether |p(z)| is
-    at the rounding level) for the float polynomial c (ascending, degree n).
-    The second entry is the radius of a disc about z that holds a root.  For
-    |z| > 1 the reversed polynomial is evaluated at 1/z, so that no power of
-    z overflows."""
-    n = len(c) - 1
-    rev = abs(z) > 1
-    w, seq = (1 / z, c) if rev else (z, reversed(c))
-    p = dp = 0j
-    bound = 0.0
-    for ck in seq:
-        dp = dp * w + p
-        p = p * w + ck
-        bound = bound * abs(w) + abs(ck)
-    bound *= 2 * n * sys.float_info.epsilon
-    if rev:
-        # p(z) = z^n r(w), p'(z) = z^(n-1) (n r(w) - w r'(w))
-        p, dp = p * z, n * p - w * dp
-        bound *= abs(z)
-    if dp == 0:
-        return 0j, math.inf, True
-    return p / dp, n * (abs(p) + bound) / abs(dp), abs(p) <= bound
-
-
-def _aberth(c: list, zs: list) -> list:
-    """Simultaneous roots of the float polynomial c from the starting points
-    zs (Aberth-Ehrlich, updated in place); a root stops moving once its
-    residual or its step is at the rounding level, or after 100 sweeps."""
-    live = range(len(zs))
-    for _ in range(100):
-        moving = []
-        for i in live:
-            z = zs[i]
-            N, _, small = _newton(c, z)
-            if small:
-                continue
-            N /= 1 - N * sum(1 / (z - v) for j, v in enumerate(zs) if j != i)
-            zs[i] = z - N
-            if abs(N) > sys.float_info.epsilon * abs(zs[i]):
-                moving.append(i)
-        live = moving
-        if not live:
-            break
-    return zs
-
-
-#: the polished roots' working precision: twice a double's mantissa
-POLISH_BITS = 106
-
-
-def _polish(c: list, re: tuple, im: tuple) -> complex:
-    """At most two exact dyadic Newton steps on the integer polynomial c
-    (ascending, degree n; the exact coefficients over one common
-    denominator) from z = re + i im, each part a dyadic (m, e) for m 2^e; a
-    step is kept only when it lowers |p|.
-
-    z is held as (a + ib) 2^-E with Gaussian integers, so that Horner on ints
-    gives 2^(E n) p(z) and 2^(E (n-1)) p'(z) exactly, and the |p| comparison
-    is exact too.  Each new iterate is rounded to POLISH_BITS per part;
-    without that rounding the integers grow with every step."""
-    n = len(c) - 1
-    dc = [k * ck for k, ck in enumerate(c)][1:]
-    z = _join(re, im)
-    P = _horner(c, *z)
-    for _ in range(2):
-        a, b, E = z
-        Qr, Qi = _horner(dc, *z)
-        if not (Qr or Qi):
-            break
-        # z - p/p' = (w Q - P) / (Q 2^E), w = a + ib; times conj(Q) / |Q|^2
-        Xr, Xi = a * Qr - b * Qi - P[0], a * Qi + b * Qr - P[1]
-        d = (Qr * Qr + Qi * Qi) << E
-        re2, im2 = _rounded(Xr * Qr + Xi * Qi, d), _rounded(Xi * Qr - Xr * Qi, d)
-        z2 = _join(re2, im2)
-        P2 = _horner(c, *z2)
-        # |p(z2)| < |p(z)|: |P2| 2^(E n) < |P| 2^(E2 n), squared
-        if not ((P2[0] ** 2 + P2[1] ** 2) << 2 * n * E
-                < (P[0] ** 2 + P[1] ** 2) << 2 * n * z2[2]):
-            break
-        z, P, re, im = z2, P2, re2, im2
-    return complex(_to_float(*re), _to_float(*im))
-
-
-def _dyadic(x: float, s: int) -> tuple:
-    """x 2^s as (m, e), m 2^e."""
-    m, d = x.as_integer_ratio()
-    return m, s - d.bit_length() + 1
-
-
-def _join(re: tuple, im: tuple) -> tuple:
-    """(a, b, E) with a + ib = (re + i im) 2^E exactly and E >= 0 the least
-    such."""
-    E = max([0] + [-e for m, e in (re, im) if m])
-    return tuple(m << (e + E) if m else 0 for m, e in (re, im)) + (E,)
-
-
-def _horner(c: list, a: int, b: int, E: int) -> tuple:
-    """2^(E n) sum c[k] z^k at z = (a + ib) 2^-E as Gaussian integer parts,
-    n = len(c) - 1."""
-    re, im = c[-1], 0
-    for k, ck in enumerate(reversed(c[:-1]), 1):
-        re, im = re * a - im * b + (ck << E * k), re * b + im * a
-    return re, im
-
-
-def _rounded(num: int, den: int) -> tuple:
-    """num/den (den > 0) rounded to POLISH_BITS bits, ties to even, as (m, e)."""
-    if not num:
-        return 0, 0
-    n = abs(num)
-    # the quotient n / (den 2^e) has POLISH_BITS + 2 or + 3 bits
-    e = n.bit_length() - den.bit_length() - POLISH_BITS - 2
-    q, r = divmod(n, den << e) if e >= 0 else divmod(n << -e, den)
-    shift = q.bit_length() - POLISH_BITS
-    m, rest, half = q >> shift, q & ((1 << shift) - 1), 1 << (shift - 1)
-    if rest > half or (rest == half and (r or m & 1)):
-        m += 1
-    return (m if num > 0 else -m), e + shift
-
-
-def _to_float(m: int, e: int) -> float:
-    """m 2^e rounded to a double (to +-inf beyond the double range)."""
-    try:
-        return math.ldexp(float(m), e)
-    except OverflowError:
-        return math.copysign(math.inf, m)
 
 
 # -- factorize -------------------------------------------------------------------
@@ -673,15 +516,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    report, code, error = _guarded(lambda: args.run(args))
-    if error is not None:
-        sys.stderr.write(f"error: {error}\n")
+    # an exact report may print integers of more than Python's default 4300
+    # digits: lift the limit for the command (a sweep's forked workers
+    # inherit it) and restore it afterwards
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        report, code, error = _guarded(lambda: args.run(args))
+        if error is not None:
+            sys.stderr.write(f"error: {error}\n")
+            return code
+        _emit(report, args.json)
+        for r in report.get("results", ()):  # a sweep's failed files
+            if "error" in r:
+                sys.stderr.write(f"error: {r['file']}: {r['error']}\n")
         return code
-    _emit(report, args.json)
-    for r in report.get("results", ()):  # a sweep's failed files
-        if "error" in r:
-            sys.stderr.write(f"error: {r['file']}: {r['error']}\n")
-    return code
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -726,10 +726,12 @@ def poly_deriv(a: Sequence) -> list:
 
 
 def poly_shift(a: Sequence, c) -> list:
-    """Coefficients of p(z + c) (Taylor shift, Horner)."""
-    out = [0]
-    for coeff in reversed(a):
-        out = poly_add(poly_mul(out, [c, 1]), [coeff])
+    """Coefficients of p(z + c), as many as a has (Taylor shift by repeated
+    synthetic division, in place on a copy of a)."""
+    out = list(a)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += c * out[j + 1]
     return out
 
 

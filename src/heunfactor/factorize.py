@@ -379,7 +379,6 @@ class EsymVector:
     """Elementary symmetric functions of e_1..e_N from the exact solve."""
 
     values: tuple                 # RatFunc
-    denominators: tuple = ()      # observed denominator factors
     # (Lt, FactorizationWork) of the solve_esym call; the work keeps the
     # e-atoms symbolic, so it stays valid for any values on the same Lt
     division: Optional[tuple] = field(default=None, compare=False, repr=False)
@@ -443,14 +442,9 @@ def solve_esym(Lt: ApparentFuchsian, deep: bool = False) -> tuple:
         raise DegenerateInstanceError(
             f"esym system singular (rank {err.rank} of {err.size})",
             rank=err.rank) from err
-    values = []
-    dens = []
     stripped: dict = {}   # the values share their denominator factors
-    for v in sol:
-        nv, profile = _normalize_t_denominator(v, ring, stripped)
-        values.append(nv)
-        dens.append(profile)
-    return EsymVector(tuple(values), tuple(dens), (Lt, work)), work
+    values = tuple(_normalize_t_denominator(v, ring, stripped) for v in sol)
+    return EsymVector(values, division=(Lt, work)), work
 
 
 def _affine_rows(num: MultiPoly, e_names: Sequence[str], ring: Ring) -> list:
@@ -504,8 +498,8 @@ def _select_rows(rows: list, N: int, ring: Ring):
     return A, b
 
 
-def _normalize_t_denominator(v: RatFunc, ring: Ring, stripped: dict):
-    """Try to rewrite v as polynomial / (t^a (t-1)^b); report the profile.
+def _normalize_t_denominator(v: RatFunc, ring: Ring, stripped: dict) -> RatFunc:
+    """Try to rewrite v as polynomial / (t^a (t-1)^b); v itself if it fails.
 
     The solved esym values are claimed to be polynomial in q, alpha, beta,
     gamma and holomorphic in t off {0, 1}; this pulls the powers of t and
@@ -516,7 +510,7 @@ def _normalize_t_denominator(v: RatFunc, ring: Ring, stripped: dict):
     from .exactalg import exact_div
 
     if "t" not in ring.index:
-        return v, ()
+        return v
     t = ring.var("t")
     num = v.num
     out_fac: dict = {}
@@ -533,23 +527,17 @@ def _normalize_t_denominator(v: RatFunc, ring: Ring, stripped: dict):
             stripped[f] = rest, a, b
         rest, a, b = stripped[f]
         if not rest.is_const():
-            ok = True
             for _ in range(k):
-                q2 = exact_div(num, rest)
-                if q2 is None:
-                    ok = False
-                    break
-                num = q2
-            if not ok:
-                return v, tuple(sorted(fc.pretty() for fc in v.den_factors()))
+                num = exact_div(num, rest)
+                if num is None:
+                    return v
         else:
             num = num / rest.const_value() ** k
         if a:
             out_fac[t] = out_fac.get(t, 0) + a * k
         if b:
             out_fac[t - 1] = out_fac.get(t - 1, 0) + b * k
-    cleaned = RatFunc(num, out_fac, _simplify=False)
-    return cleaned, tuple(sorted(f.pretty() for f in out_fac))
+    return RatFunc(num, out_fac, _simplify=False)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,9 @@
 
 Covers construction of the canonical order-2 operator, the local series
 recurrence about z = t, the apparency condition polynomial in the accessory
-parameter, the Heun-polynomial condition, and polynomial / polynomial-type
-solutions via gauge transformations.
+parameter and its roots (`condition_roots`: Aberth-Ehrlich in doubles, then
+an exact dyadic Newton polish), the Heun-polynomial condition, and
+polynomial / polynomial-type solutions via gauge transformations.
 
 Parameter values may be exact rationals or symbolic expressions; symbolic
 accessory-parameter mode is the default for the condition polynomials.
@@ -11,6 +12,9 @@ accessory-parameter mode is the default for the condition polynomials.
 
 from __future__ import annotations
 
+import cmath
+import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -221,6 +225,195 @@ def is_apparent(p: HeunParams, modulus: Optional[MultiPoly] = None) -> bool:
     val = P.subs({"q": p.q})
     val = _reduce_num(val, modulus)
     return val.is_zero
+
+
+# -- roots of a condition polynomial ------------------------------------------
+
+
+def condition_roots(cd: dict) -> list:
+    """Sorted complex roots of the monic polynomial sum cd[k] q^k, from its
+    exact coefficients: at concrete alpha, beta, gamma and t, the roots of
+    `apparency_poly`, the q for which z = t is apparent.
+
+    Zero low-order coefficients give roots at 0.  The others are found by an
+    Aberth-Ehrlich iteration in doubles for q = 2^s x, with s the shift
+    nearest 0 that brings every coefficient within about 2^(+-1000), so that
+    none overflows or underflows a float (s = 0 whenever the coefficients
+    fit); when no shift does both, the least one that avoids overflow.  A
+    root whose imaginary part is below its error estimate is taken as real;
+    then at most two exact dyadic Newton steps polish each root (`_polish`).
+    """
+    low = min(k for k, c in cd.items() if c)
+    dense = [Fraction(cd.get(k, 0)) for k in range(low, max(cd) + 1)]
+    n = len(dense) - 1
+    roots = [0j] * low
+    if n:
+        # c.numerator.bit_length() - c.denominator.bit_length() is log2 |c| to 1;
+        # c 2^(-s d) lies within 2^(+-1000) for lo <= s <= hi
+        logs = [(c.numerator.bit_length() - c.denominator.bit_length(), n - k)
+                for k, c in enumerate(dense[:-1]) if c]
+        lo = max(-((1000 - l) // d) for l, d in logs)
+        hi = min((l + 1000) // d for l, d in logs)
+        s = min(max(0, lo), hi) if lo <= hi else max(0, lo)
+        coeffs = [float(c / Fraction(2) ** (s * (n - k))) for k, c in enumerate(dense)]
+        log2c = {k: math.log2(abs(c.numerator)) - math.log2(c.denominator) - s * (n - k)
+                 for k, c in enumerate(dense) if c}
+        xs = _aberth(coeffs, _newton_polygon_start(log2c, n))
+        den = math.lcm(*(c.denominator for c in dense))
+        ints = [c.numerator * (den // c.denominator) for c in dense]
+        for x in xs:
+            im = 0.0 if abs(x.imag) <= _newton(coeffs, x)[1] else x.imag
+            roots.append(_polish(ints, _dyadic(x.real, s), _dyadic(im, s)))
+    return sorted(roots, key=lambda r: (round(r.real, 10), round(r.imag, 10)))
+
+
+def _newton_polygon_start(log2c: dict, n: int) -> list:
+    """Aberth starting points: for each edge of the upper convex hull of the
+    points (k, log2 |c_k|), as many points as the edge spans, on the circle
+    whose radius the edge's slope gives (Bini's choice)."""
+    hull = []
+    for pt in sorted(log2c.items()):
+        while len(hull) > 1 and ((hull[-1][0] - hull[-2][0]) * (pt[1] - hull[-2][1])
+                                 >= (hull[-1][1] - hull[-2][1]) * (pt[0] - hull[-2][0])):
+            hull.pop()
+        hull.append(pt)
+    zs = []
+    for (k0, l0), (k1, l1) in zip(hull, hull[1:]):
+        m, r = k1 - k0, 2.0 ** ((l0 - l1) / (k1 - k0))
+        zs += [r * cmath.exp(2j * math.pi * (j / m + k0 / n) + 0.7j) for j in range(m)]
+    return zs
+
+
+def _newton(c: list, z: complex) -> tuple:
+    """(p(z)/p'(z), n (|p(z)| + rounding bound) / |p'(z)|, whether |p(z)| is
+    at the rounding level) for the float polynomial c (ascending, degree n).
+    The second entry is the radius of a disc about z that holds a root.  For
+    |z| > 1 the reversed polynomial is evaluated at 1/z, so that no power of
+    z overflows."""
+    n = len(c) - 1
+    rev = abs(z) > 1
+    w, seq = (1 / z, c) if rev else (z, reversed(c))
+    p = dp = 0j
+    bound = 0.0
+    for ck in seq:
+        dp = dp * w + p
+        p = p * w + ck
+        bound = bound * abs(w) + abs(ck)
+    bound *= 2 * n * sys.float_info.epsilon
+    if rev:
+        # p(z) = z^n r(w), p'(z) = z^(n-1) (n r(w) - w r'(w))
+        p, dp = p * z, n * p - w * dp
+        bound *= abs(z)
+    if dp == 0:
+        return 0j, math.inf, True
+    return p / dp, n * (abs(p) + bound) / abs(dp), abs(p) <= bound
+
+
+def _aberth(c: list, zs: list) -> list:
+    """Simultaneous roots of the float polynomial c from the starting points
+    zs (Aberth-Ehrlich, updated in place); a root stops moving once its
+    residual or its step is at the rounding level, or after 100 sweeps."""
+    live = range(len(zs))
+    for _ in range(100):
+        moving = []
+        for i in live:
+            z = zs[i]
+            N, _, small = _newton(c, z)
+            if small:
+                continue
+            N /= 1 - N * sum(1 / (z - v) for j, v in enumerate(zs) if j != i)
+            zs[i] = z - N
+            if abs(N) > sys.float_info.epsilon * abs(zs[i]):
+                moving.append(i)
+        live = moving
+        if not live:
+            break
+    return zs
+
+
+#: the polished roots' working precision: twice a double's mantissa
+POLISH_BITS = 106
+
+
+def _polish(c: list, re: tuple, im: tuple) -> complex:
+    """At most two exact dyadic Newton steps on the integer polynomial c
+    (ascending, degree n; the exact coefficients over one common
+    denominator) from z = re + i im, each part a dyadic (m, e) for m 2^e; a
+    step is kept only when it lowers |p|.
+
+    z is held as (a + ib) 2^-E with Gaussian integers, so that Horner on ints
+    gives 2^(E n) p(z) and 2^(E (n-1)) p'(z) exactly, and the |p| comparison
+    is exact too.  Each new iterate is rounded to POLISH_BITS per part;
+    without that rounding the integers grow with every step."""
+    n = len(c) - 1
+    dc = [k * ck for k, ck in enumerate(c)][1:]
+    z = _join(re, im)
+    P = _horner(c, *z)
+    for _ in range(2):
+        a, b, E = z
+        Qr, Qi = _horner(dc, *z)
+        if not (Qr or Qi):
+            break
+        # z - p/p' = (w Q - P) / (Q 2^E), w = a + ib; times conj(Q) / |Q|^2
+        Xr, Xi = a * Qr - b * Qi - P[0], a * Qi + b * Qr - P[1]
+        d = (Qr * Qr + Qi * Qi) << E
+        re2, im2 = _rounded(Xr * Qr + Xi * Qi, d), _rounded(Xi * Qr - Xr * Qi, d)
+        z2 = _join(re2, im2)
+        P2 = _horner(c, *z2)
+        # |p(z2)| < |p(z)|: |P2| 2^(E n) < |P| 2^(E2 n), squared
+        if not ((P2[0] ** 2 + P2[1] ** 2) << 2 * n * E
+                < (P[0] ** 2 + P[1] ** 2) << 2 * n * z2[2]):
+            break
+        z, P, re, im = z2, P2, re2, im2
+    return complex(_to_float(*re), _to_float(*im))
+
+
+def _dyadic(x: float, s: int) -> tuple:
+    """x 2^s as (m, e), m 2^e."""
+    m, d = x.as_integer_ratio()
+    return m, s - d.bit_length() + 1
+
+
+def _join(re: tuple, im: tuple) -> tuple:
+    """(a, b, E) with a + ib = (re + i im) 2^E exactly and E >= 0 the least
+    such."""
+    E = max([0] + [-e for m, e in (re, im) if m])
+    return tuple(m << (e + E) if m else 0 for m, e in (re, im)) + (E,)
+
+
+def _horner(c: list, a: int, b: int, E: int) -> tuple:
+    """2^(E n) sum c[k] z^k at z = (a + ib) 2^-E as Gaussian integer parts,
+    n = len(c) - 1."""
+    re, im = c[-1], 0
+    for k, ck in enumerate(reversed(c[:-1]), 1):
+        re, im = re * a - im * b + (ck << E * k), re * b + im * a
+    return re, im
+
+
+def _rounded(num: int, den: int) -> tuple:
+    """num/den (den > 0) rounded to POLISH_BITS bits, ties to even, as (m, e)."""
+    if not num:
+        return 0, 0
+    n = abs(num)
+    # the quotient n / (den 2^e) has POLISH_BITS + 2 or + 3 bits
+    e = n.bit_length() - den.bit_length() - POLISH_BITS - 2
+    q, r = divmod(n, den << e) if e >= 0 else divmod(n << -e, den)
+    shift = q.bit_length() - POLISH_BITS
+    m, rest, half = q >> shift, q & ((1 << shift) - 1), 1 << (shift - 1)
+    if rest > half or (rest == half and (r or m & 1)):
+        m += 1
+    return (m if num > 0 else -m), e + shift
+
+
+def _to_float(m: int, e: int) -> float:
+    """m 2^e rounded to a double (to +-inf beyond the double range)."""
+    try:
+        return math.ldexp(float(m), e)
+    except OverflowError:
+        return math.copysign(math.inf, m)
+
+
+# -- polynomial solutions -----------------------------------------------------
 
 
 def heun_poly_condition(p: HeunParams) -> MultiPoly:

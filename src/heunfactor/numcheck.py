@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .heun import HeunParams
-from .exactalg import UsageError, poly_eval
+from .exactalg import UsageError, poly_eval, poly_shift
 
 
 class IntegrationError(Exception):
@@ -79,11 +79,7 @@ def _lags(polys, z0: complex, h: complex):
         a_l(n) = -(D_l k (k-1) + P1_(l-1) k + R1_(l-2)) / (D_0 (n+2) (n+1)),
     k = n + 2 - l, over the shifted, h-scaled (D, P1, R1): at an ordinary
     point, `heun.frobenius_series`'s T(j, d)."""
-    D, P, R = ((list(f) + [0] * 4)[:4 - k] for k, f in enumerate(polys))
-    for a in (D, P, R):     # Taylor shift to z0 by repeated synthetic division
-        for i in range(len(a) - 1):
-            for j in range(len(a) - 2, i - 1, -1):
-                a[j] += z0 * a[j + 1]
+    D, P, R = (poly_shift((list(f) + [0] * 4)[:4 - k], z0) for k, f in enumerate(polys))
     # the equation in s: D(z0 + h s) y'' + h P1(..) y' + h^2 R1(..) y = 0
     D, P, R = ([c * h ** (m + k) for m, c in enumerate(a)] for k, a in enumerate((D, P, R)))
     if D[0] == 0:

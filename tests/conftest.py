@@ -9,7 +9,7 @@ import pytest
 from hypothesis import settings
 
 from heunfactor.exactalg import RatFunc, Ring
-from heunfactor.heun import HeunParams, base_ring
+from heunfactor.heun import HeunParams, apparency_poly, base_ring
 
 
 # property tests draw the same examples on every run and never time out
@@ -107,3 +107,10 @@ EDGES = [
     (3, -1, 1, 2),
     (F(5, 7), -1, F(-9, 7), 2),
 ]
+
+
+def condition_coeffs(eps: int, alpha=F(1), beta=F(2), gamma=F(34, 3), t=F(2)) -> dict:
+    """The exact coefficients {k: c_k} of the apparency condition in q."""
+    p = HeunParams.make(alpha=alpha, beta=beta, gamma=gamma, epsilon=eps, q=0, t=t)
+    return {k: c.fraction() for k, c in
+            RatFunc.of(apparency_poly(p), p.ring).coeffs_in("q").items()}

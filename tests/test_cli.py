@@ -4,7 +4,7 @@ import contextlib
 import io
 import json
 import os
-import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,14 +14,16 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from mpmath import mp
 
 import heunfactor.cli
-from heunfactor.cli import MAX_MULTIPLICITY, MAX_X1_DEGREE, _float_roots, main
-from heunfactor.exactalg import RatFunc, poly_deriv, poly_eval, poly_mul
+from heunfactor.cli import MAX_CONDITION_DEGREE, MAX_MULTIPLICITY, MAX_X1_DEGREE, main
+from heunfactor.exactalg import RatFunc
 from heunfactor.factorize import MAX_PRECISION_BITS
 from heunfactor.heun import HeunParams, apparency_poly
+
+from conftest import condition_coeffs
 
 
 def run_cli(args, capsys):
@@ -124,6 +126,25 @@ class TestApparencyCommand:
         assert json.loads(out)["numeric_roots"] == [
             f"{float(F(-15, 7))!r}+0.0j", f"{float(F(40, 21))!r}+0.0j"]
 
+    @pytest.mark.parametrize("via", ["direct", "sweep"])
+    @pytest.mark.parametrize("eps", [-MAX_CONDITION_DEGREE, -10 ** 18])
+    def test_degree_outside_the_bound_exits_1(self, tmp_path, capsys, via, eps):
+        # epsilon = -10^18 once ran until it was killed
+        path = write(tmp_path, "i.json", _with(CONCRETE_EP1, epsilon=str(eps)))
+        argv = ["apparency", path] if via == "direct" else ["sweep", str(tmp_path)]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and (via == "sweep" or out == "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(MAX_CONDITION_DEGREE) in err
+
+    def test_degree_at_the_bound_runs(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(heunfactor.cli, "MAX_CONDITION_DEGREE", 3)
+        runs = [run_cli(["apparency", write(tmp_path, f"{e}.json",
+                                            _with(CONCRETE_EP1, epsilon=str(e)))], capsys)
+                for e in (-2, -3)]
+        assert [code for code, _, _ in runs] == [2, 1]
+        assert json.loads(runs[0][1])["degree"] == 3
+
     @pytest.mark.parametrize("command", ["apparency", "monodromy"])
     def test_json_integers_read_as_rationals(self, tmp_path, capsys, command):
         # rationals are strings or JSON integers in every kind of file
@@ -152,118 +173,6 @@ class TestApparencyCommand:
         path = write(tmp_path, "i.json", inst)
         code, _, err = run_cli(["apparency", path], capsys)
         assert code == 1
-
-
-def _monic(roots: list) -> dict:
-    """Exact coefficients {k: c_k} of the monic polynomial with these roots;
-    a complex root stands for itself and its conjugate."""
-    poly = [F(1)]
-    for r in roots:
-        if isinstance(r, tuple):
-            a, b = r
-            poly = poly_mul(poly, [a * a + b * b, -2 * a, F(1)])
-        else:
-            poly = poly_mul(poly, [-r, F(1)])
-    return {k: c for k, c in enumerate(poly) if c}
-
-
-_small = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
-
-
-def _mp_polish(c: list, re: tuple, im: tuple) -> complex:
-    """The reference polish: at most two Newton steps in mpmath at 106 bits on
-    the coefficients c[k] / c[-1] rounded to 106 bits, from re + i im (a real
-    start when im is 0), a step kept only when it lowers |p|.  Same call as
-    ``cli._polish``."""
-    with mp.workprec(106):
-        p = [mp.mpf(f.numerator) / f.denominator for f in (F(k, c[-1]) for k in c)]
-        dp = poly_deriv(p)
-        z = mp.ldexp(*re) if not im[0] else mp.mpc(mp.ldexp(*re), mp.ldexp(*im))
-        pz = poly_eval(p, z)
-        for _ in range(2):
-            dz = poly_eval(dp, z)
-            if dz == 0:
-                break
-            z2 = z - pz / dz
-            p2 = poly_eval(p, z2)
-            if not abs(p2) < abs(pz):
-                break
-            z, pz = z2, p2
-        return complex(z)
-
-
-def _root_strings(cd: dict, monkeypatch, polish=None) -> list:
-    """repr of each of _float_roots(cd), polished by ``polish`` if given."""
-    with monkeypatch.context() as m:
-        if polish is not None:
-            m.setattr(heunfactor.cli, "_polish", polish)
-        return [repr(r) for r in _float_roots(cd)]
-
-
-def _condition(eps: int, alpha=F(1), beta=F(2), gamma=F(34, 3), t=F(2)) -> dict:
-    """The exact coefficients {k: c_k} of the apparency condition in q."""
-    p = HeunParams.make(alpha=alpha, beta=beta, gamma=gamma, epsilon=eps, q=0, t=t)
-    return {k: c.fraction() for k, c in
-            RatFunc.of(apparency_poly(p), p.ring).coeffs_in("q").items()}
-
-
-class TestFloatRoots:
-    @given(reals=st.lists(_small, max_size=8, unique=True),
-           pairs=st.lists(st.tuples(_small, _small.filter(lambda b: b > 0)),
-                          max_size=4, unique=True))
-    def test_small_rational_and_gaussian_roots(self, reals, pairs):
-        assume(1 <= len(reals) + 2 * len(pairs) <= 8)
-        want = [complex(r) for r in reals]
-        want += [complex(a, s * b) for a, b in pairs for s in (1, -1)]
-        got = _float_roots(_monic(reals + pairs))
-        assert len(got) == len(want)
-        for g in got:
-            assert min(abs(g - w) for w in want) <= 1e-9 * max(1.0, abs(g))
-        for r in reals:
-            assert complex(float(r)) in got
-
-    @pytest.mark.parametrize("cd,want", [
-        ({1: F(-1), 3: F(1)}, [-1, 0, 1]),            # q^3 - q
-        ({2: F(1), 4: F(1)}, [-1j, 0, 0, 1j]),        # q^4 + q^2
-        ({0: F(-16), 4: F(1)}, [-2, -2j, 2j, 2]),     # q^4 - 16
-    ])
-    def test_zero_and_missing_coefficients(self, cd, want):
-        got = _float_roots(cd)
-        assert len(got) == len(want)
-        assert all(abs(g - w) < 1e-15 for g, w in zip(got, want))
-        assert [g for g in got if g.imag == 0] == [w for w in want if complex(w).imag == 0]
-
-    def test_roots_below_the_double_range_of_the_coefficients(self):
-        # (q - 1e-200)(q - 1e-250)(q - 3): the constant term, 3e-450, is no double
-        want = [F(1, 10 ** 250), F(1, 10 ** 200), F(3)]
-        got = _float_roots(_monic(want))
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert abs(g - float(w)) <= 1e-9 * float(w)
-
-    def test_exact_polish_agrees_with_mpmath_on_random_polynomials(self, monkeypatch):
-        # the exact dyadic polish prints the same doubles as two 106-bit
-        # mpmath Newton steps, on random monic rational polynomials
-        rng = random.Random(4127)
-        count = 0
-        while count < 1000:
-            n = rng.randint(1, 9)
-            big = rng.choice([10, 10 ** 6, 10 ** 40])
-            cd = {k: F(rng.randint(-big, big), rng.randint(1, 50)) for k in range(n)}
-            cd[n] = F(1)
-            got = _root_strings(cd, monkeypatch)
-            assert got == _root_strings(cd, monkeypatch, _mp_polish), cd
-            count += len(got)
-
-    @pytest.mark.parametrize("params", [
-        dict(alpha=F(1), beta=F(2), gamma=F(34, 3), t=F(2)),
-        dict(alpha=F(1, 3), beta=F(-1, 2), gamma=F(-4, 3), t=F(36, 7)),
-    ], ids=["paper", "small"])
-    def test_exact_polish_agrees_with_mpmath_on_conditions(self, monkeypatch, params):
-        for eps in range(-1, -21, -1):
-            cd = _condition(eps, **params)
-            assert (_root_strings(cd, monkeypatch)
-                    == _root_strings(cd, monkeypatch, _mp_polish)), eps
 
 
 class TestFactorizeCommand:
@@ -728,6 +637,58 @@ def test_oversized_json_integer_exits_1(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+#: t = 10^3000: the exact reports hold integers of more than 4300 digits
+BIG_T = "1" + "0" * 3000
+BIG_REPORTS = {
+    "factorize": _with(MAIER, sing=[{"t": BIG_T, "m": 2}], q={"sym": "q"}),
+    "apparency": _with(CONCRETE_EP1, epsilon="-2", q={"sym": "q"}, t=BIG_T),
+}
+
+
+def test_report_with_an_integer_past_the_str_limit_prints(tmp_path, capsys, monkeypatch):
+    # Python refuses str() of an int of more than 4300 digits by default:
+    # these correct runs once exited 2 with that ValueError from pretty().
+    # With two files and two workers the sweep forks its pool
+    monkeypatch.setenv("HEUNFACTOR_THREADS", "2")
+    argvs = [[command, write(tmp_path, f"{command}.json", inst)]
+             for command, inst in BIG_REPORTS.items()] + [["sweep", str(tmp_path)]]
+    limit = sys.get_int_max_str_digits()
+    for argv in argvs:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and err == "", argv
+        assert max(map(len, re.findall(r"\d+", out))) > 4300
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.parametrize("command,inst", [
+    ("apparency", _with(CONCRETE_EP1, t="9" * 5000)),
+    ("factorize", _with(MAIER, gamma="1/" + "7" * 4301)),
+    ("factorize", _with(MAIER, sing=[{"t": "2." + "5" * 4301, "m": 1}])),
+], ids=["integer", "denominator", "decimal"])
+@pytest.mark.parametrize("via", ["direct", "sweep"])
+def test_oversized_rational_string_exits_1(tmp_path, capsys, command, inst, via):
+    # an input literal keeps Python's 4300-digit cap on integer strings,
+    # though the reports may print longer integers
+    path = write(tmp_path, "i.json", inst)
+    code, _, err = run_cli([command, path] if via == "direct" else ["sweep", str(tmp_path)],
+                           capsys)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "4300" in err
+
+
+@pytest.mark.parametrize("argv", [["x1", "9" * 5000, "1", "1/4"],
+                                  ["x1", "3", "9" * 5000, "1/4"]], ids=["k", "g"])
+def test_oversized_argument_exits_1(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse's usage errors
+        code = e.code
+    out, err = capsys.readouterr()
+    assert code == 1 and out == ""
+    assert err.count("error:") == 1 and "Traceback" not in err
+
+
 _json_leaf = (st.none() | st.booleans() | st.integers()
               # built, not sampled: hypothesis prints its strategies, and
               # repr() refuses an int of more than 4300 digits
@@ -775,7 +736,7 @@ def test_apparency_fuzzed_rational_instance_prints_its_roots(alpha, beta, gamma,
     assert code in (0, 2) and err.getvalue() == ""
     rep = json.loads(out.getvalue())
     assert rep["degree"] == len(rep["numeric_roots"]) == 1 - eps
-    cd = _condition(eps, alpha, beta, gamma, t)
+    cd = condition_coeffs(eps, alpha, beta, gamma, t)
     with mp.workprec(400):
         desc = [mp.mpf(c.numerator) / c.denominator
                 for c in (cd.get(k, F(0)) for k in range(1 - eps, -1, -1))]

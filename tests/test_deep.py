@@ -34,7 +34,7 @@ def test_exact_symbolic_deep(m):
                      for n in ("alpha", "beta", "gamma", "t", "q"))
     Lt = ApparentFuchsian.from_heun(a, b, g, m, q, t, ring)
     es, _ = solve_esym(Lt, deep=True)
-    for profile in es.denominators:
-        assert set(profile) <= {"t", "t - 1"}
+    for v in es.values:
+        assert {f.pretty() for f in v.den_factors()} <= {"t", "t - 1"}
     rep = verify_factorization(Lt, esym=es, deep=True)
     assert rep.passed

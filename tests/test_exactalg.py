@@ -26,6 +26,8 @@ from heunfactor.exactalg import (
     groebner_basis,
     groebner_reduce,
     point_rank,
+    poly_eval,
+    poly_shift,
     rank_of,
     reduce_mod,
     solve_linear,
@@ -440,6 +442,43 @@ class TestSubs:
         p = _x * _XYE.var("e1") ** 2 + _XYE.var("e2")
         got = p.subs({"e1": _y - 1, "e2": F(1, 2)})
         assert got == _x * (_y - 1) ** 2 + F(1, 2)
+
+
+class TestPolyShift:
+    """poly_shift(a, c) holds the coefficients of p(z + c): its value at x is
+    p's at x + c."""
+
+    XS = (F(0), F(1, 3), F(-5, 2), F(7))
+
+    def test_fraction_shift(self):
+        rng = random.Random(11)
+        for n in range(1, 8):
+            a = [F(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+            c = F(rng.randint(-9, 9), rng.randint(1, 5))
+            shifted = poly_shift(a, c)
+            assert len(shifted) == n
+            assert all(poly_eval(shifted, x) == poly_eval(a, x + c) for x in self.XS)
+
+    def test_complex_shift(self):
+        rng = random.Random(12)
+        for n in range(1, 8):
+            a = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+            c = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+            shifted = poly_shift(a, c)
+            for x in map(complex, self.XS):
+                want = poly_eval(a, x + c)
+                assert abs(poly_eval(shifted, x) - want) <= 1e-12 * max(1, abs(want))
+
+    def test_ratfunc_shift(self, R):
+        # MultiPoly coefficients shifted by a point rational in t, as the
+        # series engine shifts L~'s cleared form
+        q, a, t = (R.var(n) for n in ("q", "alpha", "t"))
+        coeffs = [q * t, a * t - 1, F(3, 2), q - a, R.one]
+        c = RatFunc(t * t + 1, {t - 1: 1})
+        shifted = poly_shift(coeffs, c)
+        for x in self.XS:
+            assert (RatFunc.of(poly_eval(shifted, x), R)
+                    == RatFunc.of(poly_eval(coeffs, x + c), R))
 
 
 class TestEvalNum:

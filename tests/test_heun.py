@@ -6,8 +6,11 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, strategies as st
+from mpmath import mp
 
-from heunfactor.exactalg import RatFunc, reduce_mod
+import heunfactor.heun
+from heunfactor.exactalg import RatFunc, poly_deriv, poly_eval, poly_mul, reduce_mod
 from heunfactor.heun import (
     HeunConditionError,
     HeunParams,
@@ -18,6 +21,7 @@ from heunfactor.heun import (
     apparency_poly,
     apparency_condition,
     base_ring,
+    condition_roots,
     frobenius_series,
     gauge_transform,
     heun_operator,
@@ -33,7 +37,7 @@ from heunfactor.heun import (
 )
 from heunfactor.exactalg import UsageError
 
-from conftest import rand_frac, rand_noninteger, make_rng
+from conftest import condition_coeffs, rand_frac, rand_noninteger, make_rng
 
 
 class TestConstruction:
@@ -467,3 +471,108 @@ def test_frobenius_obstruction_surface():
     assert ser2.log_coefficient is None
     assert len(ser2.coeffs) == 5
     assert ser2.coeffs[2].is_zero
+
+
+def _monic(roots: list) -> dict:
+    """Exact coefficients {k: c_k} of the monic polynomial with these roots;
+    a complex root stands for itself and its conjugate."""
+    poly = [F(1)]
+    for r in roots:
+        if isinstance(r, tuple):
+            a, b = r
+            poly = poly_mul(poly, [a * a + b * b, -2 * a, F(1)])
+        else:
+            poly = poly_mul(poly, [-r, F(1)])
+    return {k: c for k, c in enumerate(poly) if c}
+
+
+_small = st.builds(F, st.integers(-12, 12), st.integers(1, 6))
+
+
+def _mp_polish(c: list, re: tuple, im: tuple) -> complex:
+    """The reference polish: at most two Newton steps in mpmath at 106 bits on
+    the coefficients c[k] / c[-1] rounded to 106 bits, from re + i im (a real
+    start when im is 0), a step kept only when it lowers |p|.  Same call as
+    ``heun._polish``."""
+    with mp.workprec(106):
+        p = [mp.mpf(f.numerator) / f.denominator for f in (F(k, c[-1]) for k in c)]
+        dp = poly_deriv(p)
+        z = mp.ldexp(*re) if not im[0] else mp.mpc(mp.ldexp(*re), mp.ldexp(*im))
+        pz = poly_eval(p, z)
+        for _ in range(2):
+            dz = poly_eval(dp, z)
+            if dz == 0:
+                break
+            z2 = z - pz / dz
+            p2 = poly_eval(p, z2)
+            if not abs(p2) < abs(pz):
+                break
+            z, pz = z2, p2
+        return complex(z)
+
+
+def _root_strings(cd: dict, monkeypatch, polish=None) -> list:
+    """repr of each of condition_roots(cd), polished by ``polish`` if given."""
+    with monkeypatch.context() as m:
+        if polish is not None:
+            m.setattr(heunfactor.heun, "_polish", polish)
+        return [repr(r) for r in condition_roots(cd)]
+
+
+class TestFloatRoots:
+    @given(reals=st.lists(_small, max_size=8, unique=True),
+           pairs=st.lists(st.tuples(_small, _small.filter(lambda b: b > 0)),
+                          max_size=4, unique=True))
+    def test_small_rational_and_gaussian_roots(self, reals, pairs):
+        assume(1 <= len(reals) + 2 * len(pairs) <= 8)
+        want = [complex(r) for r in reals]
+        want += [complex(a, s * b) for a, b in pairs for s in (1, -1)]
+        got = condition_roots(_monic(reals + pairs))
+        assert len(got) == len(want)
+        for g in got:
+            assert min(abs(g - w) for w in want) <= 1e-9 * max(1.0, abs(g))
+        for r in reals:
+            assert complex(float(r)) in got
+
+    @pytest.mark.parametrize("cd,want", [
+        ({1: F(-1), 3: F(1)}, [-1, 0, 1]),            # q^3 - q
+        ({2: F(1), 4: F(1)}, [-1j, 0, 0, 1j]),        # q^4 + q^2
+        ({0: F(-16), 4: F(1)}, [-2, -2j, 2j, 2]),     # q^4 - 16
+    ])
+    def test_zero_and_missing_coefficients(self, cd, want):
+        got = condition_roots(cd)
+        assert len(got) == len(want)
+        assert all(abs(g - w) < 1e-15 for g, w in zip(got, want))
+        assert [g for g in got if g.imag == 0] == [w for w in want if complex(w).imag == 0]
+
+    def test_roots_below_the_double_range_of_the_coefficients(self):
+        # (q - 1e-200)(q - 1e-250)(q - 3): the constant term, 3e-450, is no double
+        want = [F(1, 10 ** 250), F(1, 10 ** 200), F(3)]
+        got = condition_roots(_monic(want))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert abs(g - float(w)) <= 1e-9 * float(w)
+
+    def test_exact_polish_agrees_with_mpmath_on_random_polynomials(self, monkeypatch):
+        # the exact dyadic polish prints the same doubles as two 106-bit
+        # mpmath Newton steps, on random monic rational polynomials
+        rng = random.Random(4127)
+        count = 0
+        while count < 1000:
+            n = rng.randint(1, 9)
+            big = rng.choice([10, 10 ** 6, 10 ** 40])
+            cd = {k: F(rng.randint(-big, big), rng.randint(1, 50)) for k in range(n)}
+            cd[n] = F(1)
+            got = _root_strings(cd, monkeypatch)
+            assert got == _root_strings(cd, monkeypatch, _mp_polish), cd
+            count += len(got)
+
+    @pytest.mark.parametrize("params", [
+        dict(alpha=F(1), beta=F(2), gamma=F(34, 3), t=F(2)),
+        dict(alpha=F(1, 3), beta=F(-1, 2), gamma=F(-4, 3), t=F(36, 7)),
+    ], ids=["paper", "small"])
+    def test_exact_polish_agrees_with_mpmath_on_conditions(self, monkeypatch, params):
+        for eps in range(-1, -21, -1):
+            cd = condition_coeffs(eps, **params)
+            assert (_root_strings(cd, monkeypatch)
+                    == _root_strings(cd, monkeypatch, _mp_polish)), eps

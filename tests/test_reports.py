@@ -40,10 +40,25 @@ GROEBNER = {
     (1, 1, 1): "5bf505926c95206c30aac49cd15b36a9bc363ec000bf0f6ed4cb85cf7d409a7d",
 }
 
+#: alpha, beta, gamma, q and t symbolic: no numeric_roots
+SYMBOLIC_HEUN = {n: {"sym": n} for n in ("alpha", "beta", "gamma", "q", "t")}
+#: the paper's instance with q symbolic: its report prints numeric_roots
+PAPER_HEUN = {"alpha": "1", "beta": "2", "gamma": "34/3", "q": {"sym": "q"}, "t": "2"}
+
+#: `apparency` reports by (parameters, epsilon)
 APPARENCY = {
-    -1: "be0b1161ca95a1190d1184ecc57b5497b820a725ca9eedee4fe91cdd28539bcd",
-    -2: "825147f908967de16f8b5a0104ecce9065bad971f7b4907526f961d041438fcb",
-    -3: "7a4a62d84f12ee96697c937b295bb24405da138415d34777350e54ac488f3704",
+    "-1": (SYMBOLIC_HEUN, -1,
+           "be0b1161ca95a1190d1184ecc57b5497b820a725ca9eedee4fe91cdd28539bcd"),
+    "-2": (SYMBOLIC_HEUN, -2,
+           "825147f908967de16f8b5a0104ecce9065bad971f7b4907526f961d041438fcb"),
+    "-3": (SYMBOLIC_HEUN, -3,
+           "7a4a62d84f12ee96697c937b295bb24405da138415d34777350e54ac488f3704"),
+    "paper-1": (PAPER_HEUN, -1,
+                "de8e4f53df93b1dd07c0747586f96297c00fce2c27250edd5102512331cd64a0"),
+    "paper-20": (PAPER_HEUN, -20,
+                 "fe50de1042ed47b88b43a62ff9dd19987242f32aa2b1e90916c2ca2ef4fc84d2"),
+    "paper-100": (PAPER_HEUN, -100,
+                  "f8af410c9725c22a18ce7253d6223d1ee0c3ce124eda37790f03896c58c75625"),
 }
 
 #: `factorize --mode numeric` at 300 bits, M = 1, m = 3, t = 5/2, gamma = 5/7:
@@ -85,14 +100,14 @@ def test_groebner_report(profile):
     assert digest(verify_factorization(Lt).to_json()) == GROEBNER[profile]
 
 
-@pytest.mark.parametrize("eps", sorted(APPARENCY))
-def test_apparency_report(eps):
-    sym = {n: {"sym": n} for n in ("alpha", "beta", "gamma", "q", "t")}
+@pytest.mark.parametrize("case", sorted(APPARENCY))
+def test_apparency_report(case):
+    params, eps, want = APPARENCY[case]
     inst = {"version": 1, "kind": "heun",
-            "parameters": {**sym, "epsilon": str(eps)}}
+            "parameters": {**params, "epsilon": str(eps)}}
     report, code = cmd_apparency(inst)
     assert code == 0
-    assert digest(report) == APPARENCY[eps]
+    assert digest(report) == want
 
 
 @pytest.mark.parametrize("route", sorted(NUMERIC))
