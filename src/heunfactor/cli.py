@@ -85,7 +85,15 @@ MAX_LITERAL_DIGITS = 4300
 
 def _rat(v, where: str) -> Fraction:
     if isinstance(v, str):
-        if any(len(d) > MAX_LITERAL_DIGITS for d in re.findall(r"\d+", v.replace("_", ""))):
+        # the most digits of an integer that Fraction(v) builds: its longest
+        # digit run, or with an exponent the mantissa's digits plus the
+        # exponent's magnitude
+        s = v.replace("_", "")
+        digits = max((len(d) for d in re.findall(r"\d+", s)), default=0)
+        exp = re.search(r"[eE][-+]?(\d+)", s)
+        if exp and digits <= MAX_LITERAL_DIGITS:
+            digits = len(re.sub(r"\D", "", s[:exp.start()])) + int(exp[1])
+        if digits > MAX_LITERAL_DIGITS:
             raise SchemaError(f"{where}: bad rational: an integer of more than "
                               f"{MAX_LITERAL_DIGITS} digits")
         try:

@@ -7,10 +7,11 @@ The engine verifies instances of the factorization
 
 where L~ is a second-order Fuchsian operator whose extra singularities
 t_1..t_M (local exponents 0, m_k+1) are all apparent.  Right division of the
-hypergeometric operator by L~ produces D~ and an order-<=1 remainder whose
-coefficients are affine in the elementary symmetric functions of the e_i;
-solving the induced linear system and checking that the remainder then lies
-in the apparency ideal certifies the instance.
+hypergeometric operator by L~'s cleared form Q L~ produces X, with D~ = X Q,
+and an order-<=1 remainder whose coefficients are affine in the elementary
+symmetric functions of the e_i; solving the induced linear system and
+checking that the remainder then lies in the apparency ideal certifies the
+instance.
 
 Exact mode works in Q(params)[q] / (P_app(q)) for one extra singularity and
 falls back to a budgeted Groebner reduction (or the numeric path) for more.
@@ -37,6 +38,7 @@ from .exactalg import (
     UsageError,
     Value,
     _FIELD_MASK,
+    _subs_parts,
     _val,
     groebner_reduce,
     point_rank,
@@ -221,11 +223,12 @@ class ApparentFuchsian:
             out.append({m: v for m, v in enumerate(a) if v != 0})
         return out
 
-    def operator(self) -> DiffOp:
-        """L~ as the monic DiffOp D^2 + (P1/Q) D + S/Q, each coefficient
-        over the factors z - r of Q."""
+    def cleared_operator(self) -> DiffOp:
+        """Q L~ = Q D^2 + P1 D + S as a DiffOp that carries its leading
+        coefficient's inverse 1/Q over the factors z - r of Q, each root's
+        denominator moved into the numerator."""
         ring = self.ring
-        roots, _, P1, S = self.cleared
+        roots, Q, P1, S = self.cleared
         z = RatFunc.of(ring.var("z"), ring)
         fac: dict = {}
         cofactor = ring.one   # the denominators of the roots
@@ -233,12 +236,14 @@ class ApparentFuchsian:
             f = z - r
             fac[f.num] = fac.get(f.num, 0) + 1
             cofactor = cofactor * f.den
+        return DiffOp(ring, "z", [_val(poly_eval(a, z.num), ring) for a in (S, P1, Q)],
+                      leading_inverse=RatFunc(cofactor, fac))
 
-        def over_q(a):
-            n = _val(poly_eval(a, z.num), ring)
-            return RatFunc(n.num * cofactor, {**n.den_factors(), **fac})
-
-        return DiffOp(ring, "z", [over_q(S), over_q(P1), RatFunc.of(1, ring)])
+    def operator(self) -> DiffOp:
+        """L~ as the monic DiffOp D^2 + (P1/Q) D + S/Q, each coefficient
+        over the factors z - r of Q (`cleared_operator`'s 1/Q)."""
+        Lc = self.cleared_operator()
+        return DiffOp(self.ring, "z", [c * Lc.leading_inverse for c in Lc.coeffs[:2]] + [1])
 
 
 # -- apparency conditions ------------------------------------------------------
@@ -394,14 +399,17 @@ class FactorizationWork:
 
 
 def _division_work(Lt: ApparentFuchsian) -> FactorizationWork:
-    """Right division of L_GHG, with the e-atoms as its esym values, by the
-    operator L~."""
+    """Right division of L_GHG, with the e-atoms as its esym values, by
+    L~'s cleared form Q D^2 + P1 D + S: L_GHG = X (Q L~) + R gives D~ = X Q
+    and R, the remainder modulo L~.  Leibniz terms multiply by derivatives
+    of polynomials, and each quotient step by the factored 1/Q."""
     ring = Lt.ring
     es = [ring.var(f"e{j}") for j in range(1, Lt.N + 1)]
     L = ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma, es, ring)
-    Q, rem = L.right_divide(Lt.operator())
+    Lc = Lt.cleared_operator()
+    X, rem = L.right_divide(Lc)
     ws = [rem.coeff(0), rem.coeff(1)] + [RatFunc.of(0, Lt.ring)] * Lt.N
-    return FactorizationWork(Q, tuple(ws))
+    return FactorizationWork(X * DiffOp.mul_by(Lc.leading, ring, "z"), tuple(ws))
 
 
 def check_profile(Lt: ApparentFuchsian, deep: bool = False):
@@ -582,33 +590,38 @@ def verify_factorization(Lt: ApparentFuchsian,
     else:
         work = _division_work(Lt)
     e_assign = {f"e{j+1}": v for j, v in enumerate(esym.values)}
-    w0 = work.w_coeffs[0].subs(e_assign)
-    w1 = work.w_coeffs[1].subs(e_assign)
     quotient = DiffOp(ring, "z", [c.subs(e_assign) for c in work.quotient.coeffs])
+
+    def cancelled_residuals(reduce) -> list:
+        return [reduce(w.subs(e_assign).num) for w in work.w_coeffs[:2]]
 
     q_symbolic = Lt.M == 1 and Lt.heun_q().num.involves("q")
     p_atoms_used = any(
         s.num.involves(f"p{k}") for s in Lt.s_coeffs for k in range(1, Lt.M + 1))
     strings = tuple(v.pretty() for v in esym.values)
-    residuals = []
     if Lt.M == 1 and q_symbolic:
         modulus = apparency_modulus(Lt)
-        for w in (w0, w1):
-            residuals.append(reduce_mod(w.num, modulus, "q"))
+        # cancelling drops only q-free factors here, and the modulus is monic
+        # in q: the uncancelled numerators reduce to zero exactly when the
+        # cancelled ones do, and a failing report prints the cancelled ones
+        q_free = not any(f.involves("q") for v in esym.values + work.w_coeffs[:2]
+                         for f in v.den_factors())
+        passed = q_free and all(reduce_mod(_subs_parts(w.num, e_assign)[0], modulus, "q").is_zero
+                                for w in work.w_coeffs[:2])
+        residuals = [] if passed else cancelled_residuals(lambda n: reduce_mod(n, modulus, "q"))
     elif p_atoms_used:
         system = apparency_system(Lt)
         main = [f"p{k}" for k in range(1, Lt.M + 1)]
         try:
-            for w in (w0, w1):
-                residuals.append(groebner_reduce(w.num, system, main,
-                                                 budget=groebner_budget))
+            residuals = cancelled_residuals(
+                lambda n: groebner_reduce(n, system, main, budget=groebner_budget))
         except BudgetExceededError:
             return VerificationReport(
                 "exact", Lt.profile, strings, "budget-exceeded",
                 False, quotient.pretty(),
                 detail="Groebner budget exceeded; use the numeric path")
     else:
-        residuals = [w0.num, w1.num]
+        residuals = cancelled_residuals(lambda n: n)
     ok = all(r.is_zero for r in residuals)
     offender = ""
     if not ok:

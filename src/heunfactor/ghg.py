@@ -172,7 +172,8 @@ def ghg_operator_esym(sum_ab: Value, prod_ab: Value, gamma: Value,
     Only alpha + beta and alpha * beta enter, so irrational pairs are fine.
     Each numerator of `_theta_table` is assembled per basis scalar as one
     int-term polynomial in z and the esym values, over their common
-    denominator, then scaled by its scalar.
+    denominator, then scaled by its scalar, and left over the factored
+    z^(N+1) (z - 1), whose factors L~'s denominators share.
     """
     N = len(esym)
     table = _theta_table(*(_val(v, ring) for v in (sum_ab, prod_ab, gamma)), N)
@@ -181,7 +182,7 @@ def ghg_operator_esym(sum_ab: Value, prod_ab: Value, gamma: Value,
     # sigma_i as int terms over 1 / den_c
     sigmas = [[(key, c * (n._c * den_c).numerator) for key, c in n._t.items()] for n in nums]
     uz = ring._field("z")[1]
-    den = MultiPoly(ring, {(N + 2) * uz: 1, (N + 1) * uz: -1}, Fraction(1), _normalized=True)
+    den = {ring.var("z"): N + 1, ring.var("z") - 1: 1}
     coeffs = []
     for j, rows in enumerate(table):
         num = RatFunc.of(0, ring)
@@ -196,8 +197,9 @@ def ghg_operator_esym(sum_ab: Value, prod_ab: Value, gamma: Value,
                         k = key + (j - 1) * uz
                         t[k] = t.get(k, 0) - B[i] * c
             num = num + s * RatFunc(MultiPoly(ring, t, Fraction(1, den_c)), fac)
-        # the numerator's z-degree is below the denominator's: nothing cancels
-        coeffs.append(RatFunc(num.num, {**num.den_factors(), den: 1}, _simplify=False))
+        # left uncancelled, so that every coefficient has the same factors:
+        # D^j's numerator A_j z^j - B_j z^(j-1) is divisible by z^(j-1)
+        coeffs.append(RatFunc(num.num, {**num.den_factors(), **den}, _simplify=False))
     return DiffOp(ring, "z", coeffs + [RatFunc.of(1, ring)])
 
 

@@ -34,9 +34,9 @@ class DiffOpError(Exception):
 class DiffOp:
     """Linear differential operator sum c_j(var) d^j/dvar^j."""
 
-    __slots__ = ("ring", "var", "coeffs", "_derivs")
+    __slots__ = ("ring", "var", "coeffs", "_derivs", "_inverse")
 
-    def __init__(self, ring: Ring, var: str, coeffs: Sequence):
+    def __init__(self, ring: Ring, var: str, coeffs: Sequence, leading_inverse=None):
         if var not in ring.index:
             raise UsageError(f"variable {var!r} not in ring")
         cs = [RatFunc.of(c, ring) for c in coeffs]
@@ -46,6 +46,7 @@ class DiffOp:
         self.var = var
         self.coeffs = tuple(cs)
         self._derivs = [self.coeffs]
+        self._inverse = leading_inverse
 
     def derivative_table(self, n: int) -> list:
         """[coeffs, d/dvar coeffs, ..., (d/dvar)^n coeffs]; kept on the
@@ -76,6 +77,13 @@ class DiffOp:
         if self.is_zero:
             raise DiffOpError("zero operator has no leading coefficient")
         return self.coeffs[-1]
+
+    @property
+    def leading_inverse(self) -> RatFunc:
+        """1 / leading as given to the constructor, else computed once."""
+        if self._inverse is None:
+            self._inverse = self.leading.inverse()
+        return self._inverse
 
     @classmethod
     def zero_op(cls, ring: Ring, var: str) -> "DiffOp":
@@ -161,13 +169,15 @@ class DiffOp:
         return QuasiFunction(self.ring, self.var, f.exponent_a, f.exponent_b, out)
 
     def right_divide(self, other: "DiffOp"):
-        """Return (Q, rem) with self = Q*other + rem, order(rem) < order(other)."""
+        """Return (Q, rem) with self = Q*other + rem, order(rem) < order(other).
+        A quotient coefficient is the top one times ``other.leading_inverse``,
+        cancelled; the remainder's stay uncancelled until the end."""
         self._check(other)
         if other.order < 1:
             raise DiffOpError("divisor must have order >= 1")
-        # the remainder's coefficients stay uncancelled until the end
+        inverse = other.leading_inverse
         q, rem = right_divide(self.coeffs, other, RatFunc.of(0, self.ring),
-                              lambda c: c / other.leading,
+                              lambda c: c * inverse,
                               lambda a, b, ck: _product(a, b, -ck),
                               lambda c, ts: _sum([c] + ts))
         return (DiffOp(self.ring, self.var, q),

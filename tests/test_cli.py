@@ -677,6 +677,38 @@ def test_oversized_rational_string_exits_1(tmp_path, capsys, command, inst, via)
     assert "4300" in err
 
 
+#: short literals whose exponent makes Fraction build an integer of more
+#: than 4300 digits
+@pytest.mark.parametrize("command,inst", [
+    ("apparency", _with(CONCRETE_EP1, q="1e100000")),
+    ("apparency", _with(CONCRETE_EP1, t="1e4300")),
+    ("factorize", _with(MAIER, gamma="-2.5e-4300")),
+], ids=["exponent", "one-past", "negative-exponent"])
+@pytest.mark.parametrize("via", ["direct", "sweep"])
+def test_oversized_exponent_exits_1(tmp_path, capsys, command, inst, via):
+    path = write(tmp_path, "i.json", inst)
+    code, _, err = run_cli([command, path] if via == "direct" else ["sweep", str(tmp_path)],
+                           capsys)
+    assert code == 1
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "4300" in err
+
+
+@pytest.mark.parametrize("argv", [["x1", "3", "1e4301", "1/4"],
+                                  ["x1", "--", "3", "1", "-1E+4300"]], ids=["g", "h"])
+def test_oversized_exponent_argument_exits_1(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "4300" in err
+
+
+def test_exponent_at_the_bound_runs(capsys):
+    # 10^4299 has 4300 digits, as many as the longest accepted digit run
+    code, out, _ = run_cli(["x1", "3", "1e4299", "1/4"], capsys)
+    assert code == 0 and json.loads(out)["g"] == "1" + "0" * 4299
+
+
 @pytest.mark.parametrize("argv", [["x1", "9" * 5000, "1", "1/4"],
                                   ["x1", "3", "9" * 5000, "1/4"]], ids=["k", "g"])
 def test_oversized_argument_exits_1(capsys, argv):

@@ -103,6 +103,17 @@ class TestMaier:
         assert shifted.division is es.division
         assert not verify_factorization(Lt, esym=shifted).passed
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_esym_values_equal_modulo_the_condition_pass(self, m):
+        # a q in the values' denominators takes the cancelled zero test
+        Lt, ring = symbolic_m1(m)
+        es, _ = solve_esym(Lt)
+        q = RatFunc.of(ring.var("q"), ring)
+        P = RatFunc.of(apparency_modulus(Lt), ring)
+        for shift, passed in ((P / (q - 7), True), (P / (q - 7) + 1, False)):
+            values = (es.values[0] + shift,) + es.values[1:]
+            assert verify_factorization(Lt, esym=replace(es, values=values)).passed is passed
+
     def test_perturbed_defect_nonzero(self):
         ring = factor_ring(1, 1)
         p = HeunParams.make(alpha=1, beta=2, gamma=F(34, 3), epsilon=-1,
@@ -408,6 +419,38 @@ class TestClearedForm:
         delta = alpha + beta - gamma + 3
         rep = verify_factorization_numeric(gamma, delta, sing, alpha * beta, bits=300)
         assert rep.passed and len(built) == 1
+
+
+def _division_cases():
+    panel = [pytest.param(lambda p=prof: factorize._residue_atom_factor(
+        *random_profile_instance(p, seed=3)), id="".join(map(str, prof)))
+             for prof in ((1, 1), (2, 1), (2, 2), (3, 1), (1, 3), (1, 1, 1))]
+
+    def edge(gamma, alpha, beta, m):
+        ring = factor_ring(1, m)
+        return ApparentFuchsian.from_heun(alpha, beta, gamma, m, ring.var("q"), F(5, 2), ring)
+
+    edges = [pytest.param(lambda e=e: edge(*e), id=f"edge{i}") for i, e in enumerate(EDGES)]
+    return [pytest.param(lambda m=m: symbolic_m1(m)[0], id=f"symbolic-m{m}")
+            for m in (1, 2, 3)] + panel + edges
+
+
+@pytest.mark.parametrize("make", _division_cases())
+def test_cleared_division_matches_the_monic_division(make):
+    """D~ = X Q and the remainder of L_GHG = X (Q L~) + R equal the quotient
+    and remainder of the division by the monic L~, term for term."""
+    Lt = make()
+    ring = Lt.ring
+    L = factorize.ghg_operator_esym(Lt.sum_ab, Lt.prod_ab, Lt.gamma,
+                                    [ring.var(f"e{j}") for j in range(1, Lt.N + 1)], ring)
+    D, rem = L.right_divide(Lt.operator())
+    work = factorize._division_work(Lt)
+    assert len(work.quotient.coeffs) == len(D.coeffs) == Lt.N + 1
+    for a, b in zip(work.quotient.coeffs, D.coeffs):
+        _same_parts(a, b)
+    for a, b in zip(work.w_coeffs, (rem.coeff(0), rem.coeff(1))):
+        _same_parts(a, b)
+    assert all(w.is_zero for w in work.w_coeffs[2:])
 
 
 class TestNumericPipeline:

@@ -115,6 +115,19 @@ class TestOperator:
         L2 = ghg_operator_esym(al + be, al * be, ga, [R.const(s) for s in self._esym(es)], R)
         assert ghg_operator(Ge) == L2
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 5])
+    def test_esym_operator_denominators_are_factored(self, N):
+        ring = Ring(["z", "alpha", "beta", "gamma"] + [f"e{j}" for j in range(1, N + 1)])
+        al, be, ga = (ring.var(n) for n in ("alpha", "beta", "gamma"))
+        L = ghg_operator_esym(al + be, al * be, ga,
+                              [ring.var(f"e{j}") for j in range(1, N + 1)], ring)
+        z = ring.var("z")
+        assert L.order == N + 2 and L.leading == 1
+        for c in L.coeffs[:-1]:
+            assert c.den_factors() == {z: N + 1, z - 1: 1}
+            # the single composite factor the coefficients once carried
+            assert c == RatFunc(c.num, {z ** (N + 2) - z ** (N + 1): 1}, _simplify=False)
+
 
 class TestSeries:
     def test_two_term(self, R):

@@ -7,6 +7,7 @@ bytes updates the digests here and says so in CHANGES.md."""
 
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -14,10 +15,14 @@ from heunfactor.cli import cmd_apparency, cmd_factorize
 from heunfactor.exactalg import RatFunc
 from heunfactor.factorize import (
     ApparentFuchsian,
+    _residue_atom_factor,
     factor_ring,
     random_profile_instance,
+    solve_esym,
     verify_factorization,
 )
+
+from conftest import EDGES
 
 
 def digest(report: dict) -> str:
@@ -38,6 +43,47 @@ GROEBNER = {
     (3, 1): "3bcf7337b30f071efe5fc6b55a05fdc01e11d58fc999b059ab1b3c8f3694f335",
     (1, 3): "495b0d62ca44e2d734ddd32114e47b8a44754ba1ecc5ee10fb575fa0fe840185",
     (1, 1, 1): "5bf505926c95206c30aac49cd15b36a9bc363ec000bf0f6ed4cb85cf7d409a7d",
+}
+
+#: the same profiles at seeds 0 and 1, keyed by (profile, seed)
+GROEBNER_SEEDS = {
+    ((1, 1), 0): "e8e14c90a78e34665083b1265b083db486a76f2b8e51e567b1462e0219116fe5",
+    ((1, 1), 1): "ff58afa1c8874b4bb0d4b8966630cfdf5800a49b93b45712b64e7464d07b8983",
+    ((2, 1), 0): "1213afbd3a86d7888d2ada51e6eced43fdc897510788758e327e119dd2fd528f",
+    ((2, 1), 1): "2ab339d7574829dd5ad301d79b0a5a229499b7689b6960ea2200eaa702510293",
+    ((2, 2), 0): "dfc34fa5990f8fd41d58904ed6e3aeb7c7c2fc06461054f1162dbd375a6b5482",
+    ((2, 2), 1): "fcc76a0682ed9d00028b6ff562333c1c167722e6b47b8475dc89983803ec1ac9",
+    ((3, 1), 0): "0da171e9db12201bfb2646c4bf8db78e7d639e193687e1758c113081b16fffa2",
+    ((3, 1), 1): "084f379146fb6a9db5756fc41ddce24c1efa8029488e1385291182587631fb48",
+    ((1, 3), 0): "6c9531dd31d7fe74f04b408f02186a1bbd2e80adda0fb2dd5501a6a5a1f95b4b",
+    ((1, 3), 1): "bfa2b73ed32ec8a75b0a29b0986df4ac7f14ae5c7b5cee720ddf7faaa341ef0e",
+    ((1, 1, 1), 0): "7d9f48264d10726801bb3d7c4ed91fe63ecb15833e3dc3f3b20aa3d1d5e80b7d",
+    ((1, 1, 1), 1): "9e4c11c09038d7b01b1aa47d60ee42778a5e470c07a7e1197f585dae25ffcf04",
+}
+
+#: failing M = 1 reports with q symbolic: the solved esym values with e_1
+#: shifted by 1, so the defect is nonzero and the detail prints it
+SHIFTED = {
+    1: "273ca059246c2b888b57f321307bbd16fbb9ee6412300c7f441d5708d70fce33",
+    3: "f987facef0b11c1a4048199f48a59f0735b4e0f69c2607926cb01a6511376f46",
+}
+
+#: failing exact reports with every value concrete: the paper's instance
+#: (gamma 34/3, alpha 1, beta 2, t 2) at q = 3, by m
+CONCRETE_Q3 = {
+    1: "7582df3fff112053fa9c9b2723b39a2ef86c1caaca8bef5c430c15a1c36868df",
+    2: "eda9aeade5e9b811a40ab13c070bcf842831bc6f7bc9ee17aa247e7e83f61ccc",
+    3: "712d75315a19fa513e1be5aefa99103aabaaef39b2aff78bc024460d01cdc15b",
+}
+
+#: exact `factorize` reports of the numeric lane's EDGES with q symbolic
+#: at t = 5/2, by index.  On the delta = 0 edges (2 and 3) the quotient's
+#: D coefficient prints in lowest terms over z, z - 1 and 2z - 5
+EDGE_EXACT = {
+    0: "5f1dd61a2cbe80b1d34de2fc2d0e316a01867b4abc7959cea8adb0cbbf9e4994",
+    1: "fea288c2aa68a0639437333acf3f69d60057f90f02fb21cc5e8d41c314a2172d",
+    2: "950ad90630a30b3e83eeb3e1c8d673ac198775d7be9e4e9d3423da1ac7ca548b",
+    3: "8e6397be8ea6558a5a2dc83824ae8875ae99725fa33186a546d4a7e604c00893",
 }
 
 #: alpha, beta, gamma, q and t symbolic: no numeric_roots
@@ -98,6 +144,47 @@ def test_groebner_report(profile):
                                       [ring.var(f"p{k}") for k in range(1, M + 1)],
                                       ring)
     assert digest(verify_factorization(Lt).to_json()) == GROEBNER[profile]
+
+
+@pytest.mark.parametrize("profile,seed", sorted(GROEBNER_SEEDS), ids=lambda v: (
+    "".join(map(str, v)) if isinstance(v, tuple) else f"seed{v}"))
+def test_groebner_report_at_seed(profile, seed):
+    Lt = _residue_atom_factor(*random_profile_instance(profile, seed=seed))
+    assert digest(verify_factorization(Lt).to_json()) == GROEBNER_SEEDS[profile, seed]
+
+
+@pytest.mark.parametrize("m", sorted(SHIFTED))
+def test_failing_symbolic_report(m):
+    ring = factor_ring(1, m)
+    a, b, g, t, q = (RatFunc.of(ring.var(n), ring)
+                     for n in ("alpha", "beta", "gamma", "t", "q"))
+    Lt = ApparentFuchsian.from_heun(a, b, g, m, q, t, ring)
+    es, _ = solve_esym(Lt)
+    shifted = replace(es, values=(es.values[0] + 1,) + es.values[1:])
+    report = verify_factorization(Lt, esym=shifted).to_json()
+    assert not report["pass"]
+    assert digest(report) == SHIFTED[m]
+
+
+@pytest.mark.parametrize("m", sorted(CONCRETE_Q3))
+def test_failing_concrete_report(m):
+    inst = {"version": 1, "kind": "apparent_fuchsian",
+            "parameters": {"gamma": "34/3", "alpha": "1", "beta": "2",
+                           "sing": [{"t": "2", "m": m}], "q": "3"}}
+    report, code = cmd_factorize(inst, None, None, -60, None)
+    assert code == 2
+    assert digest(report) == CONCRETE_Q3[m]
+
+
+@pytest.mark.parametrize("index", sorted(EDGE_EXACT))
+def test_edge_exact_report(index):
+    gamma, alpha, beta, m = EDGES[index]
+    inst = {"version": 1, "kind": "apparent_fuchsian",
+            "parameters": {"gamma": str(gamma), "alpha": str(alpha), "beta": str(beta),
+                           "sing": [{"t": "5/2", "m": m}], "q": {"sym": "q"}}}
+    report, code = cmd_factorize(inst, None, None, -60, None)
+    assert code == 0
+    assert digest(report) == EDGE_EXACT[index]
 
 
 @pytest.mark.parametrize("case", sorted(APPARENCY))
