@@ -39,6 +39,7 @@ import heapq
 import random
 import struct
 from fractions import Fraction
+from functools import reduce
 from math import gcd as _igcd
 from typing import Iterator, Mapping, Sequence, Union
 
@@ -340,23 +341,8 @@ class MultiPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return self.ring.zero
-        a, b = self._t, other._t
-        if len(a) > len(b):
-            a, b = b, a
-        shift = self.ring._deg_shift
-        if (max(a) >> shift) + (max(b) >> shift) > _MAX_DEG:
-            raise UsageError(f"product exceeds the degree limit {_MAX_DEG}")
-        b_items = b.items()
-        rows = iter(a.items())
-        e1, c1 = next(rows)
-        # the monomials of one row are distinct: it needs no lookups
-        t = {e1 + e2: c1 * c2 for e2, c2 in b_items}
-        if len(a) > 1:
-            get = t.get
-            for e1, c1 in rows:
-                for e2, c2 in b_items:
-                    e = e1 + e2
-                    t[e] = get(e, 0) + c1 * c2
+        t = _convolve(self.ring, {}, self._t, other._t)
+        if len(t) < len(self._t) * len(other._t):  # merged terms may cancel
             t = {e: c for e, c in t.items() if c}
         # primitive * primitive stays primitive (Gauss), sign of lead is +
         return MultiPoly(self.ring, t, self._c * other._c, _normalized=True)
@@ -498,17 +484,19 @@ class MultiPoly:
         if self.is_zero:
             return "0"
         parts = []
-        for e, c in self.terms():
-            mono = "*".join(
-                f"{n}^{k}" if k > 1 else n
-                for n, k in zip(self.ring.names, e)
-                if k
-            )
+        unpack, names = self.ring._unpack, self.ring.names
+        cn, cd = self._c.numerator, self._c.denominator
+        for e in sorted(self._t, reverse=True):
+            # the term's coefficient in lowest terms, as str(Fraction) gives it
+            n = self._t[e] * cn
+            g = _igcd(n, cd)
+            c = f"{n // g}/{cd // g}" if cd != g else str(n // g)
+            mono = "*".join(f"{v}^{k}" if k > 1 else v for v, k in zip(names, unpack(e)) if k)
             if not mono:
-                parts.append(str(c))
-            elif c == 1:
+                parts.append(c)
+            elif c == "1":
                 parts.append(mono)
-            elif c == -1:
+            elif c == "-1":
                 parts.append(f"-{mono}")
             else:
                 parts.append(f"{c}*{mono}")
@@ -517,6 +505,39 @@ class MultiPoly:
 
     def __repr__(self):
         return f"<MultiPoly {self.pretty()}>"
+
+
+def _convolve(ring: Ring, t: dict, a: dict, b: dict, m: int = 1) -> dict:
+    """Add m times the product of the nonempty term dicts a and b into t and
+    return t; zero entries may remain."""
+    if len(a) > len(b):
+        a, b = b, a
+    shift = ring._deg_shift
+    if (max(a) >> shift) + (max(b) >> shift) > _MAX_DEG:
+        raise UsageError(f"product exceeds the degree limit {_MAX_DEG}")
+    b_items, get = b.items(), t.get
+    for e1, c1 in a.items():
+        c1 *= m
+        for e2, c2 in b_items:
+            e = e1 + e2
+            t[e] = get(e, 0) + c1 * c2
+    return t
+
+
+def _sum_of_products(ring: Ring, products) -> MultiPoly:
+    """Sum of k * a * b over (a, b, k), a and b MultiPoly and k rational: one
+    int dict at the contents' common gcd, normalized once (one accumulator
+    for the whole sum, Johnson, ACM SIGSAM Bull. 8, 1974).  The result
+    equals the sequential sum of `*` and `+`, down to terms and content."""
+    products = [(a._t, b._t, a._c * b._c * k) for a, b, k in products
+                if a._t and b._t and k]
+    if not products:
+        return ring.zero
+    g = reduce(_content_gcd, [c for _, _, c in products])
+    t: dict = {}
+    for a, b, c in products:
+        _convolve(ring, t, a, b, (c / g).numerator)
+    return MultiPoly(ring, t, g)
 
 
 # -- modular non-divisor test ------------------------------------------------
@@ -625,7 +646,8 @@ def _surely_not_divisor(f: MultiPoly, g: MultiPoly) -> bool:
 def exact_div(f: MultiPoly, g: MultiPoly):
     """Return f/g when g divides f exactly, else None.
 
-    The modular test above rejects most non-divisors before `_quotient`.
+    The modular test above rejects most non-divisors of two or more terms
+    before `_quotient`; a one-term divisor is an exponent shift there.
     """
     if g.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
@@ -633,7 +655,7 @@ def exact_div(f: MultiPoly, g: MultiPoly):
         return f
     if f.ring != g.ring:
         raise UsageError("ring mismatch in exact_div")
-    if not g.is_const() and _surely_not_divisor(f, g):
+    if len(g._t) > 1 and _surely_not_divisor(f, g):
         return None
     return _quotient(f, g)
 
@@ -644,14 +666,20 @@ def _quotient(f: MultiPoly, g: MultiPoly):
     The division runs on the primitive integer parts: by Gauss's lemma g
     divides f over Q exactly when prim(g) divides prim(f) over Z, so a
     quotient digit with a nonzero remainder proves that g does not divide f,
-    and the quotient's content is f's over g's.  Leading terms are drawn from
-    a heap instead of re-scanning the remainder, so large exact divisions
-    (Bareiss steps of `_rank`, a Cramer numerator over its determinant)
-    stay near-linear in the number of term updates.
+    and the quotient's content is f's over g's.  A one-term prim(g) is a
+    monomial: its key is subtracted from each of f's, a borrow proving a
+    non-divisor.  Otherwise leading terms are drawn from a heap instead of
+    re-scanning the remainder, so large exact divisions (Bareiss steps of
+    `_rank`, a Cramer numerator over its determinant) stay near-linear in
+    the number of term updates.
     """
-    if g.is_const():
-        return f * (1 / g.const_value())
     guards = f.ring._guards
+    if len(g._t) == 1:
+        (ge,) = g._t
+        quo = {e - ge: c for e, c in f._t.items()}
+        if any(e & guards for e in quo):
+            return None
+        return MultiPoly(f.ring, quo, f._c / g._c, _normalized=True)
     g_lead = max(g._t)
     g_lc = g._t[g_lead]
     g_rest = [(e, c) for e, c in g._t.items() if e != g_lead]
@@ -1132,8 +1160,9 @@ def _subs_parts(p: MultiPoly, assign: Mapping[str, RatFunc]) -> tuple:
 
     The terms are grouped by their exponents in the substituted variables,
     so each distinct monomial costs one product, and the groups are summed
-    over the least common multiple of the values' factored denominators.
-    Nothing is cancelled here; the caller builds one RatFunc at the end.
+    over the least common multiple of the values' factored denominators in
+    one `_sum_of_products`.  Nothing is cancelled; the caller builds one
+    RatFunc at the end.
     """
     used = [(n, v) for n, v in assign.items() if p.involves(n)]
     if not used:
@@ -1161,7 +1190,7 @@ def _subs_parts(p: MultiPoly, assign: Mapping[str, RatFunc]) -> tuple:
             powers[f, k] = f ** k
         return powers[f, k]
 
-    num = p.ring.zero
+    products = []
     for key, terms in groups.items():
         mult = p.ring.one
         for (_, v), k in zip(used, key):
@@ -1170,8 +1199,8 @@ def _subs_parts(p: MultiPoly, assign: Mapping[str, RatFunc]) -> tuple:
         for f, m in lcm.items():
             if m != dens[key].get(f, 0):
                 mult = mult * _pow(f, m - dens[key].get(f, 0))
-        num = num + MultiPoly(p.ring, terms, p._c) * mult
-    return num, lcm
+        products.append((MultiPoly(p.ring, terms, p._c), mult, 1))
+    return _sum_of_products(p.ring, products), lcm
 
 
 # -- linear algebra -----------------------------------------------------------
@@ -1225,9 +1254,12 @@ def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:
     each (k+1)-column minor of the rows 0..k along row k, from the k-column
     minors of the rows above, so each minor is computed once, a zero minor
     is dropped, and no polynomial is ever divided (expansion by minors,
-    Gentleman & Johnson, ACM TOMS 2, 1976).  The columns 0..n-1 give det A;
-    the columns without j give Cramer's numerator j up to the sign
-    (-1)^(n-1-j), since b sits last instead of at column j.
+    Gentleman & Johnson, ACM TOMS 2, 1976).  Each minor is one
+    `_sum_of_products` of its cofactor terms.  The columns 0..n-1 give
+    det A; the columns without j give Cramer's numerator j up to the sign
+    (-1)^(n-1-j), since b sits last instead of at column j.  The values come
+    back uncancelled, numerator over {det: 1}; a caller that wants them in
+    lowest terms cancels each once.
 
     Raises SingularMatrixError (with the achieved rank) when det = 0.
     """
@@ -1240,8 +1272,9 @@ def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:
     # the sparsest rows last, where their entries multiply the largest
     # minors; a row order scales det and every numerator by one sign
     M.sort(key=lambda row: -sum(x.num_terms() for x in row))
+    ring = M[0][0].ring
     # column set (bit mask) -> nonzero minor on the rows expanded so far
-    minors = {0: M[0][0].ring.one}
+    minors = {0: ring.one}
     for row in M:
         nxt: dict = {}
         for cols, minor in minors.items():
@@ -1251,17 +1284,16 @@ def solve_linear(A: Sequence[Sequence], b: Sequence) -> list:
                     continue
                 # along the minor's last row, x's cofactor has the sign of
                 # the number of columns after c
-                p = x * minor if not (cols >> c).bit_count() & 1 else -(x * minor)
-                s = cols | bit
-                nxt[s] = nxt[s] + p if s in nxt else p
-        minors = {s: v for s, v in nxt.items() if not v.is_zero}
+                sign = -1 if (cols >> c).bit_count() & 1 else 1
+                nxt.setdefault(cols | bit, []).append((x, minor, sign))
+        minors = {s: v for s, terms in nxt.items()
+                  if not (v := _sum_of_products(ring, terms)).is_zero}
     full = (1 << (n + 1)) - 1
     det = minors.get(full ^ 1 << n)
     if det is None:
         raise SingularMatrixError(_rank([row[:n] for row in M]), n)
-    zero = det.ring.zero
-    return [RatFunc(minors.get(full ^ 1 << j, zero) * (-1) ** (n - 1 - j), {det: 1})
-            for j in range(n)]
+    return [RatFunc(minors.get(full ^ 1 << j, ring.zero) * (-1) ** (n - 1 - j), {det: 1},
+                    _simplify=False) for j in range(n)]
 
 
 def _mod_value(f: MultiPoly):

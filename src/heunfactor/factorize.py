@@ -507,18 +507,21 @@ def _select_rows(rows: list, N: int, ring: Ring):
 
 
 def _normalize_t_denominator(v: RatFunc, ring: Ring, stripped: dict) -> RatFunc:
-    """Try to rewrite v as polynomial / (t^a (t-1)^b); v itself if it fails.
+    """Rewrite a value n / det of `solve_linear`, uncancelled, as polynomial
+    / (t^a (t-1)^b) in lowest terms; the cancelled n / det if that fails.
 
     The solved esym values are claimed to be polynomial in q, alpha, beta,
     gamma and holomorphic in t off {0, 1}; this pulls the powers of t and
-    (t - 1) out of each denominator factor and cancels the rest into the
-    numerator, which succeeds exactly when the claim holds.  ``stripped``
-    maps each factor already seen to (rest, a, b), f = t^a (t - 1)^b rest.
+    (t - 1) out of each denominator factor and divides the numerator by the
+    rest, which succeeds exactly when the claim holds.  A numerator that the
+    whole denominator divides gives the polynomial, as cancelling n / det
+    first did.  ``stripped`` maps each factor already seen to (rest, a, b),
+    f = t^a (t - 1)^b rest.
     """
-    from .exactalg import exact_div
+    from .exactalg import _quotient, exact_div
 
     if "t" not in ring.index:
-        return v
+        return RatFunc(v.num, v.den_factors())
     t = ring.var("t")
     num = v.num
     out_fac: dict = {}
@@ -534,18 +537,19 @@ def _normalize_t_denominator(v: RatFunc, ring: Ring, stripped: dict) -> RatFunc:
                 b += 1
             stripped[f] = rest, a, b
         rest, a, b = stripped[f]
-        if not rest.is_const():
-            for _ in range(k):
-                num = exact_div(num, rest)
-                if num is None:
-                    return v
-        else:
-            num = num / rest.const_value() ** k
+        for _ in range(k):
+            num = _quotient(num, rest)
+            if num is None:
+                return RatFunc(v.num, v.den_factors())
         if a:
             out_fac[t] = out_fac.get(t, 0) + a * k
         if b:
             out_fac[t - 1] = out_fac.get(t - 1, 0) + b * k
-    return RatFunc(num, out_fac, _simplify=False)
+    whole = num
+    for f, k in out_fac.items():
+        if (whole := exact_div(whole, f ** k)) is None:
+            return RatFunc(num, out_fac, _simplify=False)
+    return RatFunc(whole)
 
 
 @dataclass(frozen=True)

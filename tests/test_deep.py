@@ -3,12 +3,12 @@
 These verify the same zero-defect statement as the default suite's numeric
 path, but fully symbolically in the quotient ring.  On a 2-CPU machine
 whose speed drifts by up to 2x, ``HEUNFACTOR_DEEP=1 python -m pytest
-tests/test_deep.py`` took 9-22 s in five runs.  Strength 4 takes about
-1 s and strength 5 the rest: in its solve and verify, timed one by one,
-the Cramer minors of ``solve_esym`` took 7-15 s, normalizing the solved
-values 1.9-2.3 s and verify 1.1-1.8 s.  CI runs both.  They sit behind
-the flag because strength 5 alone would add about a third to the default
-suite's time."""
+tests/test_deep.py`` took 7.2-7.5 s in two runs.  Strength 4 takes about
+0.4 s and strength 5 the rest: in its solve and verify, timed one by one,
+the Cramer minors of ``solve_esym`` took 5.0 s, normalizing the solved
+values 1.0 s and verify 0.24 s.  CI runs both, under a 300 s timeout.
+They sit behind the flag because strength 5 alone would add about a
+seventh to the default suite's time."""
 
 import os
 

@@ -21,6 +21,8 @@ from heunfactor.exactalg import (
     _grlex_key,
     _over_lcm,
     _mod_image,
+    _quotient,
+    _sum_of_products,
     _surely_not_divisor,
     exact_div,
     groebner_basis,
@@ -385,6 +387,100 @@ class TestPackedKernel:
             MultiPoly(_WIDE, {(_MAX_DEG + 1,) + (0,) * 10: 1}, F(1))
         with pytest.raises(UsageError):
             MultiPoly(_WIDE, {(-1,) + (0,) * 10: 1}, F(1))
+
+
+def _pretty_oracle(p):
+    """The printed form with one Fraction per term."""
+    if p.is_zero:
+        return "0"
+    parts = []
+    for e, c in p.terms():
+        mono = "*".join(f"{n}^{k}" if k > 1 else n for n, k in zip(p.ring.names, e) if k)
+        if not mono:
+            parts.append(str(c))
+        elif c in (1, -1):
+            parts.append(mono if c == 1 else f"-{mono}")
+        else:
+            parts.append(f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+_ks = st.sampled_from([1, -1, 3, -2, F(5, 6), F(-7, 4)])
+_products = st.lists(st.tuples(_polys, _polys, _ks), max_size=5)
+
+
+class TestExactLaneKernels:
+    @settings(max_examples=60)
+    @given(products=_products)
+    def test_sum_of_products_is_the_sequential_sum(self, products):
+        want = _XYZ.zero
+        for a, b, k in products:
+            want = want + a * b * k
+        got = _sum_of_products(_XYZ, products)
+        assert got._t == want._t and got._c == want._c
+
+    @settings(max_examples=60)
+    @given(products=_products)
+    def test_sum_of_products_cancels_to_zero(self, products):
+        # each product once with k and once with -k
+        got = _sum_of_products(_XYZ, products + [(b, a, -k) for a, b, k in products])
+        assert got.is_zero and got.content() == 0
+
+    def test_sum_of_products_keeps_the_degree_limit(self):
+        x0, x1 = _WIDE.var("x0"), _WIDE.var("x1")
+        with pytest.raises(UsageError):
+            _sum_of_products(_WIDE, [(x1, x1, 1), (x0 ** _MAX_DEG, x1, F(1, 2))])
+        assert _sum_of_products(_WIDE, [(x0 ** _MAX_DEG, _WIDE.zero, 1)]).is_zero
+
+    @given(f=_polys, h=_polys, e=st.tuples(*[st.integers(0, 2)] * 3),
+           c=st.sampled_from([1, -3, F(2, 5), F(-7, 9)]))
+    def test_monomial_division_matches_the_heap_route(self, f, h, e, c):
+        # g | f exactly when g h | f h, and g h has two or more terms for the
+        # h that pass, so exact_div takes the modular test and the heap there
+        g = _XYZ.monomial(dict(zip(_XYZ.names, e)), c)
+        if f.is_zero or h.num_terms() < 2:
+            return
+        for num in (f, f * g):
+            got = exact_div(num, g)
+            assert got == exact_div(num * h, g * h)
+            if got is not None:
+                assert got * g == num
+                assert got._t == exact_div(num * h, g * h)._t
+
+    def test_monomial_division_rejects(self):
+        x, y, z = (_XYZ.var(n) for n in _XYZ.names)
+        # a borrow in one field (y^2 z / x), a lower total degree (x / x^2 y),
+        # a lower degree in one variable under a higher total (x^3 z^2 / x^4)
+        for f, g in ((y * y * z, x), (x + x * x * y * 5, x * x * y),
+                     (x ** 3 * z * z + x ** 5, x ** 4)):
+            assert exact_div(f, g) is None and _quotient(f, g) is None
+        assert exact_div(x * y * z * 6 + x * y, x * y * 2) == 3 * z + F(1, 2)
+
+    @given(f=_polys, c=st.sampled_from([1, -1, 7, F(-3, 4)]))
+    def test_constant_division(self, f, c):
+        if f.is_zero:
+            return
+        got = exact_div(f, _XYZ.const(c))
+        assert got._t == f._t and got._c == f.content() / c
+
+    def test_heap_route_rejects_a_fractional_digit(self):
+        # prim(g) = 2x + 1 does not divide 3x + 1 over Z: the first digit
+        # 3/2 has a remainder (the modular test is bypassed here)
+        x = _XYZ.var("x")
+        assert _quotient(3 * x + 1, 2 * x + 1) is None
+        assert _quotient((3 * x + 1) * (2 * x + 1), 2 * x + 1) == 3 * x + 1
+
+    @given(p=_polys)
+    def test_pretty_matches_the_fraction_per_term_form(self, p):
+        assert p.pretty() == _pretty_oracle(p)
+
+    def test_pretty_unit_and_fractional_coefficients(self):
+        x, y = _XYZ.var("x"), _XYZ.var("y")
+        for p in (x - y, -x + y * F(1, 3), (x * y - 1) * F(-2, 3), x * 4 - 6,
+                  _XYZ.const(F(-5, 2)), (x - y * 3) * F(1, 3), -x * y - 1):
+            assert p.pretty() == _pretty_oracle(p)
+        assert ((x * y - 1) * F(-2, 3)).pretty() == "-2/3*x*y + 2/3"
+        assert ((x - y * 3) * F(1, 3)).pretty() == "1/3*x - y"
 
 
 class TestGroebner:

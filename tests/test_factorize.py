@@ -8,7 +8,7 @@ import pytest
 
 from heunfactor import factorize
 from heunfactor.cli import cmd_factorize
-from heunfactor.exactalg import _MOD_P, RatFunc, Ring, rank_of
+from heunfactor.exactalg import _MOD_P, RatFunc, Ring, rank_of, solve_linear
 from heunfactor.factorize import (
     SUPPORTED_PROFILES,
     ApparentFuchsian,
@@ -247,6 +247,43 @@ class TestSolveEsym:
         A, b = factorize._select_rows(rows, 2, ring)
         assert A == [[x, y], [y * (1 / F(_MOD_P)), x]]
         assert [len(m) for m in ranks] == [2, 2]
+
+    # numerator n of n / det, det = 3/7 t^2 (t - 1) (q + t + 2), and the
+    # normalized value: numerator, its content and the factors, in order
+    NORMALIZED = {
+        # det divides n: the polynomial
+        "whole": (lambda det, q, a, t, z: det * (a * q - F(1, 5)) * -2,
+                  "-2*q*alpha + 2/5", F(-2, 5), []),
+        # the rest and t divide n, t - 1 does not: t stays in the numerator
+        "rest_and_t": (lambda det, q, a, t, z: F(5, 2) * t * (q + t + 2) * (a + z),
+                       "35/6*z*t + 35/6*alpha*t", F(35, 6), [("t", 2), ("t - 1", 1)]),
+        # the rest q + t + 2 does not divide n: n / det, cancelled
+        "rest_fails": (lambda det, q, a, t, z: F(-4, 3) * t * (t - 1) * (q - t + 2),
+                       "-28/9*q*t^2 + 28/9*t^3 + 28/9*q*t - 28/3*t^2 + 56/9*t", F(-28, 9),
+                       [("q*t^3 + t^4 - q*t^2 + t^3 - 2*t^2", 1)]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NORMALIZED))
+    def test_normalized_value_edge_cases(self, case):
+        # solve_esym's two steps on a 1 x 1 system; the pinned values are
+        # those of the route that cancelled each Cramer value before it
+        # normalized it
+        ring = factor_ring(1, 1)
+        q, a, t, z = (ring.var(n) for n in ("q", "alpha", "t", "z"))
+        det = F(3, 7) * t ** 2 * (t - 1) * (q + t + 2)
+        make, num, content, factors = self.NORMALIZED[case]
+        (v,) = solve_linear([[det]], [make(det, q, a, t, z)])
+        got = factorize._normalize_t_denominator(v, ring, {})
+        assert got.num.pretty() == num and got.num.content() == content
+        assert [(f.pretty(), k) for f, k in got.den_factors().items()] == factors
+        assert got == RatFunc(make(det, q, a, t, z), {det: 1})
+
+    def test_normalized_value_without_t_is_cancelled(self):
+        ring = Ring(("x", "y"))
+        x, y = ring.var("x"), ring.var("y")
+        (v,) = solve_linear([[2 * x * y]], [x * y * (y + 1)])
+        got = factorize._normalize_t_denominator(v, ring, {})
+        assert got.is_poly() and got.num == (y + 1) / 2
 
     def test_unsupported_profile(self):
         ring = factor_ring(1, 6)
