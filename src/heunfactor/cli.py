@@ -33,15 +33,14 @@ parameters:
 
 Each command imports the layers it runs inside its cmd_* function, not at
 the top of this module: every command is a fresh interpreter, and a cold
-`apparency` or `x1` would otherwise pay for importing all of them.
+`apparency` or `x1` would otherwise pay for importing all of them; a sweep,
+which runs its files in its own process, loads only those its files need.
 """
 
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -137,17 +136,21 @@ def _json_int(literal: str) -> int:
 def load_instance(path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as e:
         raise SchemaError(f"cannot read {path}: {e}") from None
-    try:
-        obj = json.loads(text, parse_int=_json_int)
+    try:  # UTF-8 whatever the locale (json.loads of bytes would take UTF-16)
+        obj = json.loads(data.decode("utf-8"), parse_int=_json_int)
+    except UnicodeDecodeError as e:
+        raise SchemaError(f"{path}: not UTF-8 text: {e}") from None
     except json.JSONDecodeError as e:
         raise SchemaError(
             f"{path}: malformed JSON at line {e.lineno} column {e.colno} "
             f"(char {e.pos}): {e.msg}") from None
     except ValueError as e:  # from _json_int
         raise SchemaError(f"{path}: malformed JSON: {e}") from None
+    except RecursionError:
+        raise SchemaError(f"{path}: malformed JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise SchemaError(f"{path}: instance must be a JSON object")
     _check_keys(obj, {"version", "kind", "parameters", "mode",
@@ -397,47 +400,18 @@ def _run_file(path, mode, precision_bits, tol, tol_exp, seed) -> tuple:
     return cmd_x1(params["k"], params["g"], params["h"])
 
 
-def _sweep_one(path_str: str, opts: dict) -> dict:
-    """Worker: run one instance file, return its result entry (never raises)."""
-    report, code, error = _guarded(lambda: _run_file(path_str, **opts))
-    key, value = ("report", report) if error is None else ("error", error)
-    return {"file": Path(path_str).name, "exit_code": code, key: value}
-
-
-def _sweep_workers(files: int) -> int:
-    """The sweep's worker count: HEUNFACTOR_THREADS, else the CPUs this
-    process may run on; never more than ``files`` (a pool forks all its
-    workers at once)."""
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    raw = os.environ.get("HEUNFACTOR_THREADS") or str(cpus)
-    if not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise UsageError(f"HEUNFACTOR_THREADS must be a positive integer, got {raw!r}")
-    return min(int(raw), files)
-
-
 def cmd_sweep(directory: str, opts: dict) -> tuple:
-    """``opts`` holds the settings forwarded to every file: mode,
+    """Run every ``*.json`` file of ``directory``, in name order, in this
+    process; ``opts`` holds the settings forwarded to every file: mode,
     precision_bits, tol, tol_exp and seed."""
     root = Path(directory)
     if not root.is_dir():
         raise SchemaError(f"{root} is not a directory")
-    paths = sorted(str(p) for p in root.glob("*.json"))
-    workers = _sweep_workers(len(paths))
-    # load every command's layers before the pool forks, so that no worker
-    # imports them again
-    for name in ("factorize", "_mpnum", "numcheck", "xjacobi"):
-        importlib.import_module(f".{name}", __package__)
-    import concurrent.futures
-
-    if workers <= 1:
-        results = [_sweep_one(p, opts) for p in paths]
-    else:
-        try:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-                results = list(ex.map(_sweep_one, paths, [opts] * len(paths)))
-        except (OSError, PermissionError):
-            results = [_sweep_one(p, opts) for p in paths]
+    results = []
+    for path in sorted(root.glob("*.json")):
+        report, code, error = _guarded(lambda: _run_file(path, **opts))
+        key, value = ("report", report) if error is None else ("error", error)
+        results.append({"file": path.name, "exit_code": code, key: value})
     worst = max((r["exit_code"] for r in results), default=0)
     report = {
         "command": "sweep",
@@ -525,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # an exact report may print integers of more than Python's default 4300
-    # digits: lift the limit for the command (a sweep's forked workers
-    # inherit it) and restore it afterwards
+    # digits: lift the limit for the command (every file of a sweep) and
+    # restore it afterwards
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

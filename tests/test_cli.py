@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -11,7 +10,6 @@ import tempfile
 import time
 from fractions import Fraction as F
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -428,12 +426,11 @@ class TestSweep:
         assert rep["results"][0]["exit_code"] == 0
         assert rep["results"][1]["exit_code"] == 2
 
-    def test_deterministic_order_and_bytes(self, tmp_path, capsys, monkeypatch):
+    def test_deterministic_order_and_bytes(self, tmp_path, capsys):
         d = tmp_path / "batch2"
         d.mkdir()
         for i in range(3):
             (d / f"i{i}.json").write_text(json.dumps(MAIER))
-        monkeypatch.setenv("HEUNFACTOR_THREADS", "2")
         code1, out1, _ = run_cli(["sweep", str(d)], capsys)
         code2, out2, _ = run_cli(["sweep", str(d)], capsys)
         assert code1 == code2 == 0
@@ -514,18 +511,12 @@ def _bad_settings():
               for v in ("0", "-1", "nan", "inf")]
     for command, inst, flags, name in cases:
         for via in ("direct", "sweep"):
-            yield pytest.param(via, command, inst, flags, {}, id=f"{via}-{name}")
-    for v in ("abc", "0", "-1", "²"):
-        yield pytest.param("sweep", "factorize", NUMERIC_M3, [],
-                           {"HEUNFACTOR_THREADS": v}, id=f"sweep-threads={v}")
+            yield pytest.param(via, command, inst, flags, id=f"{via}-{name}")
 
 
 class TestExitCodeContract:
-    @pytest.mark.parametrize("via,command,inst,flags,env", _bad_settings())
-    def test_bad_setting_exits_1(self, tmp_path, capsys, monkeypatch,
-                                 via, command, inst, flags, env):
-        for k, v in env.items():
-            monkeypatch.setenv(k, v)
+    @pytest.mark.parametrize("via,command,inst,flags", _bad_settings())
+    def test_bad_setting_exits_1(self, tmp_path, capsys, via, command, inst, flags):
         path = write(tmp_path, "i.json", inst)
         argv = ([command, path] if via == "direct" else ["sweep", str(tmp_path)])
         code, _, err = run_cli(argv + flags, capsys)
@@ -637,6 +628,28 @@ def test_oversized_json_integer_exits_1(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+#: files that json.loads cannot take: UTF-16 text with its byte-order mark,
+#: and arrays nested past the parser's recursion limit
+UNREADABLE = {"utf16": (b"\xff\xfe" + json.dumps(MAIER).encode("utf-16-le"), "UTF-8"),
+              "nested": (b"[" * 100000 + b"]" * 100000, "nested too deeply")}
+
+
+@pytest.mark.parametrize("case", sorted(UNREADABLE))
+def test_unreadable_instance_file_exits_1(tmp_path, capsys, case):
+    # a schema error, not a failed verification: one error line that names
+    # the file and the problem, directly and in a sweep
+    data, problem = UNREADABLE[case]
+    path = tmp_path / "i.json"
+    path.write_bytes(data)
+    for argv, head in ((["apparency", str(path)], f"error: {path}: "),
+                       (["sweep", str(tmp_path)], f"error: i.json: {path}: ")):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1, err
+        assert err.startswith(head) and err.count("\n") == 1 and problem in err, err
+        assert "DecodeError" not in err and "RecursionError" not in err
+    assert json.loads(out)["results"][0]["exit_code"] == 1
+
+
 #: t = 10^3000: the exact reports hold integers of more than 4300 digits
 BIG_T = "1" + "0" * 3000
 BIG_REPORTS = {
@@ -645,11 +658,9 @@ BIG_REPORTS = {
 }
 
 
-def test_report_with_an_integer_past_the_str_limit_prints(tmp_path, capsys, monkeypatch):
+def test_report_with_an_integer_past_the_str_limit_prints(tmp_path, capsys):
     # Python refuses str() of an int of more than 4300 digits by default:
-    # these correct runs once exited 2 with that ValueError from pretty().
-    # With two files and two workers the sweep forks its pool
-    monkeypatch.setenv("HEUNFACTOR_THREADS", "2")
+    # these correct runs once exited 2 with that ValueError from pretty()
     argvs = [[command, write(tmp_path, f"{command}.json", inst)]
              for command, inst in BIG_REPORTS.items()] + [["sweep", str(tmp_path)]]
     limit = sys.get_int_max_str_digits()
@@ -908,8 +919,7 @@ def test_fuzzed_flags_keep_exit_contract(flag_inputs, command, data):
             argv.append(f"{flag}={value}")
     argv.append(data.draw(st.sampled_from(["--json", "--text"])))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            mock.patch.dict(os.environ, {"HEUNFACTOR_THREADS": "1"}):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as e:  # argparse's usage errors
@@ -1026,15 +1036,15 @@ def test_commands_run_with_numpy_and_scipy_unimportable(tmp_path):
               "from heunfactor.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    print([main(a) for a in {argvs!r}], file=sys.__stdout__)\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=dict(os.environ, HEUNFACTOR_THREADS="1"))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert out.returncode == 0 and out.stderr == "", out.stderr
     assert out.stdout.strip() == "[0, 0, 0, 0, 0, 0]"
 
 
 def test_exact_commands_run_with_mpmath_unimportable(tmp_path, capsys):
     # apparency, monodromy and exact factorize do no multiprecision work: with
-    # the import of mpmath blocked they print the same reports and exit codes
+    # the import of mpmath blocked they print the same reports and exit codes,
+    # directly and as the files of a sweep
     argvs = [["apparency", write(tmp_path, "a.json", CONCRETE_EP1)],
              ["apparency", write(tmp_path, "n.json", _with(CONCRETE_EP1, q="2"))],
              ["monodromy", write(tmp_path, "m.json", MONODROMY)],
@@ -1044,14 +1054,58 @@ def test_exact_commands_run_with_mpmath_unimportable(tmp_path, capsys):
               "sys.modules['mpmath'] = None\n"
               "from heunfactor.cli import main\n"
               "runs = []\n"
-              f"for a in {argvs!r}:\n"
+              f"for a in {argvs + [['sweep', str(tmp_path)]]!r}:\n"
               "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
               "        runs.append([main(a), out.getvalue()])\n"
               "print(json.dumps(runs))\n")
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert out.returncode == 0 and out.stderr == "", out.stderr
-    assert json.loads(out.stdout) == want
+    *runs, (sweep_code, sweep_out) = json.loads(out.stdout)
+    assert runs == want
     assert [code for code, _ in want] == [0, 2, 0, 0]
+    entries = {r["file"]: [r["exit_code"], r["report"]]
+               for r in json.loads(sweep_out)["results"]}
+    assert entries == {Path(a[1]).name: [code, json.loads(report)]
+                       for a, (code, report) in zip(argvs, want)}
+    assert sweep_code == 2
+
+
+def _fresh_run(argv) -> tuple:
+    """Exit code and report of ``heunfactor ARGV`` in a fresh interpreter."""
+    out = subprocess.run([sys.executable, "-m", "heunfactor.cli"] + argv,
+                         capture_output=True, text=True)
+    return out.returncode, json.loads(out.stdout)
+
+
+#: one instance file of each command a sweep runs, and its direct command
+EVERY_KIND = {"apparency": (CONCRETE_EP1, ["apparency", "{path}"]),
+              "monodromy": (MONODROMY, ["monodromy", "{path}"]),
+              "factorize-exact": (MAIER, ["factorize", "{path}"]),
+              "factorize-numeric": (NUMERIC_M3, ["factorize", "{path}"]),
+              "xjacobi": (XJACOBI, ["x1", "3", "1", "1/4"])}
+
+
+def test_sweep_entries_equal_direct_runs_in_either_order(tmp_path):
+    # a sweep runs its files one after another in one interpreter: no file
+    # may leave state that changes the report or exit code of the next, in
+    # name order or in the reverse order
+    direct = {}
+    for kind, (inst, argv) in EVERY_KIND.items():
+        path = write(tmp_path, f"{kind}.json", inst)
+        direct[kind] = _fresh_run([a.format(path=path) for a in argv])
+    assert [code for code, _ in direct.values()] == [0, 0, 0, 0, 0]
+    for name, order in (("forward", sorted(EVERY_KIND)),
+                        ("reverse", sorted(EVERY_KIND, reverse=True))):
+        d = tmp_path / name
+        d.mkdir()
+        for i, kind in enumerate(order):
+            write(d, f"{i}-{kind}.json", EVERY_KIND[kind][0])
+        code, report = _fresh_run(["sweep", str(d)])
+        assert code == 0
+        assert [r["file"] for r in report["results"]] == [
+            f"{i}-{kind}.json" for i, kind in enumerate(order)]
+        for r, kind in zip(report["results"], order):
+            assert (r["exit_code"], r["report"]) == direct[kind], kind
 
 
 def test_commands_leave_numpy_unloaded(tmp_path):
@@ -1085,16 +1139,15 @@ FACTORIZE_LAYERS = ["heunfactor.factorize", "heunfactor._mpnum", "heunfactor.ghg
                     "mpmath"]
 
 
-def _layers_loaded(argv, prelude="", env=None) -> str:
+def _layers_loaded(argv) -> str:
     """Exit code and the LAYERS loaded after ``main(argv)`` in a fresh
-    interpreter (after ``prelude``), as the script prints them."""
-    script = (f"import contextlib, io, sys\n{prelude}"
+    interpreter, as the script prints them."""
+    script = ("import contextlib, io, sys\n"
               "from heunfactor.cli import main\n"
               "with contextlib.redirect_stdout(io.StringIO()):\n"
               f"    code = main({argv!r})\n"
               f"print(code, [m for m in {LAYERS!r} if m in sys.modules])\n")
-    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=dict(os.environ, **(env or {})))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     return out.stdout.strip()
 
@@ -1107,11 +1160,13 @@ def _layers_loaded(argv, prelude="", env=None) -> str:
     pytest.param(["factorize", "{d}/e.json"], ["heunfactor.factorize", "heunfactor.ghg"],
                  id="factorize-exact"),
     pytest.param(["factorize", "{d}/f.json"], FACTORIZE_LAYERS, id="factorize-numeric"),
-    pytest.param(["sweep", "{d}/sweep"], list(LAYERS), id="sweep"),
+    pytest.param(["sweep", "{d}/sweep"], [], id="sweep"),
+    pytest.param(["sweep", "{d}/sweep-exact"], ["heunfactor.factorize", "heunfactor.ghg"],
+                 id="sweep-factorize-exact"),
 ])
 def test_each_command_loads_only_its_layers(tmp_path, argv, loads):
     # every command is a fresh interpreter, so the CLI imports a layer only
-    # in the command that runs it
+    # in the command that runs it; a sweep loads those of its files' commands
     write(tmp_path, "a.json", CONCRETE_EP1)
     write(tmp_path, "m.json", MONODROMY)
     write(tmp_path, "e.json", MAIER)
@@ -1119,45 +1174,8 @@ def test_each_command_loads_only_its_layers(tmp_path, argv, loads):
     (tmp_path / "sweep").mkdir()
     write(tmp_path / "sweep", "a.json", CONCRETE_EP1)
     write(tmp_path / "sweep", "b.json", CONCRETE_EP1)
-    got = _layers_loaded([a.format(d=tmp_path) for a in argv],
-                         env={"HEUNFACTOR_THREADS": "2"})
+    (tmp_path / "sweep-exact").mkdir()
+    write(tmp_path / "sweep-exact", "a.json", CONCRETE_EP1)
+    write(tmp_path / "sweep-exact", "e.json", MAIER)
+    got = _layers_loaded([a.format(d=tmp_path) for a in argv])
     assert got == f"0 {loads!r}"
-
-
-def test_sweep_loads_every_command_before_its_pool_starts(tmp_path):
-    # the pool forks: a layer the parent has not loaded would be imported
-    # again in each worker.  The stand-in pool records what is loaded when
-    # it is made, then fails, so the sweep runs its two apparency files
-    # (which load no command module themselves) in-process
-    for name in ("a.json", "b.json"):
-        write(tmp_path, name, CONCRETE_EP1)
-    prelude = ("import concurrent.futures\n"
-               "class Pool:\n"
-               "    def __init__(self, max_workers):\n"
-               "        print([m for m in ('heunfactor.factorize', 'heunfactor._mpnum',\n"
-               "                           'heunfactor.numcheck', 'heunfactor.xjacobi')\n"
-               "               if m in sys.modules],\n"
-               "              file=sys.__stdout__)\n"
-               "        raise OSError('no pool')\n"
-               "concurrent.futures.ProcessPoolExecutor = Pool\n")
-    got = _layers_loaded(["sweep", str(tmp_path)], prelude, env={"HEUNFACTOR_THREADS": "2"})
-    pool, rest = got.splitlines()
-    assert pool == ("['heunfactor.factorize', 'heunfactor._mpnum', 'heunfactor.numcheck', "
-                    "'heunfactor.xjacobi']")
-    assert rest.startswith("0 ")
-
-
-def test_sweep_workers_capped_at_file_count(monkeypatch):
-    # a pool forks all its workers at once, so HEUNFACTOR_THREADS=5000 over
-    # two files must not ask for 5000; no process is started here
-    from heunfactor.cli import _sweep_workers
-
-    monkeypatch.setenv("HEUNFACTOR_THREADS", "5000")
-    assert [_sweep_workers(n) for n in (0, 1, 2, 10)] == [0, 1, 2, 10]
-    monkeypatch.setenv("HEUNFACTOR_THREADS", "3")
-    assert [_sweep_workers(n) for n in (2, 3, 10)] == [2, 3, 3]
-    # the default is the CPUs this process may run on, not the machine's
-    monkeypatch.delenv("HEUNFACTOR_THREADS")
-    monkeypatch.setattr(os, "cpu_count", lambda: 64)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
-    assert [_sweep_workers(n) for n in (2, 10)] == [2, 3]
